@@ -1,17 +1,22 @@
 """Finite permutation groups stored as explicit element tables.
 
-Elements are image rows (0-based) in one contiguous numpy array with a
-bytes-keyed hash index, which keeps closure, conjugacy and coset sweeps
-vectorised.  No stabiliser chains: membership is a table lookup, so every
-group handled here must fit under the enumeration cap.  File formats and
-command-line output stay 1-based; everything internal is 0-based.
+Elements are image rows (0-based) in one contiguous numpy array.  One
+element index serves every lookup: a sorted int64 key per row (base images
+once the table exists, a wrapping row hash while the closure builds it),
+with every hit checked against the full row.  The closure also records the
+right-multiplication tables, so conjugacy classes and cosets are orbits of
+index gathers (`orbits`).  No stabiliser chains: membership is a table
+lookup, so every group handled here must fit under the enumeration cap.
+File formats and command-line output stay 1-based; everything internal is
+0-based.
 """
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,17 +47,17 @@ class NotASubgroup(PermError):
 
 
 def _as_images(images) -> np.ndarray:
-    arr = np.asarray(images, dtype=DTYPE)
-    if arr.ndim != 1:
-        raise PermError("image array must be one-dimensional")
+    """Validated image row: integers forming a bijection of 0..d-1."""
+    arr = np.asarray(images)
+    if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
+        raise PermError(f"image array must be a non-empty row of integers, "
+                        f"not {arr.dtype} of shape {arr.shape}")
     d = arr.shape[0]
-    if d == 0:
-        raise PermError("empty permutation")
-    seen = np.zeros(d, dtype=bool)
-    seen[arr] = True
-    if not seen.all():
+    if d > 2 ** 15 or arr.min() < 0 or arr.max() >= d:
+        raise PermError(f"images must lie in 0..{min(d, 2 ** 15) - 1}")
+    if (np.bincount(arr, minlength=d) != 1).any():
         raise PermError("image array is not a bijection")
-    return arr
+    return arr.astype(DTYPE, copy=False)
 
 
 class Permutation:
@@ -97,9 +102,7 @@ class Permutation:
         return Permutation(self.images[other.images])
 
     def inverse(self) -> "Permutation":
-        inv = np.empty_like(self.images)
-        inv[self.images] = np.arange(self.degree, dtype=DTYPE)
-        return Permutation(inv)
+        return Permutation(np.argsort(self.images))
 
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
@@ -197,17 +200,16 @@ class PermGroup:
     """A permutation group, optionally with its full element table."""
 
     def __init__(self, degree: int, generators: list[Permutation], name: str = "",
-                 _table=None):
+                 _table: "_Table | None" = None):
         if degree >= 2 ** 15:
             raise PermError("degree too large for the element store")
         self.degree = degree
         self.generators = generators
         self.name = name or "G"
-        self._table = _table           # (rows, index, parent, via_gen)
+        self._table = _table
         self._inv_rows = None
         self._classes: ConjugacyClasses | None = None
         self._class_mult = None        # cached by charactertable helpers
-        self._sorted_view = None       # cached for lookup_rows
 
     # -- construction -------------------------------------------------
 
@@ -273,26 +275,22 @@ class PermGroup:
     def is_enumerated(self) -> bool:
         return self._table is not None
 
-    def _require_table(self):
+    def _require_table(self) -> "_Table":
         if self._table is None:
             raise NotEnumerated(f"{self.name} has no element table")
         return self._table
 
     @property
     def rows(self) -> np.ndarray:
-        return self._require_table()[0]
-
-    @property
-    def index(self) -> dict:
-        return self._require_table()[1]
+        return self._require_table().rows
 
     @property
     def parent(self) -> np.ndarray:
-        return self._require_table()[2]
+        return self._require_table().parent
 
     @property
     def via_gen(self) -> np.ndarray:
-        return self._require_table()[3]
+        return self._require_table().via_gen
 
     @property
     def order(self) -> int:
@@ -305,60 +303,55 @@ class PermGroup:
         return Permutation(self.rows[i])
 
     def __contains__(self, perm: Permutation) -> bool:
-        if perm.degree != self.degree:
-            return False
-        return perm._key in self.index
+        return perm.degree == self.degree and bool(
+            self._require_table().index.find(perm.images[None])[0] >= 0)
 
     def index_of(self, perm: Permutation) -> int:
-        try:
-            return self.index[perm._key]
-        except KeyError:
-            raise PermError(f"element not in {self.name}") from None
+        i = int(self._require_table().index.find(perm.images[None])[0])
+        if i < 0:
+            raise PermError(f"element not in {self.name}")
+        return i
 
     def inverse_rows(self) -> np.ndarray:
         if self._inv_rows is None:
             rows = self.rows
-            n, d = rows.shape
-            inv = np.empty_like(rows)
-            np.put_along_axis(inv, rows.astype(np.intp),
-                              np.broadcast_to(np.arange(d, dtype=DTYPE), (n, d)), axis=1)
-            self._inv_rows = inv
+            (n, d), k = rows.shape, min(self.order, _CHUNK)
+            starts = np.arange(0, k * d, d)[:, None]        # flat offset of each row
+            cols = np.tile(np.arange(d, dtype=DTYPE), k)
+            self._inv_rows = inv = np.empty_like(rows)
+            for a in range(0, n, k):                        # inv[i, rows[i, c]] = c
+                part = rows[a:a + k]
+                inv.reshape(-1)[a * d + (starts[:len(part)] + part).ravel()] = cols[:part.size]
         return self._inv_rows
 
-    def random_elements(self, rng: np.random.Generator, k: int) -> list[Permutation]:
-        idx = rng.integers(0, self.order, size=k)
-        return [self.element(int(i)) for i in idx]
-
     def lookup_rows(self, rows2d: np.ndarray) -> np.ndarray:
-        """Table indices for a batch of image rows (void-view searchsorted)."""
-        rows = self.rows
-        if self._sorted_view is None:
-            void = np.dtype((np.void, rows.shape[1] * rows.itemsize))
-            v = np.ascontiguousarray(rows).view(void).ravel()
-            order = np.argsort(v, kind="stable")
-            self._sorted_view = (v[order], order)
-        sv, order = self._sorted_view
-        void = np.dtype((np.void, rows.shape[1] * rows.itemsize))
-        q = np.ascontiguousarray(rows2d.astype(DTYPE, copy=False)).view(void).ravel()
-        pos = np.searchsorted(sv, q)
-        pos = np.minimum(pos, len(sv) - 1)
-        if not (sv[pos] == q).all():
+        """Table indices for a batch of image rows; PermError for a non-member."""
+        idx = self._require_table().index.find(np.asarray(rows2d))
+        if (idx < 0).any():
             raise PermError("row batch contains elements outside the group")
-        return order[pos]
+        return idx
 
     # -- conjugacy ------------------------------------------------------
 
+    def _conjugations(self) -> list[np.ndarray]:
+        """Index maps i -> s^-1 g_i s, one per generator s, three gathers each."""
+        inv = self.lookup_rows(self.inverse_rows())
+        return [r[inv[r[inv]]] for r in self._require_table().right]
+
     def conjugacy_classes(self) -> ConjugacyClasses:
+        """Classes numbered by their least element index, which is the rep."""
         if self._classes is None:
-            self._classes = _conjugacy_classes(self)
+            first, class_of = orbits(self._conjugations(), self.order)
+            reps = [self.element(int(i)) for i in first]
+            self._classes = ConjugacyClasses(
+                reps, np.bincount(class_of).astype(np.int64), class_of.astype(np.int32),
+                np.array([p.order() for p in reps], dtype=np.int64))
         return self._classes
 
     # -- subgroups ------------------------------------------------------
 
     def subgroup_from_rows(self, rows: np.ndarray, name: str) -> "PermGroup":
-        gens = _greedy_generators(rows, self.degree)
-        sub = PermGroup.generated([Permutation(g) for g in gens],
-                                  name=name, degree=self.degree)
+        sub = _regenerated(rows, self.degree, name, cap=rows.shape[0])
         if sub.order != rows.shape[0]:
             raise PermError("generator reduction lost elements")
         return sub
@@ -369,34 +362,22 @@ class PermGroup:
         return self.subgroup_from_rows(rows[mask], name=f"{self.name}_stab{point}")
 
     def derived_subgroup(self) -> "PermGroup":
-        """Commutator subgroup, as closure of generator commutators under conjugation."""
-        gens = [g.images for g in self.generators]
-        invs = [Permutation(g).inverse().images for g in gens]
-        seen = set()
-        comms = []
-        for i, a in enumerate(gens):
-            for j, b in enumerate(gens):
-                c = a[b[invs[i][invs[j]]]]
-                key = c.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    comms.append(c)
-        # conjugation closure of the seed commutators generates the whole of G'
-        frontier = list(comms)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, gi in zip(gens, invs):
-                    y = g[x[gi.astype(np.intp)]]
-                    key = y.tobytes()
-                    if key not in seen:
-                        seen.add(key)
-                        comms.append(y)
-                        nxt.append(y)
-            frontier = nxt
-        big = PermGroup.generated([Permutation(s) for s in comms],
-                                  name=f"{self.name}'", degree=self.degree)
-        return big.subgroup_from_rows(big.rows, name=f"{self.name}'")
+        """Commutator subgroup, generated by the conjugates of the generator
+        commutators, which are visited breadth first."""
+        gens = [(g.images, g.inverse().images) for g in self.generators]
+        seeds = np.array([a[b[ai[bi]]] for a, ai in gens for b, bi in gens],
+                         dtype=DTYPE).reshape(-1, self.degree)
+        conj = [np.argsort(m) for m in self._conjugations()]   # i -> s g_i s^-1
+        seen = np.zeros(self.order, dtype=bool)
+        comms, frontier = [], self.lookup_rows(seeds)
+        while frontier.size:
+            frontier = frontier[np.sort(np.unique(frontier, return_index=True)[1])]
+            frontier = frontier[~seen[frontier]]
+            seen[frontier] = True
+            comms.append(frontier)
+            frontier = np.stack([c[frontier] for c in conj], axis=1).ravel()
+        rows = self.rows[np.concatenate(comms or [np.zeros(0, dtype=np.int64)])]
+        return _regenerated(rows, self.degree, f"{self.name}'", cap=self.order)
 
     def is_subgroup(self, h: "PermGroup") -> bool:
         if h.degree != self.degree:
@@ -406,157 +387,200 @@ class PermGroup:
     # -- cosets ----------------------------------------------------------
 
     def coset_transversal(self, h: "PermGroup") -> CosetTransversal:
+        """Left cosets g_i H numbered by their least element index, which is
+        the representative: the orbits of right multiplication by H."""
         if not self.is_subgroup(h):
             raise NotASubgroup(f"{h.name} is not a subgroup of {self.name}")
         if self.order % h.order:
             raise NotASubgroup("subgroup order does not divide group order")
-        rows = self.rows
-        coset_of = np.full(self.order, -1, dtype=np.int32)
-        rep_idx = []
-        hrows = h.rows.astype(np.intp)
-        for i in range(self.order):
-            if coset_of[i] >= 0:
-                continue
-            c = len(rep_idx)
-            rep_idx.append(i)
-            coset_of[self.lookup_rows(rows[i][hrows])] = c   # rep∘h for all h
+        table = self._require_table()
+        maps = []                       # i -> g_i h for each generator h of H
+        for gen in h.generators:
+            m, i = np.arange(self.order), self.index_of(gen)
+            while table.via_gen[i] != -1:       # h = parent * s: m <- m o right[s]
+                m = m[table.right[table.via_gen[i]]]
+                i = table.parent[i]
+            maps.append(m)
+        rep_idx, coset_of = orbits(maps, self.order)
         assert len(rep_idx) == self.order // h.order
-        return CosetTransversal(self, h, np.array(rep_idx, dtype=np.int64), coset_of)
-
-    def _h_action_on_cosets(self, h: "PermGroup",
-                            trans: CosetTransversal | None = None):
-        """Permutations of coset indices induced by the generators of H."""
-        trans = trans or self.coset_transversal(h)
-        reps = self.rows[trans.rep_indices]
-        acts = []
-        for g in h.generators:
-            moved = g.images[reps.astype(np.intp)]     # h∘t_c
-            acts.append(trans.coset_of[self.lookup_rows(moved)])
-        return trans, acts
-
-    def double_coset_count(self, h: "PermGroup") -> int:
-        return len(self.double_coset_sizes(h))
+        return CosetTransversal(self, h, rep_idx, coset_of.astype(np.int32))
 
     def double_coset_sizes(self, h: "PermGroup") -> list[int]:
-        """Sizes of the H\\G/H double cosets (H-orbit sweep on G/H)."""
-        trans, acts = self._h_action_on_cosets(h)
-        n = trans.count
-        seen = np.zeros(n, dtype=bool)
-        sizes = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            orbit = [start]
-            seen[start] = True
-            head = 0
-            while head < len(orbit):
-                c = orbit[head]
-                head += 1
-                for act in acts:
-                    nc = int(act[c])
-                    if not seen[nc]:
-                        seen[nc] = True
-                        orbit.append(nc)
-            sizes.append(len(orbit) * h.order)
-        return sizes
+        """Sizes of the H\\G/H double cosets (H-orbits on G/H), ordered by
+        their least coset index."""
+        trans = self.coset_transversal(h)
+        reps = self.rows[trans.rep_indices].astype(np.intp)
+        acts = [trans.coset_of[self.lookup_rows(g.images[reps])]   # h t_c
+                for g in h.generators]
+        return (np.bincount(orbits(acts, trans.count)[1]) * h.order).tolist()
 
     def is_two_transitive(self, h: "PermGroup") -> bool:
         """True iff G acts 2-transitively on G/H (single orbit on distinct pairs)."""
         if self.order // h.order < 2:
             return False
-        return self.double_coset_count(h) == 2
+        return len(self.double_coset_sizes(h)) == 2
 
 
-# -- closure machinery ----------------------------------------------------
+# -- element index and closure --------------------------------------------
 
 
-def _closure(gen_rows: list[np.ndarray], degree: int, cap: int):
-    ident = np.arange(degree, dtype=DTYPE)
-    rows = [ident]
-    index = {ident.tobytes(): 0}
-    parent = [-1]
-    via = [-1]
-    frontier = [0]
-    gens = [g.astype(np.intp) for g in gen_rows]
-    store = np.empty((max(64, len(gen_rows) + 1), degree), dtype=DTYPE)
-    store[0] = ident
-    size = 1
-    while frontier:
-        fr = store[np.array(frontier, dtype=np.int64)]
-        nxt = []
-        for gi, g in enumerate(gens):
-            prods = fr[:, g]                    # right-multiply each row by g
-            for src_pos, row in enumerate(prods):
-                key = row.tobytes()
-                if key in index:
-                    continue
-                if size >= cap:
-                    raise CapExceeded(cap, size + 1)
-                if size >= store.shape[0]:
-                    grown = np.empty((store.shape[0] * 2, degree), dtype=DTYPE)
-                    grown[:size] = store[:size]
-                    store = grown
-                store[size] = row
-                index[key] = size
-                parent.append(frontier[src_pos])
-                via.append(gi)
-                nxt.append(size)
-                size += 1
-        frontier = nxt
-    return (store[:size].copy(), index,
-            np.array(parent, dtype=np.int64), np.array(via, dtype=np.int32))
+_HASH_MULT = np.int64(-0x61C8864680B583EB)    # 0x9E3779B97F4A7C15 as int64
+_CHUNK = 1 << 12                              # rows per gather step
 
 
-def _conjugacy_classes(g: PermGroup) -> ConjugacyClasses:
-    rows = g.rows
-    n = g.order
-    gens = [x.images for x in g.generators]
-    ginvs = [x.inverse().images.astype(np.intp) for x in g.generators]
-    class_of = np.full(n, -1, dtype=np.int32)
-    reps, sizes, orders = [], [], []
-    for start in range(n):
-        if class_of[start] >= 0:
-            continue
-        c = len(reps)
-        rep = Permutation(rows[start])
-        reps.append(rep)
-        orders.append(rep.order())
-        members = [start]
-        class_of[start] = c
-        head = 0
-        while head < len(members):
-            batch = rows[np.array(members[head:], dtype=np.int64)]
-            head = len(members)
-            for gimg, ginv in zip(gens, ginvs):
-                idxs = g.lookup_rows(gimg[batch[:, ginv]])   # g x g^-1 rowwise
-                fresh = np.unique(idxs)
-                fresh = fresh[class_of[fresh] < 0]
-                if fresh.size:
-                    class_of[fresh] = c
-                    members.extend(fresh.tolist())
-        sizes.append(len(members))
-    return ConjugacyClasses(reps, np.array(sizes, dtype=np.int64), class_of,
-                            np.array(orders, dtype=np.int64))
+def _row_keys(rows: np.ndarray, cols, mult) -> np.ndarray:
+    """Horner key of each row over the columns `cols`; int64 arithmetic wraps."""
+    key = np.zeros(rows.shape[0], dtype=np.int64)
+    for c in cols:
+        key *= mult
+        key += rows[:, c]
+    return key
 
 
-def _greedy_generators(rows: np.ndarray, degree: int) -> list[np.ndarray]:
-    """Small generating set for the subgroup given by explicit rows."""
-    want = rows.shape[0]
-    if want == 1:
-        return []
+def _mismatch(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mask of the `rows` that differ from table[idx], one chunk at a time."""
+    bad = np.empty(len(idx), dtype=bool)
+    for a in range(0, len(idx), _CHUNK):
+        part = slice(a, a + _CHUNK)
+        bad[part] = (table[idx[part]] != rows[part]).any(axis=1)
+    return bad
+
+
+class ElementIndex:
+    """Sorted int64 keys of the rows of `table`, and the row of each key.
+
+    The keys are pairwise distinct, and `find` checks every hit against the
+    full row, so a key collision or a non-member yields -1, never a wrong
+    index."""
+
+    def __init__(self, table: np.ndarray, cols, mult):
+        self.table, self.cols, self.mult = table, cols, mult
+        keys = _row_keys(table, cols, mult)
+        self.order = np.argsort(keys)
+        self.keys = keys[self.order]
+        if (self.keys[1:] == self.keys[:-1]).any():
+            raise PermError("element key collision")
+
+    @classmethod
+    def by_base(cls, rows: np.ndarray) -> "ElementIndex":
+        """Keys are the images of a base (points whose images fix each
+        element) read in radix `degree`, or a row hash if that overflows."""
+        n, d = rows.shape
+        base, live = [], np.arange(n)   # live: rows fixing the base so far
+        for p in range(d):
+            col = rows[live, p]
+            if (col != p).any():
+                base.append(p)
+                live = live[col == p]
+        if d ** len(base) < 2 ** 63:
+            return cls(rows, base, np.int64(d))
+        return cls(rows, range(d), _HASH_MULT)
+
+    def find(self, query: np.ndarray) -> np.ndarray:
+        """Table index per query row, -1 where the row is not in the table."""
+        if query.ndim != 2 or query.shape[1] != self.table.shape[1] \
+                or query.dtype.kind not in "iu":
+            raise PermError(f"expected integer rows of width {self.table.shape[1]}, "
+                            f"got a {query.dtype} array of shape {query.shape}")
+        qkeys = _row_keys(query, self.cols, self.mult)
+        srt = np.argsort(qkeys)
+        pos = np.searchsorted(self.keys, qkeys[srt])
+        idx = np.empty(len(srt), dtype=np.int64)
+        idx[srt] = self.order[np.minimum(pos, len(self.keys) - 1)]
+        idx[_mismatch(self.table, idx, query)] = -1   # also every key miss
+        return idx
+
+
+def orbits(maps, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits on range(n) of the group generated by the index permutations
+    `maps`: the least point of each orbit, ascending, and each point's orbit.
+
+    Min-label propagation with pointer jumping: across each edge i -> m[i]
+    the larger label, a root, is pointed at the smaller, and labels jump to
+    their roots, until no edge joins two roots.  Labels only fall and stay
+    in their orbit, so each root is its orbit's least point."""
+    label = np.arange(n, dtype=np.int32)
+    joined = True
+    while joined:
+        joined = False
+        for m in maps:
+            other = label[m]
+            lo, hi = np.minimum(label, other), np.maximum(label, other)
+            join = lo != hi
+            if join.any():
+                joined = True
+                label[hi[join]] = lo[join]
+                while ((jump := label[label]) != label).any():
+                    label = jump
+    root = label == np.arange(n)
+    return np.flatnonzero(root), (np.cumsum(root) - 1)[label]
+
+
+class _Table(NamedTuple):
+    rows: np.ndarray                # element rows in breadth-first order
+    parent: np.ndarray              # rows[i] = rows[parent[i]] * gen[via_gen[i]]
+    via_gen: np.ndarray
+    right: list[np.ndarray]         # right[s][i] = index of rows[i] * gen[s]
+    index: ElementIndex
+
+
+def _closure(gen_rows: list[np.ndarray], degree: int, cap: int) -> _Table:
+    """Breadth-first element table, a level at a time.  Each level's new
+    rows come in generator-major, first-occurrence order of the products
+    frontier x generators; the products also fill the right tables."""
+    gens = [np.asarray(g, dtype=np.intp) for g in gen_rows]
+    store = np.empty((max(64, len(gens) + 1), degree), dtype=DTYPE)
+    store[0] = np.arange(degree)
+    cols = range(degree)
+    keys = _row_keys(store[:1], cols, _HASH_MULT)   # sorted keys of the rows so far
+    order = np.zeros(1, dtype=np.int64)             # row of each key
+    parent, via = [np.array([-1])], [np.array([-1], dtype=np.int32)]
+    right = [[] for _ in gens]
+    lo, size = 0, 1
+    while gens and lo < size:
+        f = size - lo
+        prods = np.concatenate([store[lo:size].take(g, axis=1) for g in gens])
+        pkeys = _row_keys(prods, cols, _HASH_MULT)
+        srt = np.argsort(pkeys)
+        skeys = pkeys[srt]
+        run = np.r_[True, skeys[1:] != skeys[:-1]]     # a new key starts here
+        ukeys, first = skeys[run], np.minimum.reduceat(srt, np.flatnonzero(run))
+        pos = np.searchsorted(keys, ukeys)
+        val = order[np.minimum(pos, size - 1)]
+        fresh = np.flatnonzero(keys[np.minimum(pos, size - 1)] != ukeys)
+        born = np.sort(first[fresh])                    # new rows, in table order
+        if size + len(born) > cap:
+            raise CapExceeded(cap, cap + 1)
+        val[fresh[np.argsort(first[fresh])]] = np.arange(size, size + len(born))
+        idx = np.empty(len(srt), dtype=np.int64)
+        idx[srt] = val[np.cumsum(run) - 1]
+        if size + len(born) > len(store):
+            more = np.empty((size + 2 * len(born), degree), dtype=DTYPE)
+            store = np.concatenate([store[:size], more])
+        store[size:size + len(born)] = prods[born]
+        if _mismatch(store, idx, prods).any():
+            raise PermError("element key collision")
+        keys = np.insert(keys, pos[fresh], ukeys[fresh])
+        order = np.insert(order, pos[fresh], val[fresh])
+        parent.append(lo + born % f)
+        via.append((born // f).astype(np.int32))
+        for s, r in enumerate(right):
+            r.append(idx[s * f:(s + 1) * f])
+        lo, size = size, size + len(born)
+    rows = store[:size].copy()
+    return _Table(rows, np.concatenate(parent), np.concatenate(via),
+                  [np.concatenate(r) for r in right], ElementIndex.by_base(rows))
+
+
+def _regenerated(rows: np.ndarray, degree: int, name: str, cap: int) -> PermGroup:
+    """The group generated by `rows`, on a small generating set: each
+    generator is the first row outside the closure of those before it."""
     gens: list[np.ndarray] = []
-    have = {Permutation.identity(degree)._key}
-    for row in rows:
-        if row.tobytes() in have:
-            continue
-        gens.append(row)
-        table = _closure(gens, degree, cap=want + 1)
-        have = set(table[1].keys())
-        if len(have) == want:
-            return gens
-        if len(have) > want:
-            raise PermError("closure escaped the subgroup row set")
-    raise PermError("failed to regenerate subgroup from its rows")
+    table = _closure(gens, degree, cap)
+    while (missing := np.flatnonzero(table.index.find(rows) < 0)).size:
+        gens.append(rows[missing[0]])
+        table = _closure(gens, degree, cap)
+    return PermGroup(degree, [Permutation(g) for g in gens], name=name, _table=table)
 
 
 # -- finite fields and the projective families ----------------------------
@@ -582,11 +606,8 @@ class GF:
                     mul[a, b] = _vec_to_int(_poly_mulmod(vecs[a], vecs[b], poly, p), p)
         self.add = add.astype(np.int64)
         self.mul = mul.astype(np.int64)
-        self.neg = np.array([int(np.where(self.add[a] == 0)[0][0]) for a in range(q)])
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = int(np.where(self.mul[a] == 1)[0][0])
-        self.inv = inv
+        self.neg = np.argmax(self.add == 0, axis=1)
+        self.inv = np.argmax(self.mul == 1, axis=1)     # 0 for the zero element
 
     def primitive(self) -> int:
         for c in range(2, self.q):
@@ -600,32 +621,19 @@ class GF:
 
 
 def _prime_power(q: int) -> tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            if m != 1:
-                raise PermError(f"{q} is not a prime power")
-            return p, k
-    raise PermError(f"{q} is not a prime power")
+    p = next((p for p in range(2, q + 1) if q % p == 0), None)
+    k = round(math.log(q, p)) if p else 0
+    if not p or p ** k != q:
+        raise PermError(f"{q} is not a prime power")
+    return p, k
 
 
 def _int_to_vec(i: int, p: int, k: int) -> list[int]:
-    out = []
-    for _ in range(k):
-        out.append(i % p)
-        i //= p
-    return out
+    return [i // p ** j % p for j in range(k)]
 
 
 def _vec_to_int(v, p: int) -> int:
-    out = 0
-    for c in reversed(list(v)):
-        out = out * p + c
-    return out
+    return sum(c * p ** j for j, c in enumerate(v))
 
 
 def _poly_mulmod(a, b, poly, p):
@@ -653,23 +661,10 @@ def _find_irreducible(p: int, k: int) -> list[int]:
 
 
 def _poly_is_irreducible(coeffs, p) -> bool:
+    """No monic divisor of degree 1..k/2; degree 1 covers the roots."""
     k = len(coeffs) - 1
-    # no roots, and for k <= 3 rootlessness is enough after the k=2 check
-    for x in range(p):
-        acc = 0
-        for c in reversed(coeffs):
-            acc = (acc * x + c) % p
-        if acc == 0:
-            return False
-    if k <= 3:
-        return True
-    # brute-force divisor check for the rare higher-degree need
-    for d in range(2, k // 2 + 1):
-        for tail in range(p ** d):
-            div = _int_to_vec(tail, p, d) + [1]
-            if _poly_divides(div, coeffs, p):
-                return False
-    return True
+    return not any(_poly_divides(_int_to_vec(tail, p, d) + [1], coeffs, p)
+                   for d in range(1, k // 2 + 1) for tail in range(p ** d))
 
 
 def _poly_divides(div, poly, p) -> bool:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grasspack import permgroup
+from grasspack.catalog import load_packaged_group
 from grasspack.permgroup import (
     GF,
     CapExceeded,
@@ -371,3 +373,173 @@ def test_random_subgroup_membership(imgs):
     p = Permutation(imgs)
     assert p in g
     assert g.element(g.index_of(p)) == p
+
+
+# ------------------------------------------------ image rows and lookups
+
+
+def test_negative_image_rejected():
+    with pytest.raises(PermError):
+        Permutation([-1, 0])
+
+
+def test_image_beyond_degree_rejected():
+    with pytest.raises(PermError):
+        Permutation([0, 5])
+
+
+def test_float_images_rejected():
+    with pytest.raises(PermError):
+        Permutation([0.7, 1.2])
+
+
+def test_lookup_rows_wrong_width_raises():
+    g = PermGroup.symmetric(4)
+    with pytest.raises(PermError):
+        g.lookup_rows(np.zeros((2, 5), dtype=np.int16))
+
+
+def test_lookup_rows_non_member_raises():
+    g = PermGroup.alternating(4)
+    odd = Permutation.from_cycles(4, [[0, 1]])
+    with pytest.raises(PermError):
+        g.lookup_rows(np.stack([g.rows[3], odd.images]))
+    assert odd not in g
+    with pytest.raises(PermError):
+        g.index_of(odd)
+
+
+def test_forced_key_collision_caught_by_row_verify(monkeypatch):
+    g = PermGroup.symmetric(4)
+    real = permgroup._row_keys
+    ident_key = real(g.rows[:1], g._table.index.cols, g._table.index.mult)[0]
+    monkeypatch.setattr(permgroup, "_row_keys",
+                        lambda rows, cols, mult: np.full(len(rows), ident_key))
+    # every query now carries the identity's key: only the identity may match
+    assert g._table.index.find(g.rows).tolist() == [0] + [-1] * (g.order - 1)
+    with pytest.raises(PermError):
+        g.lookup_rows(g.rows[1:2])
+    assert g.element(5) not in g
+
+
+def test_forced_key_collision_in_closure_raises(monkeypatch):
+    real = permgroup._row_keys
+    monkeypatch.setattr(permgroup, "_row_keys",
+                        lambda rows, cols, mult: real(rows[:, :1], [0], mult))
+    with pytest.raises(PermError, match="collision"):
+        PermGroup.symmetric(4)
+
+
+# ------------------------------------- closure order and orbit sweeps
+
+
+def reference_closure(gens, degree):
+    """Element table by a plain breadth-first search: each frontier is swept
+    generator by generator, and a product joins the table at its first
+    occurrence; parent and generator index record the spanning tree."""
+    ident = tuple(range(degree))
+    rows, index, parent, via = [ident], {ident: 0}, [-1], [-1]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for gi, gen in enumerate(gens):
+            for src in frontier:
+                row = tuple(rows[src][x] for x in gen)      # rows[src] * gen
+                if row not in index:
+                    index[row] = len(rows)
+                    rows.append(row)
+                    parent.append(src)
+                    via.append(gi)
+                    nxt.append(index[row])
+        frontier = nxt
+    return rows, parent, via
+
+
+ORDER_PINNED = {
+    "S5": lambda: PermGroup.symmetric(5),
+    "A6": lambda: PermGroup.alternating(6),
+    "PGL2(7)": lambda: make_pgl2(7),
+    "PSL2(9)": lambda: make_psl2(9),
+    "data:m11": lambda: load_packaged_group("m11"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_PINNED))
+def test_closure_order_matches_reference_bfs(name):
+    g = ORDER_PINNED[name]()
+    gens = [tuple(int(x) for x in s.images) for s in g.generators]
+    rows, parent, via = reference_closure(gens, g.degree)
+    assert [tuple(r) for r in g.rows.tolist()] == rows
+    assert g.parent.tolist() == parent
+    assert g.via_gen.tolist() == via
+
+
+def brute_index_sets(g, sets_of):
+    """Blocks of element indices, numbered by least index, from a brute
+    force map i -> set of indices in the block of element i."""
+    block_of = np.full(g.order, -1)
+    blocks = []
+    for i in range(g.order):
+        if block_of[i] < 0:
+            members = sorted(sets_of(i))
+            assert members[0] == i
+            block_of[members] = len(blocks)
+            blocks.append(members)
+    return blocks, block_of
+
+
+@pytest.mark.parametrize("name", ["S5", "A6", "PGL2(7)"])
+def test_conjugacy_classes_match_brute_force(name):
+    g = ORDER_PINNED[name]()
+    elems = [g.element(i) for i in range(g.order)]
+    invs = [x.inverse() for x in elems]
+    blocks, block_of = brute_index_sets(
+        g, lambda i: {g.index_of(x * elems[i] * xi) for x, xi in zip(elems, invs)})
+    cc = g.conjugacy_classes()
+    assert [g.index_of(r) for r in cc.reps] == [b[0] for b in blocks]
+    assert cc.class_of.tolist() == block_of.tolist()
+    assert cc.sizes.tolist() == [len(b) for b in blocks]
+    orders = []
+    for b in blocks:
+        x, k = elems[b[0]], 1
+        while not x.is_identity():
+            x, k = x * elems[b[0]], k + 1
+        orders.append(k)
+    assert cc.orders.tolist() == orders
+
+
+@pytest.mark.parametrize("name, point", [("S5", 0), ("A6", 2), ("PGL2(7)", 7)])
+def test_cosets_and_double_cosets_match_brute_force(name, point):
+    g = ORDER_PINNED[name]()
+    h = g.stabilizer(point)
+    elems = [g.element(i) for i in range(g.order)]
+    hs = [h.element(i) for i in range(h.order)]
+    cosets, coset_of = brute_index_sets(
+        g, lambda i: {g.index_of(elems[i] * y) for y in hs})
+    t = g.coset_transversal(h)
+    assert t.rep_indices.tolist() == [c[0] for c in cosets]
+    assert t.coset_of.tolist() == coset_of.tolist()
+    doubles, _ = brute_index_sets(
+        g, lambda i: {g.index_of(x * elems[i] * y) for x in hs for y in hs})
+    assert g.double_coset_sizes(h) == [len(b) for b in doubles]
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 12).flatmap(
+    lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=3)))
+def test_orbits_match_union_find(maps):
+    n = len(maps[0])
+    root = list(range(n))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+    for m in maps:
+        for i, j in enumerate(m):
+            a, b = sorted((find(i), find(j)))
+            root[b] = a
+    least = [find(i) for i in range(n)]
+    reps, orbit_of = permgroup.orbits([np.array(m) for m in maps], n)
+    assert reps.tolist() == sorted(set(least))
+    assert [reps[o] for o in orbit_of] == least
