@@ -17,14 +17,14 @@ carry an explicit flag.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import config
 from .characters import compute_table, inner_product, restrict_and_decompose
-from .codes import CodeError, IsotypicContext, verify_simplex
+from .codes import (CodeError, IsotypicContext, subspace_dimension,
+                    verify_simplex)
 from .grassmann import as_fraction
 from .permgroup import PermGroup, load_group, make_pgl2, make_psl2
 from .reps import (Partition, branching, extract_irrep, find_carrier,
@@ -240,27 +240,30 @@ def projective_columns(q: int) -> list[ProjectiveColumn]:
 # ----------------------------------------------------- shared build helpers
 
 
-def subset_reps(decomposition, h_table, n):
-    """One representative character subset per achievable canonical m.
+def _canonical_subsets(dims, n):
+    """One proper, nonempty subset of positions per canonical m, where m sums
+    `dims` over the subset, as sorted (min(m, n - m), positions) pairs.
 
-    m and n - m give the same distances (complementary subspaces), so the
-    subset summing to min(m, n - m) is kept."""
+    m and n - m give the same distances (complementary subspaces); a subset
+    summing to min(m, n - m) itself is preferred."""
+    best = {}
+    for r in range(1, len(dims)):
+        for combo in itertools.combinations(range(len(dims)), r):
+            m = sum(dims[c] for c in combo)
+            mc = min(m, n - m)
+            if mc and (mc not in best or (m == mc and best[mc][0] != mc)):
+                best[mc] = (m, combo)
+    return sorted((mc, combo) for mc, (m, combo) in best.items())
+
+
+def subset_reps(decomposition, h_table, n):
+    """One representative character subset per achievable canonical m."""
     lam = decomposition.multiplicities
     degs = h_table.degrees()
     present = [i for i in range(len(lam)) if lam[i] > 0]
-    if len(present) < 2:
-        return []
-    dims = {i: int(lam[i]) * int(degs[i]) for i in present}
-    best = {}
-    for r in range(1, len(present)):
-        for combo in itertools.combinations(present, r):
-            m = sum(dims[c] for c in combo)
-            mc = min(m, n - m)
-            if mc == 0:
-                continue
-            if mc not in best or (m == mc and best[mc][0] != mc):
-                best[mc] = (m, list(combo))
-    return sorted((mc, combo) for mc, (m, combo) in best.items())
+    dims = [subspace_dimension(lam, degs, [i]) for i in present]
+    return [(mc, [present[c] for c in combo])
+            for mc, combo in _canonical_subsets(dims, n)]
 
 
 def _lookup_reference(expected_map, corrections, block_key, n, m):
@@ -388,16 +391,7 @@ def predicted_tower_entries(points: int) -> list[CatalogEntry]:
     for lam in canonical_shapes(points):
         n = hook_dimension(lam)
         dims = [hook_dimension(mu) for mu in branching(lam)]
-        if len(dims) < 2:
-            continue
-        best = {}
-        for r in range(1, len(dims)):
-            for combo in itertools.combinations(range(len(dims)), r):
-                m = sum(dims[c] for c in combo)
-                mc = min(m, n - m)
-                if mc and (mc not in best or (m == mc and best[mc] != mc)):
-                    best[mc] = m
-        for mc in sorted(best):
+        for mc, _ in _canonical_subsets(dims, n):
             entries.append(_predicted_entry(
                 "symmetric", {"points": points, "partition": list(lam.parts)},
                 n, mc, points, None, None))
@@ -462,19 +456,23 @@ def _flag_cross_family(entries):
     return out
 
 
+def _cell_check(entries, n, m, listed, corrected) -> CellCheck:
+    """Verified entries at (n, m) or its complement that reproduce the
+    corrected value if there is one, else the listed value."""
+    target = corrected if corrected else listed
+    hits = [e for e in entries
+            if e.n == n and (e.m == m or e.m == n - m)
+            and e.status == "verified"
+            and e.d_fraction == str(Fraction(target))]
+    return CellCheck(n, m, listed, target, bool(hits),
+                     tuple(sorted({e.family for e in hits})),
+                     corrected is not None)
+
+
 def check_symmetric_tower(entries, points) -> list[CellCheck]:
-    checks = []
-    for n, m, listed in SYMMETRIC_REFERENCE.get(points, []):
-        corrected = SYMMETRIC_CORRECTIONS.get((points, n, m))
-        target = corrected if corrected else listed
-        hits = [e for e in entries
-                if e.n == n and (e.m == m or e.m == n - m)
-                and e.status == "verified"
-                and e.d_fraction == str(Fraction(target))]
-        checks.append(CellCheck(n, m, listed, target, bool(hits),
-                                tuple(sorted({e.family for e in hits})),
-                                corrected is not None))
-    return checks
+    return [_cell_check(entries, n, m, listed,
+                        SYMMETRIC_CORRECTIONS.get((points, n, m)))
+            for n, m, listed in SYMMETRIC_REFERENCE.get(points, [])]
 
 
 # ----------------------------------------------------- projective line
@@ -593,16 +591,10 @@ def check_projective_table(entries, q) -> list[ColumnCheck]:
 
 def data_path(name: str) -> Path:
     """Packaged generator file, overridable via GRASSPACK_DATA."""
-    fname = name if name.endswith(".grp") else name + ".grp"
-    env = os.environ.get("GRASSPACK_DATA")
-    if env:
-        candidate = Path(env) / fname
-        if candidate.exists():
-            return candidate
-    here = Path(__file__).parent / "data" / fname
-    if not here.exists():
+    path = config.data_path(name if name.endswith(".grp") else name + ".grp")
+    if not path.exists():
         raise CatalogError(f"no packaged group data named {name}")
-    return here
+    return path
 
 
 def load_packaged_group(name: str, cap: int = config.ENUM_CAP) -> PermGroup:
@@ -661,21 +653,9 @@ def loaded_group_entries(name: str, dims=None, point: int = 0,
 
 
 def check_loaded_block(entries, block: ReferenceBlock) -> list[CellCheck]:
-    checks = []
-    for cell in block.cells:
-        if cell.listed is None:
-            continue
-        corrected = LOADED_CORRECTIONS.get((block.label, cell.n, cell.m))
-        target = corrected if corrected else cell.listed
-        hits = [e for e in entries
-                if e.n == cell.n and (e.m == cell.m or e.m == cell.n - cell.m)
-                and e.status == "verified"
-                and e.d_fraction == str(Fraction(target))]
-        checks.append(CellCheck(cell.n, cell.m, cell.listed, target,
-                                bool(hits),
-                                tuple(sorted({e.family for e in hits})),
-                                corrected is not None))
-    return checks
+    return [_cell_check(entries, c.n, c.m, c.listed,
+                        LOADED_CORRECTIONS.get((block.label, c.n, c.m)))
+            for c in block.cells if c.listed is not None]
 
 
 def rotation_code_entries() -> list[CatalogEntry]:

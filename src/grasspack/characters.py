@@ -9,13 +9,13 @@ ladder, never assumed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import config
-from .permgroup import ConjugacyClasses, PermGroup, Permutation
+from .permgroup import ConjugacyClasses, PermGroup
 
 TOL = config.TOL
 
@@ -274,13 +274,6 @@ def class_fusion(g: PermGroup, h: PermGroup) -> np.ndarray:
     for j, rep in enumerate(hcc.reps):
         fusion[j] = gcc.class_of[g.index_of(rep)]
     return fusion
-
-
-def restrict_character(chi: ClassFunction, g: PermGroup, h: PermGroup,
-                       h_table: CharacterTable) -> ClassFunction:
-    fusion = class_fusion(g, h)
-    return ClassFunction(chi.values[fusion], h_table.group,
-                         h_table.classes.sizes)
 
 
 def restrict_and_decompose(chi: ClassFunction, g: PermGroup, h: PermGroup,

@@ -1,7 +1,8 @@
 """Command-line front end: table sweeps, single-code verification, utilities.
 
 Exit codes: 0 all requested checks passed, 1 at least one cell or
-certification failed, 2 bad input.
+certification failed, 2 bad input (any of INPUT_ERRORS or an OSError, reported
+as one `error:` line).
 """
 from __future__ import annotations
 
@@ -314,10 +315,7 @@ def cmd_branch(args, opts: Options) -> int:
 
 
 def cmd_predict(args, opts: Options) -> int:
-    try:
-        params = predict_from_dimensions(args.n, args.m, args.count)
-    except INPUT_ERRORS as err:
-        raise CliError(str(err))
+    params = predict_from_dimensions(args.n, args.m, args.count)
     exact = Fraction(args.count, args.count - 1) \
         * args.m * (args.n - args.m) / args.n
     em = Emitter(opts)
@@ -341,10 +339,7 @@ def cmd_verify(args, opts: Options) -> int:
     g = _resolve_group(args.group, opts.cap)
     h = _resolve_subgroup(g, args.H)
     rho = _resolve_rep(g, args.rep, opts.seed)
-    try:
-        ctx = IsotypicContext(g, h, rho)
-    except CodeError as err:
-        raise CliError(str(err))
+    ctx = IsotypicContext(g, h, rho)
     subsets = _resolve_chars(ctx, args.chars)
     em = Emitter(opts)
     em.say(f"group {g.name} (order {g.order}), subgroup {h.name} "
@@ -386,10 +381,7 @@ def cmd_verify(args, opts: Options) -> int:
 
 
 def cmd_clifford(args, opts: Options) -> int:
-    try:
-        code = build_clifford_orthoplex(args.index, args.r)
-    except INPUT_ERRORS as err:
-        raise CliError(str(err))
+    code = build_clifford_orthoplex(args.index, args.r)
     p = code.params
     by_dist = {}
     for angles, count in code.census:
@@ -581,7 +573,7 @@ def main(argv=None) -> int:
                    out=getattr(args, "out", None))
     try:
         return args.fn(args, opts)
-    except CliError as err:
+    except (CliError, OSError, *INPUT_ERRORS) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

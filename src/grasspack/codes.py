@@ -125,6 +125,19 @@ def _assemble(projectors, provenance) -> GrassmannCode:
 # ------------------------------------------------------------ orbit builds
 
 
+def subspace_dimension(multiplicities, degrees, chars) -> int:
+    """m = sum of lambda_i deg_i over the chosen H-characters: the dimension
+    of the sum of their isotypic components in the restriction."""
+    chars = [int(i) for i in chars]
+    bad = [i for i in chars if not 0 <= i < len(multiplicities)]
+    if bad:
+        raise CodeError(f"character indices {bad} out of range "
+                        f"0..{len(multiplicities) - 1}")
+    if len(set(chars)) != len(chars):
+        raise CodeError(f"repeated character index in {chars}")
+    return int(sum(int(multiplicities[i]) * int(degrees[i]) for i in chars))
+
+
 class IsotypicContext:
     """Shared machinery for building several codes from one (G, H, rho):
     the restricted representation, its class sums, the transversal images
@@ -153,9 +166,7 @@ class IsotypicContext:
         chars = list(chars)
         if not chars:
             raise CodeError("empty character subset")
-        lam = self.decomposition.multiplicities
-        degs = self.h_table.degrees()
-        m = int(sum(int(lam[i]) * int(degs[i]) for i in chars))
+        m = self.dimension(chars)
         n = self.rho.dim
         if m == 0:
             raise CodeError("W is the zero subspace for this character subset")
@@ -176,12 +187,13 @@ class IsotypicContext:
                 "chars": [int(c) for c in chars], "name": name}
         return _assemble(projectors, prov)
 
+    def dimension(self, chars) -> int:
+        return subspace_dimension(self.decomposition.multiplicities,
+                                  self.h_table.degrees(), chars)
+
     def predict(self, chars) -> CodeParams:
-        chars = list(chars)
-        lam = self.decomposition.multiplicities
-        degs = self.h_table.degrees()
-        m = int(sum(int(lam[i]) * int(degs[i]) for i in chars))
-        return predict_from_dimensions(self.rho.dim, m, self.n_cosets)
+        return predict_from_dimensions(self.rho.dim, self.dimension(chars),
+                                       self.n_cosets)
 
 
 def _check_distinct(projectors, expected_n, h_order):
@@ -220,8 +232,7 @@ def predict_params(chi_rho: ClassFunction, h: PermGroup,
     if decomposition is None:
         raise CodeError("restriction decomposition required")
     lam = getattr(decomposition, "multiplicities", decomposition)
-    degs = h_table.degrees()
-    m = int(sum(int(lam[i]) * int(degs[i]) for i in chars))
+    m = subspace_dimension(lam, h_table.degrees(), chars)
     n = int(round(chi_rho.degree.real))
     order_g = int(chi_rho.sizes.sum())
     big_n = order_g // h.order
@@ -264,12 +275,8 @@ def verify_fonda2(g: PermGroup, h: PermGroup, rho: UnitaryRep, chars,
     pi_gw = SubspaceProjector(u @ pi_w.projector @ u.conj().T)
     lhs = chordal_sq_trace(pi_w, pi_gw)
 
-    h_classes = h.conjugacy_classes()
-    degs = ctx.h_table.degrees()
-    e_by_class = np.zeros(ctx.h_table.n_classes, dtype=complex)
-    for i in chars:
-        e_by_class += degs[i] * np.conj(ctx.h_table.irreducibles[i].values)
-    e_vals = e_by_class[h_classes.class_of]          # per H element
+    e_by_class = h.order * isotypic_weights(ctx.h_table, chars)
+    e_vals = e_by_class[h.conjugacy_classes().class_of]   # per H element
 
     chi_rho = rho.character().values
     g_class_of = g.conjugacy_classes().class_of

@@ -25,7 +25,7 @@ MAX_CLASSES = 60
 #: default master seed for every randomised step
 DEFAULT_SEED = 1729
 
-#: environment variable naming the directory with generator / table files
+#: environment variable naming a directory of generator files
 DATA_ENV = "GRASSPACK_DATA"
 
 
@@ -44,16 +44,9 @@ class ToleranceLadder:
 TOL = ToleranceLadder()
 
 
-def data_dir() -> Path:
-    """Directory holding generator (.grp) and character-table (.json) files."""
-    env = os.environ.get(DATA_ENV)
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "data"
-
-
 def data_path(name: str) -> Path:
-    """Resolve a data file, preferring the environment override."""
+    """Resolve a data file, preferring the environment override; the only
+    reader of DATA_ENV."""
     env = os.environ.get(DATA_ENV)
     if env:
         cand = Path(env) / name

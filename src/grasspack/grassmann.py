@@ -88,9 +88,6 @@ class PrincipalAngleSet:
     def chordal_sq(self) -> float:
         return float(sum(self.sin_sq))
 
-    def product_sin(self) -> float:
-        return product_distance(self)
-
     def matches(self, other: "PrincipalAngleSet", tol: float = 1e-6) -> bool:
         return (self.m == other.m
                 and max(abs(a - b) for a, b in

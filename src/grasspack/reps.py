@@ -2,15 +2,16 @@
 
 A representation stores generator images only; the image of an arbitrary
 element is recovered by walking the closure spanning tree, so nothing of size
-|G| x n^2 is ever materialized.  Group-wide sums (isotypic projectors,
-vector projections) run as depth-first walks over the tree, carrying one
-matrix or one vector.  Permutation tensor-power carriers apply elements as
-index gathers and never build their matrices.
+|G| x n^2 is ever materialized.  Every group-wide sum (class sums, isotypic
+vector projections, the commutant average) is one pass of `_walk`, a
+depth-first walk over the tree that carries one matrix or one vector and
+applies one generator per edge.  Permutation tensor-power carriers apply
+elements as index gathers and never build their matrices.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +35,10 @@ class ExtractionError(RepError):
     pass
 
 
-def _tree_children(g: PermGroup) -> tuple[np.ndarray, np.ndarray]:
+def _tree_children(g: PermGroup) -> tuple[memoryview, ...]:
     """CSR layout of the spanning tree: children of node i are
-    order[offsets[i]:offsets[i+1]]."""
+    order[offsets[i]:offsets[i+1]], and node c hangs on generator via[c].
+    Memoryviews over the int64 arrays index and slice to Python ints."""
     cached = getattr(g, "_tree_children", None)
     if cached is None:
         parent = np.asarray(g.parent[1:], dtype=np.int64)
@@ -44,7 +46,8 @@ def _tree_children(g: PermGroup) -> tuple[np.ndarray, np.ndarray]:
         counts = np.bincount(parent, minlength=g.order)
         offsets = np.zeros(g.order + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        cached = (order, offsets)
+        via = np.ascontiguousarray(g.via_gen, dtype=np.int64)
+        cached = (order.data, offsets.data, via.data)
         g._tree_children = cached
     return cached
 
@@ -68,6 +71,38 @@ def tree_word(g: PermGroup, index: int) -> list[int]:
         word.append(int(g.via_gen[i]))
         i = int(g.parent[i])
     return word[::-1]
+
+
+def _walk(g: PermGroup, start, step):
+    """Depth-first walk over the spanning tree, yielding (node, payload).
+
+    The identity carries `start`; a child carries step(gi, parent payload),
+    gi being the generator on its tree edge.  Children are pushed in CSR
+    order and popped last-in first-out."""
+    order, offsets, via = _tree_children(g)
+    stack = [(0, start)]
+    while stack:
+        node, payload = stack.pop()
+        yield node, payload
+        for child in order[offsets[node]:offsets[node + 1]]:
+            stack.append((child, step(via[child], payload)))
+
+
+def _weighted_vector_sum(self, weights: np.ndarray,
+                         vec: np.ndarray) -> np.ndarray:
+    """sum_g weights[class(g)] rho(g) v, for any carrier `self` with
+    `apply_gen_inv`; each carrier class binds it as its method.
+
+    A vector payload can only be left-multiplied down the tree, so the walk
+    carries rho(node^-1) v and reads weights through the inverse-class map
+    (node -> node^-1 is a bijection of the group)."""
+    g = self.group
+    cls = g.conjugacy_classes().class_of
+    winv = np.asarray(weights, dtype=complex)[_inverse_class_map(g)]
+    acc = np.zeros(self.dim, dtype=complex)
+    for node, v in _walk(g, vec.astype(complex), self.apply_gen_inv):
+        acc += winv[cls[node]] * v
+    return acc
 
 
 class UnitaryRep:
@@ -116,55 +151,21 @@ class UnitaryRep:
     # -- group-wide sums ------------------------------------------------
 
     def weighted_group_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_g weights[class(g)] rho(g), by spanning-tree walk."""
-        g = self.group
-        cls = g.conjugacy_classes().class_of
-        order, offsets = _tree_children(g)
-        acc = np.zeros((self.dim, self.dim), dtype=complex)
-        stack = [(0, np.eye(self.dim, dtype=complex))]
-        while stack:
-            node, mat = stack.pop()
-            acc += weights[cls[node]] * mat
-            for ci in range(offsets[node], offsets[node + 1]):
-                child = int(order[ci])
-                stack.append((child, mat @ self.gen_images[g.via_gen[child]]))
-        return acc
+        """sum_g weights[class(g)] rho(g)."""
+        return np.tensordot(weights, self.class_sums(), axes=(0, 0))
 
-    def weighted_vector_sum(self, weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """sum_g weights[class(g)] rho(g) v.
-
-        A vector payload can only be left-multiplied down the tree, so the
-        walk carries rho(node^-1) v and reads weights through the
-        inverse-class map (node -> node^-1 is a bijection of the group)."""
-        g = self.group
-        cls = g.conjugacy_classes().class_of
-        winv = np.asarray(weights, dtype=complex)[_inverse_class_map(g)]
-        order, offsets = _tree_children(g)
-        acc = np.zeros(self.dim, dtype=complex)
-        stack = [(0, vec.astype(complex))]
-        while stack:
-            node, v = stack.pop()
-            acc += winv[cls[node]] * v
-            for ci in range(offsets[node], offsets[node + 1]):
-                child = int(order[ci])
-                stack.append((child, self.apply_gen_inv(g.via_gen[child], v)))
-        return acc
+    weighted_vector_sum = _weighted_vector_sum
 
     def class_sums(self) -> np.ndarray:
         """M[c] = sum of rho(h) over class c; one walk, reusable for any
         character-weighted projector."""
-        g = self.group
-        cls = g.conjugacy_classes().class_of
-        order, offsets = _tree_children(g)
-        r = g.conjugacy_classes().n_classes
-        acc = np.zeros((r, self.dim, self.dim), dtype=complex)
-        stack = [(0, np.eye(self.dim, dtype=complex))]
-        while stack:
-            node, mat = stack.pop()
+        cc = self.group.conjugacy_classes()
+        cls = cc.class_of
+        acc = np.zeros((cc.n_classes, self.dim, self.dim), dtype=complex)
+        images = self.gen_images
+        for node, mat in _walk(self.group, np.eye(self.dim, dtype=complex),
+                               lambda gi, m: m @ images[gi]):
             acc[cls[node]] += mat
-            for ci in range(offsets[node], offsets[node + 1]):
-                child = int(order[ci])
-                stack.append((child, mat @ self.gen_images[g.via_gen[child]]))
         return acc
 
     # -- checks -----------------------------------------------------------
@@ -254,12 +255,6 @@ class PermTensorCarrier:
     def apply_gen_inv(self, gi: int, vec: np.ndarray) -> np.ndarray:
         return vec[self._gen_idx_inv[gi]]
 
-    def apply_index(self, index: int, vec: np.ndarray) -> np.ndarray:
-        # rho(w1 w2 ... wk) v applies the last factor first
-        for gi in reversed(tree_word(self.group, index)):
-            vec = vec[self._gen_idx[gi]]
-        return vec
-
     def gen_image(self, gi: int) -> np.ndarray:
         # rho(g)[p, q] = 1 iff q = g^-1 p
         m = np.zeros((self.dim, self.dim), dtype=complex)
@@ -273,21 +268,7 @@ class PermTensorCarrier:
                         for rep in cc.reps], dtype=float)
         return ClassFunction(fix ** self.k, self.group.name, cc.sizes)
 
-    def weighted_vector_sum(self, weights: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        # same inverse-walk trick as UnitaryRep.weighted_vector_sum
-        g = self.group
-        cls = g.conjugacy_classes().class_of
-        winv = np.asarray(weights, dtype=complex)[_inverse_class_map(g)]
-        order, offsets = _tree_children(g)
-        acc = np.zeros(self.dim, dtype=complex)
-        stack = [(0, vec.astype(complex))]
-        while stack:
-            node, v = stack.pop()
-            acc += winv[cls[node]] * v
-            for ci in range(offsets[node], offsets[node + 1]):
-                child = int(order[ci])
-                stack.append((child, v[self._gen_idx_inv[g.via_gen[child]]]))
-        return acc
+    weighted_vector_sum = _weighted_vector_sum
 
 
 # ------------------------------------------------------------- projectors
@@ -327,12 +308,9 @@ def isotypic_projector(rep: UnitaryRep, table: CharacterTable,
     rep's group (Maschke averaging with character weights)."""
     if rep.group.order != table.order:
         raise RepError("table does not belong to the representation's group")
-    w = isotypic_weights(table, chars)
-    p = rep.weighted_group_sum(w)
-    dec = [int(round(inner_product(rep.character(),
-                                   table.irreducibles[i]).real))
-           for i in chars]
-    rank = int(sum(d * table.degrees()[i] for i, d in zip(chars, dec)))
+    p = rep.weighted_group_sum(isotypic_weights(table, chars))
+    degs = table.degrees()
+    rank = sum(multiplicity(rep, table, i) * int(degs[i]) for i in chars)
     return IsotypicProjector(p, list(chars), rank).check()
 
 
@@ -351,10 +329,10 @@ def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
                   max_tries: int = 5) -> UnitaryRep:
     """Cut one copy of an irreducible out of a carrier representation.
 
-    Multiplicity one: project a random vector into the isotypic subspace and
-    span its orbit.  Higher multiplicity: orthonormalize the isotypic
-    subspace, average a random rank-one matrix into the commutant, and take
-    one eigenvalue cluster, which is a single copy.
+    Project a random vector into the isotypic subspace and span its orbit;
+    at multiplicity one that span is the copy.  Higher multiplicity: average
+    a random rank-one matrix over the span into the commutant and take one
+    eigenvalue cluster, which is a single copy.
     """
     chi = table.irreducibles[chi_index]
     target = int(round(chi.degree.real))
@@ -362,15 +340,12 @@ def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
     if mu < 1:
         raise ExtractionError(
             f"character {chi_index} does not appear in carrier {carrier.name}")
-    weights = chi.degree.real * np.conj(chi.values) / g.order
+    weights = isotypic_weights(table, [chi_index])
     last: Exception | None = None
     for t in range(max_tries):
         rng = np.random.default_rng(seed + t)
         try:
-            if mu == 1:
-                basis = _orbit_span_basis(carrier, g, weights, target, rng)
-            else:
-                basis = _single_copy_basis(carrier, g, weights, target, mu, rng)
+            basis = _single_copy_basis(carrier, g, weights, target, mu, rng)
             images = _compress_generators(carrier, basis)
             rep = UnitaryRep(g, images, name=f"irr{target}",
                              provenance={"carrier": carrier.name,
@@ -382,19 +357,6 @@ def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
         except (ExtractionError, RepError) as err:
             last = err
     raise ExtractionError(f"extraction failed after {max_tries} seeds: {last}")
-
-
-def _orbit_span_basis(carrier, g, weights, target, rng):
-    v = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
-    w = carrier.weighted_vector_sum(weights, v)
-    norm = np.linalg.norm(w)
-    if norm < 1e-10:
-        raise ExtractionError("projected vector vanished")
-    basis = _grow_orbit_basis(carrier, [w / norm], target + 1)
-    if len(basis) != target:
-        raise ExtractionError(
-            f"orbit span has rank {len(basis)}, expected {target}")
-    return np.array(basis).T
 
 
 def _grow_orbit_basis(carrier, seeds, cap):
@@ -453,6 +415,8 @@ def _single_copy_basis(carrier, g, weights, target, mu, rng):
         raise ExtractionError(
             f"isotypic basis has rank {len(full)}, expected {target * mu}")
     b = np.array(full).T                      # dim x (target*mu)
+    if mu == 1:
+        return b
     # compress generators, then average a random rank-1 into the commutant
     comp = _compress_generators(carrier, b)
     small = UnitaryRep(g, comp, name="isotypic")
@@ -471,17 +435,10 @@ def _reynolds_rank1(rep: UnitaryRep, x: np.ndarray) -> np.ndarray:
     """T = (1/|G|) sum_g (rho(g)x)(rho(g)x)^H, a commutant element.
 
     The walk yields rho(node^-1)x per node, which covers {rho(g)x : g}."""
-    g = rep.group
-    order, offsets = _tree_children(g)
     acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-    stack = [(0, x.astype(complex))]
-    while stack:
-        node, v = stack.pop()
+    for _, v in _walk(rep.group, x.astype(complex), rep.apply_gen_inv):
         acc += np.outer(v, v.conj())
-        for ci in range(offsets[node], offsets[node + 1]):
-            child = int(order[ci])
-            stack.append((child, rep.apply_gen_inv(g.via_gen[child], v)))
-    return acc / g.order
+    return acc / rep.group.order
 
 
 def _eigen_clusters(evals: np.ndarray) -> list[tuple[int, int]]:

@@ -65,6 +65,27 @@ def test_verify_bad_group(capsys):
     assert "unrecognized group spec" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--group", "S5", "--H", "stab4", "--rep", "young:[3,2]",
+     "--chars", "-1"],
+    ["verify", "--group", "S5", "--H", "stab4", "--rep", "young:[3,2]",
+     "--chars", "99"],
+    ["verify", "--group", "S5", "--H", "stab4", "--rep", "young:[3,2]",
+     "--chars", "2,2"],
+    ["table-pgl", "4"],
+    ["verify", "--group", "file:/nonexistent", "--H", "stab0",
+     "--rep", "dim:2"],
+    ["--cap", "1000", "verify", "--group", "data:m12", "--H", "stab0",
+     "--rep", "dim:11"],
+], ids=["negative-char", "char-out-of-range", "repeated-char",
+        "even-q", "missing-file", "over-cap"])
+def test_bad_input_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_verify_auto_all_sweeps(capsys):
     code, out, _ = run(capsys, "verify", "--group", "S6", "--H", "stab5",
                        "--rep", "young:[3,2,1]", "--chars", "auto-all")

@@ -260,6 +260,52 @@ def test_vector_sum_with_non_involutive_generators():
     assert np.abs(dense2.weighted_group_sum(w) @ v2 - got).max() < 1e-10
 
 
+def _unitary(dim, rng):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, _ = np.linalg.qr(z)
+    return q
+
+
+@pytest.mark.parametrize("make", [lambda: make_pgl2(5),
+                                  lambda: PermGroup.alternating(5)],
+                         ids=["pgl2_5", "a5"])
+def test_tree_walk_sums_match_brute_force(make):
+    # every sum the spanning-tree walk forms, against a plain sum over
+    # image_of_index(i) for all i; PGL2(5)'s translation generator has
+    # order 5, so a walk that reversed words would fail here
+    g = make()
+    t = compute_table(g)
+    cls = g.conjugacy_classes().class_of
+    rng = np.random.default_rng(5)
+    base = perm_rep(g)
+    u = _unitary(base.dim, rng)
+    rep = reps.UnitaryRep(g, [u @ m @ u.conj().T for m in base.gen_images])
+    car = PermTensorCarrier(g, 2)
+    dense = reps.UnitaryRep(g, [car.gen_image(i)
+                                for i in range(len(g.generators))])
+    w = rng.standard_normal(t.n_classes) + 1j * rng.standard_normal(t.n_classes)
+
+    images = [rep.image_of_index(i) for i in range(g.order)]
+    want = np.zeros((t.n_classes, rep.dim, rep.dim), dtype=complex)
+    for i, img in enumerate(images):
+        want[cls[i]] += img
+    assert np.abs(rep.class_sums() - want).max() < 1e-10
+
+    v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    want_v = sum(w[cls[i]] * img @ v for i, img in enumerate(images))
+    assert np.abs(rep.weighted_vector_sum(w, v) - want_v).max() < 1e-10
+
+    x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
+    want_t = sum(np.outer(img @ x, (img @ x).conj()) for img in images)
+    got_t = reps._reynolds_rank1(rep, x)
+    assert np.abs(got_t - want_t / g.order).max() < 1e-10
+
+    v2 = rng.standard_normal(car.dim) + 1j * rng.standard_normal(car.dim)
+    want_v2 = sum(w[cls[i]] * dense.image_of_index(i) @ v2
+                  for i in range(g.order))
+    assert np.abs(car.weighted_vector_sum(w, v2) - want_v2).max() < 1e-10
+
+
 def test_extract_from_non_involutive_generators():
     g = make_pgl2(5)
     t = compute_table(g)
