@@ -286,7 +286,6 @@ def _entry_from_context(family, params, ctx, m, chars, expected, corrected):
         if status == "failed":
             flags.append(f"bound-gap {report.rel_gap:.3g}")
         d = code.params.d_c_sq_min
-        frac = as_fraction(d)
         angles = (code.params.spa_sets[0].sin_sq
                   if len(code.params.spa_sets) == 1 else None)
         d_tilde = code.params.d_tilde_min
@@ -294,17 +293,23 @@ def _entry_from_context(family, params, ctx, m, chars, expected, corrected):
         return CatalogEntry(family, params, ctx.rho.dim, m, ctx.n_cosets,
                             None, None, expected, "failed",
                             flags=(f"build-error: {err}",))
-    frac_str = str(frac) if frac is not None else None
+    frac_str = None
     if expected is None:
         flags.append("unlisted")
     else:
+        # matched on the exact target, whose denominator may exceed the
+        # reach of as_fraction
         target = Fraction(corrected if corrected else expected)
-        if frac is not None and frac == target:
+        if abs(d - float(target)) <= config.TOL.rel_distance * float(target):
+            frac_str = str(target)
             if corrected:
                 flags.append("listed-value-differs")
         else:
             flags.append("expected-mismatch")
             status = "failed"
+    if frac_str is None:
+        frac = as_fraction(d)
+        frac_str = str(frac) if frac is not None else None
     return CatalogEntry(family, params, code.params.n, m, code.params.N,
                         d, frac_str, expected, status, d_tilde=d_tilde,
                         angles=angles, flags=tuple(flags))

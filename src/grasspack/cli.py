@@ -356,7 +356,7 @@ def cmd_verify(args, opts: Options) -> int:
         certified = abs(rep.rel_gap) <= opts.tol and rep.equidistant
         samples = [g.element(k % g.order)
                    for k in (1, g.order // 2, g.order - 1)]
-        residual = max(verify_fonda2(g, h, rho, chars, s) for s in samples)
+        residual = max(ctx.fonda2_residual(chars, s) for s in samples)
         p = code.params
         em.say(f"chars {chars}: n={p.n} m={p.m} N={p.N}")
         em.say(f"  d_c^2 min {format_value(p.d_c_sq_min)}, "

@@ -12,13 +12,16 @@ import numpy as np
 from . import config
 from .characters import (CharacterTable, ClassFunction, compute_table,
                          inner_product, restrict_and_decompose)
-from .grassmann import (PrincipalAngleSet, SubspaceProjector, as_fraction,
-                        chordal_sq_trace, orthoplex_bound, principal_angles,
-                        product_distance, simplex_bound)
+from .grassmann import (GrassmannError, PrincipalAngleSet, SubspaceProjector,
+                        as_fraction, chordal_sq_trace, orthoplex_bound,
+                        principal_angles, product_distance, simplex_bound)
 from .permgroup import PermGroup, Permutation
 from .reps import UnitaryRep, isotypic_weights, restrict_rep
 
 TOL = config.TOL
+
+#: element rows per batched lookup in the character-identity check
+_LOOKUP_ROWS = 1 << 16
 
 
 class CodeError(Exception):
@@ -70,34 +73,57 @@ def _chordal_gram(projectors) -> np.ndarray:
 def spa_census(projectors, full_limit: int = 200):
     """Distinct principal-angle sets over unordered pairs, with pair counts.
 
-    Above `full_limit` codewords, pairs are first grouped by chordal
-    distance and one representative pair per group is resolved to angles."""
+    Up to `full_limit` codewords every pair is resolved: for each codeword
+    one stacked SVD gives the sin^2 of its pairs with all later codewords,
+    pairs are grouped in order with the first matching set, and each new
+    set is taken from `principal_angles` on its first pair.  Above it,
+    pairs are first grouped by chordal distance and one representative pair
+    per group is resolved to angles."""
     n_words = len(projectors)
     if n_words < 2:
         return []
-    if n_words <= full_limit:
-        sets: list[PrincipalAngleSet] = []
-        counts: list[int] = []
-        for a, b in itertools.combinations(projectors, 2):
-            ang = principal_angles(a, b)
-            for i, s in enumerate(sets):
-                if ang.matches(s, tol=TOL.integer):
-                    counts[i] += 1
-                    break
-            else:
-                sets.append(ang)
-                counts.append(1)
-        return list(zip(sets, counts))
-    gram = _chordal_gram(projectors)
-    iu, ju = np.triu_indices(n_words, k=1)
-    keys = np.round(gram[iu, ju] / (TOL.integer * 10)).astype(np.int64)
-    out = []
-    for key in np.unique(keys):
-        where = np.nonzero(keys == key)[0]
-        i, j = int(iu[where[0]]), int(ju[where[0]])
-        out.append((principal_angles(projectors[i], projectors[j]),
-                    int(where.size)))
-    return out
+    if n_words > full_limit:
+        gram = _chordal_gram(projectors)
+        iu, ju = np.triu_indices(n_words, k=1)
+        keys = np.round(gram[iu, ju] / (TOL.integer * 10)).astype(np.int64)
+        out = []
+        for key in np.unique(keys):
+            where = np.nonzero(keys == key)[0]
+            i, j = int(iu[where[0]]), int(ju[where[0]])
+            out.append((principal_angles(projectors[i], projectors[j]),
+                        int(where.size)))
+        return out
+    first = projectors[0]
+    for p in projectors[1:]:
+        if p.n != first.n:
+            raise GrassmannError(f"ambient mismatch {first.n} != {p.n}")
+        if p.m != first.m:
+            raise GrassmannError(f"dimension mismatch {first.m} != {p.m}")
+    bases = np.stack([p.basis for p in projectors])
+    sets: list[PrincipalAngleSet] = []
+    counts: list[int] = []
+    known = np.zeros((0, first.m))              # sets[k].sin_sq as rows
+    for i in range(n_words - 1):
+        cross = bases[i].conj().T @ bases[i + 1:]
+        cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
+        rest = np.sort(1.0 - cos ** 2, axis=1)
+        j = i + 1                               # codeword of rest[0]
+        while len(rest):
+            hit = np.abs(rest[:, None, :] - known[None]).max(
+                axis=2, initial=0.0) <= TOL.integer
+            matched = hit.any(axis=1)
+            stop = len(rest) if matched.all() else int(np.argmin(matched))
+            if stop:
+                for k, c in enumerate(np.bincount(hit[:stop].argmax(axis=1),
+                                                  minlength=len(counts))):
+                    counts[k] += int(c)
+            if stop == len(rest):
+                break
+            sets.append(principal_angles(projectors[i], projectors[j + stop]))
+            counts.append(1)
+            known = np.vstack([known, sets[-1].sin_sq])
+            rest, j = rest[stop + 1:], j + stop + 1
+    return list(zip(sets, counts))
 
 
 def _params_from_census(n, m, census, n_words) -> CodeParams:
@@ -187,6 +213,37 @@ class IsotypicContext:
                 "chars": [int(c) for c in chars], "name": name}
         return _assemble(projectors, prov)
 
+    def fonda2_residual(self, chars, elem: Permutation) -> float:
+        """Relative residual between the double-sum character expression for
+        d_c^2(W, gW) and the trace computation; CodeError above
+        TOL.integer."""
+        g, h, rho = self.g, self.h, self.rho
+        pi_w, m = self.subspace(chars)
+        u = rho.image(elem)
+        pi_gw = SubspaceProjector(u @ pi_w.projector @ u.conj().T)
+        lhs = chordal_sq_trace(pi_w, pi_gw)
+
+        e_by_class = h.order * isotypic_weights(self.h_table, chars)
+        e_vals = e_by_class[h.conjugacy_classes().class_of]   # per H element
+
+        chi_rho = rho.character().values
+        g_class_of = g.conjugacy_classes().class_of
+        ginv = elem.inverse()
+        # rows of g h2 g^-1 for every h2 in H
+        conj_rows = elem.images[h.rows[:, ginv.images.astype(np.intp)]]
+        total = 0.0 + 0.0j
+        step = max(1, _LOOKUP_ROWS // h.order)
+        for lo in range(0, h.order, step):
+            # products h1 (g h2 g^-1) for a block of h1 and every h2
+            prods = h.rows[lo:lo + step][:, conj_rows].reshape(-1, g.degree)
+            cls = g_class_of[g.lookup_rows(prods)].reshape(-1, h.order)
+            total += e_vals[lo:lo + step] @ (chi_rho[cls] @ e_vals)
+        rhs = m - (total / h.order ** 2).real
+        residual = abs(lhs - rhs) / max(1.0, abs(lhs))
+        if residual > TOL.integer:
+            raise CodeError(f"character identity residual {residual:.2e}")
+        return residual
+
     def dimension(self, chars) -> int:
         return subspace_dimension(self.decomposition.multiplicities,
                                   self.h_table.degrees(), chars)
@@ -269,30 +326,7 @@ def verify_fonda2(g: PermGroup, h: PermGroup, rho: UnitaryRep, chars,
                   h_table: CharacterTable | None = None) -> float:
     """Check the double-sum character expression for d_c^2(W, gW) against
     the trace computation; returns the relative residual."""
-    ctx = IsotypicContext(g, h, rho, h_table)
-    pi_w, m = ctx.subspace(chars)
-    u = rho.image(elem)
-    pi_gw = SubspaceProjector(u @ pi_w.projector @ u.conj().T)
-    lhs = chordal_sq_trace(pi_w, pi_gw)
-
-    e_by_class = h.order * isotypic_weights(ctx.h_table, chars)
-    e_vals = e_by_class[h.conjugacy_classes().class_of]   # per H element
-
-    chi_rho = rho.character().values
-    g_class_of = g.conjugacy_classes().class_of
-    ginv = elem.inverse()
-    # rows of g h2 g^-1 for every h2 in H
-    conj_rows = elem.images[h.rows[:, ginv.images.astype(np.intp)]]
-    total = 0.0 + 0.0j
-    for i1 in range(h.order):
-        prods = h.rows[i1][conj_rows]
-        cls = g_class_of[g.lookup_rows(prods)]
-        total += e_vals[i1] * np.sum(e_vals * chi_rho[cls])
-    rhs = m - (total / h.order ** 2).real
-    residual = abs(lhs - rhs) / max(1.0, abs(lhs))
-    if residual > TOL.integer:
-        raise CodeError(f"character identity residual {residual:.2e}")
-    return residual
+    return IsotypicContext(g, h, rho, h_table).fonda2_residual(chars, elem)
 
 
 # ------------------------------------------------------------------ unions

@@ -208,6 +208,8 @@ class PermGroup:
         self.name = name or "G"
         self._table = _table
         self._inv_rows = None
+        self._inv_index = None
+        self._cosets = {}              # subgroup -> (rep_indices, coset_of)
         self._classes: ConjugacyClasses | None = None
         self._class_mult = None        # cached by charactertable helpers
 
@@ -333,9 +335,15 @@ class PermGroup:
 
     # -- conjugacy ------------------------------------------------------
 
+    def _inverse_index(self) -> np.ndarray:
+        """inv[i] = index of the inverse of element i."""
+        if self._inv_index is None:
+            self._inv_index = self.lookup_rows(self.inverse_rows())
+        return self._inv_index
+
     def _conjugations(self) -> list[np.ndarray]:
         """Index maps i -> s^-1 g_i s, one per generator s, three gathers each."""
-        inv = self.lookup_rows(self.inverse_rows())
+        inv = self._inverse_index()
         return [r[inv[r[inv]]] for r in self._require_table().right]
 
     def conjugacy_classes(self) -> ConjugacyClasses:
@@ -388,7 +396,11 @@ class PermGroup:
 
     def coset_transversal(self, h: "PermGroup") -> CosetTransversal:
         """Left cosets g_i H numbered by their least element index, which is
-        the representative: the orbits of right multiplication by H."""
+        the representative: the orbits of right multiplication by H.  The
+        arrays are kept per subgroup object (not the transversal, which
+        would make a reference cycle through this group)."""
+        if h in self._cosets:
+            return CosetTransversal(self, h, *self._cosets[h])
         if not self.is_subgroup(h):
             raise NotASubgroup(f"{h.name} is not a subgroup of {self.name}")
         if self.order % h.order:
@@ -403,7 +415,8 @@ class PermGroup:
             maps.append(m)
         rep_idx, coset_of = orbits(maps, self.order)
         assert len(rep_idx) == self.order // h.order
-        return CosetTransversal(self, h, rep_idx, coset_of.astype(np.int32))
+        self._cosets[h] = (rep_idx, coset_of.astype(np.int32))
+        return CosetTransversal(self, h, *self._cosets[h])
 
     def double_coset_sizes(self, h: "PermGroup") -> list[int]:
         """Sizes of the H\\G/H double cosets (H-orbits on G/H), ordered by

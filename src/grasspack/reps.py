@@ -22,6 +22,13 @@ from .permgroup import PermGroup, Permutation
 
 TOL = config.TOL
 
+#: rows of rho(g)x gathered before one rank-k update of the commutant average
+_ROW_BUFFER = 256
+
+#: bytes of images held at once by the homomorphism check; its products and
+#: residuals take about three times as much again
+_IMAGE_CHUNK_BYTES = 1 << 18
+
 
 class RepError(Exception):
     pass
@@ -73,6 +80,21 @@ def tree_word(g: PermGroup, index: int) -> list[int]:
     return word[::-1]
 
 
+def _tree_words(g: PermGroup, indices) -> np.ndarray:
+    """Tree words of many elements as rows of generator indices, read left
+    to right and padded with -1 on the left to a common length."""
+    cur = np.asarray(indices, dtype=np.int64)
+    cols = []
+    while True:
+        step = g.via_gen[cur]
+        live = step != -1
+        if not live.any():
+            break
+        cols.append(step)
+        cur = np.where(live, g.parent[cur], cur)
+    return np.array(cols[::-1], dtype=np.int64).reshape(len(cols), cur.size).T
+
+
 def _walk(g: PermGroup, start, step):
     """Depth-first walk over the spanning tree, yielding (node, payload).
 
@@ -121,6 +143,7 @@ class UnitaryRep:
         self.name = name or f"rep{self.dim}"
         self.provenance = provenance or {}
         self._char = None
+        self._gen_inv = None
 
     # -- evaluation ----------------------------------------------------
 
@@ -137,8 +160,25 @@ class UnitaryRep:
         return self.gen_images[gi] @ vec
 
     def apply_gen_inv(self, gi: int, vec: np.ndarray) -> np.ndarray:
-        # unitary inverse
-        return self.gen_images[gi].conj().T @ vec
+        if self._gen_inv is None:
+            # unitary inverses, kept as transposed views: the layout (and so
+            # the BLAS summation order) of an uncached `conj().T`
+            self._gen_inv = [m.conj().T for m in self.gen_images]
+        return self._gen_inv[gi] @ vec
+
+    def images_of_indices(self, indices) -> np.ndarray:
+        """rho(g_i) for each element index, stacked: every tree word is
+        multiplied out left to right as in `image_of_index`, all words
+        stepping together with one stacked product per generator per step."""
+        words = _tree_words(self.group, indices)
+        out = np.broadcast_to(np.eye(self.dim, dtype=complex),
+                              (len(words), self.dim, self.dim)).copy()
+        for col in words.T:
+            for gi, img in enumerate(self.gen_images):
+                sel = np.flatnonzero(col == gi)
+                if sel.size:
+                    out[sel] = out[sel] @ img
+        return out
 
     def character(self) -> ClassFunction:
         """Trace at each class representative."""
@@ -173,15 +213,27 @@ class UnitaryRep:
     def check_unitary_homomorphism(self, n_pairs: int = 100,
                                    seed: int = config.DEFAULT_SEED,
                                    tol: float = TOL.ortho) -> float:
+        """Largest of |rho(a) rho(a)^H - I| and |rho(a) rho(b) - rho(ab)| over
+        random pairs (a, b); RepError above `tol`."""
+        if n_pairs < 1:
+            return 0.0
+        g = self.group
         rng = np.random.default_rng(seed)
+        pairs = np.array([rng.integers(0, g.order, size=2)
+                          for _ in range(n_pairs)], dtype=np.int64)
+        rows = g.rows
+        prods = g.lookup_rows(np.take_along_axis(
+            rows[pairs[:, 0]], rows[pairs[:, 1]], axis=1))   # rows[i][rows[j]]
         eye = np.eye(self.dim)
+        chunk = max(1, _IMAGE_CHUNK_BYTES // (3 * 16 * self.dim ** 2))
         worst = 0.0
-        for _ in range(n_pairs):
-            i, j = rng.integers(0, self.group.order, size=2)
-            a, b = self.image_of_index(int(i)), self.image_of_index(int(j))
-            worst = max(worst, float(np.abs(a @ a.conj().T - eye).max()))
-            ab = self.image(self.group.element(int(i)) * self.group.element(int(j)))
-            worst = max(worst, float(np.abs(a @ b - ab).max()))
+        for lo in range(0, n_pairs, chunk):
+            i, j = pairs[lo:lo + chunk, 0], pairs[lo:lo + chunk, 1]
+            a, b, ab = np.split(self.images_of_indices(
+                np.concatenate([i, j, prods[lo:lo + chunk]])), 3)
+            worst = max(worst,
+                        float(np.abs(a @ a.conj().transpose(0, 2, 1) - eye).max()),
+                        float(np.abs(a @ b - ab).max()))
         if worst > tol:
             raise RepError(f"unitarity/homomorphism residual {worst:.2e}")
         return worst
@@ -359,35 +411,41 @@ def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
     raise ExtractionError(f"extraction failed after {max_tries} seeds: {last}")
 
 
-def _grow_orbit_basis(carrier, seeds, cap):
-    basis = []
-    queue = []
+def _grow_orbit_basis(carrier, seeds, cap) -> np.ndarray:
+    """Orthonormal rows spanning the seeds and their images, grown breadth
+    first (each basis vector in turn, each generator in turn) up to `cap`."""
+    basis = np.empty((max(cap, len(seeds)), carrier.dim), dtype=complex)
+    n = 0
     for s in seeds:
-        vec = _orthogonal_residual(s, basis)
+        vec = _orthogonal_residual(s, basis[:n])
         if vec is not None:
-            basis.append(vec)
-            queue.append(vec)
+            basis[n] = vec
+            n += 1
     n_gens = len(carrier.group.generators)
-    while queue and len(basis) < cap:
-        v = queue.pop(0)
+    head = 0                                  # basis[head:n] is the queue
+    while head < n < cap:
+        v = basis[head]
+        head += 1
         for gi in range(n_gens):
-            u = _orthogonal_residual(carrier.apply_gen(gi, v), basis)
+            u = _orthogonal_residual(carrier.apply_gen(gi, v), basis[:n])
             if u is not None:
-                basis.append(u)
-                queue.append(u)
-                if len(basis) >= cap:
+                basis[n] = u
+                n += 1
+                if n >= cap:
                     break
-    return basis
+    return basis[:n]
 
 
 def _orthogonal_residual(vec, basis, rel_tol: float = None):
+    """vec less its projection on the orthonormal rows of `basis`, by two
+    classical Gram-Schmidt sweeps, normalised; None if it (relatively)
+    vanishes."""
     rel_tol = rel_tol or TOL.rel_distance
     scale = np.linalg.norm(vec)
-    for b in basis:
-        vec = vec - (b.conj() @ vec) * b
-    # second sweep keeps orthogonality tight against rounding
-    for b in basis:
-        vec = vec - (b.conj() @ vec) * b
+    # second sweep keeps orthogonality tight against rounding; the
+    # coefficients conj(basis) @ vec are formed without copying the basis
+    for _ in range(2):
+        vec = vec - (basis @ vec.conj()).conj() @ basis
     norm = np.linalg.norm(vec)
     if norm <= rel_tol * max(scale, 1.0):
         return None
@@ -407,14 +465,13 @@ def _single_copy_basis(carrier, g, weights, target, mu, rng):
         for _ in range(mu):
             v = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
             w = carrier.weighted_vector_sum(weights, v)
-            full = _grow_orbit_basis(carrier, [b for b in np.array(full)] + [w],
-                                     target * mu + 1)
+            full = _grow_orbit_basis(carrier, [*full, w], target * mu + 1)
             if len(full) >= target * mu:
                 break
     if len(full) != target * mu:
         raise ExtractionError(
             f"isotypic basis has rank {len(full)}, expected {target * mu}")
-    b = np.array(full).T                      # dim x (target*mu)
+    b = full.T                                # dim x (target*mu)
     if mu == 1:
         return b
     # compress generators, then average a random rank-1 into the commutant
@@ -434,10 +491,18 @@ def _single_copy_basis(carrier, g, weights, target, mu, rng):
 def _reynolds_rank1(rep: UnitaryRep, x: np.ndarray) -> np.ndarray:
     """T = (1/|G|) sum_g (rho(g)x)(rho(g)x)^H, a commutant element.
 
-    The walk yields rho(node^-1)x per node, which covers {rho(g)x : g}."""
+    The walk yields rho(node^-1)x per node, which covers {rho(g)x : g}; the
+    vectors are gathered as rows and summed _ROW_BUFFER at a time."""
     acc = np.zeros((rep.dim, rep.dim), dtype=complex)
+    rows = np.empty((_ROW_BUFFER, rep.dim), dtype=complex)
+    k = 0
     for _, v in _walk(rep.group, x.astype(complex), rep.apply_gen_inv):
-        acc += np.outer(v, v.conj())
+        rows[k] = v
+        k += 1
+        if k == _ROW_BUFFER:
+            acc += rows.T @ rows.conj()
+            k = 0
+    acc += rows[:k].T @ rows[:k].conj()
     return acc / rep.group.order
 
 

@@ -12,6 +12,8 @@ from grasspack.catalog import (CUSPIDAL_ANGLES, LOADED_CORRECTIONS,
                                projective_entries, reference_block,
                                reference_prediction_entries,
                                symmetric_tower_entries)
+from grasspack.codes import CodeParams, GrassmannCode
+from grasspack.grassmann import PrincipalAngleSet
 from grasspack.reps import hook_dimension
 
 
@@ -147,6 +149,47 @@ def test_projective_q5_has_no_half_sum_cell():
 
 
 # ---------------------------------------------------------- loaded groups
+
+
+class _BuiltCell:
+    """Stands in for an IsotypicContext whose one build is an equidistant
+    code of N lines in C^n at a given squared chordal distance."""
+
+    def __init__(self, n, big_n, d):
+        angles = PrincipalAngleSet((d,))
+        params = CodeParams(n=n, m=1, N=big_n, d_c_sq_min=d, d_tilde_min=0.0,
+                            spa_sets=(angles,), meets_simplex=True,
+                            meets_orthoplex=False)
+        self.code = GrassmannCode((), params, {},
+                                  ((angles, big_n * (big_n - 1) // 2),))
+
+    def build(self, chars):
+        return self.code
+
+
+@pytest.mark.parametrize("corrected", [None, "14160/14161"])
+def test_cell_matches_target_beyond_max_denominator(corrected):
+    # (119, 1) cell of Sp8(2) on 120 points: the simplex value 14160/14161
+    # has a denominator above what as_fraction recovers
+    target = Fraction(14160, 14161)
+    assert target == exact_bound(119, 1, 120)
+    assert catalog.as_fraction(float(target)) != target
+    listed = "14160/14161" if corrected is None else "1"
+    e = catalog._entry_from_context(
+        "loaded", {}, _BuiltCell(119, 120, float(target)), 1, [0],
+        listed, corrected)
+    assert e.status == "verified", e.flags
+    assert e.d_fraction == "14160/14161"
+    assert "expected-mismatch" not in e.flags
+    assert ("listed-value-differs" in e.flags) == (corrected is not None)
+
+
+def test_cell_off_target_is_a_mismatch():
+    d = float(Fraction(14160, 14161)) * (1 + 1e-6)
+    e = catalog._entry_from_context(
+        "loaded", {}, _BuiltCell(119, 120, d), 1, [0], "14160/14161", None)
+    assert e.status == "failed"
+    assert "expected-mismatch" in e.flags
 
 
 def test_prediction_entries_flag_known_deviations():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from grasspack import codes
 from grasspack.characters import compute_table
 from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
                              StabilizerError, build_clifford_orthoplex,
@@ -13,7 +14,8 @@ from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
                              predict_from_dimensions, predict_params,
                              save_code, spa_census, union_min_distance_formula,
                              verify_fonda2, verify_simplex)
-from grasspack.grassmann import chordal_sq_trace, principal_angles
+from grasspack.grassmann import (GrassmannError, SubspaceProjector,
+                                 chordal_sq_trace, principal_angles)
 from grasspack.permgroup import PermGroup, Permutation, make_pgl2, make_psl2
 from grasspack.reps import (Partition, extract_irrep, find_carrier, perm_rep,
                             young_orthogonal_rep)
@@ -416,6 +418,21 @@ def test_fonda2_on_nonreal_linear_components(pgl5_ctx):
         assert residual < 1e-9
 
 
+def test_fonda2_blocks_agree(s5_ctx, monkeypatch):
+    # the double sum over H x H in one block, in blocks of two rows, and
+    # through the stand-alone wrapper, which builds its own context
+    chars = components_by_degree(s5_ctx, 3)[:1]
+    elems = [Permutation(s5_ctx.g.rows[i]) for i in (1, 17, 119)]
+    whole = [s5_ctx.fonda2_residual(chars, e) for e in elems]
+    monkeypatch.setattr(codes, "_LOOKUP_ROWS", 2 * s5_ctx.h.order)
+    blocked = [s5_ctx.fonda2_residual(chars, e) for e in elems]
+    wrapped = [verify_fonda2(s5_ctx.g, s5_ctx.h, s5_ctx.rho, chars, e)
+               for e in elems]
+    assert max(whole) < 1e-9
+    assert np.allclose(whole, blocked, rtol=0, atol=1e-12)
+    assert np.allclose(whole, wrapped, rtol=0, atol=1e-12)
+
+
 def test_group_averaged_distance_identity(s4_ctx):
     # summing d(W, tW) over cosets: (|G| - |H|) d = |G| m - |G| m^2 / n
     # for an equidistant orbit, checked on the built projectors
@@ -467,6 +484,55 @@ def test_census_grouped_path_matches_full(s5_ctx):
             sorted(grouped, key=lambda t: t[0].chordal_sq())):
         assert ka == kb
         assert sa.matches(sb, tol=1e-8)
+
+
+def census_by_pairs(projectors):
+    """First-match grouping of every pair's principal angles, in pair order."""
+    sets, counts = [], []
+    for i, a in enumerate(projectors):
+        for b in projectors[i + 1:]:
+            ang = principal_angles(a, b)
+            for k, s in enumerate(sets):
+                if ang.matches(s, tol=1e-6):
+                    counts[k] += 1
+                    break
+            else:
+                sets.append(ang)
+                counts.append(1)
+    return list(zip(sets, counts))
+
+
+def assert_same_census(got, want):
+    assert [c for _, c in got] == [c for _, c in want]
+    for (sa, _), (sb, _) in zip(got, want):
+        assert sa.m == sb.m
+        assert max(abs(x - y) for x, y in zip(sa.sin_sq, sb.sin_sq)) <= 1e-12
+
+
+def test_batched_census_matches_pairwise_angles(s5_ctx, psl5_quad_code):
+    subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
+    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets,
+                             h_table=s5_ctx.h_table)
+    rng = np.random.default_rng(19)
+    scattered = [SubspaceProjector.from_basis(
+        rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
+        for _ in range(12)]
+    for projectors, n_sets in ((psl5_quad_code.projectors, 1),
+                               (union.projectors, 3),
+                               (scattered, 66)):
+        want = census_by_pairs(projectors)
+        assert len(want) == n_sets
+        assert_same_census(spa_census(projectors), want)
+
+
+def test_census_rejects_mixed_dimensions(s4_ctx, s5_ctx):
+    line = s4_ctx.build(components_by_degree(s4_ctx, 1)[:1]).projectors
+    plane = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1]).projectors
+    with pytest.raises(GrassmannError):
+        spa_census(list(line) + list(plane))
+    thin = SubspaceProjector.from_basis(np.eye(plane[0].n)[:, :1])
+    with pytest.raises(GrassmannError):
+        spa_census(list(plane) + [thin])
 
 
 def test_code_csv_row(s4_ctx):

@@ -524,6 +524,26 @@ def test_cosets_and_double_cosets_match_brute_force(name, point):
     assert g.double_coset_sizes(h) == [len(b) for b in doubles]
 
 
+def test_cached_cosets_and_inverses_match_fresh_groups():
+    # the second group answers in the opposite order, so whichever call
+    # fills a cache first, both groups must agree
+    g1, g2 = ORDER_PINNED["PGL2(7)"](), ORDER_PINNED["PGL2(7)"]()
+    h1, h2 = g1.stabilizer(7), g2.stabilizer(7)
+    sizes = g1.double_coset_sizes(h1)
+    t1 = g1.coset_transversal(h1)
+    t2 = g2.coset_transversal(h2)
+    assert g2.double_coset_sizes(h2) == sizes
+    assert g1.coset_transversal(h1).rep_indices is t1.rep_indices
+    assert np.array_equal(t1.rep_indices, t2.rep_indices)
+    assert np.array_equal(t1.coset_of, t2.coset_of)
+    d1 = g1.derived_subgroup()
+    c1 = g1.conjugacy_classes()
+    c2 = g2.conjugacy_classes()
+    d2 = g2.derived_subgroup()
+    assert np.array_equal(c1.class_of, c2.class_of)
+    assert np.array_equal(d1.rows, d2.rows)
+
+
 @settings(max_examples=30)
 @given(st.integers(1, 12).flatmap(
     lambda n: st.lists(st.permutations(list(range(n))), min_size=1, max_size=3)))

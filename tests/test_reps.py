@@ -306,6 +306,93 @@ def test_tree_walk_sums_match_brute_force(make):
     assert np.abs(car.weighted_vector_sum(w, v2) - want_v2).max() < 1e-10
 
 
+@pytest.mark.parametrize("make", [lambda: make_pgl2(5),
+                                  lambda: PermGroup.alternating(5)],
+                         ids=["pgl2_5", "a5"])
+def test_batched_images_match_tree_words(make):
+    g = make()
+    rng = np.random.default_rng(11)
+    base = perm_rep(g)
+    u = _unitary(base.dim, rng)
+    rep = reps.UnitaryRep(g, [u @ m @ u.conj().T for m in base.gen_images])
+    got = rep.images_of_indices(np.arange(g.order))
+    assert got.shape == (g.order, rep.dim, rep.dim)
+    for i in range(g.order):
+        # same products in the same order, so the same bits
+        assert np.array_equal(got[i], rep.image_of_index(i)), i
+    shuffled = rng.permutation(g.order)[:17]
+    assert np.array_equal(rep.images_of_indices(shuffled), got[shuffled])
+    assert rep.images_of_indices([]).shape == (0, rep.dim, rep.dim)
+
+
+def test_homomorphism_check_can_fail():
+    g = make_pgl2(5)
+    rng = np.random.default_rng(13)
+    base = perm_rep(g)
+    u = _unitary(base.dim, rng)
+    images = [u @ m @ u.conj().T for m in base.gen_images]
+    assert reps.UnitaryRep(g, images).check_unitary_homomorphism() < 1e-12
+    bent = [m.copy() for m in images]
+    bent[0][0, 0] += 1e-6
+    with pytest.raises(reps.RepError):
+        reps.UnitaryRep(g, bent).check_unitary_homomorphism()
+    swapped = [images[1], images[0]] + images[2:]
+    with pytest.raises(reps.RepError):
+        reps.UnitaryRep(g, swapped).check_unitary_homomorphism()
+
+
+def _grow_orbit_basis_by_loops(carrier, seeds, cap):
+    """Breadth-first orbit basis by two modified Gram-Schmidt sweeps, one
+    basis vector at a time."""
+    def residual(vec, basis):
+        scale = np.linalg.norm(vec)
+        for _ in range(2):
+            for b in basis:
+                vec = vec - (b.conj() @ vec) * b
+        norm = np.linalg.norm(vec)
+        return None if norm <= 1e-8 * max(scale, 1.0) else vec / norm
+
+    basis, queue = [], []
+    for s in seeds:
+        vec = residual(s, basis)
+        if vec is not None:
+            basis.append(vec)
+            queue.append(vec)
+    while queue and len(basis) < cap:
+        v = queue.pop(0)
+        for gi in range(len(carrier.group.generators)):
+            w = residual(carrier.apply_gen(gi, v), basis)
+            if w is not None:
+                basis.append(w)
+                queue.append(w)
+                if len(basis) >= cap:
+                    break
+    return np.array(basis)
+
+
+def test_grow_orbit_basis_is_orthonormal_and_spans_the_orbit():
+    g = make_pgl2(7)
+    t = compute_table(g)
+    rng = np.random.default_rng(17)
+    grown = 0
+    for chi in range(t.n_classes):
+        carrier = find_carrier(g, t, chi)
+        if carrier is None:
+            continue
+        mu = multiplicity(carrier, t, chi)
+        cap = int(t.degrees()[chi]) * mu + 1
+        v = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
+        w = carrier.weighted_vector_sum(reps.isotypic_weights(t, [chi]), v)
+        seeds = [w / np.linalg.norm(w)]
+        got = reps._grow_orbit_basis(carrier, seeds, cap)
+        want = _grow_orbit_basis_by_loops(carrier, seeds, cap)
+        assert got.shape == want.shape
+        assert np.abs(got @ got.conj().T - np.eye(len(got))).max() <= 1e-12
+        assert np.abs(got.T @ got.conj() - want.T @ want.conj()).max() <= 1e-10
+        grown += 1
+    assert grown >= 4
+
+
 def test_extract_from_non_involutive_generators():
     g = make_pgl2(5)
     t = compute_table(g)
