@@ -32,7 +32,7 @@ from .reps import (Partition, branching, extract_irrep, find_carrier,
                    young_orthogonal_rep)
 
 
-class CatalogError(Exception):
+class CatalogError(config.GrasspackError):
     pass
 
 

@@ -20,7 +20,7 @@ from .permgroup import ConjugacyClasses, PermGroup
 TOL = config.TOL
 
 
-class CharacterError(Exception):
+class CharacterError(config.GrasspackError):
     pass
 
 

@@ -16,25 +16,24 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import config
-from .catalog import (CatalogError, check_projective_table,
-                      check_symmetric_tower, load_packaged_group,
-                      predicted_tower_entries, projective_entries,
-                      subset_reps, symmetric_tower_entries)
-from .characters import CharacterError, compute_table
+from .catalog import (check_projective_table, check_symmetric_tower,
+                      load_packaged_group, predicted_tower_entries,
+                      projective_entries, subset_reps,
+                      symmetric_tower_entries)
+from .characters import compute_table
 from .codes import (CodeError, IsotypicContext, build_clifford_orthoplex,
                     build_isotypic_code, predict_from_dimensions,
                     verify_fonda2, verify_simplex)
-from .grassmann import GrassmannError, format_value
-from .permgroup import PermError, PermGroup, load_group, make_pgl2, make_psl2
-from .reps import (Partition, RepError, branching, extract_irrep,
-                   find_carrier, hook_dimension, symplectic_rotation_rep,
+from .grassmann import format_value
+from .permgroup import PermGroup, load_group, make_pgl2, make_psl2
+from .reps import (Partition, branching, extract_irrep, find_carrier,
+                   hook_dimension, symplectic_rotation_rep,
                    young_orthogonal_rep)
 
-INPUT_ERRORS = (CatalogError, CharacterError, CodeError, GrassmannError,
-                PermError, RepError, ValueError)
+INPUT_ERRORS = (config.GrasspackError, ValueError)
 
 
-class CliError(Exception):
+class CliError(config.GrasspackError):
     pass
 
 
@@ -573,7 +572,7 @@ def main(argv=None) -> int:
                    out=getattr(args, "out", None))
     try:
         return args.fn(args, opts)
-    except (CliError, OSError, *INPUT_ERRORS) as err:
+    except (*INPUT_ERRORS, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -23,8 +23,14 @@ TOL = config.TOL
 #: element rows per batched lookup in the character-identity check
 _LOOKUP_ROWS = 1 << 16
 
+#: codeword rows per block of the streamed chordal Gram
+_GRAM_ROWS = 128
 
-class CodeError(Exception):
+#: above this many codewords the census groups pairs by chordal distance
+CENSUS_FULL_LIMIT = 200
+
+
+class CodeError(config.GrasspackError):
     pass
 
 
@@ -61,44 +67,57 @@ class GrassmannCode:
 # ------------------------------------------------------------ census/params
 
 
-def _chordal_gram(projectors) -> np.ndarray:
-    """d_c^2 for every pair at once: m - tr(P_i P_j) via flattened inner
-    products (valid because tr(PQ) = <vec P, vec Q> for Hermitian P, Q)."""
+def _chordal_blocks(projectors):
+    """d_c^2 = m - tr(P_i P_j) streamed in blocks of `_GRAM_ROWS` codeword
+    rows: yields (lo, block) with block[a, b] = d_c^2 of codewords lo + a
+    and lo + b, so only entries above the diagonal are pairs.
+
+    tr(PQ) = sum(Re P Re Q + Im P Im Q) for Hermitian P, Q, so one real
+    product over the interleaved coordinates of vec P gives the overlaps;
+    coordinates that vanish in every codeword are dropped once."""
     m = projectors[0].m
-    flat = np.stack([p.projector.ravel() for p in projectors])
-    overlap = (flat @ flat.conj().T).real
-    return m - overlap
+    x = np.stack([p.projector.ravel() for p in projectors]).view(np.float64)
+    x = x[:, x.any(axis=0)]
+    for lo in range(0, len(x), _GRAM_ROWS):
+        yield lo, m - x[lo:lo + _GRAM_ROWS] @ x[lo:].T
 
 
-def spa_census(projectors, full_limit: int = 200):
+def spa_census(projectors, full_limit: int = CENSUS_FULL_LIMIT):
     """Distinct principal-angle sets over unordered pairs, with pair counts.
 
     Up to `full_limit` codewords every pair is resolved: for each codeword
     one stacked SVD gives the sin^2 of its pairs with all later codewords,
     pairs are grouped in order with the first matching set, and each new
     set is taken from `principal_angles` on its first pair.  Above it,
-    pairs are first grouped by chordal distance and one representative pair
-    per group is resolved to angles."""
+    pairs are grouped by chordal distance, read block by block from
+    `_chordal_blocks`: one entry per distance, in increasing order, whose
+    set comes from `principal_angles` on the group's first pair in
+    row-major order.  Distinct sets that share a chordal distance are
+    merged into that one entry, so the grouped census can list fewer sets
+    than the code has."""
     n_words = len(projectors)
     if n_words < 2:
         return []
-    if n_words > full_limit:
-        gram = _chordal_gram(projectors)
-        iu, ju = np.triu_indices(n_words, k=1)
-        keys = np.round(gram[iu, ju] / (TOL.integer * 10)).astype(np.int64)
-        out = []
-        for key in np.unique(keys):
-            where = np.nonzero(keys == key)[0]
-            i, j = int(iu[where[0]]), int(ju[where[0]])
-            out.append((principal_angles(projectors[i], projectors[j]),
-                        int(where.size)))
-        return out
     first = projectors[0]
     for p in projectors[1:]:
         if p.n != first.n:
             raise GrassmannError(f"ambient mismatch {first.n} != {p.n}")
         if p.m != first.m:
             raise GrassmannError(f"dimension mismatch {first.m} != {p.m}")
+    if n_words > full_limit:
+        groups: dict[int, list[int]] = {}       # key -> [count, i, j]
+        for lo, block in _chordal_blocks(projectors):
+            iu, ju = np.triu_indices(len(block), k=1, m=block.shape[1])
+            keys = np.round(block[iu, ju] / (TOL.integer * 10)).astype(np.int64)
+            uniq, at, counts = np.unique(keys, return_index=True,
+                                         return_counts=True)
+            for key, k, c in zip(uniq.tolist(), at.tolist(), counts.tolist()):
+                if key in groups:
+                    groups[key][0] += c
+                else:
+                    groups[key] = [c, lo + int(iu[k]), lo + int(ju[k])]
+        return [(principal_angles(projectors[i], projectors[j]), c)
+                for c, i, j in (groups[key] for key in sorted(groups))]
     bases = np.stack([p.basis for p in projectors])
     sets: list[PrincipalAngleSet] = []
     counts: list[int] = []
@@ -143,6 +162,8 @@ def _params_from_census(n, m, census, n_words) -> CodeParams:
 def _assemble(projectors, provenance) -> GrassmannCode:
     n, m = projectors[0].n, projectors[0].m
     census = spa_census(projectors)
+    if len(projectors) > CENSUS_FULL_LIMIT:
+        provenance["census"] = "grouped by chordal distance"
     params = _params_from_census(n, m, census, len(projectors))
     return GrassmannCode(projectors=tuple(projectors), params=params,
                          provenance=provenance, census=tuple(census))
@@ -254,8 +275,9 @@ class IsotypicContext:
 
 
 def _check_distinct(projectors, expected_n, h_order):
-    gram = _chordal_gram(projectors)
-    dup = np.any(np.tril(gram <= TOL.integer, k=-1), axis=1)
+    dup = np.zeros(len(projectors), dtype=bool)   # equal to an earlier word
+    for lo, block in _chordal_blocks(projectors):
+        dup[lo:] |= np.triu(block <= TOL.integer, k=1).any(axis=0)
     distinct = len(projectors) - int(dup.sum())
     if distinct != expected_n:
         raise StabilizerError(expected_n, distinct, h_order)

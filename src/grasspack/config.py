@@ -1,4 +1,5 @@
-"""Global numeric tolerances, enumeration caps and data-directory resolution.
+"""Global numeric tolerances, enumeration caps, data-directory resolution and
+the base class of every grasspack exception.
 
 The tolerance ladder is fixed package-wide so that every certification step
 quotes the same thresholds.  Command-line entry points may override the cap
@@ -9,6 +10,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
+
+
+class GrasspackError(Exception):
+    """Base of the exceptions every grasspack module raises."""
+
 
 #: hard limit on explicit element enumeration
 ENUM_CAP = 2_000_000

@@ -18,7 +18,7 @@ from . import config
 TOL = config.TOL
 
 
-class GrassmannError(Exception):
+class GrassmannError(config.GrasspackError):
     pass
 
 

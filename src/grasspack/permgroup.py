@@ -25,7 +25,7 @@ from . import config
 DTYPE = np.int16  # degrees stay far below 2**15
 
 
-class PermError(Exception):
+class PermError(config.GrasspackError):
     pass
 
 

@@ -30,7 +30,7 @@ _ROW_BUFFER = 256
 _IMAGE_CHUNK_BYTES = 1 << 18
 
 
-class RepError(Exception):
+class RepError(config.GrasspackError):
     pass
 
 

@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from grasspack.cli import main
+from grasspack.catalog import CatalogError
+from grasspack.characters import CharacterError
+from grasspack.cli import CliError, main
+from grasspack.codes import CodeError
+from grasspack.config import GrasspackError
+from grasspack.grassmann import GrassmannError
+from grasspack.permgroup import PermError
+from grasspack.reps import RepError
 
 
 def run(capsys, *argv):
@@ -84,6 +91,13 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [PermError, CharacterError, RepError,
+                                   GrassmannError, CodeError, CatalogError,
+                                   CliError])
+def test_module_errors_share_one_base(error):
+    assert issubclass(error, GrasspackError)
 
 
 def test_verify_auto_all_sweeps(capsys):

@@ -14,6 +14,7 @@ from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
                              predict_from_dimensions, predict_params,
                              save_code, spa_census, union_min_distance_formula,
                              verify_fonda2, verify_simplex)
+from grasspack.config import TOL
 from grasspack.grassmann import (GrassmannError, SubspaceProjector,
                                  chordal_sq_trace, principal_angles)
 from grasspack.permgroup import PermGroup, Permutation, make_pgl2, make_psl2
@@ -533,6 +534,113 @@ def test_census_rejects_mixed_dimensions(s4_ctx, s5_ctx):
     thin = SubspaceProjector.from_basis(np.eye(plane[0].n)[:, :1])
     with pytest.raises(GrassmannError):
         spa_census(list(plane) + [thin])
+
+
+# ------------------------------------------------------- streamed Gram
+
+
+def random_subspaces(rng, count, n=6, m=2):
+    return [SubspaceProjector.from_basis(
+        rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
+        for _ in range(count)]
+
+
+def dense_chordal_gram(projectors):
+    """The whole N x N Gram of d_c^2 from one complex product."""
+    flat = np.stack([p.projector.ravel() for p in projectors])
+    return projectors[0].m - (flat @ flat.conj().T).real
+
+
+def dense_grouped_census(projectors):
+    """(first pair, count) per chordal-distance key, keys ascending."""
+    gram = dense_chordal_gram(projectors)
+    iu, ju = np.triu_indices(len(projectors), k=1)
+    keys = np.round(gram[iu, ju] / (TOL.integer * 10)).astype(np.int64)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return [((int(iu[k]), int(ju[k])), int(c)) for k, c in zip(first, counts)]
+
+
+def dense_distinct(projectors):
+    gram = dense_chordal_gram(projectors)
+    dup = np.any(np.tril(gram <= TOL.integer, k=-1), axis=1)
+    return len(projectors) - int(dup.sum())
+
+
+def distance_counts(census):
+    out = {}
+    for s, k in census:
+        d = round(s.chordal_sq(), 9)
+        out[d] = out.get(d, 0) + k
+    return out
+
+
+@pytest.fixture(scope="module")
+def clifford_3_2():
+    return build_clifford_orthoplex(3, r=2)
+
+
+@pytest.mark.parametrize("odd", [dict(m=1), dict(n=5)],
+                         ids=["line", "ambient"])
+def test_grouped_census_rejects_mixed_dimensions(odd):
+    rng = np.random.default_rng(29)
+    planes = random_subspaces(rng, 201)
+    with pytest.raises(GrassmannError):
+        spa_census(planes + random_subspaces(rng, 1, **odd))
+
+
+def test_grouped_census_matches_dense_reference(clifford_3_2, monkeypatch):
+    rng = np.random.default_rng(31)
+    scattered = random_subspaces(rng, 301, n=3, m=1)
+    for projectors in (clifford_3_2.projectors, scattered):
+        assert len(projectors) % codes._GRAM_ROWS
+        index = {id(p): k for k, p in enumerate(projectors)}
+        pairs = []
+
+        def spy(a, b):
+            pairs.append((index[id(a)], index[id(b)]))
+            return principal_angles(a, b)
+
+        monkeypatch.setattr(codes, "principal_angles", spy)
+        got = spa_census(projectors)
+        monkeypatch.undo()
+        want = dense_grouped_census(projectors)
+        assert pairs == [pair for pair, _ in want]
+        assert [c for _, c in got] == [c for _, c in want]
+        for (s, _), ((i, j), _) in zip(got, want):
+            ref = principal_angles(projectors[i], projectors[j])
+            assert max(abs(x - y) for x, y in
+                       zip(s.sin_sq, ref.sin_sq)) <= 1e-12
+
+
+def test_grouped_census_is_labelled_and_merges_sets(clifford_3_2):
+    assert clifford_3_2.params.N == 420
+    assert clifford_3_2.provenance["census"] == "grouped by chordal distance"
+    assert "census" not in build_clifford_orthoplex(2).provenance
+    assert len(clifford_3_2.census) == 3
+    full = spa_census(clifford_3_2.projectors, full_limit=10 ** 6)
+    assert len(full) == 5
+    assert distance_counts(full) == distance_counts(clifford_3_2.census)
+
+
+def test_duplicate_across_gram_blocks_is_caught():
+    rng = np.random.default_rng(37)
+    projectors = random_subspaces(rng, 300)
+    projectors[290] = projectors[5]
+    assert 290 // codes._GRAM_ROWS != 5 // codes._GRAM_ROWS
+    with pytest.raises(StabilizerError, match="orbit has 299 distinct"):
+        codes._check_distinct(projectors, 300, 1)
+    codes._check_distinct(projectors, 299, 1)
+
+
+def test_check_distinct_small_codes_match_dense(s5_ctx, psl5_quad_code):
+    words = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1]).projectors
+    for projectors in (list(words), list(psl5_quad_code.projectors),
+                       list(words) + list(words[:2])):
+        assert len(projectors) <= 28
+        want = dense_distinct(projectors)
+        codes._check_distinct(projectors, want, 1)
+        with pytest.raises(StabilizerError):
+            codes._check_distinct(projectors, want + 1, 1)
 
 
 def test_code_csv_row(s4_ctx):
