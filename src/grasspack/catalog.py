@@ -266,14 +266,40 @@ def subset_reps(decomposition, h_table, n):
             for mc, combo in _canonical_subsets(dims, n)]
 
 
-def _lookup_reference(expected_map, corrections, block_key, n, m):
+def _tower_references(points):
+    """refs[(n, m)] = (listed, corrected) for the tower on `points` points,
+    in reference order."""
+    return {(n, m): (listed, SYMMETRIC_CORRECTIONS.get((points, n, m)))
+            for n, m, listed in SYMMETRIC_REFERENCE.get(points, [])}
+
+
+def _block_references(block):
+    """refs[(n, m)] = (listed, corrected) for the valued cells of a block."""
+    return {(c.n, c.m): (c.listed,
+                         LOADED_CORRECTIONS.get((block.label, c.n, c.m)))
+            for c in block.cells if c.listed is not None}
+
+
+def _lookup_reference(refs, n, m):
     """Listed and corrected values for cell (n, m), trying the complement."""
     for mm in (m, n - m):
-        listed = expected_map.get((n, mm))
-        if listed is not None:
-            corrected = corrections.get(block_key + (n, mm))
-            return listed, corrected
+        if (n, mm) in refs:
+            return refs[(n, mm)]
     return None, None
+
+
+def _context_entries(family, params, ctx, refs, plan=None):
+    """One entry per (m, chars) of `plan`, by default every canonical subset
+    of the context; `chars` is appended to a copy of `params`."""
+    if plan is None:
+        plan = subset_reps(ctx.decomposition, ctx.h_table, ctx.rho.dim)
+    entries = []
+    for m, chars in plan:
+        expected, corrected = _lookup_reference(refs, ctx.rho.dim, m)
+        entries.append(_entry_from_context(
+            family, dict(params, chars=chars), ctx, m, chars, expected,
+            corrected))
+    return entries
 
 
 def _entry_from_context(family, params, ctx, m, chars, expected, corrected):
@@ -364,24 +390,18 @@ def symmetric_tower_entries(points: int,
                             include_alternating: bool = True
                             ) -> list[CatalogEntry]:
     """All cells on `points` points, built and certified."""
-    expected_map = {(n, m): d
-                    for n, m, d in SYMMETRIC_REFERENCE.get(points, [])}
+    refs = _tower_references(points)
     g = PermGroup.symmetric(points)
     h = g.stabilizer(points - 1)
     ht = compute_table(h)
     entries = []
     for lam in canonical_shapes(points):
-        rho = young_orthogonal_rep(g, lam)
-        ctx = IsotypicContext(g, h, rho, ht)
-        for m, chars in subset_reps(ctx.decomposition, ht, rho.dim):
-            expected, corrected = _lookup_reference(
-                expected_map, SYMMETRIC_CORRECTIONS, (points,), rho.dim, m)
-            params = {"points": points, "partition": list(lam.parts),
-                      "chars": chars}
-            entries.append(_entry_from_context(
-                "symmetric", params, ctx, m, chars, expected, corrected))
+        ctx = IsotypicContext(g, h, young_orthogonal_rep(g, lam), ht)
+        entries.extend(_context_entries(
+            "symmetric", {"points": points, "partition": list(lam.parts)},
+            ctx, refs))
     if include_alternating:
-        entries.extend(_alternating_entries(points, expected_map))
+        entries.extend(_alternating_entries(points, refs))
         entries = _flag_cross_family(entries)
     return sorted(entries, key=lambda e: (e.n, e.m, e.family))
 
@@ -403,7 +423,7 @@ def predicted_tower_entries(points: int) -> list[CatalogEntry]:
     return sorted(entries, key=lambda e: (e.n, e.m))
 
 
-def _alternating_entries(points, expected_map):
+def _alternating_entries(points, refs):
     ga = PermGroup.alternating(points)
     ha = ga.stabilizer(points - 1)
     gat = compute_table(ga)
@@ -418,16 +438,10 @@ def _alternating_entries(points, expected_map):
         else:
             reps = [rho_a]
         for rho in reps:
-            ctx = IsotypicContext(ga, ha, rho, hat)
-            for m, chars in subset_reps(ctx.decomposition, hat, rho.dim):
-                expected, corrected = _lookup_reference(
-                    expected_map, SYMMETRIC_CORRECTIONS, (points,),
-                    rho.dim, m)
-                params = {"points": points, "partition": list(lam.parts),
-                          "rep_dim": rho.dim, "chars": chars}
-                entries.append(_entry_from_context(
-                    "alternating", params, ctx, m, chars, expected,
-                    corrected))
+            entries.extend(_context_entries(
+                "alternating", {"points": points, "partition": list(lam.parts),
+                                "rep_dim": rho.dim},
+                IsotypicContext(ga, ha, rho, hat), refs))
     return entries
 
 
@@ -461,39 +475,45 @@ def _flag_cross_family(entries):
     return out
 
 
-def _cell_check(entries, n, m, listed, corrected) -> CellCheck:
-    """Verified entries at (n, m) or its complement that reproduce the
-    corrected value if there is one, else the listed value."""
-    target = corrected if corrected else listed
-    hits = [e for e in entries
+def _hits(entries, n, m, target):
+    """Verified entries at (n, m) or its complement whose exact value is
+    `target`."""
+    want = str(Fraction(target))
+    return [e for e in entries
             if e.n == n and (e.m == m or e.m == n - m)
-            and e.status == "verified"
-            and e.d_fraction == str(Fraction(target))]
-    return CellCheck(n, m, listed, target, bool(hits),
-                     tuple(sorted({e.family for e in hits})),
-                     corrected is not None)
+            and e.status == "verified" and e.d_fraction == want]
+
+
+def _cell_checks(entries, refs) -> list[CellCheck]:
+    """One check per reference cell: a build must reproduce the corrected
+    value if there is one, else the listed value."""
+    checks = []
+    for (n, m), (listed, corrected) in refs.items():
+        target = corrected if corrected else listed
+        hits = _hits(entries, n, m, target)
+        checks.append(CellCheck(n, m, listed, target, bool(hits),
+                                tuple(sorted({e.family for e in hits})),
+                                corrected is not None))
+    return checks
 
 
 def check_symmetric_tower(entries, points) -> list[CellCheck]:
-    return [_cell_check(entries, n, m, listed,
-                        SYMMETRIC_CORRECTIONS.get((points, n, m)))
-            for n, m, listed in SYMMETRIC_REFERENCE.get(points, [])]
+    return _cell_checks(entries, _tower_references(points))
 
 
 # ----------------------------------------------------- projective line
 
 
-def _sweep_group(family, base_params, g, point, dims, expected_map,
-                 corrections=None, block_key=(), max_power=3,
-                 predict_only=False, per_row_degrees=frozenset()):
-    """Build one entry per (rep degree, canonical m) for a 2-transitive pair.
+def _sweep_group(family, base_params, g, dims, refs,
+                 per_row_degrees=frozenset()):
+    """Build one entry per (rep degree, canonical m) for a 2-transitive pair
+    (g, stabilizer of point 0).
 
     Same-degree representations give the same cell parameters, so only the
     first is kept, except for degrees in per_row_degrees, whose codes can
     differ in their principal angles."""
-    corrections = corrections or {}
     table = compute_table(g)
-    h = g.stabilizer(point)
+    h = g.stabilizer(0)
     ht = compute_table(h)
     degrees = table.degrees()
     entries, done = [], set()
@@ -505,46 +525,36 @@ def _sweep_group(family, base_params, g, point, dims, expected_map,
         key = i if deg in per_row_degrees else deg
         chi = table.irreducibles[i]
         dec = restrict_and_decompose(chi, g, h, ht)
-        subset_plan = [(m, chars)
-                       for m, chars in subset_reps(dec, ht, deg)
-                       if (key, m) not in done]
-        if not subset_plan:
+        plan = [(m, chars) for m, chars in subset_reps(dec, ht, deg)
+                if (key, m) not in done]
+        if not plan:
             continue
-        carrier = None if predict_only else find_carrier(g, table, i,
-                                                         max_power=max_power)
+        done.update((key, m) for m, _ in plan)
+        carrier = find_carrier(g, table, i)
         if carrier is None:
-            for m, chars in subset_plan:
-                done.add((key, m))
-                expected, corrected = _lookup_reference(
-                    expected_map, corrections, block_key, deg, m)
-                extra = () if predict_only else ("no-carrier-within-budget",)
+            for m, chars in plan:
+                expected, corrected = _lookup_reference(refs, deg, m)
                 entries.append(_predicted_entry(
                     family, dict(base_params, rep_degree=deg, chars=chars),
-                    deg, m, count, expected, corrected, extra))
+                    deg, m, count, expected, corrected,
+                    ("no-carrier-within-budget",)))
             continue
-        rho = extract_irrep(carrier, g, table, i)
-        ctx = IsotypicContext(g, h, rho, ht)
-        for m, chars in subset_plan:
-            done.add((key, m))
-            expected, corrected = _lookup_reference(
-                expected_map, corrections, block_key, deg, m)
-            params = dict(base_params, rep_degree=deg, table_row=i,
-                          chars=chars)
-            entries.append(_entry_from_context(
-                family, params, ctx, m, chars, expected, corrected))
+        ctx = IsotypicContext(g, h, extract_irrep(carrier, g, table, i), ht)
+        entries.extend(_context_entries(
+            family, dict(base_params, rep_degree=deg, table_row=i), ctx,
+            refs, plan))
     return entries
 
 
 def projective_entries(q: int) -> list[CatalogEntry]:
     cols = projective_columns(q)
     relevant = {c.n for c in cols if c.available}
-    expected_map = {(c.n, c.m): str(c.d) for c in cols if c.available}
+    refs = {(c.n, c.m): (str(c.d), None) for c in cols if c.available}
     entries = []
     for family, maker in (("pgl2", make_pgl2), ("psl2", make_psl2)):
-        g = maker(q)
         per_row = frozenset({q - 1}) if family == "psl2" else frozenset()
-        entries.extend(_sweep_group(family, {"q": q}, g, 0, relevant,
-                                    expected_map, per_row_degrees=per_row))
+        entries.extend(_sweep_group(family, {"q": q}, maker(q), relevant,
+                                    refs, per_row_degrees=per_row))
     return sorted(entries, key=lambda e: (e.n, e.m, e.family))
 
 
@@ -568,21 +578,19 @@ def check_projective_table(entries, q) -> list[ColumnCheck]:
             checks.append(ColumnCheck(col.label, col.n, col.m, str(col.d),
                                       False, False, (), None, None))
             continue
-        hits = [e for e in entries
-                if e.n == col.n and (e.m == col.m or e.m == col.n - col.m)
-                and e.status == "verified"
-                and e.d_fraction == str(col.d)]
+        hits = _hits(entries, col.n, col.m, col.d)
         angles_ok = None
         if col.angles is not None and hits:
             angles_ok = any(
                 e.angles is not None and len(e.angles) == len(col.angles)
                 and max(abs(a - b) for a, b in zip(e.angles, col.angles))
-                < 1e-6
+                < config.TOL.integer
                 for e in hits)
         dt_ok = None
         if col.d_tilde_sq is not None and hits:
             dt_ok = any(e.d_tilde is not None
-                        and abs(e.d_tilde ** 2 - float(col.d_tilde_sq)) < 1e-8
+                        and abs(e.d_tilde ** 2 - float(col.d_tilde_sq))
+                        < config.TOL.rational
                         for e in hits)
         checks.append(ColumnCheck(col.label, col.n, col.m, str(col.d), True,
                                   bool(hits),
@@ -627,57 +635,29 @@ def reference_prediction_entries(block: ReferenceBlock) -> list[CatalogEntry]:
     return out
 
 
-def loaded_group_entries(name: str, dims=None, point: int = 0,
-                         include_derived: bool = True,
-                         max_power: int = 3) -> list[CatalogEntry]:
+def loaded_group_entries(name: str, dims=None) -> list[CatalogEntry]:
     """Full builds for an enumerable loaded group and, when doubly
     transitive, its derived subgroup (which contributes extra cells)."""
     block = next((b for b in LOADED_REFERENCE if b.group == name), None)
-    expected_map = {}
-    corrections = {}
-    block_key = ()
-    if block is not None:
-        expected_map = {(c.n, c.m): c.listed for c in block.cells
-                        if c.listed is not None}
-        corrections = {(block.label, n, m): v
-                       for (lbl, n, m), v in LOADED_CORRECTIONS.items()
-                       if lbl == block.label}
-        block_key = (block.label,)
+    refs = _block_references(block) if block is not None else {}
     g = load_packaged_group(name)
-    entries = _sweep_group("loaded", {"group": name}, g, point, dims,
-                           expected_map, corrections, block_key, max_power)
-    if include_derived:
-        d = g.derived_subgroup()
-        if d.order < g.order:
-            hd = d.stabilizer(point)
-            if d.is_two_transitive(hd):
-                entries.extend(_sweep_group(
-                    "loaded", {"group": name, "derived": True}, d, point,
-                    dims, expected_map, corrections, block_key, max_power))
+    entries = _sweep_group("loaded", {"group": name}, g, dims, refs)
+    d = g.derived_subgroup()
+    if d.order < g.order and d.is_two_transitive(d.stabilizer(0)):
+        entries.extend(_sweep_group(
+            "loaded", {"group": name, "derived": True}, d, dims, refs))
     return sorted(entries, key=lambda e: (e.n, e.m))
 
 
 def check_loaded_block(entries, block: ReferenceBlock) -> list[CellCheck]:
-    return [_cell_check(entries, c.n, c.m, c.listed,
-                        LOADED_CORRECTIONS.get((block.label, c.n, c.m)))
-            for c in block.cells if c.listed is not None]
+    return _cell_checks(entries, _block_references(block))
 
 
 def rotation_code_entries() -> list[CatalogEntry]:
     """The seven-dimensional cell of the 28-point action, fully built."""
     g = load_packaged_group("sp6_2_deg28")
-    rho = symplectic_rotation_rep(g)
     h = g.stabilizer(0)
-    ht = compute_table(h)
-    ctx = IsotypicContext(g, h, rho, ht)
-    block = reference_block("Sp6(2) on 28 points")
-    expected_map = {(c.n, c.m): c.listed for c in block.cells
-                    if c.listed is not None}
-    entries = []
-    for m, chars in subset_reps(ctx.decomposition, ht, rho.dim):
-        expected, corrected = _lookup_reference(
-            expected_map, LOADED_CORRECTIONS, (block.label,), rho.dim, m)
-        params = {"group": "sp6_2_deg28", "rep": "rotation", "chars": chars}
-        entries.append(_entry_from_context(
-            "loaded", params, ctx, m, chars, expected, corrected))
-    return entries
+    ctx = IsotypicContext(g, h, symplectic_rotation_rep(g), compute_table(h))
+    return _context_entries(
+        "loaded", {"group": "sp6_2_deg28", "rep": "rotation"}, ctx,
+        _block_references(reference_block("Sp6(2) on 28 points")))

@@ -111,13 +111,12 @@ class CharacterTable:
         return self
 
 
-def class_multiplication(g: PermGroup,
-                         classes: ConjugacyClasses | None = None) -> np.ndarray:
+def class_multiplication(g: PermGroup) -> np.ndarray:
     """Structure constants a[i,j,k]: ways a fixed z in Cl_k splits as x*y
-    with x in Cl_i, y in Cl_j."""
+    with x in Cl_i, y in Cl_j; cached on g."""
     if g._class_mult is not None:
         return g._class_mult
-    cc = classes or g.conjugacy_classes()
+    cc = g.conjugacy_classes()
     r = cc.n_classes
     einv = g.inverse_rows()
     cls = cc.class_of.astype(np.int64)
@@ -132,18 +131,18 @@ def class_multiplication(g: PermGroup,
     return a
 
 
-def compute_table(g: PermGroup, seed: int = config.DEFAULT_SEED,
-                  max_tries: int = 5) -> CharacterTable:
+def compute_table(g: PermGroup,
+                  seed: int = config.DEFAULT_SEED) -> CharacterTable:
     cc = g.conjugacy_classes()
     r = cc.n_classes
     if r > config.MAX_CLASSES:
         raise CharacterError(f"{r} classes exceeds the table limit "
                              f"{config.MAX_CLASSES}")
-    a = class_multiplication(g, cc)
+    a = class_multiplication(g)
     sizes = cc.sizes
     order = g.order
     last = None
-    for t in range(max_tries):
+    for t in range(config.SEED_TRIES):
         rng = np.random.default_rng(seed + t)
         weights = rng.standard_normal(r)
         m = np.tensordot(weights, a, axes=(0, 0)).astype(float)  # M[j,k]
@@ -320,10 +319,10 @@ def verify_character_identities(table: CharacterTable, g: PermGroup,
                                 seed: int = config.DEFAULT_SEED) -> IdentityReport:
     """Check, per irreducible, the two class-sum identities the equidistance
     proof rests on: chi(Cl(h1)^ Cl(h2)^) and sum_g chi(h1 g h2 g^-1) against
-    their closed forms, to 1e-6 relative."""
+    their closed forms, to TOL.integer relative."""
     cc = g.conjugacy_classes()
     r = cc.n_classes
-    a = class_multiplication(g, cc)
+    a = class_multiplication(g)
     x = table.matrix()
     sizes = cc.sizes.astype(float)
     degs = x[:, 0].real
@@ -357,7 +356,8 @@ def verify_character_identities(table: CharacterTable, g: PermGroup,
         res7 = max(res7, float((np.abs(lhs7 - rhs7)
                                 / np.maximum(1.0, np.abs(rhs7))).max()))
     report = IdentityReport(res6, res7, len(pairs))
-    if report.max_residual > 1e-6:
+    if report.max_residual > TOL.integer:
         raise CharacterError(
-            f"character identity residual {report.max_residual:.2e} exceeds 1e-6")
+            f"character identity residual {report.max_residual:.2e} exceeds "
+            f"{TOL.integer:.1e}")
     return report

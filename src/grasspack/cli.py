@@ -40,7 +40,6 @@ class CliError(config.GrasspackError):
 @dataclasses.dataclass
 class Options:
     seed: int
-    tol: float
     cap: int
     fmt: str                     # human | json | csv
     out: Path | None
@@ -320,7 +319,7 @@ def cmd_predict(args, opts: Options) -> int:
     em = Emitter(opts)
     em.say(f"n={args.n} m={args.m} N={args.count}")
     em.say(f"simplex bound {format_value(params.d_c_sq_min)}")
-    attainable = args.count <= args.n * (args.n + 1) // 2
+    attainable = params.meets_simplex
     em.say("equality possible: " + ("yes" if attainable else
                                     "no (N exceeds n(n+1)/2)"))
     if exact > args.m:
@@ -352,7 +351,7 @@ def cmd_verify(args, opts: Options) -> int:
         except CodeError as err:
             raise CliError(f"chars {chars}: {err}")
         rep = verify_simplex(code)
-        certified = abs(rep.rel_gap) <= opts.tol and rep.equidistant
+        certified = rep.certified and rep.equidistant
         samples = [g.element(k % g.order)
                    for k in (1, g.order // 2, g.order - 1)]
         residual = max(ctx.fonda2_residual(chars, s) for s in samples)
@@ -490,8 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="RNG seed for representation extraction")
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="relative tolerance for certification verdicts")
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
                         help="group enumeration cap for loaded groups")
     common.add_argument("--json", action="store_true",
@@ -567,7 +564,6 @@ def main(argv=None) -> int:
         parser.error("--json and --csv are mutually exclusive")
     fmt = "json" if as_json else "csv" if as_csv else "human"
     opts = Options(seed=getattr(args, "seed", config.DEFAULT_SEED),
-                   tol=getattr(args, "tol", config.TOL.rel_distance),
                    cap=getattr(args, "cap", config.ENUM_CAP), fmt=fmt,
                    out=getattr(args, "out", None))
     try:

@@ -520,8 +520,10 @@ class CliffordGroupData:
 def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
     """Projectors (1/|S|) sum chi(s) s over S in S_r and characters with
     chi(-I) = -1; for r = 1 the distances are {m, m/2} and the orthoplex
-    bound is met whenever N > n(n+1)/2."""
+    bound is met whenever N > n(n+1)/2.  S_r is empty unless 1 <= r <= i."""
     data = CliffordGroupData(i)
+    if not 1 <= r <= i:
+        raise CodeError(f"r must be between 1 and i = {i}")
     n = data.n
     family = data.subgroup_family(r)
     projectors = []

@@ -31,6 +31,9 @@ MAX_CLASSES = 60
 #: default master seed for every randomised step
 DEFAULT_SEED = 1729
 
+#: seeds tried (master seed, seed + 1, ...) before a randomised step gives up
+SEED_TRIES = 5
+
 #: environment variable naming a directory of generator files
 DATA_ENV = "GRASSPACK_DATA"
 

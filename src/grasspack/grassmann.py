@@ -88,7 +88,8 @@ class PrincipalAngleSet:
     def chordal_sq(self) -> float:
         return float(sum(self.sin_sq))
 
-    def matches(self, other: "PrincipalAngleSet", tol: float = 1e-6) -> bool:
+    def matches(self, other: "PrincipalAngleSet",
+                tol: float = TOL.integer) -> bool:
         return (self.m == other.m
                 and max(abs(a - b) for a, b in
                         zip(self.sin_sq, other.sin_sq)) <= tol)

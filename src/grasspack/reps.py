@@ -377,8 +377,8 @@ def multiplicity(carrier, table: CharacterTable, chi_index: int) -> int:
 
 
 def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
-                  chi_index: int, seed: int = config.DEFAULT_SEED,
-                  max_tries: int = 5) -> UnitaryRep:
+                  chi_index: int,
+                  seed: int = config.DEFAULT_SEED) -> UnitaryRep:
     """Cut one copy of an irreducible out of a carrier representation.
 
     Project a random vector into the isotypic subspace and span its orbit;
@@ -394,7 +394,7 @@ def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
             f"character {chi_index} does not appear in carrier {carrier.name}")
     weights = isotypic_weights(table, [chi_index])
     last: Exception | None = None
-    for t in range(max_tries):
+    for t in range(config.SEED_TRIES):
         rng = np.random.default_rng(seed + t)
         try:
             basis = _single_copy_basis(carrier, g, weights, target, mu, rng)
@@ -408,7 +408,8 @@ def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
             return rep
         except (ExtractionError, RepError) as err:
             last = err
-    raise ExtractionError(f"extraction failed after {max_tries} seeds: {last}")
+    raise ExtractionError(
+        f"extraction failed after {config.SEED_TRIES} seeds: {last}")
 
 
 def _grow_orbit_basis(carrier, seeds, cap) -> np.ndarray:
@@ -436,18 +437,17 @@ def _grow_orbit_basis(carrier, seeds, cap) -> np.ndarray:
     return basis[:n]
 
 
-def _orthogonal_residual(vec, basis, rel_tol: float = None):
+def _orthogonal_residual(vec, basis):
     """vec less its projection on the orthonormal rows of `basis`, by two
-    classical Gram-Schmidt sweeps, normalised; None if it (relatively)
-    vanishes."""
-    rel_tol = rel_tol or TOL.rel_distance
+    classical Gram-Schmidt sweeps, normalised; None if it vanishes relative
+    to TOL.rel_distance."""
     scale = np.linalg.norm(vec)
     # second sweep keeps orthogonality tight against rounding; the
     # coefficients conj(basis) @ vec are formed without copying the basis
     for _ in range(2):
         vec = vec - (basis @ vec.conj()).conj() @ basis
     norm = np.linalg.norm(vec)
-    if norm <= rel_tol * max(scale, 1.0):
+    if norm <= TOL.rel_distance * max(scale, 1.0):
         return None
     return vec / norm
 
@@ -539,10 +539,10 @@ def _check_extracted(rep: UnitaryRep, chi: ClassFunction):
         raise ExtractionError(f"<extracted, target> = {ip}, expected 1")
 
 
-def find_carrier(g: PermGroup, table: CharacterTable, chi_index: int,
-                 max_power: int = 3):
-    """Smallest perm tensor power containing the target character."""
-    for k in range(1, max_power + 1):
+def find_carrier(g: PermGroup, table: CharacterTable, chi_index: int):
+    """Smallest perm tensor power, up to the cube, containing the target
+    character."""
+    for k in (1, 2, 3):
         try:
             carrier = PermTensorCarrier(g, k)
         except CarrierBudgetError:

@@ -7,7 +7,8 @@ from grasspack import catalog
 from grasspack.catalog import (CUSPIDAL_ANGLES, LOADED_CORRECTIONS,
                                LOADED_REFERENCE, SYMMETRIC_CORRECTIONS,
                                SYMMETRIC_REFERENCE, CatalogError,
-                               canonical_shapes, check_projective_table,
+                               canonical_shapes, check_loaded_block,
+                               check_projective_table,
                                check_symmetric_tower, projective_columns,
                                projective_entries, reference_block,
                                reference_prediction_entries,
@@ -61,6 +62,40 @@ def test_reference_block_lookup():
     assert reference_block("M24 on 24 points").count == 24
     with pytest.raises(CatalogError):
         reference_block("no such block")
+
+
+def test_reference_cells_are_unique_per_table():
+    # cells are looked up by (n, m); a repeated row would shadow another
+    for points, cells in SYMMETRIC_REFERENCE.items():
+        keys = [(n, m) for n, m, _ in cells]
+        assert len(keys) == len(set(keys)), points
+    for block in LOADED_REFERENCE:
+        keys = [(c.n, c.m) for c in block.cells]
+        assert len(keys) == len(set(keys)), block.label
+
+
+@pytest.mark.parametrize("points", [4, 5, 6, 7, 8])
+def test_tower_checks_follow_reference_order(points):
+    checks = check_symmetric_tower([], points)
+    rows = SYMMETRIC_REFERENCE[points]
+    assert [(c.n, c.m, c.listed) for c in checks] == rows
+    for c in checks:
+        fix = SYMMETRIC_CORRECTIONS.get((points, c.n, c.m))
+        assert c.corrected == (fix is not None)
+        assert c.target == (fix or c.listed)
+        assert not c.matched and c.families == ()
+
+
+@pytest.mark.parametrize("block", LOADED_REFERENCE, ids=lambda b: b.label)
+def test_block_checks_follow_reference_order(block):
+    checks = check_loaded_block([], block)
+    rows = [(c.n, c.m, c.listed) for c in block.cells if c.listed is not None]
+    assert [(c.n, c.m, c.listed) for c in checks] == rows
+    for c in checks:
+        fix = LOADED_CORRECTIONS.get((block.label, c.n, c.m))
+        assert c.corrected == (fix is not None)
+        assert c.target == (fix or c.listed)
+        assert not c.matched and c.families == ()
 
 
 def test_projective_columns_equal_bound():

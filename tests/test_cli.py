@@ -84,8 +84,11 @@ def test_verify_bad_group(capsys):
      "--rep", "dim:2"],
     ["--cap", "1000", "verify", "--group", "data:m12", "--H", "stab0",
      "--rep", "dim:11"],
+    ["clifford", "2", "--r", "5"],
+    ["clifford", "2", "--r", "0"],
 ], ids=["negative-char", "char-out-of-range", "repeated-char",
-        "even-q", "missing-file", "over-cap"])
+        "even-q", "missing-file", "over-cap", "clifford-rank-above-index",
+        "clifford-rank-zero"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
