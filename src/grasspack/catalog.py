@@ -25,8 +25,9 @@ from . import config
 from .characters import compute_table, inner_product, restrict_and_decompose
 from .codes import (CodeError, IsotypicContext, subspace_dimension,
                     verify_simplex)
-from .grassmann import as_fraction
-from .permgroup import PermGroup, load_group, make_pgl2, make_psl2
+from .grassmann import as_fraction, simplex_fraction
+from .permgroup import (PermGroup, load_group, make_pgl2, make_psl2,
+                        parse_group)
 from .reps import (Partition, branching, extract_irrep, find_carrier,
                    hook_dimension, restrict_rep, symplectic_rotation_rep,
                    young_orthogonal_rep)
@@ -343,7 +344,7 @@ def _entry_from_context(family, params, ctx, m, chars, expected, corrected):
 
 def _predicted_entry(family, params, n, m, count, expected, corrected,
                      extra_flags=()):
-    d = Fraction(count, count - 1) * m * (n - m) / n
+    d = simplex_fraction(n, m, count)
     flags = list(extra_flags)
     if expected is None:
         flags.append("no-listed-value")
@@ -654,10 +655,14 @@ def check_loaded_block(entries, block: ReferenceBlock) -> list[CellCheck]:
 
 
 def rotation_code_entries() -> list[CatalogEntry]:
-    """The seven-dimensional cell of the 28-point action, fully built."""
-    g = load_packaged_group("sp6_2_deg28")
+    """The seven-dimensional cell of the 28-point action, fully built
+    without enumerating Sp6(2): H is closed from Schreier generators and
+    the transversal is the Schreier tree's."""
+    name = "sp6_2_deg28"
+    degree, gens = parse_group(data_path(name).read_text())
+    g = PermGroup.deferred(gens, name=name, degree=degree)
     h = g.stabilizer(0)
     ctx = IsotypicContext(g, h, symplectic_rotation_rep(g), compute_table(h))
     return _context_entries(
-        "loaded", {"group": "sp6_2_deg28", "rep": "rotation"}, ctx,
+        "loaded", {"group": name, "rep": "rotation"}, ctx,
         _block_references(reference_block("Sp6(2) on 28 points")))

@@ -257,9 +257,8 @@ def load_table(path, g: PermGroup | None = None) -> CharacterTable:
 @dataclass
 class RestrictionDecomposition:
     multiplicities: np.ndarray          # one non-negative int per H-irreducible
-    parent_character: ClassFunction
+    character: ClassFunction            # the restricted character, on H
     subgroup_table: CharacterTable
-    fusion: np.ndarray                  # G-class index per H-class
 
     def nonzero(self) -> list[tuple[int, int]]:
         return [(i, int(m)) for i, m in enumerate(self.multiplicities) if m]
@@ -280,8 +279,13 @@ def restrict_and_decompose(chi: ClassFunction, g: PermGroup, h: PermGroup,
                            ) -> RestrictionDecomposition:
     if h_table is None:
         h_table = compute_table(h)
-    fusion = class_fusion(g, h)
-    down = ClassFunction(chi.values[fusion], h_table.group, h_table.classes.sizes)
+    return decompose(chi.values[class_fusion(g, h)], h_table)
+
+
+def decompose(values, h_table: CharacterTable) -> RestrictionDecomposition:
+    """Integer multiplicities of the irreducibles of `h_table` in the class
+    function with `values`, one per class of the table's group."""
+    down = ClassFunction(values, h_table.group, h_table.classes.sizes)
     lams = np.array([inner_product(down, psi) for psi in h_table.irreducibles])
     if np.abs(lams.imag).max() > TOL.integer:
         raise CharacterError("complex restriction multiplicity")
@@ -293,11 +297,11 @@ def restrict_and_decompose(chi: ClassFunction, g: PermGroup, h: PermGroup,
             "wrong table or fusion")
     degs = h_table.degrees()
     total = int((rounded * degs).sum())
-    parent_deg = int(round(chi.degree.real))
+    parent_deg = int(round(down.degree.real))
     if total != parent_deg:
         raise CharacterError(
             f"restricted degrees sum to {total}, parent degree {parent_deg}")
-    return RestrictionDecomposition(rounded, chi, h_table, fusion)
+    return RestrictionDecomposition(rounded, down, h_table)
 
 
 # ----------------------------------------------------- identity checking

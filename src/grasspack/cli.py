@@ -12,7 +12,6 @@ import dataclasses
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import config
@@ -24,7 +23,8 @@ from .characters import compute_table
 from .codes import (CodeError, IsotypicContext, build_clifford_orthoplex,
                     build_isotypic_code, predict_from_dimensions,
                     verify_fonda2, verify_simplex)
-from .grassmann import format_value
+from .grassmann import (format_value, orthoplex_bound, simplex_capacity,
+                        simplex_fraction)
 from .permgroup import PermGroup, load_group, make_pgl2, make_psl2
 from .reps import (Partition, branching, extract_irrep, find_carrier,
                    hook_dimension, symplectic_rotation_rep,
@@ -314,8 +314,7 @@ def cmd_branch(args, opts: Options) -> int:
 
 def cmd_predict(args, opts: Options) -> int:
     params = predict_from_dimensions(args.n, args.m, args.count)
-    exact = Fraction(args.count, args.count - 1) \
-        * args.m * (args.n - args.m) / args.n
+    exact = simplex_fraction(args.n, args.m, args.count)
     em = Emitter(opts)
     em.say(f"n={args.n} m={args.m} N={args.count}")
     em.say(f"simplex bound {format_value(params.d_c_sq_min)}")
@@ -390,10 +389,10 @@ def cmd_clifford(args, opts: Options) -> int:
            f"{p.m} in ambient {p.n}")
     em.say("distance multiset: " + ", ".join(
         f"{d:g} (x{c})" for d, c in sorted(by_dist.items())))
-    threshold = p.n * (p.n + 1) // 2
-    applicable = p.N > threshold
-    em.say(f"orthoplex bound m(n-m)/n = {p.m * (p.n - p.m) / p.n:g}, "
-           f"applicability N > n(n+1)/2 = {threshold}: "
+    bound = orthoplex_bound(p.n, p.m, p.N)
+    applicable = bound.attainable
+    em.say(f"orthoplex bound m(n-m)/n = {bound.value:g}, "
+           f"applicability N > n(n+1)/2 = {simplex_capacity(p.n)}: "
            f"{'yes' if applicable else 'no'}")
     if applicable:
         em.say("bound attained: " + ("yes" if p.meets_orthoplex else "no"))

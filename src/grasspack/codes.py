@@ -11,12 +11,13 @@ import numpy as np
 
 from . import config
 from .characters import (CharacterTable, ClassFunction, compute_table,
-                         inner_product, restrict_and_decompose)
+                         decompose, inner_product)
 from .grassmann import (GrassmannError, PrincipalAngleSet, SubspaceProjector,
                         as_fraction, chordal_sq_trace, orthoplex_bound,
                         principal_angles, product_distance, simplex_bound)
 from .permgroup import PermGroup, Permutation
-from .reps import UnitaryRep, isotypic_weights, restrict_rep
+from .reps import (UnitaryRep, commutant_singular_values, isotypic_weights,
+                   restrict_rep)
 
 TOL = config.TOL
 
@@ -188,7 +189,12 @@ def subspace_dimension(multiplicities, degrees, chars) -> int:
 class IsotypicContext:
     """Shared machinery for building several codes from one (G, H, rho):
     the restricted representation, its class sums, the transversal images
-    and the restriction decomposition are computed once."""
+    and the restriction decomposition are computed once.
+
+    Nothing here walks G: rho|H and the transversal images come from words
+    (`UnitaryRep.image`), and the multiplicities from the traces of rho|H's
+    class sums.  Irreducibility is <chi, chi> = 1 when G has an element
+    table, else Schur's lemma on the generator images."""
 
     def __init__(self, g: PermGroup, h: PermGroup, rho: UnitaryRep,
                  h_table: CharacterTable | None = None):
@@ -196,14 +202,15 @@ class IsotypicContext:
             raise CodeError("representation does not belong to G")
         if not g.is_subgroup(h):
             raise CodeError("H is not a subgroup of G")
-        chi = rho.character()
-        if abs(inner_product(chi, chi) - 1) > TOL.integer:
-            raise CodeError("representation is not irreducible")
+        self.checks = _check_irreducible(rho)
         self.g, self.h, self.rho = g, h, rho
         self.h_table = h_table if h_table is not None else compute_table(h)
         self.rho_h = restrict_rep(rho, h)
         self.class_sums = self.rho_h.class_sums()
-        self.decomposition = restrict_and_decompose(chi, g, h, self.h_table)
+        # chi|H at class c is tr(class sum c) / |c|: no image is formed
+        self.decomposition = decompose(
+            np.trace(self.class_sums, axis1=1, axis2=2)
+            / self.h_table.classes.sizes, self.h_table)
         transversal = g.coset_transversal(h)
         self.n_cosets = transversal.count
         self.t_images = [rho.image(t) for t in transversal.reps()]
@@ -229,7 +236,8 @@ class IsotypicContext:
                       for u in self.t_images]
         _check_distinct(projectors, self.n_cosets, self.h.order)
         prov = {"group": self.g.name, "subgroup": self.h.name,
-                "subgroup_order": self.h.order, "rep": self.rho.name,
+                "subgroup_order": self.h.order, **self.h.provenance,
+                **self.checks, "rep": self.rho.name,
                 "rep_provenance": self.rho.provenance,
                 "chars": [int(c) for c in chars], "name": name}
         return _assemble(projectors, prov)
@@ -272,6 +280,24 @@ class IsotypicContext:
     def predict(self, chars) -> CodeParams:
         return predict_from_dimensions(self.rho.dim, self.dimension(chars),
                                        self.n_cosets)
+
+
+def _check_irreducible(rho: UnitaryRep) -> dict:
+    """CodeError unless rho is irreducible; the Schur gap when G has no
+    table (the second-smallest commutant singular value, whose vanishing
+    would mean a commutant beyond the scalars)."""
+    if rho.group.is_enumerated:
+        chi = rho.character()
+        if abs(inner_product(chi, chi) - 1) > TOL.integer:
+            raise CodeError("representation is not irreducible")
+        return {}
+    sv = commutant_singular_values(rho)
+    gap = float(sv[1]) if len(sv) > 1 else float("inf")
+    if gap <= TOL.integer:
+        raise CodeError(f"representation is not irreducible: Schur's lemma "
+                        f"fails, commutant dimension "
+                        f"{int((sv <= TOL.integer).sum())}")
+    return {"schur_gap": gap}
 
 
 def _check_distinct(projectors, expected_n, h_order):

@@ -140,19 +140,31 @@ class BoundReport(NamedTuple):
     attainable: bool | None
 
 
+def simplex_capacity(n: int) -> int:
+    """binom(n+1, 2): the most subspaces of C^n that can meet the simplex
+    bound; above it the orthoplex bound applies."""
+    return n * (n + 1) // 2
+
+
 def simplex_bound(n: int, m: int, big_n: int) -> BoundReport:
     """m(n-m)/n * N/(N-1); equality requires N <= binom(n+1, 2)."""
     if not (1 <= m < n) or big_n < 2:
         raise GrassmannError(f"degenerate parameters ({n}, {m}, {big_n})")
     value = m * (n - m) / n * big_n / (big_n - 1)
-    return BoundReport(value, big_n <= n * (n + 1) // 2)
+    return BoundReport(value, big_n <= simplex_capacity(n))
+
+
+def simplex_fraction(n: int, m: int, big_n: int) -> Fraction:
+    """The simplex bound m(n-m)/n * N/(N-1) as an exact fraction."""
+    simplex_bound(n, m, big_n)                  # same parameter checks
+    return Fraction(big_n, big_n - 1) * m * (n - m) / n
 
 
 def orthoplex_bound(n: int, m: int, big_n: int | None = None) -> BoundReport:
     """m(n-m)/n; a valid bound only for configurations with N > n(n+1)/2."""
     if not (1 <= m < n):
         raise GrassmannError(f"degenerate parameters ({n}, {m})")
-    applicable = None if big_n is None else big_n > n * (n + 1) // 2
+    applicable = None if big_n is None else big_n > simplex_capacity(n)
     return BoundReport(m * (n - m) / n, applicable)
 
 

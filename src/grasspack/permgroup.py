@@ -1,12 +1,19 @@
-"""Finite permutation groups stored as explicit element tables.
+"""Finite permutation groups: explicit element tables, or a Schreier tree.
 
 Elements are image rows (0-based) in one contiguous numpy array.  One
 element index serves every lookup: a sorted int64 key per row (base images
 once the table exists, a wrapping row hash while the closure builds it),
 with every hit checked against the full row.  The closure also records the
 right-multiplication tables, so conjugacy classes and cosets are orbits of
-index gathers (`orbits`).  No stabiliser chains: membership is a table
-lookup, so every group handled here must fit under the enumeration cap.
+index gathers (`orbits`).
+
+A group kept without a table (`PermGroup.deferred`) reaches its point
+stabilizer H = G_p through a Schreier tree: the orbit of p, each coset rep
+a word in the generators, and H closed from the Schreier generators
+u_{s(b)}^-1 s u_b, every one of which must then lie in H (Schreier's lemma,
+so H = G_p and |G| = |orbit| |H|).  H has a table, so membership in G sifts
+through one level: b = g(p), then u_b^-1 g in H.
+
 File formats and command-line output stay 1-based; everything internal is
 0-based.
 """
@@ -180,20 +187,34 @@ class ConjugacyClasses:
 
 @dataclass
 class CosetTransversal:
-    """Left coset representatives of H in G with the coset index map."""
+    """Left coset representatives of H in G.  In an element table the
+    cosets are numbered too; a Schreier-tree transversal has no index."""
 
     group: "PermGroup"
     subgroup: "PermGroup"
-    rep_indices: np.ndarray      # element-table rows of the representatives
-    coset_of: np.ndarray         # coset index per group element
+    rep_rows: np.ndarray                    # image row of each representative
+    rep_indices: np.ndarray | None = None   # element-table rows of the reps
+    coset_of: np.ndarray | None = None      # coset index per group element
 
     @property
     def count(self) -> int:
-        return len(self.rep_indices)
+        return len(self.rep_rows)
 
     def reps(self) -> list[Permutation]:
-        rows = self.group.rows[self.rep_indices]
-        return [Permutation(r) for r in rows]
+        return [Permutation(r) for r in self.rep_rows]
+
+
+class _Level(NamedTuple):
+    """One level of a stabilizer chain: the Schreier tree of `point` and
+    its stabilizer, closed with an element table."""
+
+    point: int
+    slot: np.ndarray                # orbit position of each point, -1 outside
+    words: list[list[int]]          # words[k]: letters of rep u_k
+    reps: np.ndarray                # image rows of the reps u_k
+    inv_reps: np.ndarray            # image rows of u_k^-1
+    subgroup: "PermGroup"
+    gen_words: list[list[int]]      # letters of each generator of `subgroup`
 
 
 class PermGroup:
@@ -210,8 +231,10 @@ class PermGroup:
         self._inv_rows = None
         self._inv_index = None
         self._cosets = {}              # subgroup -> (rep_indices, coset_of)
+        self._levels: dict[int, _Level] = {}   # point -> level, if no table
         self._classes: ConjugacyClasses | None = None
         self._class_mult = None        # cached by charactertable helpers
+        self.provenance: dict = {}     # how a stabilizer was proved
 
     # -- construction -------------------------------------------------
 
@@ -296,6 +319,11 @@ class PermGroup:
 
     @property
     def order(self) -> int:
+        """The table's length; without a table |orbit| |G_p|, which a point
+        stabilizer proves."""
+        if self._table is None and self._levels:
+            level = next(iter(self._levels.values()))
+            return len(level.reps) * level.subgroup.order
         return self.rows.shape[0]
 
     def identity(self) -> Permutation:
@@ -305,14 +333,61 @@ class PermGroup:
         return Permutation(self.rows[i])
 
     def __contains__(self, perm: Permutation) -> bool:
-        return perm.degree == self.degree and bool(
-            self._require_table().index.find(perm.images[None])[0] >= 0)
+        if perm.degree != self.degree:
+            return False
+        if self._table is None:
+            return self._sift(perm) is not None
+        return bool(self._table.index.find(perm.images[None])[0] >= 0)
 
     def index_of(self, perm: Permutation) -> int:
         i = int(self._require_table().index.find(perm.images[None])[0])
         if i < 0:
             raise PermError(f"element not in {self.name}")
         return i
+
+    # -- words ------------------------------------------------------------
+    #
+    # A word is a list of letters, s >= 0 for generator s and ~s for its
+    # inverse, whose left-to-right product is the element.
+
+    def tree_word(self, index: int) -> list[int]:
+        """Letters of element `index` along the closure's spanning tree."""
+        table = self._require_table()
+        word, i = [], index
+        while table.via_gen[i] != -1:
+            word.append(int(table.via_gen[i]))
+            i = int(table.parent[i])
+        return word[::-1]
+
+    def word_of(self, perm: Permutation) -> list[int]:
+        """A word for `perm`: its tree word in an element table, else the
+        tree rep u_b times the H-word, each H letter spelled as its Schreier
+        generator.  NotEnumerated when a table-free group has no stabilizer
+        yet; PermError for a non-member."""
+        if self._table is not None:
+            return self.tree_word(self.index_of(perm))
+        found = self._sift(perm)
+        if found is None:
+            raise PermError(f"element not in {self.name}")
+        level, k, i = found
+        return level.words[k] + [x for s in level.subgroup.tree_word(i)
+                                 for x in level.gen_words[s]]
+
+    def _sift(self, perm: Permutation):
+        """(level, k, i) with perm = u_k h_i, h_i element i of the level's
+        stabilizer; None if perm is not in the group."""
+        if not self._levels:
+            raise NotEnumerated(f"{self.name} has no element table and no "
+                                "point stabilizer to sift through")
+        level = next(iter(self._levels.values()))
+        if perm.degree != self.degree:
+            return None
+        k = int(level.slot[perm.images[level.point]])
+        if k < 0:
+            return None
+        rest = level.inv_reps[k][perm.images.astype(np.intp)]   # u_k^-1 perm
+        i = int(level.subgroup._table.index.find(rest[None])[0])
+        return None if i < 0 else (level, k, i)
 
     def inverse_rows(self) -> np.ndarray:
         if self._inv_rows is None:
@@ -365,9 +440,16 @@ class PermGroup:
         return sub
 
     def stabilizer(self, point: int) -> "PermGroup":
+        """G_p: the table rows fixing p, or, without a table, the closure of
+        the Schreier generators (see `_schreier_level`)."""
+        name = f"{self.name}_stab{point}"
+        if self._table is None:
+            if point not in self._levels:
+                self._levels[point] = _schreier_level(self, point, name)
+            return self._levels[point].subgroup
         rows = self.rows
         mask = rows[:, point] == point
-        return self.subgroup_from_rows(rows[mask], name=f"{self.name}_stab{point}")
+        return self.subgroup_from_rows(rows[mask], name=name)
 
     def derived_subgroup(self) -> "PermGroup":
         """Commutator subgroup, generated by the conjugates of the generator
@@ -398,9 +480,18 @@ class PermGroup:
         """Left cosets g_i H numbered by their least element index, which is
         the representative: the orbits of right multiplication by H.  The
         arrays are kept per subgroup object (not the transversal, which
-        would make a reference cycle through this group)."""
+        would make a reference cycle through this group).  Without a table
+        only a point stabilizer built here has a transversal: the reps of
+        its Schreier tree, in orbit order."""
+        if self._table is None:
+            level = next((lv for lv in self._levels.values()
+                          if lv.subgroup is h), None)
+            if level is None:
+                raise NotEnumerated(f"{self.name} has no element table; only "
+                                    "its point stabilizers have a transversal")
+            return CosetTransversal(self, h, level.reps)
         if h in self._cosets:
-            return CosetTransversal(self, h, *self._cosets[h])
+            return self._transversal(h)
         if not self.is_subgroup(h):
             raise NotASubgroup(f"{h.name} is not a subgroup of {self.name}")
         if self.order % h.order:
@@ -416,13 +507,17 @@ class PermGroup:
         rep_idx, coset_of = orbits(maps, self.order)
         assert len(rep_idx) == self.order // h.order
         self._cosets[h] = (rep_idx, coset_of.astype(np.int32))
-        return CosetTransversal(self, h, *self._cosets[h])
+        return self._transversal(h)
+
+    def _transversal(self, h: "PermGroup") -> CosetTransversal:
+        rep_idx, coset_of = self._cosets[h]
+        return CosetTransversal(self, h, self.rows[rep_idx], rep_idx, coset_of)
 
     def double_coset_sizes(self, h: "PermGroup") -> list[int]:
         """Sizes of the H\\G/H double cosets (H-orbits on G/H), ordered by
         their least coset index."""
         trans = self.coset_transversal(h)
-        reps = self.rows[trans.rep_indices].astype(np.intp)
+        reps = trans.rep_rows.astype(np.intp)
         acts = [trans.coset_of[self.lookup_rows(g.images[reps])]   # h t_c
                 for g in h.generators]
         return (np.bincount(orbits(acts, trans.count)[1]) * h.order).tolist()
@@ -596,6 +691,44 @@ def _regenerated(rows: np.ndarray, degree: int, name: str, cap: int) -> PermGrou
     return PermGroup(degree, [Permutation(g) for g in gens], name=name, _table=table)
 
 
+def _schreier_level(g: PermGroup, point: int, name: str) -> _Level:
+    """Schreier tree of `point` under g's generators, breadth first (each
+    orbit point in turn, each generator in turn; u_{s(b)} = s u_b), and
+    the stabilizer closed from the Schreier generators u_{s(b)}^-1 s u_b.
+    `_regenerated` returns only once every Schreier generator is found in
+    the closure's index, so the closure is all of G_p."""
+    gens = [s.images.astype(np.intp) for s in g.generators]
+    slot = np.full(g.degree, -1, dtype=np.int64)
+    slot[point] = 0
+    words, reps = [[]], [np.arange(g.degree, dtype=DTYPE)]
+    k = 0
+    while k < len(reps):
+        for s, img in enumerate(gens):
+            c = img[reps[k][point]]
+            if slot[c] < 0:
+                slot[c] = len(reps)
+                reps.append(img[reps[k]].astype(DTYPE))
+                words.append([s, *words[k]])
+        k += 1
+    reps = np.array(reps)
+    inv_reps = np.argsort(reps, axis=1).astype(DTYPE)
+    schreier, schreier_words = [], []
+    for rep, word in zip(reps, words):
+        for s, img in enumerate(gens):
+            c = slot[img[rep[point]]]
+            schreier.append(inv_reps[c][img[rep]])
+            schreier_words.append([~x for x in reversed(words[c])] + [s, *word])
+    h = _regenerated(np.array(schreier, dtype=DTYPE).reshape(-1, g.degree),
+                     g.degree, name, cap=config.ENUM_CAP)
+    first = {}                          # row -> its first Schreier word
+    for row, word in zip(schreier, schreier_words):
+        first.setdefault(Permutation(row), word)
+    h.provenance = {"orbit_length": len(reps),
+                    "schreier_generators": len(schreier)}
+    return _Level(point, slot, words, reps, inv_reps, h,
+                  [first[s] for s in h.generators])
+
+
 # -- finite fields and the projective families ----------------------------
 
 
@@ -733,6 +866,16 @@ def _projective_generators(q: int, special: bool) -> list[Permutation]:
 
 
 def loads_group(text: str, name: str = "", cap: int = config.ENUM_CAP) -> PermGroup:
+    """The group of a generator file, closed up to `cap` elements and kept
+    without a table past it."""
+    degree, gens = parse_group(text)
+    try:
+        return PermGroup.generated(gens, name=name, degree=degree, cap=cap)
+    except CapExceeded:
+        return PermGroup.deferred(gens, name=name, degree=degree)
+
+
+def parse_group(text: str) -> tuple[int, list[Permutation]]:
     """Parse a generator file: ``degree <d>`` then one cycle line per generator."""
     degree = None
     gens = []
@@ -751,10 +894,7 @@ def loads_group(text: str, name: str = "", cap: int = config.ENUM_CAP) -> PermGr
         gens.append(parse_cycles(line, degree))
     if degree is None:
         raise PermError("missing 'degree <d>' header")
-    try:
-        return PermGroup.generated(gens, name=name, degree=degree, cap=cap)
-    except CapExceeded:
-        return PermGroup.deferred(gens, name=name, degree=degree)
+    return degree, gens
 
 
 def load_group(path, name: str = "", cap: int = config.ENUM_CAP) -> PermGroup:

@@ -1,9 +1,10 @@
-"""Explicit unitary representations of enumerated groups.
+"""Explicit unitary representations of permutation groups.
 
 A representation stores generator images only; the image of an arbitrary
-element is recovered by walking the closure spanning tree, so nothing of size
-|G| x n^2 is ever materialized.  Every group-wide sum (class sums, isotypic
-vector projections, the commutant average) is one pass of `_walk`, a
+element is the product along a word for it (`PermGroup.word_of`: the closure
+spanning tree, or the Schreier tree of a group without a table), so nothing
+of size |G| x n^2 is ever materialized.  Every group-wide sum (class sums,
+isotypic vector projections, the commutant average) is one pass of `_walk`, a
 depth-first walk over the tree that carries one matrix or one vector and
 applies one generator per edge.  Permutation tensor-power carriers apply
 elements as index gathers and never build their matrices.
@@ -68,16 +69,6 @@ def _inverse_class_map(g: PermGroup) -> np.ndarray:
                            for rep in cc.reps], dtype=np.int64)
         g._inv_class_map = cached
     return cached
-
-
-def tree_word(g: PermGroup, index: int) -> list[int]:
-    """Generator indices whose left-to-right product is element `index`."""
-    word = []
-    i = index
-    while g.via_gen[i] != -1:
-        word.append(int(g.via_gen[i]))
-        i = int(g.parent[i])
-    return word[::-1]
 
 
 def _tree_words(g: PermGroup, indices) -> np.ndarray:
@@ -147,24 +138,35 @@ class UnitaryRep:
 
     # -- evaluation ----------------------------------------------------
 
-    def image_of_index(self, index: int) -> np.ndarray:
+    def image_of_word(self, word) -> np.ndarray:
+        """Product of the letters' images left to right; letter ~s is the
+        inverse of generator s, whose image is rho(s)^H (rho is unitary)."""
         m = np.eye(self.dim, dtype=complex)
-        for gi in tree_word(self.group, index):
-            m = m @ self.gen_images[gi]
+        for x in word:
+            m = m @ (self.gen_images[x] if x >= 0 else self._inverses()[~x])
         return m
 
+    def image_of_index(self, index: int) -> np.ndarray:
+        return self.image_of_word(self.group.tree_word(index))
+
     def image(self, p: Permutation) -> np.ndarray:
-        return self.image_of_index(self.group.index_of(p))
+        """rho(p) from a word for p (`PermGroup.word_of`): NotEnumerated,
+        never a matrix, when the group knows no word for it."""
+        return self.image_of_word(self.group.word_of(p))
 
     def apply_gen(self, gi: int, vec: np.ndarray) -> np.ndarray:
         return self.gen_images[gi] @ vec
 
     def apply_gen_inv(self, gi: int, vec: np.ndarray) -> np.ndarray:
+        # one call per tree edge in every walk: no helper call once cached
+        return (self._gen_inv or self._inverses())[gi] @ vec
+
+    def _inverses(self) -> list[np.ndarray]:
         if self._gen_inv is None:
             # unitary inverses, kept as transposed views: the layout (and so
             # the BLAS summation order) of an uncached `conj().T`
             self._gen_inv = [m.conj().T for m in self.gen_images]
-        return self._gen_inv[gi] @ vec
+        return self._gen_inv
 
     def images_of_indices(self, indices) -> np.ndarray:
         """rho(g_i) for each element index, stacked: every tree word is
@@ -237,6 +239,21 @@ class UnitaryRep:
         if worst > tol:
             raise RepError(f"unitarity/homomorphism residual {worst:.2e}")
         return worst
+
+
+def commutant_singular_values(rep: UnitaryRep) -> np.ndarray:
+    """Singular values, ascending, of the stacked I (x) A - A^T (x) I over
+    the generator images A.  Their null space is the commutant of rho in
+    column-major vec form, so by Schur's lemma rho is irreducible iff
+    exactly one of them vanishes; the second is the margin by which it is."""
+    n = rep.dim
+    if n * n > config.TENSOR_BUDGET:
+        raise RepError(f"commutant of dimension {n}^2 exceeds the dense "
+                       f"tensor budget {config.TENSOR_BUDGET}")
+    eye = np.eye(n)
+    blocks = [np.kron(eye, a) - np.kron(a.T, eye) for a in rep.gen_images]
+    stacked = np.concatenate(blocks or [np.zeros((1, n * n))])
+    return np.linalg.svd(stacked, compute_uv=False)[::-1]
 
 
 def restrict_rep(rep: UnitaryRep, h: PermGroup, name: str = "") -> UnitaryRep:

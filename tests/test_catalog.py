@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from grasspack import catalog
+from grasspack import catalog, codes, permgroup
 from grasspack.catalog import (CUSPIDAL_ANGLES, LOADED_CORRECTIONS,
                                LOADED_REFERENCE, SYMMETRIC_CORRECTIONS,
                                SYMMETRIC_REFERENCE, CatalogError,
@@ -267,3 +267,30 @@ def test_data_path_env_override(tmp_path, monkeypatch):
     monkeypatch.delenv("GRASSPACK_DATA")
     with pytest.raises(CatalogError):
         catalog.data_path("not_a_group")
+
+
+# ------------------------------------------------ rotation cell, table-free
+
+
+def test_rotation_cell_closes_only_the_stabilizer(monkeypatch):
+    closed, built = [], []
+    closure, build = permgroup._closure, codes.IsotypicContext.build
+
+    def counting_closure(*args, **kwargs):
+        table = closure(*args, **kwargs)
+        closed.append(len(table.rows))
+        return table
+
+    def keeping_build(self, *args, **kwargs):
+        built.append(build(self, *args, **kwargs))
+        return built[-1]
+    monkeypatch.setattr(permgroup, "_closure", counting_closure)
+    monkeypatch.setattr(codes.IsotypicContext, "build", keeping_build)
+    entries = catalog.rotation_code_entries()
+    assert [(e.n, e.m, e.d_fraction, e.status) for e in entries] \
+        == [(7, 1, "8/9", "verified")]
+    assert max(closed) == 51_840                # |H|; |G| = 1,451,520
+    prov = built[0].provenance
+    assert (prov["orbit_length"], prov["subgroup_order"]) == (28, 51_840)
+    assert prov["schreier_generators"] == 56    # 28 points x 2 generators
+    assert prov["schur_gap"] > 0.1

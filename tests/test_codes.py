@@ -666,3 +666,39 @@ def test_save_code_roundtrip(tmp_path, s4_ctx):
     save_code(code, tmp_path / "lean.json")
     lean = json.loads((tmp_path / "lean.json").read_text())
     assert "projectors" not in lean
+
+
+# ----------------------------------------------- table-free G (Schreier route)
+
+
+def table_free(g):
+    return PermGroup.deferred(g.generators, name=g.name, degree=g.degree)
+
+
+def test_reducible_rep_on_table_free_group_fails_schur():
+    g = table_free(PermGroup.symmetric(5))
+    h = g.stabilizer(4)
+    with pytest.raises(CodeError, match="Schur"):
+        IsotypicContext(g, h, perm_rep(g))
+
+
+def test_table_free_context_matches_table_context():
+    lam = Partition((3, 2))
+    g = PermGroup.symmetric(5)
+    free = table_free(g)
+    ctx = IsotypicContext(g, g.stabilizer(4), young_orthogonal_rep(g, lam))
+    free_ctx = IsotypicContext(free, free.stabilizer(4),
+                               young_orthogonal_rep(free, lam))
+    assert free_ctx.decomposition.multiplicities.tolist() \
+        == ctx.decomposition.multiplicities.tolist()
+    assert free_ctx.n_cosets == ctx.n_cosets == 5
+    for i in range(ctx.h_table.n_classes):
+        if ctx.decomposition.multiplicities[i]:
+            code, free_code = ctx.build([i]), free_ctx.build([i])
+            assert abs(free_code.params.d_c_sq_min - code.params.d_c_sq_min) \
+                <= TOL.rel_distance * code.params.d_c_sq_min
+            prov = free_code.provenance
+            assert (prov["orbit_length"], prov["subgroup_order"],
+                    prov["schreier_generators"]) == (5, 24, 10)
+            assert prov["schur_gap"] > TOL.integer
+            assert "schur_gap" not in code.provenance

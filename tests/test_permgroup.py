@@ -13,6 +13,7 @@ from grasspack.permgroup import (
     GF,
     CapExceeded,
     NotASubgroup,
+    NotEnumerated,
     PermError,
     PermGroup,
     Permutation,
@@ -563,3 +564,107 @@ def test_orbits_match_union_find(maps):
     reps, orbit_of = permgroup.orbits([np.array(m) for m in maps], n)
     assert reps.tolist() == sorted(set(least))
     assert [reps[o] for o in orbit_of] == least
+
+
+# ---------------------------------------- table-free stabilizers (Schreier)
+
+
+def table_free(g):
+    return PermGroup.deferred(g.generators, name=g.name, degree=g.degree)
+
+
+def row_set(rows):
+    return {tuple(r) for r in np.asarray(rows).tolist()}
+
+
+def word_product(g, word):
+    out = g.identity()
+    for x in word:
+        out = out * (g.generators[x] if x >= 0 else g.generators[~x].inverse())
+    return out
+
+
+def orbit_of(gens, point):
+    seen, queue = {point}, [point]
+    for b in queue:
+        for s in gens:
+            if s(b) not in seen:
+                seen.add(s(b))
+                queue.append(s(b))
+    return seen
+
+
+def assert_same_stabilizer(g, point):
+    free = table_free(g)
+    h = free.stabilizer(point)
+    assert row_set(h.rows) == row_set(g.stabilizer(point).rows)
+    t = free.coset_transversal(h)
+    assert t.count * h.order == g.order == free.order
+    assert sorted(t.rep_rows[:, point].tolist()) \
+        == sorted(orbit_of(g.generators, point))
+    assert h.provenance == {"orbit_length": t.count,
+                            "schreier_generators": t.count * len(g.generators)}
+    return free
+
+
+SCHREIER_CHECKED = {       # name -> (group, stabilized point)
+    "data:m22": (lambda: load_packaged_group("m22"), 0),
+    "data:m11": (lambda: load_packaged_group("m11"), 10),
+    "data:m12": (lambda: load_packaged_group("m12"), 3),
+    "PGL2(7)": (lambda: make_pgl2(7), 7),
+    "S6": (lambda: PermGroup.symmetric(6), 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHREIER_CHECKED))
+def test_table_free_stabilizer_matches_table(name):
+    make, point = SCHREIER_CHECKED[name]
+    g = make()
+    free = assert_same_stabilizer(g, point)
+    # sifting: members get words that multiply out to them
+    for i in np.random.default_rng(3).integers(0, g.order, size=20):
+        x = g.element(int(i))
+        assert x in free
+        assert word_product(g, free.word_of(x)) == x
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(
+    st.lists(st.permutations(list(range(n))), min_size=1, max_size=3),
+    st.integers(0, n - 1))))
+def test_table_free_stabilizer_of_random_generators(case):
+    gens, point = case
+    g = PermGroup.generated([Permutation(s) for s in gens],
+                            degree=len(gens[0]))
+    free = assert_same_stabilizer(g, point)
+    stranger = Permutation.from_cycles(g.degree, [[0, 1]])
+    assert (stranger in free) == (stranger in g)
+
+
+def test_table_free_group_needs_a_stabilizer():
+    free = table_free(PermGroup.symmetric(5))
+    x = free.generators[0]
+    for ask in (lambda: x in free, lambda: free.word_of(x),
+                lambda: free.order, lambda: free.conjugacy_classes()):
+        with pytest.raises(NotEnumerated):
+            ask()
+    free.stabilizer(4)
+    with pytest.raises(NotEnumerated):
+        free.coset_transversal(free.stabilizer(4).stabilizer(3))
+    with pytest.raises(PermError):
+        free.word_of(Permutation.from_cycles(6, [[0, 5]]))
+
+
+def test_table_free_word_of_a_non_member_raises():
+    free = table_free(PermGroup.alternating(5))
+    free.stabilizer(0)
+    odd = Permutation.from_cycles(5, [[0, 1]])
+    assert odd not in free
+    with pytest.raises(PermError):
+        free.word_of(odd)
+
+
+def test_parse_group_shares_the_loader():
+    degree, gens = permgroup.parse_group(GROUP_TEXT)
+    g = loads_group(GROUP_TEXT)
+    assert degree == g.degree and gens == g.generators

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from grasspack import reps
 from grasspack.characters import compute_table, inner_product
 from grasspack.config import data_path
-from grasspack.permgroup import PermGroup, Permutation, load_group, make_pgl2
+from grasspack.permgroup import (NotEnumerated, PermError, PermGroup,
+                                 Permutation, load_group, make_pgl2)
 from grasspack.reps import (CarrierBudgetError, ExtractionError, Partition,
                             PermTensorCarrier, branching, extract_irrep,
                             find_carrier, hook_dimension, isotypic_projector,
@@ -547,3 +548,31 @@ def test_save_rep_roundtrip(tmp_path):
             for m in doc["generators"]]
     for a, b in zip(mats, rep.gen_images):
         assert np.allclose(a, b)
+
+
+# ----------------------------------------------------------- words
+
+
+def test_image_without_a_known_word_raises():
+    g = PermGroup.symmetric(5)
+    free = PermGroup.deferred(g.generators, name="S5", degree=5)
+    rep = perm_rep(free)
+    x = Permutation.from_cycles(5, [[0, 1, 2]])
+    with pytest.raises(NotEnumerated):
+        rep.image(x)
+    free.stabilizer(0)
+    want = perm_rep(g).image(x)
+    assert np.array_equal(rep.image(x), want)
+    y = free.generators[0]
+    assert np.allclose(rep.image_of_word([~0]), perm_rep(g).image(y.inverse()))
+    with pytest.raises(PermError):
+        rep.image(Permutation.from_cycles(6, [[0, 5]]))
+
+
+def test_commutant_counts_the_constituents():
+    g = PermGroup.symmetric(4)
+    sv = reps.commutant_singular_values(perm_rep(g))        # trivial + [3, 1]
+    assert (sv <= 1e-9).sum() == 2
+    young = young_orthogonal_rep(g, Partition((2, 1, 1)))
+    sv = reps.commutant_singular_values(young)
+    assert (sv <= 1e-9).sum() == 1 and sv[1] > 1e-3
