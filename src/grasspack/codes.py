@@ -15,7 +15,7 @@ from .characters import (CharacterTable, ClassFunction, compute_table,
 from .grassmann import (GrassmannError, PrincipalAngleSet, SubspaceProjector,
                         as_fraction, chordal_sq_trace, orthoplex_bound,
                         principal_angles, product_distance, simplex_bound)
-from .permgroup import PermGroup, Permutation
+from .permgroup import NotASubgroup, PermGroup, Permutation
 from .reps import (UnitaryRep, commutant_singular_values, isotypic_weights,
                    restrict_rep)
 
@@ -191,7 +191,9 @@ class IsotypicContext:
     the restricted representation, its class sums, the transversal images
     and the restriction decomposition are computed once.
 
-    Nothing here walks G: rho|H and the transversal images come from words
+    H is a point stabilizer `G.stabilizer(p)`, and the codewords are indexed
+    by its Schreier tree's coset reps; any other H is a CodeError.  Nothing
+    here walks G: rho|H and the transversal images come from words
     (`UnitaryRep.image`), and the multiplicities from the traces of rho|H's
     class sums.  Irreducibility is <chi, chi> = 1 when G has an element
     table, else Schur's lemma on the generator images."""
@@ -200,8 +202,10 @@ class IsotypicContext:
                  h_table: CharacterTable | None = None):
         if rho.group is not g:
             raise CodeError("representation does not belong to G")
-        if not g.is_subgroup(h):
-            raise CodeError("H is not a subgroup of G")
+        try:
+            transversal = g.coset_transversal(h)
+        except NotASubgroup as err:
+            raise CodeError(str(err)) from None
         self.checks = _check_irreducible(rho)
         self.g, self.h, self.rho = g, h, rho
         self.h_table = h_table if h_table is not None else compute_table(h)
@@ -211,7 +215,6 @@ class IsotypicContext:
         self.decomposition = decompose(
             np.trace(self.class_sums, axis1=1, axis2=2)
             / self.h_table.classes.sizes, self.h_table)
-        transversal = g.coset_transversal(h)
         self.n_cosets = transversal.count
         self.t_images = [rho.image(t) for t in transversal.reps()]
         self.t_perms = list(transversal.reps())

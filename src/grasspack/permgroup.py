@@ -1,18 +1,21 @@
-"""Finite permutation groups: explicit element tables, or a Schreier tree.
+"""Finite permutation groups: explicit element tables, and Schreier trees.
 
 Elements are image rows (0-based) in one contiguous numpy array.  One
 element index serves every lookup: a sorted int64 key per row (base images
 once the table exists, a wrapping row hash while the closure builds it),
 with every hit checked against the full row.  The closure also records the
-right-multiplication tables, so conjugacy classes and cosets are orbits of
-index gathers (`orbits`).
+right-multiplication tables, so conjugacy classes are orbits of index
+gathers (`orbits`).  Tables serve the class-wide sweeps only: classes,
+class sums, lookups and tree words.
 
-A group kept without a table (`PermGroup.deferred`) reaches its point
-stabilizer H = G_p through a Schreier tree: the orbit of p, each coset rep
-a word in the generators, and H closed from the Schreier generators
-u_{s(b)}^-1 s u_b, every one of which must then lie in H (Schreier's lemma,
-so H = G_p and |G| = |orbit| |H|).  H has a table, so membership in G sifts
-through one level: b = g(p), then u_b^-1 g in H.
+Every group, with a table or without one (`PermGroup.deferred`), reaches
+its point stabilizer H = G_p through a Schreier tree: the orbit of p, each
+coset rep a word in the generators, and H closed from the Schreier
+generators u_{s(b)}^-1 s u_b, every one of which must then lie in H
+(Schreier's lemma, so H = G_p and |G| = |orbit| |H|).  The cosets G/H are
+the tree's reps, one per orbit point, and the double cosets H\\G/H are H's
+orbits on those points.  H has a table, so membership in a table-free G
+sifts through one level: b = g(p), then u_b^-1 g in H.
 
 File formats and command-line output stay 1-based; everything internal is
 0-based.
@@ -187,14 +190,12 @@ class ConjugacyClasses:
 
 @dataclass
 class CosetTransversal:
-    """Left coset representatives of H in G.  In an element table the
-    cosets are numbered too; a Schreier-tree transversal has no index."""
+    """Left coset representatives u_b of H = G_p in G, one per orbit point
+    b of p, in the Schreier tree's order (u_0 = 1)."""
 
     group: "PermGroup"
     subgroup: "PermGroup"
-    rep_rows: np.ndarray                    # image row of each representative
-    rep_indices: np.ndarray | None = None   # element-table rows of the reps
-    coset_of: np.ndarray | None = None      # coset index per group element
+    rep_rows: np.ndarray            # image row of each representative
 
     @property
     def count(self) -> int:
@@ -230,8 +231,7 @@ class PermGroup:
         self._table = _table
         self._inv_rows = None
         self._inv_index = None
-        self._cosets = {}              # subgroup -> (rep_indices, coset_of)
-        self._levels: dict[int, _Level] = {}   # point -> level, if no table
+        self._levels: dict[int, _Level] = {}   # point -> Schreier level
         self._classes: ConjugacyClasses | None = None
         self._class_mult = None        # cached by charactertable helpers
         self.provenance: dict = {}     # how a stabilizer was proved
@@ -433,23 +433,12 @@ class PermGroup:
 
     # -- subgroups ------------------------------------------------------
 
-    def subgroup_from_rows(self, rows: np.ndarray, name: str) -> "PermGroup":
-        sub = _regenerated(rows, self.degree, name, cap=rows.shape[0])
-        if sub.order != rows.shape[0]:
-            raise PermError("generator reduction lost elements")
-        return sub
-
     def stabilizer(self, point: int) -> "PermGroup":
-        """G_p: the table rows fixing p, or, without a table, the closure of
-        the Schreier generators (see `_schreier_level`)."""
-        name = f"{self.name}_stab{point}"
-        if self._table is None:
-            if point not in self._levels:
-                self._levels[point] = _schreier_level(self, point, name)
-            return self._levels[point].subgroup
-        rows = self.rows
-        mask = rows[:, point] == point
-        return self.subgroup_from_rows(rows[mask], name=name)
+        """G_p, closed from the Schreier generators (see `_schreier_level`)."""
+        if point not in self._levels:
+            self._levels[point] = _schreier_level(self, point,
+                                                  f"{self.name}_stab{point}")
+        return self._levels[point].subgroup
 
     def derived_subgroup(self) -> "PermGroup":
         """Commutator subgroup, generated by the conjugates of the generator
@@ -469,63 +458,32 @@ class PermGroup:
         rows = self.rows[np.concatenate(comms or [np.zeros(0, dtype=np.int64)])]
         return _regenerated(rows, self.degree, f"{self.name}'", cap=self.order)
 
-    def is_subgroup(self, h: "PermGroup") -> bool:
-        if h.degree != self.degree:
-            return False
-        return all(g in self for g in h.generators)
-
     # -- cosets ----------------------------------------------------------
 
-    def coset_transversal(self, h: "PermGroup") -> CosetTransversal:
-        """Left cosets g_i H numbered by their least element index, which is
-        the representative: the orbits of right multiplication by H.  The
-        arrays are kept per subgroup object (not the transversal, which
-        would make a reference cycle through this group).  Without a table
-        only a point stabilizer built here has a transversal: the reps of
-        its Schreier tree, in orbit order."""
-        if self._table is None:
-            level = next((lv for lv in self._levels.values()
-                          if lv.subgroup is h), None)
-            if level is None:
-                raise NotEnumerated(f"{self.name} has no element table; only "
-                                    "its point stabilizers have a transversal")
-            return CosetTransversal(self, h, level.reps)
-        if h in self._cosets:
-            return self._transversal(h)
-        if not self.is_subgroup(h):
-            raise NotASubgroup(f"{h.name} is not a subgroup of {self.name}")
-        if self.order % h.order:
-            raise NotASubgroup("subgroup order does not divide group order")
-        table = self._require_table()
-        maps = []                       # i -> g_i h for each generator h of H
-        for gen in h.generators:
-            m, i = np.arange(self.order), self.index_of(gen)
-            while table.via_gen[i] != -1:       # h = parent * s: m <- m o right[s]
-                m = m[table.right[table.via_gen[i]]]
-                i = table.parent[i]
-            maps.append(m)
-        rep_idx, coset_of = orbits(maps, self.order)
-        assert len(rep_idx) == self.order // h.order
-        self._cosets[h] = (rep_idx, coset_of.astype(np.int32))
-        return self._transversal(h)
+    def _level_of(self, h: "PermGroup") -> _Level:
+        level = next((lv for lv in self._levels.values() if lv.subgroup is h),
+                     None)
+        if level is None:
+            raise NotASubgroup(f"{h.name} is not a point stabilizer built by "
+                               f"{self.name}.stabilizer")
+        return level
 
-    def _transversal(self, h: "PermGroup") -> CosetTransversal:
-        rep_idx, coset_of = self._cosets[h]
-        return CosetTransversal(self, h, self.rows[rep_idx], rep_idx, coset_of)
+    def coset_transversal(self, h: "PermGroup") -> CosetTransversal:
+        """The Schreier tree's reps, for H one of this group's point
+        stabilizers; NotASubgroup for any other H."""
+        return CosetTransversal(self, h, self._level_of(h).reps)
 
     def double_coset_sizes(self, h: "PermGroup") -> list[int]:
-        """Sizes of the H\\G/H double cosets (H-orbits on G/H), ordered by
-        their least coset index."""
-        trans = self.coset_transversal(h)
-        reps = trans.rep_rows.astype(np.intp)
-        acts = [trans.coset_of[self.lookup_rows(g.images[reps])]   # h t_c
-                for g in h.generators]
-        return (np.bincount(orbits(acts, trans.count)[1]) * h.order).tolist()
+        """Sizes of the H\\G/H double cosets, |H| times each H-orbit on the
+        orbit of p (h u_b H = u_{h(b)} H), ordered by least orbit position."""
+        level = self._level_of(h)
+        orbit = level.reps[:, level.point].astype(np.intp)
+        acts = [level.slot[s.images[orbit]] for s in h.generators]
+        return (np.bincount(orbits(acts, len(orbit))[1]) * h.order).tolist()
 
     def is_two_transitive(self, h: "PermGroup") -> bool:
-        """True iff G acts 2-transitively on G/H (single orbit on distinct pairs)."""
-        if self.order // h.order < 2:
-            return False
+        """True iff G acts 2-transitively on G/H: H has one orbit on the
+        other points of the orbit of p."""
         return len(self.double_coset_sizes(h)) == 2
 
 

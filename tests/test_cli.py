@@ -65,6 +65,22 @@ def test_verify_full_subset_is_input_error(capsys):
     assert "full space" in err
 
 
+def test_verify_table_free_group_skips_the_character_identity(capsys):
+    code, out, _ = run(capsys, "--cap", "1000", "--json", "verify",
+                       "--group", "data:sp6_2_deg28", "--H", "stab0",
+                       "--rep", "rotation")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results and all(r["certified"] for r in results)
+    assert all(r["fonda_residual"] is None for r in results)
+    code, out, _ = run(capsys, "--cap", "1000", "verify",
+                       "--group", "data:sp6_2_deg28", "--H", "stab0",
+                       "--rep", "rotation")
+    assert code == 0
+    assert "certified: yes" in out
+    assert "residual not checked: sp6_2_deg28 has no element table" in out
+
+
 def test_verify_bad_group(capsys):
     code, _, err = run(capsys, "verify", "--group", "Q8", "--H", "stab0",
                        "--rep", "dim:2", "--chars", "auto-min")

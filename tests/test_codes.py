@@ -143,20 +143,29 @@ def test_non_subgroup_rejected():
                               degree=4)
     with pytest.raises(CodeError):
         IsotypicContext(g, odd, rho)
+    # the rows of G_3, but not the group G.stabilizer(3) built
+    c3 = PermGroup.generated([Permutation([1, 2, 0, 3])], name="C3",
+                             degree=4)
+    with pytest.raises(CodeError, match="not a point stabilizer"):
+        IsotypicContext(g, c3, rho)
 
 
 def test_stabilizer_collapse_is_loud():
-    # W built from a C3 inside S4 is in fact S3-invariant, so the orbit
-    # has 4 distinct subspaces instead of the 8 cosets
-    g = PermGroup.symmetric(4)
-    rho = young_orthogonal_rep(g, Partition((3, 1)))
-    c3 = PermGroup.generated([Permutation([1, 2, 0, 3])], name="C3",
-                             degree=4)
-    table = compute_table(c3)
+    # D4 on the corners of a square, in its 2-dim irreducible: H = G_0 is
+    # the reflection in the diagonal through corner 0, whose trivial part W
+    # is that diagonal's line.  The half-turn fixes the line too, so the
+    # orbit has 2 distinct subspaces instead of the 4 cosets
+    g = PermGroup.generated([Permutation.from_cycles(4, [[0, 1, 2, 3]]),
+                             Permutation.from_cycles(4, [[1, 3]])], name="D4")
+    table = compute_table(g)
+    two = next(i for i, d in enumerate(table.degrees()) if d == 2)
+    rho = extract_irrep(find_carrier(g, table, two), g, table, two)
+    h = g.stabilizer(0)
+    h_table = compute_table(h)
     with pytest.raises(StabilizerError) as err:
-        build_isotypic_code(g, c3, rho, [trivial_index(table)],
-                            h_table=table)
-    assert err.value.actual_stabilizer_order == 6
+        build_isotypic_code(g, h, rho, [trivial_index(h_table)],
+                            h_table=h_table)
+    assert err.value.actual_stabilizer_order == 4
 
 
 # ------------------------------------------------------------ predictions

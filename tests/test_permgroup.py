@@ -221,11 +221,10 @@ def test_coset_transversal_partitions_group():
     h = g.stabilizer(0)
     t = g.coset_transversal(h)
     assert t.count == 5
-    counts = np.bincount(t.coset_of)
-    assert (counts == h.order).all()
-    # representative of coset c must lie in coset c
-    for c, i in enumerate(t.rep_indices):
-        assert t.coset_of[i] == c
+    # the cosets u H of the reps are disjoint and cover G
+    cosets = [{tuple(r) for r in u[h.rows].tolist()} for u in t.rep_rows]
+    assert all(len(c) == h.order for c in cosets)
+    assert set().union(*cosets) == {tuple(r) for r in g.rows.tolist()}
 
 
 def test_coset_transversal_rejects_non_subgroup():
@@ -249,8 +248,8 @@ def test_two_transitivity_matches_pair_orbits():
     assert brute_pair_orbits(s4.rows, 4) == 1
 
     c4 = PermGroup.cyclic(4)
-    triv = PermGroup.trivial(4)
-    assert not c4.is_two_transitive(triv)
+    assert c4.stabilizer(0).order == 1
+    assert not c4.is_two_transitive(c4.stabilizer(0))
     assert brute_pair_orbits(c4.rows, 4) == 3
 
     # A4 on 4 points is 2-transitive, its Klein subgroup action is not
@@ -515,14 +514,17 @@ def test_cosets_and_double_cosets_match_brute_force(name, point):
     h = g.stabilizer(point)
     elems = [g.element(i) for i in range(g.order)]
     hs = [h.element(i) for i in range(h.order)]
-    cosets, coset_of = brute_index_sets(
+    cosets, in_coset = brute_index_sets(
         g, lambda i: {g.index_of(elems[i] * y) for y in hs})
     t = g.coset_transversal(h)
-    assert t.rep_indices.tolist() == [c[0] for c in cosets]
-    assert t.coset_of.tolist() == coset_of.tolist()
-    doubles, _ = brute_index_sets(
+    reps = g.lookup_rows(t.rep_rows)
+    assert sorted(in_coset[reps].tolist()) == list(range(len(cosets)))
+    assert t.rep_rows[0].tolist() == list(range(g.degree))
+    doubles, in_double = brute_index_sets(
         g, lambda i: {g.index_of(x * elems[i] * y) for x in hs for y in hs})
-    assert g.double_coset_sizes(h) == [len(b) for b in doubles]
+    # double cosets in the order their first coset rep appears
+    first = dict.fromkeys(in_double[reps].tolist())
+    assert g.double_coset_sizes(h) == [len(doubles[b]) for b in first]
 
 
 def test_cached_cosets_and_inverses_match_fresh_groups():
@@ -534,9 +536,8 @@ def test_cached_cosets_and_inverses_match_fresh_groups():
     t1 = g1.coset_transversal(h1)
     t2 = g2.coset_transversal(h2)
     assert g2.double_coset_sizes(h2) == sizes
-    assert g1.coset_transversal(h1).rep_indices is t1.rep_indices
-    assert np.array_equal(t1.rep_indices, t2.rep_indices)
-    assert np.array_equal(t1.coset_of, t2.coset_of)
+    assert g1.coset_transversal(h1).rep_rows is t1.rep_rows
+    assert np.array_equal(t1.rep_rows, t2.rep_rows)
     d1 = g1.derived_subgroup()
     c1 = g1.conjugacy_classes()
     c2 = g2.conjugacy_classes()
@@ -597,7 +598,7 @@ def orbit_of(gens, point):
 def assert_same_stabilizer(g, point):
     free = table_free(g)
     h = free.stabilizer(point)
-    assert row_set(h.rows) == row_set(g.stabilizer(point).rows)
+    assert row_set(h.rows) == row_set(g.rows[g.rows[:, point] == point])
     t = free.coset_transversal(h)
     assert t.count * h.order == g.order == free.order
     assert sorted(t.rep_rows[:, point].tolist()) \
@@ -649,10 +650,37 @@ def test_table_free_group_needs_a_stabilizer():
         with pytest.raises(NotEnumerated):
             ask()
     free.stabilizer(4)
-    with pytest.raises(NotEnumerated):
+    with pytest.raises(NotASubgroup):
         free.coset_transversal(free.stabilizer(4).stabilizer(3))
     with pytest.raises(PermError):
         free.word_of(Permutation.from_cycles(6, [[0, 5]]))
+
+
+@pytest.mark.parametrize("name", sorted(SCHREIER_CHECKED))
+def test_table_free_double_cosets_match_table(name):
+    make, point = SCHREIER_CHECKED[name]
+    g = make()
+    free = table_free(g)
+    sizes = free.double_coset_sizes(free.stabilizer(point))
+    assert sizes == g.double_coset_sizes(g.stabilizer(point))
+    assert sum(sizes) == g.order == free.order
+
+
+@pytest.mark.parametrize("name", ["m22", "sp6_2_deg28"])
+def test_table_free_packaged_groups_are_two_transitive(name):
+    free = load_packaged_group(name, cap=1)
+    assert not free.is_enumerated
+    assert free.is_two_transitive(free.stabilizer(0))
+
+
+def test_table_free_dihedral_double_cosets():
+    # D4 on the corners of a square: G_0 = <(1 3)> fixes the opposite
+    # corner 2 and swaps the neighbours 1 and 3
+    free = PermGroup.deferred([Permutation.from_cycles(4, [[0, 1, 2, 3]]),
+                               Permutation.from_cycles(4, [[1, 3]])])
+    h = free.stabilizer(0)
+    assert free.double_coset_sizes(h) == [2, 4, 2]
+    assert not free.is_two_transitive(h)
 
 
 def test_table_free_word_of_a_non_member_raises():
