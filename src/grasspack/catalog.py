@@ -22,9 +22,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import config
-from .characters import compute_table, inner_product, restrict_and_decompose
-from .codes import (CodeError, IsotypicContext, subspace_dimension,
-                    verify_simplex)
+from .characters import compute_table, decompose, restrict_and_decompose
+from .codes import CodeError, IsotypicContext, verify_simplex
 from .grassmann import as_fraction, simplex_fraction
 from .permgroup import (PermGroup, load_group, make_pgl2, make_psl2,
                         parse_group)
@@ -262,7 +261,7 @@ def subset_reps(decomposition, h_table, n):
     lam = decomposition.multiplicities
     degs = h_table.degrees()
     present = [i for i in range(len(lam)) if lam[i] > 0]
-    dims = [subspace_dimension(lam, degs, [i]) for i in present]
+    dims = [int(lam[i]) * int(degs[i]) for i in present]
     return [(mc, [present[c] for c in combo])
             for mc, combo in _canonical_subsets(dims, n)]
 
@@ -448,13 +447,10 @@ def _alternating_entries(points, refs):
 
 def _split_halves(rho_a, ga, gat):
     """A self-conjugate shape restricts to two irreducibles of half dim."""
-    chi = rho_a.character()
     target = rho_a.dim // 2
-    degs = gat.degrees()
-    rows = [i for i in range(gat.n_classes)
-            if int(degs[i]) == target
-            and abs(inner_product(chi, gat.irreducibles[i]) - 1)
-            < config.TOL.integer]
+    lam = decompose(rho_a.character().values, gat).multiplicities
+    rows = [i for i, (d, k) in enumerate(zip(gat.degrees(), lam))
+            if d == target and k == 1]
     if len(rows) != 2:
         raise CatalogError(
             f"expected two half components of dim {target}, found {rows}")

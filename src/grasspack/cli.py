@@ -21,8 +21,7 @@ from .catalog import (check_projective_table, check_symmetric_tower,
                       symmetric_tower_entries)
 from .characters import compute_table
 from .codes import (CodeError, IsotypicContext, build_clifford_orthoplex,
-                    build_isotypic_code, predict_from_dimensions,
-                    verify_fonda2, verify_simplex)
+                    predict_from_dimensions, verify_simplex)
 from .grassmann import (format_value, orthoplex_bound, simplex_capacity,
                         simplex_fraction)
 from .permgroup import PermGroup, load_group, make_pgl2, make_psl2
@@ -424,16 +423,19 @@ def cmd_selftest(args, opts: Options) -> int:
         except Exception as err:  # deliberate: report, do not crash
             checks.append((label, False, str(err)))
 
-    def trivial_row(table):
-        return next(i for i, chi in enumerate(table.irreducibles)
-                    if abs(chi.values - 1).max() < 1e-9)
-
-    def small_pipeline():
+    def four_point_line():
+        # W is the trivial H-component of the Young [3,1] representation
         g = PermGroup.symmetric(4)
         h = g.stabilizer(3)
         ht = compute_table(h)
         rho = young_orthogonal_rep(g, Partition((3, 1)))
-        code = build_isotypic_code(g, h, rho, [trivial_row(ht)], ht)
+        return IsotypicContext(g, h, rho, ht), [next(
+            i for i, chi in enumerate(ht.irreducibles)
+            if abs(chi.values - 1).max() < 1e-9)]
+
+    def small_pipeline():
+        ctx, chars = four_point_line()
+        code = ctx.build(chars)
         rep = verify_simplex(code)
         assert rep.certified and rep.equidistant
         assert abs(code.params.d_c_sq_min - 8 / 9) < 1e-10
@@ -456,12 +458,8 @@ def cmd_selftest(args, opts: Options) -> int:
         assert table.orthogonality_residual() < 1e-9
 
     def identity():
-        g = PermGroup.symmetric(4)
-        h = g.stabilizer(3)
-        ht = compute_table(h)
-        rho = young_orthogonal_rep(g, Partition((3, 1)))
-        res = verify_fonda2(g, h, rho, [trivial_row(ht)], g.element(5), ht)
-        assert res < 1e-9
+        ctx, chars = four_point_line()
+        assert ctx.fonda2_residual(chars, ctx.g.element(5)) < 1e-9
 
     run("isotypic pipeline (4 points)", small_pipeline)
     run("hook dimensions and branching", hooks)
@@ -571,6 +569,8 @@ def main(argv=None) -> int:
                    cap=getattr(args, "cap", config.ENUM_CAP), fmt=fmt,
                    out=getattr(args, "out", None))
     try:
+        if opts.cap < 0:
+            raise CliError(f"--cap must be non-negative, got {opts.cap}")
         return args.fn(args, opts)
     except (*INPUT_ERRORS, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config
-from .characters import (CharacterTable, ClassFunction, compute_table,
-                         decompose, inner_product)
+from .characters import (CharacterTable, compute_table, decompose,
+                         inner_product)
 from .grassmann import (GrassmannError, PrincipalAngleSet, SubspaceProjector,
                         as_fraction, chordal_sq_trace, orthoplex_bound,
                         principal_angles, product_distance, simplex_bound)
@@ -173,23 +173,12 @@ def _assemble(projectors, provenance) -> GrassmannCode:
 # ------------------------------------------------------------ orbit builds
 
 
-def subspace_dimension(multiplicities, degrees, chars) -> int:
-    """m = sum of lambda_i deg_i over the chosen H-characters: the dimension
-    of the sum of their isotypic components in the restriction."""
-    chars = [int(i) for i in chars]
-    bad = [i for i in chars if not 0 <= i < len(multiplicities)]
-    if bad:
-        raise CodeError(f"character indices {bad} out of range "
-                        f"0..{len(multiplicities) - 1}")
-    if len(set(chars)) != len(chars):
-        raise CodeError(f"repeated character index in {chars}")
-    return int(sum(int(multiplicities[i]) * int(degrees[i]) for i in chars))
-
-
 class IsotypicContext:
     """Shared machinery for building several codes from one (G, H, rho):
     the restricted representation, its class sums, the transversal images
-    and the restriction decomposition are computed once.
+    and the restriction decomposition are computed once.  It is the one
+    place where an isotypic projector (`subspace`), its dimension and its
+    orbit (`orbit`) are formed.
 
     H is a point stabilizer `G.stabilizer(p)`, and the codewords are indexed
     by its Schreier tree's coset reps; any other H is a CodeError.  Nothing
@@ -217,26 +206,30 @@ class IsotypicContext:
             / self.h_table.classes.sizes, self.h_table)
         self.n_cosets = transversal.count
         self.t_images = [rho.image(t) for t in transversal.reps()]
-        self.t_perms = list(transversal.reps())
 
     def subspace(self, chars) -> tuple[SubspaceProjector, int]:
         chars = list(chars)
         if not chars:
             raise CodeError("empty character subset")
         m = self.dimension(chars)
-        n = self.rho.dim
         if m == 0:
             raise CodeError("W is the zero subspace for this character subset")
-        if m == n:
+        if m == self.rho.dim:
             raise CodeError("W is the full space for this character subset")
         w = isotypic_weights(self.h_table, chars)
-        pi = np.tensordot(w, self.class_sums, axes=(0, 0))
-        return SubspaceProjector(pi), m
+        pi = SubspaceProjector(np.tensordot(w, self.class_sums, axes=(0, 0)))
+        tr = np.trace(pi.projector)
+        if abs(tr - m) > TOL.integer:
+            raise CodeError(f"projector trace {tr.real:.6f} != dimension {m}")
+        return pi, m
+
+    def orbit(self, pi_w: SubspaceProjector) -> list[SubspaceProjector]:
+        """u W for each coset rep u, in transversal order."""
+        return [_moved(u, pi_w) for u in self.t_images]
 
     def build(self, chars, name: str = "") -> GrassmannCode:
         pi_w, m = self.subspace(chars)
-        projectors = [SubspaceProjector(u @ pi_w.projector @ u.conj().T)
-                      for u in self.t_images]
+        projectors = self.orbit(pi_w)
         _check_distinct(projectors, self.n_cosets, self.h.order)
         prov = {"group": self.g.name, "subgroup": self.h.name,
                 "subgroup_order": self.h.order, **self.h.provenance,
@@ -251,9 +244,7 @@ class IsotypicContext:
         TOL.integer."""
         g, h, rho = self.g, self.h, self.rho
         pi_w, m = self.subspace(chars)
-        u = rho.image(elem)
-        pi_gw = SubspaceProjector(u @ pi_w.projector @ u.conj().T)
-        lhs = chordal_sq_trace(pi_w, pi_gw)
+        lhs = chordal_sq_trace(pi_w, _moved(rho.image(elem), pi_w))
 
         e_by_class = h.order * isotypic_weights(self.h_table, chars)
         e_vals = e_by_class[h.conjugacy_classes().class_of]   # per H element
@@ -277,12 +268,23 @@ class IsotypicContext:
         return residual
 
     def dimension(self, chars) -> int:
-        return subspace_dimension(self.decomposition.multiplicities,
-                                  self.h_table.degrees(), chars)
+        """m = sum of lambda_i deg_i over the chosen H-characters: the
+        dimension of the sum of their isotypic components in rho|H."""
+        lam = self.decomposition.multiplicities
+        chars = [int(i) for i in chars]
+        bad = [i for i in chars if not 0 <= i < len(lam)]
+        if bad:
+            raise CodeError(f"character indices {bad} out of range "
+                            f"0..{len(lam) - 1}")
+        if len(set(chars)) != len(chars):
+            raise CodeError(f"repeated character index in {chars}")
+        degs = self.h_table.degrees()
+        return int(sum(int(lam[i]) * int(degs[i]) for i in chars))
 
-    def predict(self, chars) -> CodeParams:
-        return predict_from_dimensions(self.rho.dim, self.dimension(chars),
-                                       self.n_cosets)
+
+def _moved(u: np.ndarray, pi: SubspaceProjector) -> SubspaceProjector:
+    """The image u W of the subspace W under the unitary u."""
+    return SubspaceProjector(u @ pi.projector @ u.conj().T)
 
 
 def _check_irreducible(rho: UnitaryRep) -> dict:
@@ -312,12 +314,6 @@ def _check_distinct(projectors, expected_n, h_order):
         raise StabilizerError(expected_n, distinct, h_order)
 
 
-def build_isotypic_code(g: PermGroup, h: PermGroup, rho: UnitaryRep, chars,
-                        h_table: CharacterTable | None = None) -> GrassmannCode:
-    """Orbit of the direct sum of chosen H-isotypic components of rho."""
-    return IsotypicContext(g, h, rho, h_table).build(chars)
-
-
 # -------------------------------------------------------------- prediction
 
 
@@ -329,22 +325,6 @@ def predict_from_dimensions(n: int, m: int, big_n: int) -> CodeParams:
     return CodeParams(n=n, m=m, N=big_n, d_c_sq_min=bound.value,
                       d_tilde_min=float("nan"), spa_sets=(),
                       meets_simplex=bound.attainable, meets_orthoplex=False)
-
-
-def predict_params(chi_rho: ClassFunction, h: PermGroup,
-                   h_table: CharacterTable, chars,
-                   decomposition=None) -> CodeParams:
-    """Parameters from characters alone.  The caller supplies the restriction
-    decomposition (for enumerated pairs use restrict_and_decompose; for
-    symmetric-group towers the branching rule gives it combinatorially)."""
-    if decomposition is None:
-        raise CodeError("restriction decomposition required")
-    lam = getattr(decomposition, "multiplicities", decomposition)
-    m = subspace_dimension(lam, h_table.degrees(), chars)
-    n = int(round(chi_rho.degree.real))
-    order_g = int(chi_rho.sizes.sum())
-    big_n = order_g // h.order
-    return predict_from_dimensions(n, m, big_n)
 
 
 # ------------------------------------------------------------ verification
@@ -370,14 +350,6 @@ def verify_simplex(code: GrassmannCode) -> SimplexReport:
     return SimplexReport(d_min=d_min, d_max=d_max, bound=bound,
                          rel_gap=rel_gap, equidistant=equi,
                          certified=abs(rel_gap) <= TOL.rel_distance)
-
-
-def verify_fonda2(g: PermGroup, h: PermGroup, rho: UnitaryRep, chars,
-                  elem: Permutation,
-                  h_table: CharacterTable | None = None) -> float:
-    """Check the double-sum character expression for d_c^2(W, gW) against
-    the trace computation; returns the relative residual."""
-    return IsotypicContext(g, h, rho, h_table).fonda2_residual(chars, elem)
 
 
 # ------------------------------------------------------------------ unions
@@ -409,10 +381,7 @@ def build_union_code(g: PermGroup, h: PermGroup, rho: UnitaryRep,
     for (wa, _), (wb, _) in itertools.combinations(ws, 2):
         if np.abs(wa.projector @ wb.projector).max() > TOL.ortho:
             raise CodeError("component subspaces are not orthogonal")
-    projectors = []
-    for w, _ in ws:
-        projectors.extend(SubspaceProjector(u @ w.projector @ u.conj().T)
-                          for u in ctx.t_images)
+    projectors = [p for w, _ in ws for p in ctx.orbit(w)]
     big_n = len(projectors)
     _check_distinct(projectors, big_n, h.order)
     n = rho.dim

@@ -441,21 +441,13 @@ class PermGroup:
         return self._levels[point].subgroup
 
     def derived_subgroup(self) -> "PermGroup":
-        """Commutator subgroup, generated by the conjugates of the generator
-        commutators, which are visited breadth first."""
+        """Commutator subgroup, generated by the conjugacy classes of the
+        generator commutators."""
         gens = [(g.images, g.inverse().images) for g in self.generators]
         seeds = np.array([a[b[ai[bi]]] for a, ai in gens for b, bi in gens],
                          dtype=DTYPE).reshape(-1, self.degree)
-        conj = [np.argsort(m) for m in self._conjugations()]   # i -> s g_i s^-1
-        seen = np.zeros(self.order, dtype=bool)
-        comms, frontier = [], self.lookup_rows(seeds)
-        while frontier.size:
-            frontier = frontier[np.sort(np.unique(frontier, return_index=True)[1])]
-            frontier = frontier[~seen[frontier]]
-            seen[frontier] = True
-            comms.append(frontier)
-            frontier = np.stack([c[frontier] for c in conj], axis=1).ravel()
-        rows = self.rows[np.concatenate(comms or [np.zeros(0, dtype=np.int64)])]
+        class_of = self.conjugacy_classes().class_of
+        rows = self.rows[np.isin(class_of, class_of[self.lookup_rows(seeds)])]
         return _regenerated(rows, self.degree, f"{self.name}'", cap=self.order)
 
     # -- cosets ----------------------------------------------------------

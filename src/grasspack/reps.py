@@ -8,6 +8,10 @@ isotypic vector projections, the commutant average) is one pass of `_walk`, a
 depth-first walk over the tree that carries one matrix or one vector and
 applies one generator per edge.  Permutation tensor-power carriers apply
 elements as index gathers and never build their matrices.
+
+Isotypic projector matrices are formed only by `codes.IsotypicContext`; here
+`isotypic_weights` drives the matrix-free vector projections of extraction,
+and every multiplicity comes from `characters.decompose`.
 """
 from __future__ import annotations
 
@@ -18,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config
-from .characters import CharacterTable, ClassFunction, inner_product
+from .characters import (CharacterTable, ClassFunction, decompose,
+                         inner_product)
 from .permgroup import PermGroup, Permutation
 
 TOL = config.TOL
@@ -192,10 +197,6 @@ class UnitaryRep:
 
     # -- group-wide sums ------------------------------------------------
 
-    def weighted_group_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_g weights[class(g)] rho(g)."""
-        return np.tensordot(weights, self.class_sums(), axes=(0, 0))
-
     weighted_vector_sum = _weighted_vector_sum
 
     def class_sums(self) -> np.ndarray:
@@ -340,25 +341,7 @@ class PermTensorCarrier:
     weighted_vector_sum = _weighted_vector_sum
 
 
-# ------------------------------------------------------------- projectors
-
-
-@dataclass
-class IsotypicProjector:
-    matrix: np.ndarray
-    character_subset: list[int]
-    rank: int
-
-    def check(self, tol: float = TOL.ortho) -> "IsotypicProjector":
-        p = self.matrix
-        if np.abs(p - p.conj().T).max() > tol:
-            raise RepError("projector is not Hermitian")
-        if np.abs(p @ p - p).max() > tol:
-            raise RepError("projector is not idempotent")
-        tr = np.trace(p)
-        if abs(tr.real - self.rank) > TOL.integer or abs(tr.imag) > TOL.integer:
-            raise RepError(f"projector trace {tr:.6f} != rank {self.rank}")
-        return self
+# ------------------------------------------------------------ isotypic sums
 
 
 def isotypic_weights(table: CharacterTable, chars: list[int]) -> np.ndarray:
@@ -371,26 +354,7 @@ def isotypic_weights(table: CharacterTable, chars: list[int]) -> np.ndarray:
     return w
 
 
-def isotypic_projector(rep: UnitaryRep, table: CharacterTable,
-                       chars: list[int]) -> IsotypicProjector:
-    """Projector onto the direct sum of the chosen isotypic components of
-    rep's group (Maschke averaging with character weights)."""
-    if rep.group.order != table.order:
-        raise RepError("table does not belong to the representation's group")
-    p = rep.weighted_group_sum(isotypic_weights(table, chars))
-    degs = table.degrees()
-    rank = sum(multiplicity(rep, table, i) * int(degs[i]) for i in chars)
-    return IsotypicProjector(p, list(chars), rank).check()
-
-
 # ------------------------------------------------------------- extraction
-
-
-def multiplicity(carrier, table: CharacterTable, chi_index: int) -> int:
-    mu = inner_product(carrier.character(), table.irreducibles[chi_index])
-    if abs(mu.imag) > TOL.integer or abs(mu.real - round(mu.real)) > TOL.integer:
-        raise RepError(f"non-integer carrier multiplicity {mu}")
-    return int(round(mu.real))
 
 
 def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
@@ -405,7 +369,8 @@ def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
     """
     chi = table.irreducibles[chi_index]
     target = int(round(chi.degree.real))
-    mu = multiplicity(carrier, table, chi_index)
+    mu = int(decompose(carrier.character().values,
+                       table).multiplicities[chi_index])
     if mu < 1:
         raise ExtractionError(
             f"character {chi_index} does not appear in carrier {carrier.name}")
@@ -564,7 +529,8 @@ def find_carrier(g: PermGroup, table: CharacterTable, chi_index: int):
             carrier = PermTensorCarrier(g, k)
         except CarrierBudgetError:
             break
-        if multiplicity(carrier, table, chi_index) >= 1:
+        if decompose(carrier.character().values,
+                     table).multiplicities[chi_index] >= 1:
             return carrier
     return None
 
@@ -584,8 +550,18 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        body = text.strip().strip("[]")
-        return cls(tuple(int(t) for t in body.replace(",", " ").split()))
+        """'[6,4,2]', '6,4,2' or '6 4 2'; RepError for an empty field or an
+        unmatched bracket."""
+        body = text.strip()
+        if body[:1] == "[" or body[-1:] == "]":
+            if body[:1] != "[" or body[-1:] != "]" or len(body) < 2:
+                raise RepError(f"unmatched bracket in {text!r}")
+            body = body[1:-1]
+        fields = body.split(",") if "," in body else body.split()
+        try:
+            return cls(tuple(int(f) for f in fields))
+        except ValueError:
+            raise RepError(f"bad field in partition {text!r}") from None
 
     @property
     def n(self) -> int:

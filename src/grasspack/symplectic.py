@@ -10,6 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import config
+
+
+class SymplecticError(config.GrasspackError):
+    pass
+
 
 def q0_vals(m: int) -> np.ndarray:
     """Q_0(x) = sum_i x_i x_{m+i} over all 2^{2m} vectors."""
@@ -128,7 +134,7 @@ def cols_from_orbit_perm(perm: np.ndarray, orbit: np.ndarray,
         if vec:
             pivots[vec.bit_length() - 1] = (vec, img)
     if len(pivots) != 2 * m:
-        raise ValueError("orbit differences do not span the space")
+        raise SymplecticError("orbit differences do not span the space")
     cols = []
     for i in range(2 * m):
         vec, img = 1 << i, 0
@@ -141,9 +147,9 @@ def cols_from_orbit_perm(perm: np.ndarray, orbit: np.ndarray,
     d = s0 ^ apply_cols(cols, c0)
     for c, s in zip(labels, images):
         if apply_cols(cols, c) ^ d != s:
-            raise ValueError("label map is not affine")
+            raise SymplecticError("label map is not affine")
     if not is_symplectic(cols, m):
-        raise ValueError("decoded linear part is not symplectic")
+        raise SymplecticError("decoded linear part is not symplectic")
     return cols, d
 
 
@@ -178,7 +184,7 @@ def transvection_factor(cols: list[int], m: int) -> list[int]:
                 push(x ^ z)
                 push(z ^ y)
                 return
-        raise ValueError("no connecting vector found")
+        raise SymplecticError("no connecting vector found")
 
     for i in range(m):
         a, b = 1 << i, 1 << (m + i)

@@ -24,8 +24,8 @@ from grasspack.catalog import (CUSPIDAL_ANGLES, LOADED_CORRECTIONS,
                                symmetric_tower_entries)
 from grasspack.characters import (compute_table, verify_character_identities)
 from grasspack.codes import (CliffordGroupData, IsotypicContext,
-                             build_clifford_orthoplex, build_isotypic_code,
-                             build_union_code, kron_extend, kron_product,
+                             build_clifford_orthoplex, build_union_code,
+                             kron_extend, kron_product,
                              predict_from_dimensions, union_min_distance_formula,
                              verify_simplex)
 from grasspack.grassmann import (SubspaceProjector, chordal_sq_trace,
@@ -59,7 +59,7 @@ def test_criterion_1_four_point_pipeline():
     h = g.stabilizer(3)
     ht = compute_table(h)
     rho = young_orthogonal_rep(g, Partition((3, 1)))
-    code = build_isotypic_code(g, h, rho, [trivial_row(ht)], ht)
+    code = IsotypicContext(g, h, rho, ht).build([trivial_row(ht)])
     p = code.params
     assert (p.n, p.m, p.N) == (3, 1, 4)
     for d in pairwise_distances(code):
@@ -169,8 +169,8 @@ def test_criterion_6_kronecker_operations():
     g4 = PermGroup.symmetric(4)
     h4 = g4.stabilizer(3)
     ht4 = compute_table(h4)
-    line = build_isotypic_code(g4, h4, young_orthogonal_rep(g4, Partition((3, 1))),
-                               [trivial_row(ht4)], ht4)
+    line = IsotypicContext(g4, h4, young_orthogonal_rep(g4, Partition((3, 1))),
+                           ht4).build([trivial_row(ht4)])
     for k in (2, 3):
         scaled = kron_extend(line, k)
         assert scaled.params.n == 3 * k and scaled.params.m == k

@@ -11,6 +11,7 @@ from grasspack.config import GrasspackError
 from grasspack.grassmann import GrassmannError
 from grasspack.permgroup import PermError
 from grasspack.reps import RepError
+from grasspack.symplectic import SymplecticError
 
 
 def run(capsys, *argv):
@@ -102,9 +103,17 @@ def test_verify_bad_group(capsys):
      "--rep", "dim:11"],
     ["clifford", "2", "--r", "5"],
     ["clifford", "2", "--r", "0"],
+    ["hook", "3,,1"],
+    ["hook", "[3,1"],
+    ["hook", "3,1]"],
+    ["hook", ",3"],
+    ["--cap", "-1", "verify", "--group", "data:m11", "--H", "stab0",
+     "--rep", "dim:10"],
 ], ids=["negative-char", "char-out-of-range", "repeated-char",
         "even-q", "missing-file", "over-cap", "clifford-rank-above-index",
-        "clifford-rank-zero"])
+        "clifford-rank-zero", "partition-empty-field",
+        "partition-open-bracket", "partition-close-bracket",
+        "partition-leading-comma", "negative-cap"])
 def test_bad_input_is_one_error_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
@@ -112,9 +121,19 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_negative_cap_is_refused_up_front(capsys):
+    # before the check, -1 made m11 table-free and the error named the table
+    code, out, err = run(capsys, "--cap", "-1", "verify", "--group",
+                         "data:m11", "--H", "stab0", "--rep", "dim:10")
+    assert (code, out) == (2, "")
+    assert err == "error: --cap must be non-negative, got -1\n"
+    code, out, _ = run(capsys, "--cap", "0", "hook", "3,1")
+    assert code == 0 and "dimension 3" in out
+
+
 @pytest.mark.parametrize("error", [PermError, CharacterError, RepError,
                                    GrassmannError, CodeError, CatalogError,
-                                   CliError])
+                                   CliError, SymplecticError])
 def test_module_errors_share_one_base(error):
     assert issubclass(error, GrasspackError)
 

@@ -9,11 +9,10 @@ from grasspack import codes
 from grasspack.characters import compute_table
 from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
                              StabilizerError, build_clifford_orthoplex,
-                             build_isotypic_code, build_union_code,
-                             code_csv_row, kron_extend, kron_product,
-                             predict_from_dimensions, predict_params,
-                             save_code, spa_census, union_min_distance_formula,
-                             verify_fonda2, verify_simplex)
+                             build_union_code, code_csv_row, kron_extend,
+                             kron_product, predict_from_dimensions, save_code,
+                             spa_census, union_min_distance_formula,
+                             verify_simplex)
 from grasspack.config import TOL
 from grasspack.grassmann import (GrassmannError, SubspaceProjector,
                                  chordal_sq_trace, principal_angles)
@@ -111,8 +110,8 @@ def test_s5_plane_code(s5_ctx):
 
 def test_build_helper_matches_context(s4_ctx):
     idx = trivial_index(s4_ctx.h_table)
-    code = build_isotypic_code(s4_ctx.g, s4_ctx.h, s4_ctx.rho, [idx],
-                               h_table=s4_ctx.h_table)
+    ctx = IsotypicContext(s4_ctx.g, s4_ctx.h, s4_ctx.rho, s4_ctx.h_table)
+    code = ctx.build([idx])
     assert abs(code.params.d_c_sq_min - 8 / 9) < 1e-12
 
 
@@ -163,8 +162,7 @@ def test_stabilizer_collapse_is_loud():
     h = g.stabilizer(0)
     h_table = compute_table(h)
     with pytest.raises(StabilizerError) as err:
-        build_isotypic_code(g, h, rho, [trivial_index(h_table)],
-                            h_table=h_table)
+        IsotypicContext(g, h, rho, h_table).build([trivial_index(h_table)])
     assert err.value.actual_stabilizer_order == 4
 
 
@@ -181,20 +179,12 @@ def test_predict_from_dimensions_exact():
 
 def test_predict_matches_build(s4_ctx):
     idx = trivial_index(s4_ctx.h_table)
-    predicted = s4_ctx.predict([idx])
+    predicted = predict_from_dimensions(s4_ctx.rho.dim,
+                                        s4_ctx.dimension([idx]),
+                                        s4_ctx.n_cosets)
     built = s4_ctx.build([idx]).params
     assert predicted.N == built.N
     assert abs(predicted.d_c_sq_min - built.d_c_sq_min) < 1e-10
-
-
-def test_predict_params_requires_decomposition(s4_ctx):
-    chi = s4_ctx.rho.character()
-    idx = trivial_index(s4_ctx.h_table)
-    with pytest.raises(CodeError):
-        predict_params(chi, s4_ctx.h, s4_ctx.h_table, [idx])
-    p = predict_params(chi, s4_ctx.h, s4_ctx.h_table, [idx],
-                       decomposition=s4_ctx.decomposition)
-    assert (p.n, p.m, p.N) == (3, 1, 4)
 
 
 # ------------------------------------------------------------ verification
@@ -403,16 +393,14 @@ def test_clifford_bad_arguments():
 def test_fonda2_identity_element(s4_ctx):
     idx = trivial_index(s4_ctx.h_table)
     e = s4_ctx.g.identity()
-    residual = verify_fonda2(s4_ctx.g, s4_ctx.h, s4_ctx.rho, [idx], e,
-                             h_table=s4_ctx.h_table)
+    residual = s4_ctx.fonda2_residual([idx], e)
     assert residual < 1e-10
 
 
 def test_fonda2_transversal_elements(s4_ctx):
     idx = trivial_index(s4_ctx.h_table)
-    for t in s4_ctx.t_perms[1:]:
-        residual = verify_fonda2(s4_ctx.g, s4_ctx.h, s4_ctx.rho, [idx], t,
-                                 h_table=s4_ctx.h_table)
+    for t in s4_ctx.g.coset_transversal(s4_ctx.h).reps()[1:]:
+        residual = s4_ctx.fonda2_residual([idx], t)
         assert residual < 1e-9
 
 
@@ -423,24 +411,23 @@ def test_fonda2_on_nonreal_linear_components(pgl5_ctx):
     picks = rng.choice(pgl5_ctx.g.order, size=3, replace=False)
     for gi in picks:
         elem = Permutation(pgl5_ctx.g.rows[int(gi)])
-        residual = verify_fonda2(pgl5_ctx.g, pgl5_ctx.h, pgl5_ctx.rho,
-                                 [chars[0]], elem, h_table=pgl5_ctx.h_table)
+        residual = pgl5_ctx.fonda2_residual([chars[0]], elem)
         assert residual < 1e-9
 
 
 def test_fonda2_blocks_agree(s5_ctx, monkeypatch):
     # the double sum over H x H in one block, in blocks of two rows, and
-    # through the stand-alone wrapper, which builds its own context
+    # through a fresh context with its own H table, in blocks of two rows
     chars = components_by_degree(s5_ctx, 3)[:1]
     elems = [Permutation(s5_ctx.g.rows[i]) for i in (1, 17, 119)]
     whole = [s5_ctx.fonda2_residual(chars, e) for e in elems]
     monkeypatch.setattr(codes, "_LOOKUP_ROWS", 2 * s5_ctx.h.order)
     blocked = [s5_ctx.fonda2_residual(chars, e) for e in elems]
-    wrapped = [verify_fonda2(s5_ctx.g, s5_ctx.h, s5_ctx.rho, chars, e)
-               for e in elems]
+    fresh = IsotypicContext(s5_ctx.g, s5_ctx.h, s5_ctx.rho)
+    refreshed = [fresh.fonda2_residual(chars, e) for e in elems]
     assert max(whole) < 1e-9
     assert np.allclose(whole, blocked, rtol=0, atol=1e-12)
-    assert np.allclose(whole, wrapped, rtol=0, atol=1e-12)
+    assert np.allclose(whole, refreshed, rtol=0, atol=1e-12)
 
 
 def test_group_averaged_distance_identity(s4_ctx):

@@ -214,6 +214,8 @@ def test_derived_subgroups():
     assert PermGroup.symmetric(4).derived_subgroup().order == 12
     assert PermGroup.symmetric(5).derived_subgroup().order == 60
     assert PermGroup.alternating(4).derived_subgroup().order == 4  # Klein four
+    assert make_pgl2(9).derived_subgroup().order == 360
+    assert load_packaged_group("m11").derived_subgroup().order == 7920  # perfect
 
 
 def test_coset_transversal_partitions_group():

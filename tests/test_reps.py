@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasspack import reps
-from grasspack.characters import compute_table, inner_product
+from grasspack.characters import compute_table, decompose, inner_product
+from grasspack.codes import CodeError, IsotypicContext
 from grasspack.config import data_path
 from grasspack.permgroup import (NotEnumerated, PermError, PermGroup,
                                  Permutation, load_group, make_pgl2)
+from grasspack.symplectic import SymplecticError
 from grasspack.reps import (CarrierBudgetError, ExtractionError, Partition,
-                            PermTensorCarrier, branching, extract_irrep,
-                            find_carrier, hook_dimension, isotypic_projector,
-                            multiplicity, perm_rep, standard_tableaux,
-                            tensor_power, young_orthogonal_rep)
+                            PermTensorCarrier, RepError, branching,
+                            extract_irrep, find_carrier, hook_dimension,
+                            perm_rep, standard_tableaux, tensor_power,
+                            young_orthogonal_rep)
 
 # ---------------------------------------------------------------- oracles
 
@@ -108,8 +110,12 @@ def test_standard_tableaux_count_and_validity():
 def test_partition_parse():
     assert Partition.parse("[6,4,2]").parts == (6, 4, 2)
     assert Partition.parse("3 1 1").parts == (3, 1, 1)
+    assert Partition.parse(" [3, 1] ").parts == (3, 1)
     with pytest.raises(Exception):
         Partition.parse("[1,3]")
+    for bad in ("3,,1", "[3,1", "3,1]", ",3", "3,1,", "[", "3 1,1"):
+        with pytest.raises(RepError):
+            Partition.parse(bad)
 
 
 # ------------------------------------------------------------- Young form
@@ -207,39 +213,74 @@ def test_carrier_budget():
 # ----------------------------------------------------- isotypic projector
 
 
-def test_projector_invariants():
-    g = PermGroup.symmetric(4)
+@pytest.fixture(scope="module")
+def irreducible_contexts():
+    """Contexts of two irreducibles whose restriction to H = G_p has three
+    components: Young [3,2,1] of S6 (degrees 5, 5, 6) and the extracted
+    six-dimensional irreducible of PGL2(5) (degrees 1, 1, 4)."""
+    s6 = PermGroup.symmetric(6)
+    out = [IsotypicContext(s6, s6.stabilizer(5),
+                           young_orthogonal_rep(s6, Partition((3, 2, 1))))]
+    g = make_pgl2(5)
     t = compute_table(g)
-    rep = perm_rep(g)
-    pc = rep.character()
-    inside = [i for i in range(t.n_classes)
-              if abs(inner_product(pc, t.irreducibles[i])) > 0.5]
-    assert len(inside) == 2          # trivial + standard
-    total = np.zeros((4, 4), dtype=complex)
-    for i in range(t.n_classes):
-        proj = isotypic_projector(rep, t, [i])   # check() runs inside
-        total += proj.matrix
-        for img in rep.gen_images:
-            assert np.abs(proj.matrix @ img - img @ proj.matrix).max() < 1e-9
-    assert np.abs(total - np.eye(4)).max() < 1e-9
+    six = next(i for i, d in enumerate(t.degrees()) if d == 6)
+    rho = extract_irrep(find_carrier(g, t, six), g, t, six)
+    out.append(IsotypicContext(g, g.stabilizer(0), rho))
+    return out
 
 
-def test_projector_pair_subset():
-    g = PermGroup.symmetric(4)
-    t = compute_table(g)
-    rep = tensor_power(perm_rep(g), 2)
-    both = isotypic_projector(rep, t, [0, 1])
-    single = [isotypic_projector(rep, t, [i]).matrix for i in (0, 1)]
-    assert np.abs(both.matrix - sum(single)).max() < 1e-9
+def present(ctx):
+    return [i for i, _ in ctx.decomposition.nonzero()]
 
 
-def test_projector_orthogonality_between_components():
-    g = PermGroup.symmetric(5)
-    t = compute_table(g)
-    rep = tensor_power(perm_rep(g), 2)
-    p0 = isotypic_projector(rep, t, [1]).matrix
-    p1 = isotypic_projector(rep, t, [3]).matrix
-    assert np.abs(p0 @ p1).max() < 1e-9
+def test_projector_invariants(irreducible_contexts):
+    for ctx in irreducible_contexts:
+        chars = present(ctx)
+        assert len(chars) == 3
+        total = np.zeros((ctx.rho.dim, ctx.rho.dim), dtype=complex)
+        for i in chars:
+            pi, m = ctx.subspace([i])
+            p = pi.projector
+            assert np.abs(p - p.conj().T).max() < 1e-9
+            assert np.abs(p @ p - p).max() < 1e-9
+            assert abs(np.trace(p) - m) < 1e-9 and m == ctx.dimension([i])
+            for img in ctx.rho_h.gen_images:
+                assert np.abs(p @ img - img @ p).max() < 1e-9
+            total += p
+        assert np.abs(total - np.eye(ctx.rho.dim)).max() < 1e-9
+
+
+def test_projector_pair_subset(irreducible_contexts):
+    for ctx in irreducible_contexts:
+        a, b, _ = present(ctx)
+        both, m = ctx.subspace([a, b])
+        single = [ctx.subspace([i])[0].projector for i in (a, b)]
+        assert m == ctx.dimension([a]) + ctx.dimension([b])
+        assert np.abs(both.projector - sum(single)).max() < 1e-9
+
+
+def test_projector_orthogonality_between_components(irreducible_contexts):
+    for ctx in irreducible_contexts:
+        projectors = [ctx.subspace([i])[0].projector for i in present(ctx)]
+        for p0 in projectors:
+            for p1 in projectors:
+                if p1 is not p0:
+                    assert np.abs(p0 @ p1).max() < 1e-9
+
+
+def test_projector_trace_gate():
+    # a decomposition that claims one copy too many: the projector itself
+    # is sound, but its trace no longer equals the claimed dimension
+    g = PermGroup.symmetric(6)
+    ctx = IsotypicContext(g, g.stabilizer(5),
+                          young_orthogonal_rep(g, Partition((3, 2, 1))))
+    i = present(ctx)[0]
+    ctx.decomposition.multiplicities[i] += 1
+    assert ctx.dimension([i]) == 10
+    with pytest.raises(CodeError, match="projector trace"):
+        ctx.subspace([i])
+    with pytest.raises(CodeError, match="projector trace"):
+        ctx.build([i])
 
 
 def test_vector_sum_with_non_involutive_generators():
@@ -250,7 +291,7 @@ def test_vector_sum_with_non_involutive_generators():
     rng = np.random.default_rng(3)
     w = rng.standard_normal(t.n_classes) + 1j * rng.standard_normal(t.n_classes)
     rep = perm_rep(g)
-    dense = rep.weighted_group_sum(w)
+    dense = np.tensordot(w, rep.class_sums(), axes=1)
     v = rng.standard_normal(g.degree) + 1j * rng.standard_normal(g.degree)
     assert np.abs(dense @ v - rep.weighted_vector_sum(w, v)).max() < 1e-10
     car = PermTensorCarrier(g, 2)
@@ -258,7 +299,8 @@ def test_vector_sum_with_non_involutive_generators():
                                  for i in range(len(g.generators))])
     v2 = rng.standard_normal(car.dim) + 1j * rng.standard_normal(car.dim)
     got = car.weighted_vector_sum(w, v2)
-    assert np.abs(dense2.weighted_group_sum(w) @ v2 - got).max() < 1e-10
+    assert np.abs(np.tensordot(w, dense2.class_sums(), axes=1) @ v2
+                  - got).max() < 1e-10
 
 
 def _unitary(dim, rng):
@@ -380,7 +422,7 @@ def test_grow_orbit_basis_is_orthonormal_and_spans_the_orbit():
         carrier = find_carrier(g, t, chi)
         if carrier is None:
             continue
-        mu = multiplicity(carrier, t, chi)
+        mu = decompose(carrier.character().values, t).multiplicities[chi]
         cap = int(t.degrees()[chi]) * mu + 1
         v = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
         w = carrier.weighted_vector_sum(reps.isotypic_weights(t, [chi]), v)
@@ -442,7 +484,8 @@ def test_extract_higher_multiplicity_path():
     t = compute_table(g)
     c2 = PermTensorCarrier(g, 2)
     idx = next(i for i, d in enumerate(t.degrees())
-               if d == 4 and multiplicity(c2, t, i) == 3)
+               if d == 4
+               and decompose(c2.character().values, t).multiplicities[i] == 3)
     rep = extract_irrep(c2, g, t, idx)
     assert rep.dim == 4
     assert rep.provenance["multiplicity"] == 3
@@ -510,6 +553,12 @@ def test_rotation_rep_of_plus_orbit_action():
 def test_rotation_rep_rejects_other_degrees():
     with pytest.raises(reps.RepError):
         reps.symplectic_rotation_rep(PermGroup.symmetric(5))
+
+
+def test_rotation_rep_rejects_a_non_symplectic_action():
+    # right degree, but a 28-cycle moves the form labels non-affinely
+    with pytest.raises(SymplecticError, match="not affine"):
+        reps.symplectic_rotation_rep(PermGroup.cyclic(28))
 
 
 def test_e7_dictionary_geometry():

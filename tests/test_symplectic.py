@@ -129,7 +129,7 @@ def test_cols_from_orbit_perm_rejects_nonaffine():
     _, minus = sp.form_orbits(3)
     perm = np.arange(28)
     perm[0], perm[1] = 1, 0  # a transposition of labels is not affine
-    with pytest.raises(ValueError):
+    with pytest.raises(sp.SymplecticError, match="not affine"):
         sp.cols_from_orbit_perm(perm, minus, 3)
 
 
