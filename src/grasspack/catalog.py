@@ -17,6 +17,7 @@ carry an explicit flag.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -28,8 +29,8 @@ from .grassmann import as_fraction, simplex_fraction
 from .permgroup import (PermGroup, load_group, make_pgl2, make_psl2,
                         parse_group)
 from .reps import (Partition, branching, extract_irrep, find_carrier,
-                   hook_dimension, restrict_rep, symplectic_rotation_rep,
-                   young_orthogonal_rep)
+                   hook_dimension, perm_carriers, restrict_rep,
+                   symplectic_rotation_rep, young_orthogonal_rep)
 
 
 class CatalogError(config.GrasspackError):
@@ -515,6 +516,7 @@ def _sweep_group(family, base_params, g, dims, refs,
     degrees = table.degrees()
     entries, done = [], set()
     count = g.order // h.order
+    carriers = perm_carriers(g)
     for i in range(table.n_classes):
         deg = int(degrees[i])
         if deg < 2 or (dims is not None and deg not in dims):
@@ -527,7 +529,7 @@ def _sweep_group(family, base_params, g, dims, refs,
         if not plan:
             continue
         done.update((key, m) for m, _ in plan)
-        carrier = find_carrier(g, table, i)
+        carrier = find_carrier(g, table, i, carriers)
         if carrier is None:
             for m, chars in plan:
                 expected, corrected = _lookup_reference(refs, deg, m)
@@ -600,8 +602,13 @@ def check_projective_table(entries, q) -> list[ColumnCheck]:
 
 
 def data_path(name: str) -> Path:
-    """Packaged generator file, overridable via GRASSPACK_DATA."""
-    path = config.data_path(name if name.endswith(".grp") else name + ".grp")
+    """Packaged generator file `name` (".grp" optional), preferring the
+    directory named by GRASSPACK_DATA; the only reader of that variable."""
+    file = name if name.endswith(".grp") else name + ".grp"
+    env = os.environ.get(config.DATA_ENV)
+    path = Path(env) / file if env else None
+    if path is None or not path.exists():
+        path = Path(__file__).parent / "data" / file
     if not path.exists():
         raise CatalogError(f"no packaged group data named {name}")
     return path

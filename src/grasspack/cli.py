@@ -26,7 +26,7 @@ from .grassmann import (format_value, orthoplex_bound, simplex_capacity,
                         simplex_fraction)
 from .permgroup import PermGroup, load_group, make_pgl2, make_psl2
 from .reps import (Partition, branching, extract_irrep, find_carrier,
-                   hook_dimension, symplectic_rotation_rep,
+                   hook_dimension, perm_carriers, symplectic_rotation_rep,
                    young_orthogonal_rep)
 
 INPUT_ERRORS = (config.GrasspackError, ValueError)
@@ -158,8 +158,9 @@ def _resolve_rep(g: PermGroup, spec: str, seed: int):
             if not rows:
                 raise CliError(f"no irreducible of dimension {want} "
                                f"in {g.name}")
+            carriers = perm_carriers(g)
             for i in rows:
-                carrier = find_carrier(g, table, i)
+                carrier = find_carrier(g, table, i, carriers)
                 if carrier is not None:
                     return extract_irrep(carrier, g, table, i, seed=seed)
         except CliError:
@@ -423,6 +424,10 @@ def cmd_selftest(args, opts: Options) -> int:
         except Exception as err:  # deliberate: report, do not crash
             checks.append((label, False, str(err)))
 
+    def expect(ok, failure):
+        if not ok:
+            raise CliError(failure)
+
     def four_point_line():
         # W is the trivial H-component of the Young [3,1] representation
         g = PermGroup.symmetric(4)
@@ -437,29 +442,37 @@ def cmd_selftest(args, opts: Options) -> int:
         ctx, chars = four_point_line()
         code = ctx.build(chars)
         rep = verify_simplex(code)
-        assert rep.certified and rep.equidistant
-        assert abs(code.params.d_c_sq_min - 8 / 9) < 1e-10
+        expect(rep.certified and rep.equidistant,
+               "code is not certified equidistant")
+        expect(abs(code.params.d_c_sq_min - 8 / 9) < 1e-10,
+               f"d_c^2 = {code.params.d_c_sq_min}, expected 8/9")
 
     def hooks():
-        assert hook_dimension(Partition((6, 4, 2))) == 2673
+        dim = hook_dimension(Partition((6, 4, 2)))
+        expect(dim == 2673, f"[6,4,2] has dimension {dim}, expected 2673")
         dims = [hook_dimension(mu) for mu in branching(Partition((6, 4, 2)))]
-        assert 990 in dims
+        expect(990 in dims, f"branching dimensions {dims} miss 990")
 
     def prediction():
         p = predict_from_dimensions(2673, 990, 12)
-        assert abs(p.d_c_sq_min - 680) < 1e-8
+        expect(abs(p.d_c_sq_min - 680) < 1e-8,
+               f"d_c^2 = {p.d_c_sq_min}, expected 680")
 
     def clifford():
         code = build_clifford_orthoplex(2)
-        assert code.params.N == 18 and code.params.meets_orthoplex
+        expect(code.params.N == 18 and code.params.meets_orthoplex,
+               f"N = {code.params.N}, orthoplex bound "
+               f"{'met' if code.params.meets_orthoplex else 'missed'}")
 
     def characters():
         table = compute_table(PermGroup.symmetric(5))
-        assert table.orthogonality_residual() < 1e-9
+        residual = table.orthogonality_residual()
+        expect(residual < 1e-9, f"orthogonality residual {residual:.2e}")
 
     def identity():
         ctx, chars = four_point_line()
-        assert ctx.fonda2_residual(chars, ctx.g.element(5)) < 1e-9
+        residual = ctx.fonda2_residual(chars, ctx.g.element(5))
+        expect(residual < 1e-9, f"identity residual {residual:.2e}")
 
     run("isotypic pipeline (4 points)", small_pipeline)
     run("hook dimensions and branching", hooks)

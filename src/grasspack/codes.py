@@ -84,7 +84,10 @@ def _chordal_blocks(projectors):
 
 
 def spa_census(projectors, full_limit: int = CENSUS_FULL_LIMIT):
-    """Distinct principal-angle sets over unordered pairs, with pair counts.
+    """The one pass over a code's pairs: (census, distinct, grouped).  The
+    census lists the distinct principal-angle sets over unordered pairs with
+    pair counts, `distinct` counts the codewords equal to no earlier one
+    (d_c^2 above TOL.integer), and `grouped` names the path taken.
 
     Up to `full_limit` codewords every pair is resolved: for each codeword
     one stacked SVD gives the sin^2 of its pairs with all later codewords,
@@ -95,19 +98,23 @@ def spa_census(projectors, full_limit: int = CENSUS_FULL_LIMIT):
     set comes from `principal_angles` on the group's first pair in
     row-major order.  Distinct sets that share a chordal distance are
     merged into that one entry, so the grouped census can list fewer sets
-    than the code has."""
+    than the code has.  Both paths read d_c^2 for distinctness: the sum of
+    a pair's sin^2, or its Gram entry."""
     n_words = len(projectors)
+    grouped = n_words > full_limit
     if n_words < 2:
-        return []
+        return [], n_words, grouped
     first = projectors[0]
     for p in projectors[1:]:
         if p.n != first.n:
             raise GrassmannError(f"ambient mismatch {first.n} != {p.n}")
         if p.m != first.m:
             raise GrassmannError(f"dimension mismatch {first.m} != {p.m}")
-    if n_words > full_limit:
+    dup = np.zeros(n_words, dtype=bool)         # equal to an earlier word
+    if grouped:
         groups: dict[int, list[int]] = {}       # key -> [count, i, j]
         for lo, block in _chordal_blocks(projectors):
+            dup[lo:] |= np.triu(block <= TOL.integer, k=1).any(axis=0)
             iu, ju = np.triu_indices(len(block), k=1, m=block.shape[1])
             keys = np.round(block[iu, ju] / (TOL.integer * 10)).astype(np.int64)
             uniq, at, counts = np.unique(keys, return_index=True,
@@ -117,8 +124,9 @@ def spa_census(projectors, full_limit: int = CENSUS_FULL_LIMIT):
                     groups[key][0] += c
                 else:
                     groups[key] = [c, lo + int(iu[k]), lo + int(ju[k])]
-        return [(principal_angles(projectors[i], projectors[j]), c)
-                for c, i, j in (groups[key] for key in sorted(groups))]
+        return ([(principal_angles(projectors[i], projectors[j]), c)
+                 for c, i, j in (groups[key] for key in sorted(groups))],
+                n_words - int(dup.sum()), grouped)
     bases = np.stack([p.basis for p in projectors])
     sets: list[PrincipalAngleSet] = []
     counts: list[int] = []
@@ -127,6 +135,7 @@ def spa_census(projectors, full_limit: int = CENSUS_FULL_LIMIT):
         cross = bases[i].conj().T @ bases[i + 1:]
         cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
         rest = np.sort(1.0 - cos ** 2, axis=1)
+        dup[i + 1:] |= rest.sum(axis=1) <= TOL.integer
         j = i + 1                               # codeword of rest[0]
         while len(rest):
             hit = np.abs(rest[:, None, :] - known[None]).max(
@@ -143,29 +152,33 @@ def spa_census(projectors, full_limit: int = CENSUS_FULL_LIMIT):
             counts.append(1)
             known = np.vstack([known, sets[-1].sin_sq])
             rest, j = rest[stop + 1:], j + stop + 1
-    return list(zip(sets, counts))
+    return list(zip(sets, counts)), n_words - int(dup.sum()), grouped
 
 
-def _params_from_census(n, m, census, n_words) -> CodeParams:
+def _assemble(projectors, provenance, stabilizer_order=None) -> GrassmannCode:
+    """The code of `projectors`, certified from one `spa_census` pass.  A
+    codeword equal to an earlier one is a StabilizerError for an orbit of a
+    subgroup of order `stabilizer_order`, else a CodeError."""
+    n, m, big_n = projectors[0].n, projectors[0].m, len(projectors)
+    census, distinct, grouped = spa_census(projectors)
+    if distinct != big_n:
+        if stabilizer_order is None:
+            raise CodeError(f"{big_n - distinct} of {big_n} codewords "
+                            f"repeat an earlier one")
+        raise StabilizerError(big_n, distinct, stabilizer_order)
+    if grouped:
+        provenance["census"] = "grouped by chordal distance"
     d_min = min(s.chordal_sq() for s, _ in census) if census else 0.0
     dt_min = min(product_distance(s) for s, _ in census) if census else 0.0
-    sb = simplex_bound(n, m, n_words)
-    ob = orthoplex_bound(n, m, n_words)
+    sb = simplex_bound(n, m, big_n)
+    ob = orthoplex_bound(n, m, big_n)
     meets_s = abs(d_min - sb.value) <= TOL.rel_distance * sb.value
     meets_o = bool(ob.attainable) and abs(d_min - ob.value) <= \
         TOL.rel_distance * max(ob.value, 1.0)
-    return CodeParams(n=n, m=m, N=n_words, d_c_sq_min=d_min,
-                      d_tilde_min=dt_min,
-                      spa_sets=tuple(s for s, _ in census),
-                      meets_simplex=meets_s, meets_orthoplex=meets_o)
-
-
-def _assemble(projectors, provenance) -> GrassmannCode:
-    n, m = projectors[0].n, projectors[0].m
-    census = spa_census(projectors)
-    if len(projectors) > CENSUS_FULL_LIMIT:
-        provenance["census"] = "grouped by chordal distance"
-    params = _params_from_census(n, m, census, len(projectors))
+    params = CodeParams(n=n, m=m, N=big_n, d_c_sq_min=d_min,
+                        d_tilde_min=dt_min,
+                        spa_sets=tuple(s for s, _ in census),
+                        meets_simplex=meets_s, meets_orthoplex=meets_o)
     return GrassmannCode(projectors=tuple(projectors), params=params,
                          provenance=provenance, census=tuple(census))
 
@@ -229,14 +242,12 @@ class IsotypicContext:
 
     def build(self, chars, name: str = "") -> GrassmannCode:
         pi_w, m = self.subspace(chars)
-        projectors = self.orbit(pi_w)
-        _check_distinct(projectors, self.n_cosets, self.h.order)
         prov = {"group": self.g.name, "subgroup": self.h.name,
                 "subgroup_order": self.h.order, **self.h.provenance,
                 **self.checks, "rep": self.rho.name,
                 "rep_provenance": self.rho.provenance,
                 "chars": [int(c) for c in chars], "name": name}
-        return _assemble(projectors, prov)
+        return _assemble(self.orbit(pi_w), prov, self.h.order)
 
     def fonda2_residual(self, chars, elem: Permutation) -> float:
         """Relative residual between the double-sum character expression for
@@ -305,15 +316,6 @@ def _check_irreducible(rho: UnitaryRep) -> dict:
     return {"schur_gap": gap}
 
 
-def _check_distinct(projectors, expected_n, h_order):
-    dup = np.zeros(len(projectors), dtype=bool)   # equal to an earlier word
-    for lo, block in _chordal_blocks(projectors):
-        dup[lo:] |= np.triu(block <= TOL.integer, k=1).any(axis=0)
-    distinct = len(projectors) - int(dup.sum())
-    if distinct != expected_n:
-        raise StabilizerError(expected_n, distinct, h_order)
-
-
 # -------------------------------------------------------------- prediction
 
 
@@ -345,11 +347,10 @@ def verify_simplex(code: GrassmannCode) -> SimplexReport:
     dists = [s.chordal_sq() for s, _ in code.census]
     d_min, d_max = min(dists), max(dists)
     bound = simplex_bound(p.n, p.m, p.N).value
-    rel_gap = (bound - d_min) / bound
     equi = (d_max - d_min) <= TOL.rel_distance * max(d_max, 1.0)
     return SimplexReport(d_min=d_min, d_max=d_max, bound=bound,
-                         rel_gap=rel_gap, equidistant=equi,
-                         certified=abs(rel_gap) <= TOL.rel_distance)
+                         rel_gap=(bound - d_min) / bound, equidistant=equi,
+                         certified=p.meets_simplex)
 
 
 # ------------------------------------------------------------------ unions
@@ -383,14 +384,13 @@ def build_union_code(g: PermGroup, h: PermGroup, rho: UnitaryRep,
             raise CodeError("component subspaces are not orthogonal")
     projectors = [p for w, _ in ws for p in ctx.orbit(w)]
     big_n = len(projectors)
-    _check_distinct(projectors, big_n, h.order)
     n = rho.dim
     cross_min = union_min_distance_formula(n, m, ctx.n_cosets)
     prov = {"group": g.name, "subgroup": h.name, "rep": rho.name,
             "char_subsets": [list(map(int, s)) for s in subsets],
             "predicted_min_d_c_sq": cross_min,
             "formula_at_total_count": union_min_distance_formula(n, m, big_n)}
-    code = _assemble(projectors, prov)
+    code = _assemble(projectors, prov, h.order)
     if len(subsets) >= 2:
         got = code.params.d_c_sq_min
         if abs(got - cross_min) > TOL.rel_distance * max(cross_min, 1.0):
@@ -541,10 +541,9 @@ def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
             pi /= 1 << r
             projectors.append(SubspaceProjector(pi))
             membership.append(s_idx)
-    _check_distinct(projectors, len(projectors), 1 << (r + 1))
     prov = {"clifford_i": i, "r": r, "n_subgroups": len(family),
             "same_subgroup": membership}
-    return _assemble(projectors, prov)
+    return _assemble(projectors, prov, 1 << (r + 1))
 
 
 # ------------------------------------------------------------------ export

@@ -1,5 +1,5 @@
-"""Global numeric tolerances, enumeration caps, data-directory resolution and
-the base class of every grasspack exception.
+"""Global numeric tolerances, enumeration caps, the data-directory variable
+and the base class of every grasspack exception.
 
 The tolerance ladder is fixed package-wide so that every certification step
 quotes the same thresholds.  Command-line entry points may override the cap
@@ -7,9 +7,7 @@ and the master seed but not the ladder itself.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 
 class GrasspackError(Exception):
@@ -51,14 +49,3 @@ class ToleranceLadder:
 
 
 TOL = ToleranceLadder()
-
-
-def data_path(name: str) -> Path:
-    """Resolve a data file, preferring the environment override; the only
-    reader of DATA_ENV."""
-    env = os.environ.get(DATA_ENV)
-    if env:
-        cand = Path(env) / name
-        if cand.exists():
-            return cand
-    return Path(__file__).parent / "data" / name

@@ -275,7 +275,8 @@ class PermGroup:
         if n > 2:
             gens.append(Permutation.from_cycles(n, [list(range(n))]))
         g = cls.generated(gens, name=f"S{n}")
-        assert g.order == math.factorial(n)
+        if g.order != math.factorial(n):
+            raise PermError(f"S{n} closure has order {g.order}")
         return g
 
     @classmethod
@@ -287,7 +288,8 @@ class PermGroup:
             cyc = list(range(n)) if n % 2 == 1 else list(range(1, n))
             gens.append(Permutation.from_cycles(n, [cyc]))
         g = cls.generated(gens, name=f"A{n}")
-        assert g.order == math.factorial(n) // 2
+        if g.order != math.factorial(n) // 2:
+            raise PermError(f"A{n} closure has order {g.order}")
         return g
 
     @classmethod
@@ -817,7 +819,9 @@ def _projective_generators(q: int, special: bool) -> list[Permutation]:
 
 def loads_group(text: str, name: str = "", cap: int = config.ENUM_CAP) -> PermGroup:
     """The group of a generator file, closed up to `cap` elements and kept
-    without a table past it."""
+    without a table past it; PermError for a negative cap."""
+    if cap < 0:
+        raise PermError(f"cap must be non-negative, got {cap}")
     degree, gens = parse_group(text)
     try:
         return PermGroup.generated(gens, name=name, degree=degree, cap=cap)

@@ -309,6 +309,7 @@ class PermTensorCarrier:
                          for p in group.generators]
         self._gen_idx_inv = [self._flat_index(p.images)
                              for p in group.generators]
+        self._char: ClassFunction | None = None
 
     def _flat_index(self, inv_images: np.ndarray) -> np.ndarray:
         """(rho(g) v)[p] = v[g^-1 p], flattened over k-tuples."""
@@ -332,11 +333,14 @@ class PermTensorCarrier:
         return m
 
     def character(self) -> ClassFunction:
-        cc = self.group.conjugacy_classes()
-        d = self.group.degree
-        fix = np.array([(rep.images == np.arange(d, dtype=rep.images.dtype)).sum()
-                        for rep in cc.reps], dtype=float)
-        return ClassFunction(fix ** self.k, self.group.name, cc.sizes)
+        """Fixed points of each class representative, to the k-th power."""
+        if self._char is None:
+            cc = self.group.conjugacy_classes()
+            d = self.group.degree
+            fix = np.array([(rep.images == np.arange(d, dtype=rep.images.dtype))
+                            .sum() for rep in cc.reps], dtype=float)
+            self._char = ClassFunction(fix ** self.k, self.group.name, cc.sizes)
+        return self._char
 
     weighted_vector_sum = _weighted_vector_sum
 
@@ -521,14 +525,24 @@ def _check_extracted(rep: UnitaryRep, chi: ClassFunction):
         raise ExtractionError(f"<extracted, target> = {ip}, expected 1")
 
 
-def find_carrier(g: PermGroup, table: CharacterTable, chi_index: int):
-    """Smallest perm tensor power, up to the cube, containing the target
-    character."""
+def perm_carriers(g: PermGroup) -> list[PermTensorCarrier]:
+    """The tensor powers k = 1, 2, 3 of g's permutation module, up to the
+    first one past the carrier budget."""
+    out = []
     for k in (1, 2, 3):
         try:
-            carrier = PermTensorCarrier(g, k)
+            out.append(PermTensorCarrier(g, k))
         except CarrierBudgetError:
             break
+    return out
+
+
+def find_carrier(g: PermGroup, table: CharacterTable, chi_index: int,
+                 carriers: list[PermTensorCarrier] | None = None):
+    """Smallest perm tensor power, up to the cube, containing the target
+    character.  A caller asking about several characters of g passes
+    `perm_carriers(g)`, so each power is built once."""
+    for carrier in perm_carriers(g) if carriers is None else carriers:
         if decompose(carrier.character().values,
                      table).multiplicities[chi_index] >= 1:
             return carrier
@@ -590,7 +604,8 @@ def hook_dimension(lam: Partition) -> int:
         for h in row:
             prod *= h
     dim, rem = divmod(math.factorial(lam.n), prod)
-    assert rem == 0
+    if rem:
+        raise RepError(f"hook product of {lam} does not divide {lam.n}!")
     return dim
 
 
@@ -651,7 +666,8 @@ def young_orthogonal_rep(n_or_group, lam: Partition,
     if group is None:
         group = PermGroup.symmetric(n)
     tabs = standard_tableaux(lam)
-    assert len(tabs) == dim
+    if len(tabs) != dim:
+        raise RepError(f"{len(tabs)} standard tableaux of {lam}, expected {dim}")
     index = {t: i for i, t in enumerate(tabs)}
     pos = []                                   # entry -> (row, col) per tableau
     for t in tabs:
@@ -727,15 +743,16 @@ def _e7_roots() -> np.ndarray:
         if s[6] + s[7] == 0.0:
             roots.append(s)
     out = np.array(roots)
-    assert out.shape == (126, 8)
+    if out.shape != (126, 8):
+        raise RepError(f"E7 root system has shape {out.shape}")
     return out
 
 
 def _e7_simple_roots(roots: np.ndarray) -> np.ndarray:
     f = roots @ (3.0 ** np.arange(8)[::-1])
-    assert np.abs(f).min() > 0.4
     pos = roots[f > 0]
-    assert len(pos) == 63
+    if np.abs(f).min() <= 0.4 or len(pos) != 63:
+        raise RepError("E7 height functional does not split the roots")
     keys = {tuple(np.round(2 * r).astype(int)) for r in pos}
     simple = []
     for r in pos:
@@ -744,7 +761,8 @@ def _e7_simple_roots(roots: np.ndarray) -> np.ndarray:
                    for s in sums if np.abs(s).sum() > 1e-9):
             simple.append(r)
     out = np.array(simple)
-    assert out.shape == (7, 8)
+    if out.shape != (7, 8):
+        raise RepError(f"{len(simple)} E7 simple roots, expected 7")
     return out
 
 
@@ -758,8 +776,9 @@ class _E7Dictionary:
         coords, _, _, _ = np.linalg.lstsq(simple.T, roots.T, rcond=None)
         coords = coords.T
         icoords = np.round(coords).astype(int)
-        assert np.abs(simple.T @ coords.T - roots.T).max() < 1e-9
-        assert np.abs(coords - icoords).max() < 1e-9
+        if (np.abs(simple.T @ coords.T - roots.T).max() >= 1e-9
+                or np.abs(coords - icoords).max() >= 1e-9):
+            raise RepError("E7 roots are not integral in the simple roots")
         gram = np.round(simple @ simple.T).astype(int)
         g2_rows = [int(sum((gram[i, j] & 1) << j for j in range(7)))
                    for i in range(7)]
@@ -773,7 +792,8 @@ class _E7Dictionary:
 
         rad = [v for v in range(1, 128) if all(bq(v, 1 << j) == 0
                                                for j in range(7))]
-        assert len(rad) == 1          # one-dimensional radical
+        if len(rad) != 1:
+            raise RepError(f"E7 mod-2 radical has {len(rad)} nonzero vectors")
         pairs = []
 
         def perp_ok(v):
@@ -794,10 +814,10 @@ class _E7Dictionary:
         vecs = [self._to_symplectic(c) for c in masks]
         self.root_of_vec = {}
         for r, v in enumerate(vecs):
-            assert 0 < v < 64
             self.root_of_vec.setdefault(v, []).append(r)
-        assert len(self.root_of_vec) == 63
-        assert all(len(rs) == 2 for rs in self.root_of_vec.values())
+        if (sorted(self.root_of_vec) != list(range(1, 64))
+                or any(len(rs) != 2 for rs in self.root_of_vec.values())):
+            raise RepError("E7 roots do not pair off over the 63 vectors")
         # form compatibility: B(v(a), v(b)) = <a, b> mod 2
         ip = np.round(roots @ roots.T).astype(int)
         for a in range(126):

@@ -82,7 +82,9 @@ def form_orbits(m: int) -> tuple[np.ndarray, np.ndarray]:
     lo = (1 << (2 * m - 1)) - (1 << (m - 1))
     plus = np.where(zeros == hi)[0]
     minus = np.where(zeros == lo)[0]
-    assert len(plus) == hi and len(minus) == lo
+    if len(plus) != hi or len(minus) != lo:
+        raise SymplecticError(f"form types split {len(plus)} + {len(minus)}, "
+                              f"expected {hi} + {lo}")
     return plus, minus
 
 
@@ -142,7 +144,8 @@ def cols_from_orbit_perm(perm: np.ndarray, orbit: np.ndarray,
             if vec >> p & 1:
                 vec ^= pv
                 img ^= pi
-        assert vec == 0
+        if vec:
+            raise SymplecticError("orbit differences do not reduce")
         cols.append(img)
     d = s0 ^ apply_cols(cols, c0)
     for c, s in zip(labels, images):
@@ -167,7 +170,8 @@ def transvection_factor(cols: list[int], m: int) -> list[int]:
 
     def push(v):
         nonlocal work
-        assert allowed(v)
+        if not allowed(v):
+            raise SymplecticError(f"transvection {v} moves a fixed vector")
         work = [apply_cols(transvection(v, m), c) for c in work]
         used.append(v)
 
@@ -192,5 +196,6 @@ def transvection_factor(cols: list[int], m: int) -> list[int]:
         done.append(a)
         move(apply_cols(work, b), b)
         done.append(b)
-    assert all(work[i] == 1 << i for i in range(n))
+    if any(work[i] != 1 << i for i in range(n)):
+        raise SymplecticError("transvections do not reduce the map to 1")
     return used

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from grasspack import catalog, codes, permgroup
+from grasspack import catalog, codes, permgroup, reps
 from grasspack.catalog import (CUSPIDAL_ANGLES, LOADED_CORRECTIONS,
                                LOADED_REFERENCE, SYMMETRIC_CORRECTIONS,
                                SYMMETRIC_REFERENCE, CatalogError,
@@ -13,6 +13,7 @@ from grasspack.catalog import (CUSPIDAL_ANGLES, LOADED_CORRECTIONS,
                                projective_entries, reference_block,
                                reference_prediction_entries,
                                symmetric_tower_entries)
+from grasspack.cli import main
 from grasspack.codes import CodeParams, GrassmannCode
 from grasspack.grassmann import PrincipalAngleSet
 from grasspack.reps import hook_dimension
@@ -255,6 +256,29 @@ def test_prediction_marks_unvalued_cells():
     ents = reference_prediction_entries(block)
     unvalued = {(e.n, e.m) for e in ents if "no-listed-value" in e.flags}
     assert unvalued == {(527, 1), (527, 186), (527, 187)}
+
+
+def test_each_carrier_is_built_once_per_group(monkeypatch, capsys):
+    built = []                                  # (group, k) per construction
+    init = reps.PermTensorCarrier.__init__
+
+    def counted(self, group, k, *args, **kwargs):
+        built.append((group, k))
+        init(self, group, k, *args, **kwargs)
+
+    monkeypatch.setattr(reps.PermTensorCarrier, "__init__", counted)
+    assert projective_entries(7)
+    keys = [(id(g), k) for g, k in built]
+    assert len(keys) == len(set(keys)) == 6     # PGL2(7), PSL2(7); k = 1..3
+    carrier = reps.PermTensorCarrier(built[0][0], 2)
+    assert carrier.character() is carrier.character()
+    # S7's two 21-dimensional irreducibles, [3,3,1] and [3,2,2], lie in no
+    # tensor power up to the cube: dim:21 tries both rows on one carrier set
+    built.clear()
+    assert main(["verify", "--group", "S7", "--H", "stab6",
+                 "--rep", "dim:21"]) == 2
+    assert "no tensor-power carrier" in capsys.readouterr().err
+    assert sorted(k for _, k in built) == [1, 2, 3]
 
 
 def test_data_path_env_override(tmp_path, monkeypatch):

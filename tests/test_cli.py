@@ -1,5 +1,10 @@
 """CLI surface: exit codes, output formats, spec resolution."""
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -213,6 +218,32 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "6/6 checks passed" in out
     assert "FAIL" not in out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so no check may rest on one
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "grasspack").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_broken_selftest_check_fails_under_optimize():
+    script = ("import sys\n"
+              "from grasspack import cli\n"
+              "cli.hook_dimension = lambda lam: 0\n"
+              "sys.exit(cli.main(['selftest']))\n")
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120)
+    assert proc.returncode == 1
+    assert ("FAIL  hook dimensions and branching: [6,4,2] has dimension 0, "
+            "expected 2673") in proc.stdout
+    assert "5/6 checks passed" in proc.stdout
 
 
 def test_out_writes_file(tmp_path, capsys):

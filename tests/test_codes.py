@@ -473,8 +473,8 @@ def test_census_grouped_path_matches_full(s5_ctx):
     subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
     union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets,
                              h_table=s5_ctx.h_table)
-    full = spa_census(union.projectors, full_limit=200)
-    grouped = spa_census(union.projectors, full_limit=2)
+    full, _, _ = spa_census(union.projectors, full_limit=200)
+    grouped, _, _ = spa_census(union.projectors, full_limit=2)
     assert len(full) == len(grouped)
     for (sa, ka), (sb, kb) in zip(
             sorted(full, key=lambda t: t[0].chordal_sq()),
@@ -519,7 +519,7 @@ def test_batched_census_matches_pairwise_angles(s5_ctx, psl5_quad_code):
                                (scattered, 66)):
         want = census_by_pairs(projectors)
         assert len(want) == n_sets
-        assert_same_census(spa_census(projectors), want)
+        assert_same_census(spa_census(projectors)[0], want)
 
 
 def test_census_rejects_mixed_dimensions(s4_ctx, s5_ctx):
@@ -597,7 +597,7 @@ def test_grouped_census_matches_dense_reference(clifford_3_2, monkeypatch):
             return principal_angles(a, b)
 
         monkeypatch.setattr(codes, "principal_angles", spy)
-        got = spa_census(projectors)
+        got, _, _ = spa_census(projectors)
         monkeypatch.undo()
         want = dense_grouped_census(projectors)
         assert pairs == [pair for pair, _ in want]
@@ -613,7 +613,7 @@ def test_grouped_census_is_labelled_and_merges_sets(clifford_3_2):
     assert clifford_3_2.provenance["census"] == "grouped by chordal distance"
     assert "census" not in build_clifford_orthoplex(2).provenance
     assert len(clifford_3_2.census) == 3
-    full = spa_census(clifford_3_2.projectors, full_limit=10 ** 6)
+    full, _, _ = spa_census(clifford_3_2.projectors, full_limit=10 ** 6)
     assert len(full) == 5
     assert distance_counts(full) == distance_counts(clifford_3_2.census)
 
@@ -623,20 +623,44 @@ def test_duplicate_across_gram_blocks_is_caught():
     projectors = random_subspaces(rng, 300)
     projectors[290] = projectors[5]
     assert 290 // codes._GRAM_ROWS != 5 // codes._GRAM_ROWS
+    _, distinct, grouped = spa_census(projectors)
+    assert grouped and distinct == 299
     with pytest.raises(StabilizerError, match="orbit has 299 distinct"):
-        codes._check_distinct(projectors, 300, 1)
-    codes._check_distinct(projectors, 299, 1)
+        codes._assemble(projectors, {}, 1)
 
 
-def test_check_distinct_small_codes_match_dense(s5_ctx, psl5_quad_code):
+def test_census_distinct_small_codes_match_dense(s5_ctx, psl5_quad_code):
     words = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1]).projectors
     for projectors in (list(words), list(psl5_quad_code.projectors),
                        list(words) + list(words[:2])):
         assert len(projectors) <= 28
         want = dense_distinct(projectors)
-        codes._check_distinct(projectors, want, 1)
-        with pytest.raises(StabilizerError):
-            codes._check_distinct(projectors, want + 1, 1)
+        for full_limit in (200, 2):             # both paths of the pass
+            _, distinct, grouped = spa_census(projectors, full_limit)
+            assert (distinct, grouped) == (want, full_limit == 2)
+        if want < len(projectors):
+            with pytest.raises(StabilizerError):
+                codes._assemble(projectors, {}, 1)
+            # without a stabilizer (Kronecker codes) the same is a CodeError
+            with pytest.raises(CodeError) as err:
+                codes._assemble(projectors, {})
+            assert not isinstance(err.value, StabilizerError)
+
+
+def test_one_gram_stream_per_code(clifford_3_2, s5_ctx, monkeypatch):
+    streams = []
+    blocks = codes._chordal_blocks
+
+    def counted(projectors):
+        streams.append(len(projectors))
+        return blocks(projectors)
+
+    monkeypatch.setattr(codes, "_chordal_blocks", counted)
+    assert build_clifford_orthoplex(3, r=2).params == clifford_3_2.params
+    assert streams == [420]
+    code = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1])
+    assert code.params.N <= codes.CENSUS_FULL_LIMIT
+    assert streams == [420]
 
 
 def test_code_csv_row(s4_ctx):

@@ -363,6 +363,14 @@ def test_loads_group_over_cap_defers():
         g.rows
 
 
+def test_loads_group_refuses_a_negative_cap():
+    for load in (lambda: loads_group(GROUP_TEXT, cap=-1),
+                 lambda: load_packaged_group("m11", cap=-1)):
+        with pytest.raises(PermError, match="cap must be non-negative"):
+            load()
+    assert not loads_group(GROUP_TEXT, cap=0).is_enumerated
+
+
 def test_loads_group_bad_header():
     with pytest.raises(PermError):
         loads_group("(1 2)\n")

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from grasspack import reps
 from grasspack.characters import compute_table, decompose, inner_product
 from grasspack.codes import CodeError, IsotypicContext
-from grasspack.config import data_path
+from grasspack.catalog import data_path
 from grasspack.permgroup import (NotEnumerated, PermError, PermGroup,
                                  Permutation, load_group, make_pgl2)
 from grasspack.symplectic import SymplecticError
