@@ -28,8 +28,8 @@ from .codes import CodeError, IsotypicContext, verify_simplex
 from .grassmann import as_fraction, simplex_fraction
 from .permgroup import (PermGroup, load_group, make_pgl2, make_psl2,
                         parse_group)
-from .reps import (Partition, branching, extract_irrep, find_carrier,
-                   hook_dimension, perm_carriers, restrict_rep,
+from .reps import (Partition, PermCarriers, branching, extract_irrep,
+                   find_carrier, hook_dimension, restrict_rep,
                    symplectic_rotation_rep, young_orthogonal_rep)
 
 
@@ -516,7 +516,7 @@ def _sweep_group(family, base_params, g, dims, refs,
     degrees = table.degrees()
     entries, done = [], set()
     count = g.order // h.order
-    carriers = perm_carriers(g)
+    carriers = PermCarriers(g)
     for i in range(table.n_classes):
         deg = int(degrees[i])
         if deg < 2 or (dims is not None and deg not in dims):
@@ -529,7 +529,7 @@ def _sweep_group(family, base_params, g, dims, refs,
         if not plan:
             continue
         done.update((key, m) for m, _ in plan)
-        carrier = find_carrier(g, table, i, carriers)
+        carrier = find_carrier(carriers, table, i)
         if carrier is None:
             for m, chars in plan:
                 expected, corrected = _lookup_reference(refs, deg, m)

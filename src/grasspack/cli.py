@@ -25,8 +25,8 @@ from .codes import (CodeError, IsotypicContext, build_clifford_orthoplex,
 from .grassmann import (format_value, orthoplex_bound, simplex_capacity,
                         simplex_fraction)
 from .permgroup import PermGroup, load_group, make_pgl2, make_psl2
-from .reps import (Partition, branching, extract_irrep, find_carrier,
-                   hook_dimension, perm_carriers, symplectic_rotation_rep,
+from .reps import (Partition, PermCarriers, branching, extract_irrep,
+                   find_carrier, hook_dimension, symplectic_rotation_rep,
                    young_orthogonal_rep)
 
 INPUT_ERRORS = (config.GrasspackError, ValueError)
@@ -158,9 +158,9 @@ def _resolve_rep(g: PermGroup, spec: str, seed: int):
             if not rows:
                 raise CliError(f"no irreducible of dimension {want} "
                                f"in {g.name}")
-            carriers = perm_carriers(g)
+            carriers = PermCarriers(g)
             for i in rows:
-                carrier = find_carrier(g, table, i, carriers)
+                carrier = find_carrier(carriers, table, i)
                 if carrier is not None:
                     return extract_irrep(carrier, g, table, i, seed=seed)
         except CliError:

@@ -525,24 +525,33 @@ def _check_extracted(rep: UnitaryRep, chi: ClassFunction):
         raise ExtractionError(f"<extracted, target> = {ip}, expected 1")
 
 
-def perm_carriers(g: PermGroup) -> list[PermTensorCarrier]:
+class PermCarriers:
     """The tensor powers k = 1, 2, 3 of g's permutation module, up to the
-    first one past the carrier budget."""
-    out = []
-    for k in (1, 2, 3):
-        try:
-            out.append(PermTensorCarrier(g, k))
-        except CarrierBudgetError:
-            break
-    return out
+    first one past the carrier budget.  Iteration builds each power on first
+    reach and keeps it, so a caller asking about several characters of g
+    builds each power at most once, and none that it never reaches."""
+
+    def __init__(self, group: PermGroup):
+        self.group = group
+        self._built: list[PermTensorCarrier | None] = []   # None: over budget
+
+    def __iter__(self):
+        for k in (1, 2, 3):
+            if len(self._built) < k:
+                try:
+                    self._built.append(PermTensorCarrier(self.group, k))
+                except CarrierBudgetError:
+                    self._built.append(None)
+            if self._built[k - 1] is None:
+                return
+            yield self._built[k - 1]
 
 
-def find_carrier(g: PermGroup, table: CharacterTable, chi_index: int,
-                 carriers: list[PermTensorCarrier] | None = None):
-    """Smallest perm tensor power, up to the cube, containing the target
-    character.  A caller asking about several characters of g passes
-    `perm_carriers(g)`, so each power is built once."""
-    for carrier in perm_carriers(g) if carriers is None else carriers:
+def find_carrier(carriers: PermCarriers, table: CharacterTable,
+                 chi_index: int):
+    """Smallest of the carriers, up to the cube, containing the target
+    character."""
+    for carrier in carriers:
         if decompose(carrier.character().values,
                      table).multiplicities[chi_index] >= 1:
             return carrier

@@ -31,8 +31,8 @@ from grasspack.codes import (CliffordGroupData, IsotypicContext,
 from grasspack.grassmann import (SubspaceProjector, chordal_sq_trace,
                                  orthoplex_bound, principal_angles)
 from grasspack.permgroup import PermGroup, make_pgl2
-from grasspack.reps import (Partition, branching, extract_irrep, find_carrier,
-                            hook_dimension, young_orthogonal_rep)
+from grasspack.reps import (Partition, PermCarriers, branching, extract_irrep,
+                            find_carrier, hook_dimension, young_orthogonal_rep)
 
 SQRT5 = 5.0 ** 0.5
 
@@ -144,7 +144,7 @@ def test_criterion_5_union_minimum():
     table = compute_table(g)
     degs = table.degrees()
     row6 = next(i for i in range(table.n_classes) if degs[i] == 6)
-    rho = extract_irrep(find_carrier(g, table, row6), g, table, row6)
+    rho = extract_irrep(find_carrier(PermCarriers(g), table, row6), g, table, row6)
     h = g.stabilizer(0)
     ht = compute_table(h)
     ctx = IsotypicContext(g, h, rho, ht)

@@ -9,9 +9,9 @@ from grasspack.catalog import (CUSPIDAL_ANGLES, LOADED_CORRECTIONS,
                                SYMMETRIC_REFERENCE, CatalogError,
                                canonical_shapes, check_loaded_block,
                                check_projective_table,
-                               check_symmetric_tower, projective_columns,
-                               projective_entries, reference_block,
-                               reference_prediction_entries,
+                               check_symmetric_tower, loaded_group_entries,
+                               projective_columns, projective_entries,
+                               reference_block, reference_prediction_entries,
                                symmetric_tower_entries)
 from grasspack.cli import main
 from grasspack.codes import CodeParams, GrassmannCode
@@ -269,7 +269,8 @@ def test_each_carrier_is_built_once_per_group(monkeypatch, capsys):
     monkeypatch.setattr(reps.PermTensorCarrier, "__init__", counted)
     assert projective_entries(7)
     keys = [(id(g), k) for g, k in built]
-    assert len(keys) == len(set(keys)) == 6     # PGL2(7), PSL2(7); k = 1..3
+    # PGL2(7), PSL2(7); k = 1, 2: no character of either needs the cube
+    assert len(keys) == len(set(keys)) == 4
     carrier = reps.PermTensorCarrier(built[0][0], 2)
     assert carrier.character() is carrier.character()
     # S7's two 21-dimensional irreducibles, [3,3,1] and [3,2,2], lie in no
@@ -279,6 +280,10 @@ def test_each_carrier_is_built_once_per_group(monkeypatch, capsys):
                  "--rep", "dim:21"]) == 2
     assert "no tensor-power carrier" in capsys.readouterr().err
     assert sorted(k for _, k in built) == [1, 2, 3]
+    # no irreducible of M11 has degree 3: no cell, so no carrier is built
+    built.clear()
+    assert loaded_group_entries("m11", dims={3}) == []
+    assert built == []
 
 
 def test_data_path_env_override(tmp_path, monkeypatch):

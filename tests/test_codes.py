@@ -17,8 +17,8 @@ from grasspack.config import TOL
 from grasspack.grassmann import (GrassmannError, SubspaceProjector,
                                  chordal_sq_trace, principal_angles)
 from grasspack.permgroup import PermGroup, Permutation, make_pgl2, make_psl2
-from grasspack.reps import (Partition, extract_irrep, find_carrier, perm_rep,
-                            young_orthogonal_rep)
+from grasspack.reps import (Partition, PermCarriers, extract_irrep,
+                            find_carrier, perm_rep, young_orthogonal_rep)
 
 
 def trivial_index(table):
@@ -65,7 +65,7 @@ def pgl5_ctx():
     g = make_pgl2(5)
     table = compute_table(g)
     six = next(i for i, d in enumerate(table.degrees()) if d == 6)
-    carrier = find_carrier(g, table, six)
+    carrier = find_carrier(PermCarriers(g), table, six)
     rho = extract_irrep(carrier, g, table, six)
     return IsotypicContext(g, g.stabilizer(0), rho)
 
@@ -78,7 +78,7 @@ def psl5_quad_code():
     g = make_psl2(5)
     table = compute_table(g)
     four = next(i for i, d in enumerate(table.degrees()) if d == 4)
-    carrier = find_carrier(g, table, four)
+    carrier = find_carrier(PermCarriers(g), table, four)
     rho = extract_irrep(carrier, g, table, four)
     ctx = IsotypicContext(g, g.stabilizer(0), rho)
     chars = components_by_degree(ctx, 2)
@@ -137,7 +137,7 @@ def test_non_subgroup_rejected():
     g = PermGroup.alternating(4)
     table = compute_table(g)
     three = next(i for i, d in enumerate(table.degrees()) if d == 3)
-    rho = extract_irrep(find_carrier(g, table, three), g, table, three)
+    rho = extract_irrep(find_carrier(PermCarriers(g), table, three), g, table, three)
     odd = PermGroup.generated([Permutation([1, 0, 2, 3])], name="C2",
                               degree=4)
     with pytest.raises(CodeError):
@@ -158,7 +158,7 @@ def test_stabilizer_collapse_is_loud():
                              Permutation.from_cycles(4, [[1, 3]])], name="D4")
     table = compute_table(g)
     two = next(i for i, d in enumerate(table.degrees()) if d == 2)
-    rho = extract_irrep(find_carrier(g, table, two), g, table, two)
+    rho = extract_irrep(find_carrier(PermCarriers(g), table, two), g, table, two)
     h = g.stabilizer(0)
     h_table = compute_table(h)
     with pytest.raises(StabilizerError) as err:

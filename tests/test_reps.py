@@ -13,10 +13,10 @@ from grasspack.permgroup import (NotEnumerated, PermError, PermGroup,
                                  Permutation, load_group, make_pgl2)
 from grasspack.symplectic import SymplecticError
 from grasspack.reps import (CarrierBudgetError, ExtractionError, Partition,
-                            PermTensorCarrier, RepError, branching,
-                            extract_irrep, find_carrier, hook_dimension,
-                            perm_rep, standard_tableaux, tensor_power,
-                            young_orthogonal_rep)
+                            PermCarriers, PermTensorCarrier, RepError,
+                            branching, extract_irrep, find_carrier,
+                            hook_dimension, perm_rep, standard_tableaux,
+                            tensor_power, young_orthogonal_rep)
 
 # ---------------------------------------------------------------- oracles
 
@@ -224,7 +224,7 @@ def irreducible_contexts():
     g = make_pgl2(5)
     t = compute_table(g)
     six = next(i for i, d in enumerate(t.degrees()) if d == 6)
-    rho = extract_irrep(find_carrier(g, t, six), g, t, six)
+    rho = extract_irrep(find_carrier(PermCarriers(g), t, six), g, t, six)
     out.append(IsotypicContext(g, g.stabilizer(0), rho))
     return out
 
@@ -419,7 +419,7 @@ def test_grow_orbit_basis_is_orthonormal_and_spans_the_orbit():
     rng = np.random.default_rng(17)
     grown = 0
     for chi in range(t.n_classes):
-        carrier = find_carrier(g, t, chi)
+        carrier = find_carrier(PermCarriers(g), t, chi)
         if carrier is None:
             continue
         mu = decompose(carrier.character().values, t).multiplicities[chi]
@@ -440,7 +440,7 @@ def test_extract_from_non_involutive_generators():
     g = make_pgl2(5)
     t = compute_table(g)
     i6 = next(i for i, d in enumerate(t.degrees()) if d == 6)
-    carrier = find_carrier(g, t, i6)
+    carrier = find_carrier(PermCarriers(g), t, i6)
     rho = extract_irrep(carrier, g, t, i6)
     assert rho.dim == 6
     rho.check_unitary_homomorphism(n_pairs=50)
@@ -468,7 +468,7 @@ def test_extract_all_reachable_s5():
     degs = list(t.degrees())
     reached = []
     for i in range(t.n_classes):
-        carrier = find_carrier(g, t, i)
+        carrier = find_carrier(PermCarriers(g), t, i)
         if carrier is None:
             continue
         rep = extract_irrep(carrier, g, t, i)
@@ -501,7 +501,7 @@ def test_extract_missing_character_raises():
                 and t.irreducibles[i].values.real.min() < -0.5)
     with pytest.raises(ExtractionError):
         extract_irrep(carrier, g, t, sign)
-    assert find_carrier(g, t, sign) is None
+    assert find_carrier(PermCarriers(g), t, sign) is None
 
 
 def test_extract_alternating_group():
@@ -510,7 +510,7 @@ def test_extract_alternating_group():
     t = compute_table(g)
     built = 0
     for i in range(t.n_classes):
-        carrier = find_carrier(g, t, i)
+        carrier = find_carrier(PermCarriers(g), t, i)
         if carrier is None:
             continue
         rep = extract_irrep(carrier, g, t, i)
