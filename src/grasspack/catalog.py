@@ -455,7 +455,7 @@ def _split_halves(rho_a, ga, gat):
     if len(rows) != 2:
         raise CatalogError(
             f"expected two half components of dim {target}, found {rows}")
-    return [extract_irrep(rho_a, ga, gat, i) for i in rows]
+    return [extract_irrep(rho_a, ga, gat, i, int(lam[i])) for i in rows]
 
 
 def _flag_cross_family(entries):
@@ -529,8 +529,8 @@ def _sweep_group(family, base_params, g, dims, refs,
         if not plan:
             continue
         done.update((key, m) for m, _ in plan)
-        carrier = find_carrier(carriers, table, i)
-        if carrier is None:
+        found = find_carrier(carriers, table, i)
+        if found is None:
             for m, chars in plan:
                 expected, corrected = _lookup_reference(refs, deg, m)
                 entries.append(_predicted_entry(
@@ -538,7 +538,9 @@ def _sweep_group(family, base_params, g, dims, refs,
                     deg, m, count, expected, corrected,
                     ("no-carrier-within-budget",)))
             continue
-        ctx = IsotypicContext(g, h, extract_irrep(carrier, g, table, i), ht)
+        carrier, mu = found
+        ctx = IsotypicContext(g, h, extract_irrep(carrier, g, table, i, mu),
+                              ht)
         entries.extend(_context_entries(
             family, dict(base_params, rep_degree=deg, table_row=i), ctx,
             refs, plan))

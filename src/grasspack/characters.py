@@ -8,9 +8,7 @@ ladder, never assumed.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -64,8 +62,6 @@ class CharacterTable:
     group: str
     classes: ConjugacyClasses
     irreducibles: list[ClassFunction]
-    source: str                    # "computed" or "loaded"
-    tolerance: float = TOL.ortho
     seed: int | None = None        # RNG seed that produced the split
 
     @property
@@ -102,9 +98,9 @@ class CharacterTable:
 
     def check(self):
         res = self.orthogonality_residual()
-        if res > self.tolerance:
+        if res > TOL.ortho:
             raise CharacterError(f"orthogonality residual {res:.3e} exceeds "
-                                 f"{self.tolerance:.1e}")
+                                 f"{TOL.ortho:.1e}")
         degs = self.degrees()
         if int((degs ** 2).sum()) != self.order:
             raise CharacterError("sum of squared degrees is not the group order")
@@ -206,49 +202,7 @@ def _as_table(name, cc, x, seed) -> CharacterTable:
                      tuple(np.round(vals.real, 6)), tuple(np.round(vals.imag, 6))))
     rows = sorted(range(x.shape[0]), key=lambda s: keys[s])
     irr = [ClassFunction(x[s], name, cc.sizes) for s in rows]
-    return CharacterTable(name, cc, irr, source="computed", seed=seed)
-
-
-# ---------------------------------------------------------------- file io
-
-
-def save_table(table: CharacterTable, path) -> None:
-    doc = {
-        "group": table.group,
-        "class_sizes": table.classes.sizes.tolist(),
-        "class_orders": table.classes.orders.tolist(),
-        "irreducibles": [
-            [[float(v.real), float(v.imag)] for v in chi.values]
-            for chi in table.irreducibles
-        ],
-    }
-    Path(path).write_text(json.dumps(doc, indent=1))
-
-
-def load_table(path, g: PermGroup | None = None) -> CharacterTable:
-    doc = json.loads(Path(path).read_text())
-    sizes = np.array(doc["class_sizes"], dtype=np.int64)
-    orders = np.array(doc["class_orders"], dtype=np.int64)
-    rows = doc["irreducibles"]
-    if len(rows) != len(sizes):
-        raise CharacterError("row count does not match class count")
-    if g is not None:
-        cc = g.conjugacy_classes()
-        if cc.n_classes != len(sizes):
-            raise CharacterError(
-                f"file has {len(sizes)} classes, group has {cc.n_classes}")
-        if not (np.array_equal(cc.sizes, sizes)
-                and np.array_equal(cc.orders, orders)):
-            raise CharacterError("class sizes/orders disagree with the group")
-        name = g.name
-    else:
-        cc = ConjugacyClasses(reps=[], sizes=sizes,
-                              class_of=np.array([], dtype=np.int32), orders=orders)
-        name = doc["group"]
-    x = np.array([[complex(re, im) for re, im in row] for row in rows])
-    irr = [ClassFunction(row, name, sizes) for row in x]
-    table = CharacterTable(name, cc, irr, source="loaded")
-    return table.check()
+    return CharacterTable(name, cc, irr, seed=seed)
 
 
 # ------------------------------------------------------------ restriction
@@ -302,66 +256,3 @@ def decompose(values, h_table: CharacterTable) -> RestrictionDecomposition:
         raise CharacterError(
             f"restricted degrees sum to {total}, parent degree {parent_deg}")
     return RestrictionDecomposition(rounded, down, h_table)
-
-
-# ----------------------------------------------------- identity checking
-
-
-@dataclass
-class IdentityReport:
-    max_residual_product: float        # class-sum product identity
-    max_residual_twist: float          # summed conjugation identity
-    pairs_checked: int
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.max_residual_product, self.max_residual_twist)
-
-
-def verify_character_identities(table: CharacterTable, g: PermGroup,
-                                n_pairs: int | None = None,
-                                seed: int = config.DEFAULT_SEED) -> IdentityReport:
-    """Check, per irreducible, the two class-sum identities the equidistance
-    proof rests on: chi(Cl(h1)^ Cl(h2)^) and sum_g chi(h1 g h2 g^-1) against
-    their closed forms, to TOL.integer relative."""
-    cc = g.conjugacy_classes()
-    r = cc.n_classes
-    a = class_multiplication(g)
-    x = table.matrix()
-    sizes = cc.sizes.astype(float)
-    degs = x[:, 0].real
-
-    # product identity, all class pairs at once:
-    # sum_k a[i,j,k] |Cl_k| chi(z_k) = |Cl_i||Cl_j| chi_i chi_j / chi(1)
-    lhs = np.einsum("ijk,sk->sij", a * sizes[None, None, :], x)
-    rhs = (sizes[None, :, None] * sizes[None, None, :]
-           * x[:, :, None] * x[:, None, :] / degs[:, None, None])
-    res6 = float((np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))).max())
-
-    # twisted sum, sampled pairs: sum_g chi(h1 g h2 g^-1) = |G| chi1 chi2 / chi(1)
-    pairs = [(i, j) for i in range(r) for j in range(r)]
-    if n_pairs is not None and n_pairs < len(pairs):
-        rng = np.random.default_rng(seed)
-        pick = rng.choice(len(pairs), size=n_pairs, replace=False)
-        pairs = [pairs[int(p)] for p in pick]
-    rows = g.rows
-    einv = g.inverse_rows()
-    cls = cc.class_of
-    res7 = 0.0
-    for i, j in pairs:
-        h1 = cc.reps[i].images.astype(np.intp)
-        h2 = cc.reps[j].images.astype(np.intp)
-        s = h2[einv]                                    # h2 . g^-1
-        u = np.take_along_axis(rows, s.astype(np.intp), axis=1)   # g h2 g^-1
-        w = h1[u]                                       # h1 g h2 g^-1
-        counts = np.bincount(cls[g.lookup_rows(w)], minlength=r).astype(float)
-        lhs7 = x @ counts
-        rhs7 = g.order * x[:, i] * x[:, j] / degs
-        res7 = max(res7, float((np.abs(lhs7 - rhs7)
-                                / np.maximum(1.0, np.abs(rhs7))).max()))
-    report = IdentityReport(res6, res7, len(pairs))
-    if report.max_residual > TOL.integer:
-        raise CharacterError(
-            f"character identity residual {report.max_residual:.2e} exceeds "
-            f"{TOL.integer:.1e}")
-    return report

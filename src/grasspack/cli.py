@@ -160,9 +160,10 @@ def _resolve_rep(g: PermGroup, spec: str, seed: int):
                                f"in {g.name}")
             carriers = PermCarriers(g)
             for i in rows:
-                carrier = find_carrier(carriers, table, i)
-                if carrier is not None:
-                    return extract_irrep(carrier, g, table, i, seed=seed)
+                found = find_carrier(carriers, table, i)
+                if found is not None:
+                    carrier, mu = found
+                    return extract_irrep(carrier, g, table, i, mu, seed=seed)
         except CliError:
             raise
         except INPUT_ERRORS as err:

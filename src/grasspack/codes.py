@@ -3,9 +3,7 @@ unions, and the Clifford-group orthoplex construction."""
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -13,8 +11,8 @@ from . import config
 from .characters import (CharacterTable, compute_table, decompose,
                          inner_product)
 from .grassmann import (GrassmannError, PrincipalAngleSet, SubspaceProjector,
-                        as_fraction, chordal_sq_trace, orthoplex_bound,
-                        principal_angles, product_distance, simplex_bound)
+                        chordal_sq_trace, orthoplex_bound, principal_angles,
+                        product_distance, simplex_bound)
 from .permgroup import NotASubgroup, PermGroup, Permutation
 from .reps import (UnitaryRep, commutant_singular_values, isotypic_weights,
                    restrict_rep)
@@ -173,7 +171,7 @@ def _assemble(projectors, provenance, stabilizer_order=None) -> GrassmannCode:
     sb = simplex_bound(n, m, big_n)
     ob = orthoplex_bound(n, m, big_n)
     meets_s = abs(d_min - sb.value) <= TOL.rel_distance * sb.value
-    meets_o = bool(ob.attainable) and abs(d_min - ob.value) <= \
+    meets_o = ob.attainable and abs(d_min - ob.value) <= \
         TOL.rel_distance * max(ob.value, 1.0)
     params = CodeParams(n=n, m=m, N=big_n, d_c_sq_min=d_min,
                         d_tilde_min=dt_min,
@@ -240,13 +238,13 @@ class IsotypicContext:
         """u W for each coset rep u, in transversal order."""
         return [_moved(u, pi_w) for u in self.t_images]
 
-    def build(self, chars, name: str = "") -> GrassmannCode:
+    def build(self, chars) -> GrassmannCode:
         pi_w, m = self.subspace(chars)
         prov = {"group": self.g.name, "subgroup": self.h.name,
                 "subgroup_order": self.h.order, **self.h.provenance,
                 **self.checks, "rep": self.rho.name,
                 "rep_provenance": self.rho.provenance,
-                "chars": [int(c) for c in chars], "name": name}
+                "chars": [int(c) for c in chars]}
         return _assemble(self.orbit(pi_w), prov, self.h.order)
 
     def fonda2_residual(self, chars, elem: Permutation) -> float:
@@ -544,41 +542,3 @@ def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
     prov = {"clifford_i": i, "r": r, "n_subgroups": len(family),
             "same_subgroup": membership}
     return _assemble(projectors, prov, 1 << (r + 1))
-
-
-# ------------------------------------------------------------------ export
-
-
-def code_csv_row(code: GrassmannCode, group: str = "", subgroup: str = "") -> str:
-    p = code.params
-    frac = as_fraction(p.d_c_sq_min)
-    if frac is not None:
-        num, den = str(frac.numerator), str(frac.denominator)
-    else:
-        num, den = f"{p.d_c_sq_min:.12g}", ""
-    g = group or code.provenance.get("group", "")
-    h = subgroup or code.provenance.get("subgroup", "")
-    return f"{g},{h},{p.n},{p.m},{p.N},{num},{den},{str(p.meets_simplex).lower()}"
-
-
-def save_code(code: GrassmannCode, path, include_projectors: bool = False):
-    p = code.params
-    doc = {
-        "params": {
-            "n": p.n, "m": p.m, "N": p.N,
-            "d_c_sq_min": p.d_c_sq_min, "d_tilde_min": p.d_tilde_min,
-            "spa_sets": [list(s.sin_sq) for s in p.spa_sets],
-            "simplex_bound": simplex_bound(p.n, p.m, p.N).value,
-            "orthoplex_bound": orthoplex_bound(p.n, p.m, p.N).value,
-            "meets_simplex": p.meets_simplex,
-            "meets_orthoplex": p.meets_orthoplex,
-        },
-        "census": [[list(s.sin_sq), c] for s, c in code.census],
-        "provenance": code.provenance,
-    }
-    if include_projectors:
-        doc["projectors"] = [
-            [[[float(v.real), float(v.imag)] for v in row] for row in p.projector]
-            for p in code.projectors
-        ]
-    Path(path).write_text(json.dumps(doc))

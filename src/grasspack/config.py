@@ -17,7 +17,8 @@ class GrasspackError(Exception):
 #: hard limit on explicit element enumeration
 ENUM_CAP = 2_000_000
 
-#: dense tensor-power carriers are materialised only up to this dimension
+#: largest dense matrix side built: the dimension of a Young orthogonal form
+#: and the n^2 of the commutant check's Kronecker blocks
 TENSOR_BUDGET = 4096
 
 #: matrix-free carriers (vectors only, permutation gathers) may be larger

@@ -25,14 +25,13 @@ class GrassmannError(config.GrasspackError):
 class SubspaceProjector:
     """Orthogonal projector onto an m-dimensional subspace of C^n."""
 
-    def __init__(self, projector: np.ndarray, basis: np.ndarray | None = None,
-                 tol: float = TOL.ortho):
+    def __init__(self, projector: np.ndarray, basis: np.ndarray | None = None):
         p = np.asarray(projector, dtype=complex)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise GrassmannError("projector must be square")
-        if np.abs(p - p.conj().T).max() > tol:
+        if np.abs(p - p.conj().T).max() > TOL.ortho:
             raise GrassmannError("projector is not Hermitian")
-        if np.abs(p @ p - p).max() > tol:
+        if np.abs(p @ p - p).max() > TOL.ortho:
             raise GrassmannError("projector is not idempotent")
         tr = np.trace(p).real
         m = int(round(tr))
@@ -43,7 +42,7 @@ class SubspaceProjector:
         self.m = m
         if basis is not None:
             basis = np.asarray(basis, dtype=complex)
-            if np.abs(p - basis @ basis.conj().T).max() > tol:
+            if np.abs(p - basis @ basis.conj().T).max() > TOL.ortho:
                 raise GrassmannError("basis does not reproduce the projector")
         self._basis = basis
 
@@ -95,12 +94,6 @@ class PrincipalAngleSet:
                         zip(self.sin_sq, other.sin_sq)) <= tol)
 
 
-@dataclass(frozen=True)
-class DistancePair:
-    d_c_sq: float
-    d_tilde: float
-
-
 def principal_angles(a: SubspaceProjector, b: SubspaceProjector) -> PrincipalAngleSet:
     """cos(theta_i) = singular values of the cross-Gram of orthonormal bases."""
     if a.n != b.n:
@@ -130,14 +123,9 @@ def product_distance(angles: PrincipalAngleSet) -> float:
     return prod
 
 
-def distance_pair(a: SubspaceProjector, b: SubspaceProjector) -> DistancePair:
-    angles = principal_angles(a, b)
-    return DistancePair(angles.chordal_sq(), product_distance(angles))
-
-
 class BoundReport(NamedTuple):
     value: float
-    attainable: bool | None
+    attainable: bool
 
 
 def simplex_capacity(n: int) -> int:
@@ -160,19 +148,18 @@ def simplex_fraction(n: int, m: int, big_n: int) -> Fraction:
     return Fraction(big_n, big_n - 1) * m * (n - m) / n
 
 
-def orthoplex_bound(n: int, m: int, big_n: int | None = None) -> BoundReport:
+def orthoplex_bound(n: int, m: int, big_n: int) -> BoundReport:
     """m(n-m)/n; a valid bound only for configurations with N > n(n+1)/2."""
     if not (1 <= m < n):
         raise GrassmannError(f"degenerate parameters ({n}, {m})")
-    applicable = None if big_n is None else big_n > simplex_capacity(n)
-    return BoundReport(m * (n - m) / n, applicable)
+    return BoundReport(m * (n - m) / n, big_n > simplex_capacity(n))
 
 
-def as_fraction(x: float, tol: float = TOL.rational,
-                max_denominator: int = TOL.max_denominator) -> Fraction | None:
-    """Continued-fraction recovery of a nearby exact rational, if any."""
-    f = Fraction(x).limit_denominator(max_denominator)
-    return f if abs(float(f) - x) <= tol else None
+def as_fraction(x: float) -> Fraction | None:
+    """Continued-fraction recovery of a nearby exact rational (denominator
+    at most TOL.max_denominator, within TOL.rational), if any."""
+    f = Fraction(x).limit_denominator(TOL.max_denominator)
+    return f if abs(float(f) - x) <= TOL.rational else None
 
 
 def format_value(x: float) -> str:

@@ -779,24 +779,32 @@ def _poly_divides(div, poly, p) -> bool:
 
 def make_pgl2(q: int) -> PermGroup:
     """PGL_2(F_q) acting on the projective line: points 0..q-1 plus q for infinity."""
-    gens = _projective_generators(q, special=False)
-    g = PermGroup.generated(gens, name=f"PGL2_{q}")
     expect = q * (q * q - 1)
+    gens = _projective_generators(q, expect, special=False)
+    g = PermGroup.generated(gens, name=f"PGL2_{q}")
     if g.order != expect:
         raise PermError(f"PGL2({q}) closure has order {g.order}, expected {expect}")
     return g
 
 
 def make_psl2(q: int) -> PermGroup:
-    gens = _projective_generators(q, special=True)
-    g = PermGroup.generated(gens, name=f"PSL2_{q}")
     expect = q * (q * q - 1) // math.gcd(2, q - 1)
+    gens = _projective_generators(q, expect, special=True)
+    g = PermGroup.generated(gens, name=f"PSL2_{q}")
     if g.order != expect:
         raise PermError(f"PSL2({q}) closure has order {g.order}, expected {expect}")
     return g
 
 
-def _projective_generators(q: int, special: bool) -> list[Permutation]:
+def _projective_generators(q: int, order: int,
+                           special: bool) -> list[Permutation]:
+    """Generators of the family of `order` elements over GF(q); PermError
+    before the field's q x q tables are built when `order` is past the
+    enumeration cap."""
+    if order > config.ENUM_CAP:
+        family = "PSL2" if special else "PGL2"
+        raise PermError(f"{family}({q}) has {order} elements, past the "
+                        f"enumeration cap {config.ENUM_CAP}")
     f = GF(q)
     inf = q
     t = np.arange(q + 1, dtype=DTYPE)

@@ -15,9 +15,7 @@ and every multiplicity comes from `characters.decompose`.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -264,46 +262,18 @@ def restrict_rep(rep: UnitaryRep, h: PermGroup, name: str = "") -> UnitaryRep:
                       provenance={"restricted_from": rep.name})
 
 
-def perm_rep(g: PermGroup, name: str = "") -> UnitaryRep:
-    """Permutation matrices of the natural action."""
-    images = []
-    for p in g.generators:
-        m = np.zeros((g.degree, g.degree), dtype=complex)
-        m[p.images, np.arange(g.degree)] = 1.0
-        images.append(m)
-    return UnitaryRep(g, images, name=name or f"perm{g.degree}",
-                      provenance={"carrier": "perm"})
-
-
-def tensor_power(rep: UnitaryRep, k: int) -> UnitaryRep:
-    if k < 1:
-        raise RepError("k must be >= 1")
-    if rep.dim ** k > config.TENSOR_BUDGET:
-        raise CarrierBudgetError(
-            f"{rep.dim}^{k} exceeds the dense tensor budget {config.TENSOR_BUDGET}")
-    images = []
-    for m in rep.gen_images:
-        out = m
-        for _ in range(k - 1):
-            out = np.kron(out, m)
-        images.append(out)
-    return UnitaryRep(rep.group, images, name=f"{rep.name}^x{k}",
-                      provenance={"carrier": f"tensor{k}", "base": rep.name})
-
-
 class PermTensorCarrier:
     """k-th tensor power of the natural permutation module, applied as flat
     index gathers; matrices are never formed."""
 
-    def __init__(self, group: PermGroup, k: int,
-                 budget: int = config.VECTOR_CARRIER_BUDGET):
+    def __init__(self, group: PermGroup, k: int):
         self.group = group
         self.k = k
         d = group.degree
         self.dim = d ** k
-        if self.dim > budget:
-            raise CarrierBudgetError(
-                f"{d}^{k} exceeds the carrier budget {budget}")
+        if self.dim > config.VECTOR_CARRIER_BUDGET:
+            raise CarrierBudgetError(f"{d}^{k} exceeds the carrier budget "
+                                     f"{config.VECTOR_CARRIER_BUDGET}")
         self.name = f"perm{d}^x{k}"
         self._gen_idx = [self._flat_index(p.inverse().images)
                          for p in group.generators]
@@ -325,12 +295,6 @@ class PermTensorCarrier:
 
     def apply_gen_inv(self, gi: int, vec: np.ndarray) -> np.ndarray:
         return vec[self._gen_idx_inv[gi]]
-
-    def gen_image(self, gi: int) -> np.ndarray:
-        # rho(g)[p, q] = 1 iff q = g^-1 p
-        m = np.zeros((self.dim, self.dim), dtype=complex)
-        m[np.arange(self.dim), self._gen_idx[gi]] = 1.0
-        return m
 
     def character(self) -> ClassFunction:
         """Fixed points of each class representative, to the k-th power."""
@@ -362,9 +326,11 @@ def isotypic_weights(table: CharacterTable, chars: list[int]) -> np.ndarray:
 
 
 def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
-                  chi_index: int,
+                  chi_index: int, mu: int,
                   seed: int = config.DEFAULT_SEED) -> UnitaryRep:
-    """Cut one copy of an irreducible out of a carrier representation.
+    """Cut one copy of an irreducible out of a carrier representation in
+    which it has multiplicity `mu` (as `find_carrier` or the caller's own
+    decomposition gives it); a wrong mu fails the isotypic rank check.
 
     Project a random vector into the isotypic subspace and span its orbit;
     at multiplicity one that span is the copy.  Higher multiplicity: average
@@ -373,8 +339,6 @@ def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
     """
     chi = table.irreducibles[chi_index]
     target = int(round(chi.degree.real))
-    mu = int(decompose(carrier.character().values,
-                       table).multiplicities[chi_index])
     if mu < 1:
         raise ExtractionError(
             f"character {chi_index} does not appear in carrier {carrier.name}")
@@ -529,11 +493,15 @@ class PermCarriers:
     """The tensor powers k = 1, 2, 3 of g's permutation module, up to the
     first one past the carrier budget.  Iteration builds each power on first
     reach and keeps it, so a caller asking about several characters of g
-    builds each power at most once, and none that it never reaches."""
+    builds each power at most once, and none that it never reaches; each
+    power's multiplicities against a table are likewise computed once."""
 
     def __init__(self, group: PermGroup):
         self.group = group
         self._built: list[PermTensorCarrier | None] = []   # None: over budget
+        # (k, id(table)) -> (table, multiplicities); holding the table keeps
+        # its id from being reused
+        self._mults: dict[tuple[int, int], tuple] = {}
 
     def __iter__(self):
         for k in (1, 2, 3):
@@ -546,15 +514,23 @@ class PermCarriers:
                 return
             yield self._built[k - 1]
 
+    def multiplicities(self, carrier: PermTensorCarrier,
+                       table: CharacterTable) -> np.ndarray:
+        key = (carrier.k, id(table))
+        if key not in self._mults:
+            self._mults[key] = (table, decompose(carrier.character().values,
+                                                 table).multiplicities)
+        return self._mults[key][1]
+
 
 def find_carrier(carriers: PermCarriers, table: CharacterTable,
                  chi_index: int):
-    """Smallest of the carriers, up to the cube, containing the target
-    character."""
+    """(carrier, multiplicity) for the smallest of the carriers, up to the
+    cube, containing the target character; None if none does."""
     for carrier in carriers:
-        if decompose(carrier.character().values,
-                     table).multiplicities[chi_index] >= 1:
-            return carrier
+        mu = int(carriers.multiplicities(carrier, table)[chi_index])
+        if mu >= 1:
+            return carrier, mu
     return None
 
 
@@ -653,8 +629,7 @@ def standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
     return results
 
 
-def young_orthogonal_rep(n_or_group, lam: Partition,
-                         budget: int = config.TENSOR_BUDGET) -> UnitaryRep:
+def young_orthogonal_rep(n_or_group, lam: Partition) -> UnitaryRep:
     """Young's orthogonal form on standard tableaux.
 
     For the adjacent transposition s_k = (k, k+1), acting on tableau T with
@@ -670,8 +645,9 @@ def young_orthogonal_rep(n_or_group, lam: Partition,
     if lam.n != n:
         raise RepError(f"partition of {lam.n} against degree {n}")
     dim = hook_dimension(lam)
-    if dim > budget:
-        raise CarrierBudgetError(f"dimension {dim} exceeds budget {budget}")
+    if dim > config.TENSOR_BUDGET:
+        raise CarrierBudgetError(f"dimension {dim} exceeds budget "
+                                 f"{config.TENSOR_BUDGET}")
     if group is None:
         group = PermGroup.symmetric(n)
     tabs = standard_tableaux(lam)
@@ -887,21 +863,3 @@ def symplectic_rotation_rep(group: PermGroup) -> UnitaryRep:
         images.append(mat)
     return UnitaryRep(group, images, name="rotation7",
                       provenance={"carrier": "weyl-e7"})
-
-
-# ------------------------------------------------------------------ export
-
-
-def save_rep(rep: UnitaryRep, path) -> None:
-    doc = {
-        "dimension": rep.dim,
-        "group": rep.group.name,
-        "generators": [
-            [[[float(v.real), float(v.imag)] for v in row] for row in m]
-            for m in rep.gen_images
-        ],
-        "character": [[float(v.real), float(v.imag)]
-                      for v in rep.character().values],
-        "provenance": rep.provenance,
-    }
-    Path(path).write_text(json.dumps(doc))

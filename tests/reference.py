@@ -1,0 +1,88 @@
+"""Dense and brute-force references the tests hold the package against:
+permutation matrices and their Kronecker powers, and the two class-sum
+identities the equidistance proof rests on, checked over whole groups.
+The package itself applies permutation carriers as index gathers and
+checks the identity only in the form `IsotypicContext.fonda2_residual`."""
+from dataclasses import dataclass
+
+import numpy as np
+
+from grasspack import config
+from grasspack.characters import class_multiplication
+from grasspack.reps import UnitaryRep
+
+
+def perm_rep(g, name=""):
+    """Permutation matrices of the natural action."""
+    images = []
+    for p in g.generators:
+        m = np.zeros((g.degree, g.degree), dtype=complex)
+        m[p.images, np.arange(g.degree)] = 1.0
+        images.append(m)
+    return UnitaryRep(g, images, name=name or f"perm{g.degree}",
+                      provenance={"carrier": "perm"})
+
+
+def kron_power(rep, k):
+    """k-th tensor power of `rep`, each generator image formed by np.kron."""
+    images = []
+    for m in rep.gen_images:
+        out = m
+        for _ in range(k - 1):
+            out = np.kron(out, m)
+        images.append(out)
+    return UnitaryRep(rep.group, images, name=f"{rep.name}^x{k}")
+
+
+@dataclass
+class IdentityReport:
+    max_residual_product: float        # class-sum product identity
+    max_residual_twist: float          # summed conjugation identity
+    pairs_checked: int
+
+    @property
+    def max_residual(self) -> float:
+        return max(self.max_residual_product, self.max_residual_twist)
+
+
+def character_identities(table, g, n_pairs=None, seed=config.DEFAULT_SEED):
+    """Residuals, per irreducible and relative, of the two class-sum
+    identities: chi(Cl(h1)^ Cl(h2)^) and sum_g chi(h1 g h2 g^-1) against
+    their closed forms; the twisted sum over `n_pairs` sampled class pairs,
+    or all of them."""
+    cc = g.conjugacy_classes()
+    r = cc.n_classes
+    a = class_multiplication(g)
+    x = table.matrix()
+    sizes = cc.sizes.astype(float)
+    degs = x[:, 0].real
+
+    # product identity, all class pairs at once:
+    # sum_k a[i,j,k] |Cl_k| chi(z_k) = |Cl_i||Cl_j| chi_i chi_j / chi(1)
+    lhs = np.einsum("ijk,sk->sij", a * sizes[None, None, :], x)
+    rhs = (sizes[None, :, None] * sizes[None, None, :]
+           * x[:, :, None] * x[:, None, :] / degs[:, None, None])
+    product = float((np.abs(lhs - rhs) / np.maximum(1.0, np.abs(rhs))).max())
+
+    # twisted sum: sum_g chi(h1 g h2 g^-1) = |G| chi1 chi2 / chi(1)
+    pairs = [(i, j) for i in range(r) for j in range(r)]
+    if n_pairs is not None and n_pairs < len(pairs):
+        rng = np.random.default_rng(seed)
+        pick = rng.choice(len(pairs), size=n_pairs, replace=False)
+        pairs = [pairs[int(p)] for p in pick]
+    rows = g.rows
+    einv = g.inverse_rows()
+    cls = cc.class_of
+    twist = 0.0
+    for i, j in pairs:
+        h1 = cc.reps[i].images.astype(np.intp)
+        h2 = cc.reps[j].images.astype(np.intp)
+        s = h2[einv]                                    # h2 . g^-1
+        u = np.take_along_axis(rows, s.astype(np.intp), axis=1)   # g h2 g^-1
+        w = h1[u]                                       # h1 g h2 g^-1
+        counts = np.bincount(cls[g.lookup_rows(w)], minlength=r).astype(float)
+        got = x @ counts
+        want = g.order * x[:, i] * x[:, j] / degs
+        twist = max(twist, float((np.abs(got - want)
+                                  / np.maximum(1.0, np.abs(want))).max()))
+    return IdentityReport(product, twist, len(pairs))

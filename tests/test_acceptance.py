@@ -22,7 +22,7 @@ from grasspack.catalog import (CUSPIDAL_ANGLES, LOADED_CORRECTIONS,
                                reference_prediction_entries,
                                rotation_code_entries, subset_reps,
                                symmetric_tower_entries)
-from grasspack.characters import (compute_table, verify_character_identities)
+from grasspack.characters import compute_table
 from grasspack.codes import (CliffordGroupData, IsotypicContext,
                              build_clifford_orthoplex, build_union_code,
                              kron_extend, kron_product,
@@ -33,6 +33,7 @@ from grasspack.grassmann import (SubspaceProjector, chordal_sq_trace,
 from grasspack.permgroup import PermGroup, make_pgl2
 from grasspack.reps import (Partition, PermCarriers, branching, extract_irrep,
                             find_carrier, hook_dimension, young_orthogonal_rep)
+from reference import character_identities
 
 SQRT5 = 5.0 ** 0.5
 
@@ -144,7 +145,8 @@ def test_criterion_5_union_minimum():
     table = compute_table(g)
     degs = table.degrees()
     row6 = next(i for i in range(table.n_classes) if degs[i] == 6)
-    rho = extract_irrep(find_carrier(PermCarriers(g), table, row6), g, table, row6)
+    carrier, mu = find_carrier(PermCarriers(g), table, row6)
+    rho = extract_irrep(carrier, g, table, row6, mu)
     h = g.stabilizer(0)
     ht = compute_table(h)
     ctx = IsotypicContext(g, h, rho, ht)
@@ -204,7 +206,7 @@ def test_criterion_7_clifford_orthoplex():
     assert len(dists) == 153
     for d in dists:
         assert rel_close(d, 1.0, 1e-9) or rel_close(d, 2.0, 1e-9)
-    assert rel_close(min(dists), orthoplex_bound(4, 2).value, 1e-12)
+    assert rel_close(min(dists), orthoplex_bound(4, 2, 18).value, 1e-12)
     # independent oracle: the nine symmetric involutions of the order-32
     # group, spectral projectors by hand
     data = CliffordGroupData(2)
@@ -257,7 +259,7 @@ def test_criterion_9_property_suites():
     for g in groups:
         table = compute_table(g)
         assert table.orthogonality_residual() <= 1e-9, g.name
-        report = verify_character_identities(table, g, n_pairs=40)
+        report = character_identities(table, g, n_pairs=40)
         assert report.max_residual <= 1e-6, g.name
 
     rng = np.random.default_rng(config.DEFAULT_SEED)

@@ -286,6 +286,23 @@ def test_each_carrier_is_built_once_per_group(monkeypatch, capsys):
     assert built == []
 
 
+def test_each_carrier_is_decomposed_once_per_table(monkeypatch):
+    # find_carrier asks about every character of a group, and extraction
+    # needs the multiplicity again: one decomposition per (carrier, table)
+    calls = []                  # (values, table), held so ids stay unique
+    decompose = reps.decompose
+
+    def counted(values, table):
+        calls.append((values, table))
+        return decompose(values, table)
+
+    monkeypatch.setattr(reps, "decompose", counted)
+    assert projective_entries(7)
+    pairs = {(id(values), id(table)) for values, table in calls}
+    # PGL2(7) and PSL2(7), each against its own table, on k = 1, 2
+    assert len(calls) == len(pairs) <= 4
+
+
 def test_data_path_env_override(tmp_path, monkeypatch):
     target = catalog.data_path("m11")
     assert target.name == "m11.grp"

@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output formats, spec resolution."""
 import ast
+import csv
 import json
 import os
 import subprocess
@@ -8,13 +9,14 @@ from pathlib import Path
 
 import pytest
 
+from grasspack import permgroup
 from grasspack.catalog import CatalogError
-from grasspack.characters import CharacterError
+from grasspack.characters import CharacterError, compute_table
 from grasspack.cli import CliError, main
 from grasspack.codes import CodeError
 from grasspack.config import GrasspackError
 from grasspack.grassmann import GrassmannError
-from grasspack.permgroup import PermError
+from grasspack.permgroup import PermError, PermGroup, make_pgl2
 from grasspack.reps import RepError
 from grasspack.symplectic import SymplecticError
 
@@ -126,6 +128,22 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_over_cap_projective_q_is_refused_before_any_field(monkeypatch,
+                                                           capsys):
+    # GF(q) holds two q x q tables: 16 TB at q = 1,000,003
+    def no_field(q):
+        raise AssertionError(f"GF({q}) was built")
+    monkeypatch.setattr(permgroup, "GF", no_field)
+    with pytest.raises(PermError, match="enumeration cap"):
+        make_pgl2(127)                      # 2,048,256 elements
+    for argv in (["table-pgl", "1000003"],
+                 ["verify", "--group", "PGL2:1000003", "--H", "stab0",
+                  "--rep", "dim:2"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_negative_cap_is_refused_up_front(capsys):
     # before the check, -1 made m11 table-free and the error named the table
     code, out, err = run(capsys, "--cap", "-1", "verify", "--group",
@@ -232,6 +250,64 @@ def test_no_assert_statements_in_the_package():
     assert found == []
 
 
+# public names no module, script or benchmark refers to, kept on purpose
+SURFACE_ALLOWED = {
+    "build_union_code": "documented library builder (README)",
+    "kron_extend": "documented library builder (README)",
+    "kron_product": "documented library builder (README)",
+    "UnitaryRep.image_of_index": "one-line companion of images_of_indices",
+    "SubspaceProjector.from_basis": "small constructor of a public type",
+    "PrincipalAngleSet.matches": "small comparison of a public type",
+    "PermGroup.cyclic": "small constructor of a public type",
+    "RestrictionDecomposition.nonzero": "small reader of a public type",
+}
+
+
+def test_every_public_name_has_a_caller():
+    # a public function, class or method of the package must be referred
+    # to (a Name or an Attribute) in the package outside its own
+    # definition, in scripts/ or in perfbench/; perfbench also names the
+    # functions it traces in strings such as "PermGroup.generated"
+    root = SRC.parent
+    files = [*sorted((SRC / "grasspack").glob("*.py")),
+             *sorted((root / "scripts").glob("*.py")),
+             *sorted((root / "perfbench").glob("*.py"))]
+    refs = {}                                   # name -> [(path, line)]
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif (path.parent.name == "perfbench"
+                  and isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)):
+                names = node.value.split(".")
+            else:
+                continue
+            for name in names:
+                refs.setdefault(name, []).append((path, node.lineno))
+
+    def called(path, name, node):
+        return any(p != path or not node.lineno <= line <= node.end_lineno
+                   for p, line in refs.get(name, []))
+
+    unused = []
+    for path in sorted((SRC / "grasspack").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            found = [(node.name, node)] if node.name[0] != "_" else []
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{item.name}", item)
+                          for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name[0] != "_"]
+            unused += [qual for qual, item in found
+                       if not called(path, qual.rsplit(".", 1)[-1], item)]
+    assert sorted(unused) == sorted(SURFACE_ALLOWED)
+
+
 def test_broken_selftest_check_fails_under_optimize():
     script = ("import sys\n"
               "from grasspack import cli\n"
@@ -253,6 +329,25 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["dimension"] == 16
+
+
+def test_verify_csv_out_writes_the_code_row(tmp_path, capsys):
+    # --json, --csv and --out are the one export path for a code
+    h_table = compute_table(PermGroup.symmetric(4).stabilizer(3))
+    trivial = next(i for i, chi in enumerate(h_table.irreducibles)
+                   if abs(chi.values - 1).max() < 1e-9)
+    target = tmp_path / "code.csv"
+    code, out, _ = run(capsys, "--csv", "--out", str(target), "verify",
+                       "--group", "S4", "--H", "stab3", "--rep", "young:[3,1]",
+                       "--chars", str(trivial))
+    assert (code, out) == (0, "")
+    rows = list(csv.reader(target.read_text().splitlines()))
+    assert rows[0] == ["chars", "n", "m", "N", "d_c_sq", "certified"]
+    assert len(rows) == 2
+    chars, n, m, big_n, d_c_sq, certified = rows[1]
+    assert (chars, n, m, big_n, certified) == (str(trivial), "3", "1", "4",
+                                               "True")
+    assert abs(float(d_c_sq) - 8 / 9) <= 1e-9
 
 
 def test_json_csv_conflict():

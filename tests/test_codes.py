@@ -1,6 +1,4 @@
 """Orbit codes: construction, bounds, unions, products, Clifford family."""
-import json
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,16 +7,16 @@ from grasspack import codes
 from grasspack.characters import compute_table
 from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
                              StabilizerError, build_clifford_orthoplex,
-                             build_union_code, code_csv_row, kron_extend,
-                             kron_product, predict_from_dimensions, save_code,
-                             spa_census, union_min_distance_formula,
-                             verify_simplex)
+                             build_union_code, kron_extend, kron_product,
+                             predict_from_dimensions, spa_census,
+                             union_min_distance_formula, verify_simplex)
 from grasspack.config import TOL
 from grasspack.grassmann import (GrassmannError, SubspaceProjector,
                                  chordal_sq_trace, principal_angles)
 from grasspack.permgroup import PermGroup, Permutation, make_pgl2, make_psl2
 from grasspack.reps import (Partition, PermCarriers, extract_irrep,
-                            find_carrier, perm_rep, young_orthogonal_rep)
+                            find_carrier, young_orthogonal_rep)
+from reference import perm_rep
 
 
 def trivial_index(table):
@@ -65,8 +63,8 @@ def pgl5_ctx():
     g = make_pgl2(5)
     table = compute_table(g)
     six = next(i for i, d in enumerate(table.degrees()) if d == 6)
-    carrier = find_carrier(PermCarriers(g), table, six)
-    rho = extract_irrep(carrier, g, table, six)
+    carrier, mu = find_carrier(PermCarriers(g), table, six)
+    rho = extract_irrep(carrier, g, table, six, mu)
     return IsotypicContext(g, g.stabilizer(0), rho)
 
 
@@ -78,8 +76,8 @@ def psl5_quad_code():
     g = make_psl2(5)
     table = compute_table(g)
     four = next(i for i, d in enumerate(table.degrees()) if d == 4)
-    carrier = find_carrier(PermCarriers(g), table, four)
-    rho = extract_irrep(carrier, g, table, four)
+    carrier, mu = find_carrier(PermCarriers(g), table, four)
+    rho = extract_irrep(carrier, g, table, four, mu)
     ctx = IsotypicContext(g, g.stabilizer(0), rho)
     chars = components_by_degree(ctx, 2)
     return ctx.build([chars[0]])
@@ -137,7 +135,8 @@ def test_non_subgroup_rejected():
     g = PermGroup.alternating(4)
     table = compute_table(g)
     three = next(i for i, d in enumerate(table.degrees()) if d == 3)
-    rho = extract_irrep(find_carrier(PermCarriers(g), table, three), g, table, three)
+    carrier, mu = find_carrier(PermCarriers(g), table, three)
+    rho = extract_irrep(carrier, g, table, three, mu)
     odd = PermGroup.generated([Permutation([1, 0, 2, 3])], name="C2",
                               degree=4)
     with pytest.raises(CodeError):
@@ -158,7 +157,8 @@ def test_stabilizer_collapse_is_loud():
                              Permutation.from_cycles(4, [[1, 3]])], name="D4")
     table = compute_table(g)
     two = next(i for i, d in enumerate(table.degrees()) if d == 2)
-    rho = extract_irrep(find_carrier(PermCarriers(g), table, two), g, table, two)
+    carrier, mu = find_carrier(PermCarriers(g), table, two)
+    rho = extract_irrep(carrier, g, table, two, mu)
     h = g.stabilizer(0)
     h_table = compute_table(h)
     with pytest.raises(StabilizerError) as err:
@@ -661,31 +661,6 @@ def test_one_gram_stream_per_code(clifford_3_2, s5_ctx, monkeypatch):
     code = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1])
     assert code.params.N <= codes.CENSUS_FULL_LIMIT
     assert streams == [420]
-
-
-def test_code_csv_row(s4_ctx):
-    code = s4_ctx.build([trivial_index(s4_ctx.h_table)])
-    row = code_csv_row(code)
-    assert row == "S4,S4_stab3,3,1,4,8,9,true"
-    row2 = code_csv_row(code, group="G", subgroup="H")
-    assert row2.startswith("G,H,")
-
-
-def test_save_code_roundtrip(tmp_path, s4_ctx):
-    code = s4_ctx.build([trivial_index(s4_ctx.h_table)])
-    path = tmp_path / "code.json"
-    save_code(code, path, include_projectors=True)
-    blob = json.loads(path.read_text())
-    assert blob["params"]["n"] == 3
-    assert blob["params"]["N"] == 4
-    assert Fraction(8, 9) == Fraction(
-        blob["params"]["d_c_sq_min"]).limit_denominator(100)
-    entries = np.array(blob["projectors"][0])     # (n, n, 2) re/im pairs
-    rebuilt = entries[..., 0] + 1j * entries[..., 1]
-    assert np.abs(rebuilt - code.projectors[0].projector).max() < 1e-12
-    save_code(code, tmp_path / "lean.json")
-    lean = json.loads((tmp_path / "lean.json").read_text())
-    assert "projectors" not in lean
 
 
 # ----------------------------------------------- table-free G (Schreier route)

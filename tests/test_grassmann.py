@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasspack.grassmann import (BoundReport, DistancePair, GrassmannError,
+from grasspack.grassmann import (BoundReport, GrassmannError,
                                  PrincipalAngleSet, SubspaceProjector,
-                                 as_fraction, chordal_sq_trace, distance_pair,
-                                 format_value, orthoplex_bound,
-                                 principal_angles, product_distance,
-                                 simplex_bound)
+                                 as_fraction, chordal_sq_trace, format_value,
+                                 orthoplex_bound, principal_angles,
+                                 product_distance, simplex_bound)
 
 
 def random_subspace(rng, n, m):
@@ -139,10 +138,9 @@ def test_chordal_range_and_pair(seed, m):
     rng = np.random.default_rng(seed)
     n = 2 * m + 1
     a, b = random_subspace(rng, n, m), random_subspace(rng, n, m)
-    d = distance_pair(a, b)
-    assert isinstance(d, DistancePair)
-    assert -1e-12 <= d.d_c_sq <= m + 1e-12
-    assert 0.0 <= d.d_tilde <= 1.0 + 1e-12
+    angles = principal_angles(a, b)
+    assert -1e-12 <= angles.chordal_sq() <= m + 1e-12
+    assert 0.0 <= product_distance(angles) <= 1.0 + 1e-12
 
 
 def test_product_distance_zero_cutoff():
@@ -190,13 +188,13 @@ def test_orthoplex_bound():
     assert b.value == 1.0
     assert b.attainable                 # 18 > 10
     assert orthoplex_bound(4, 2, 10).attainable is False
-    assert orthoplex_bound(4, 2).attainable is None
-    assert abs(orthoplex_bound(8, 4).value - 2.0) < 1e-12
+    assert abs(orthoplex_bound(8, 4, 37).value - 2.0) < 1e-12
 
 
 def test_simplex_exceeds_orthoplex():
     for n, m, big_n in [(4, 2, 18), (7, 1, 28), (16, 5, 12)]:
-        assert simplex_bound(n, m, big_n).value > orthoplex_bound(n, m).value
+        assert (simplex_bound(n, m, big_n).value
+                > orthoplex_bound(n, m, big_n).value)
 
 
 # ------------------------------------------------------------- rationals

@@ -15,8 +15,9 @@ from grasspack.symplectic import SymplecticError
 from grasspack.reps import (CarrierBudgetError, ExtractionError, Partition,
                             PermCarriers, PermTensorCarrier, RepError,
                             branching, extract_irrep, find_carrier,
-                            hook_dimension, perm_rep, standard_tableaux,
-                            tensor_power, young_orthogonal_rep)
+                            hook_dimension, standard_tableaux,
+                            young_orthogonal_rep)
+from reference import kron_power, perm_rep
 
 # ---------------------------------------------------------------- oracles
 
@@ -153,7 +154,7 @@ def test_young_rep_unitary_and_irreducible():
 
 def test_young_rep_budget():
     with pytest.raises(CarrierBudgetError):
-        young_orthogonal_rep(12, Partition((6, 4, 2)), budget=2000)
+        young_orthogonal_rep(12, Partition((6, 3, 2, 1)))     # dim 5632
 
 
 def test_young_rep_wrong_size():
@@ -164,34 +165,16 @@ def test_young_rep_wrong_size():
 # ------------------------------------------------------ carriers, tensors
 
 
-def test_perm_rep_matrices():
-    g = PermGroup.symmetric(4)
-    rep = perm_rep(g)
-    for p, m in zip(g.generators, rep.gen_images):
-        v = np.arange(4.0)
-        assert np.allclose(m @ v, v[p.inverse().images])
-    rep.check_unitary_homomorphism(n_pairs=20)
-
-
-def test_tensor_power_is_kron():
-    g = PermGroup.symmetric(3)
-    rep = perm_rep(g)
-    t2 = tensor_power(rep, 2)
-    for m, m2 in zip(rep.gen_images, t2.gen_images):
-        assert np.allclose(m2, np.kron(m, m))
-    with pytest.raises(CarrierBudgetError):
-        tensor_power(perm_rep(PermGroup.symmetric(9)), 5)
-
-
 def test_carrier_agrees_with_dense_tensor():
     g = PermGroup.symmetric(4)
-    dense = tensor_power(perm_rep(g), 2)
+    dense = kron_power(perm_rep(g), 2)
     carrier = PermTensorCarrier(g, 2)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(16)
     for gi in range(len(g.generators)):
         assert np.allclose(carrier.apply_gen(gi, v), dense.gen_images[gi] @ v)
-        assert np.allclose(carrier.gen_image(gi), dense.gen_images[gi])
+        columns = [carrier.apply_gen(gi, e) for e in np.eye(carrier.dim)]
+        assert np.allclose(np.array(columns).T, dense.gen_images[gi])
     cd = carrier.character().values
     cv = dense.character().values
     assert np.allclose(cd, cv)
@@ -224,7 +207,8 @@ def irreducible_contexts():
     g = make_pgl2(5)
     t = compute_table(g)
     six = next(i for i, d in enumerate(t.degrees()) if d == 6)
-    rho = extract_irrep(find_carrier(PermCarriers(g), t, six), g, t, six)
+    carrier, mu = find_carrier(PermCarriers(g), t, six)
+    rho = extract_irrep(carrier, g, t, six, mu)
     out.append(IsotypicContext(g, g.stabilizer(0), rho))
     return out
 
@@ -295,8 +279,7 @@ def test_vector_sum_with_non_involutive_generators():
     v = rng.standard_normal(g.degree) + 1j * rng.standard_normal(g.degree)
     assert np.abs(dense @ v - rep.weighted_vector_sum(w, v)).max() < 1e-10
     car = PermTensorCarrier(g, 2)
-    dense2 = reps.UnitaryRep(g, [car.gen_image(i)
-                                 for i in range(len(g.generators))])
+    dense2 = kron_power(rep, 2)
     v2 = rng.standard_normal(car.dim) + 1j * rng.standard_normal(car.dim)
     got = car.weighted_vector_sum(w, v2)
     assert np.abs(np.tensordot(w, dense2.class_sums(), axes=1) @ v2
@@ -324,8 +307,7 @@ def test_tree_walk_sums_match_brute_force(make):
     u = _unitary(base.dim, rng)
     rep = reps.UnitaryRep(g, [u @ m @ u.conj().T for m in base.gen_images])
     car = PermTensorCarrier(g, 2)
-    dense = reps.UnitaryRep(g, [car.gen_image(i)
-                                for i in range(len(g.generators))])
+    dense = kron_power(base, 2)
     w = rng.standard_normal(t.n_classes) + 1j * rng.standard_normal(t.n_classes)
 
     images = [rep.image_of_index(i) for i in range(g.order)]
@@ -419,10 +401,10 @@ def test_grow_orbit_basis_is_orthonormal_and_spans_the_orbit():
     rng = np.random.default_rng(17)
     grown = 0
     for chi in range(t.n_classes):
-        carrier = find_carrier(PermCarriers(g), t, chi)
-        if carrier is None:
+        found = find_carrier(PermCarriers(g), t, chi)
+        if found is None:
             continue
-        mu = decompose(carrier.character().values, t).multiplicities[chi]
+        carrier, mu = found
         cap = int(t.degrees()[chi]) * mu + 1
         v = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
         w = carrier.weighted_vector_sum(reps.isotypic_weights(t, [chi]), v)
@@ -440,8 +422,8 @@ def test_extract_from_non_involutive_generators():
     g = make_pgl2(5)
     t = compute_table(g)
     i6 = next(i for i, d in enumerate(t.degrees()) if d == 6)
-    carrier = find_carrier(PermCarriers(g), t, i6)
-    rho = extract_irrep(carrier, g, t, i6)
+    carrier, mu = find_carrier(PermCarriers(g), t, i6)
+    rho = extract_irrep(carrier, g, t, i6, mu)
     assert rho.dim == 6
     rho.check_unitary_homomorphism(n_pairs=50)
 
@@ -456,7 +438,8 @@ def test_extract_standard_from_perm():
     pc = carrier.character()
     idx = next(i for i, d in enumerate(t.degrees()) if d == 4
                and abs(inner_product(pc, t.irreducibles[i]) - 1) < 1e-9)
-    rep = extract_irrep(carrier, g, t, idx)
+    mu = int(decompose(pc.values, t).multiplicities[idx])
+    rep = extract_irrep(carrier, g, t, idx, mu)
     assert rep.dim == 4
     assert rep.provenance["multiplicity"] == 1
     rep.check_unitary_homomorphism(n_pairs=100, tol=1e-9)
@@ -468,10 +451,11 @@ def test_extract_all_reachable_s5():
     degs = list(t.degrees())
     reached = []
     for i in range(t.n_classes):
-        carrier = find_carrier(PermCarriers(g), t, i)
-        if carrier is None:
+        found = find_carrier(PermCarriers(g), t, i)
+        if found is None:
             continue
-        rep = extract_irrep(carrier, g, t, i)
+        carrier, mu = found
+        rep = extract_irrep(carrier, g, t, i, mu)
         assert rep.dim == degs[i]
         assert abs(inner_product(rep.character(), t.irreducibles[i]) - 1) < 1e-6
         reached.append(int(degs[i]))
@@ -486,7 +470,8 @@ def test_extract_higher_multiplicity_path():
     idx = next(i for i, d in enumerate(t.degrees())
                if d == 4
                and decompose(c2.character().values, t).multiplicities[i] == 3)
-    rep = extract_irrep(c2, g, t, idx)
+    mu = int(decompose(c2.character().values, t).multiplicities[idx])
+    rep = extract_irrep(c2, g, t, idx, mu)
     assert rep.dim == 4
     assert rep.provenance["multiplicity"] == 3
     rep.check_unitary_homomorphism(n_pairs=100, tol=1e-9)
@@ -499,8 +484,12 @@ def test_extract_missing_character_raises():
     sign = next(i for i in range(t.n_classes)
                 if t.degrees()[i] == 1
                 and t.irreducibles[i].values.real.min() < -0.5)
+    mu = int(decompose(carrier.character().values, t).multiplicities[sign])
+    with pytest.raises(ExtractionError, match="does not appear"):
+        extract_irrep(carrier, g, t, sign, mu)
+    # a multiplicity the carrier does not have fails as loudly
     with pytest.raises(ExtractionError):
-        extract_irrep(carrier, g, t, sign)
+        extract_irrep(carrier, g, t, sign, 1)
     assert find_carrier(PermCarriers(g), t, sign) is None
 
 
@@ -510,10 +499,11 @@ def test_extract_alternating_group():
     t = compute_table(g)
     built = 0
     for i in range(t.n_classes):
-        carrier = find_carrier(PermCarriers(g), t, i)
-        if carrier is None:
+        found = find_carrier(PermCarriers(g), t, i)
+        if found is None:
             continue
-        rep = extract_irrep(carrier, g, t, i)
+        carrier, mu = found
+        rep = extract_irrep(carrier, g, t, i, mu)
         assert abs(inner_product(rep.character(), t.irreducibles[i]) - 1) < 1e-6
         built += 1
     assert built == t.n_classes      # every A5 irreducible is reachable
@@ -574,29 +564,6 @@ def test_e7_dictionary_geometry():
         assert np.abs(r @ r - np.eye(7)).max() < 1e-12
         assert abs(np.linalg.det(r) - 1) < 1e-12
         assert abs(np.trace(r) + 5) < 1e-12   # reflection trace 5, negated
-
-
-# ----------------------------------------------------------------- export
-
-
-def test_save_rep_roundtrip(tmp_path):
-    import json
-    g = PermGroup.symmetric(4)
-    t = compute_table(g)
-    carrier = PermTensorCarrier(g, 1)
-    pc = carrier.character()
-    idx = next(i for i, d in enumerate(t.degrees()) if d == 3
-               and abs(inner_product(pc, t.irreducibles[i]) - 1) < 1e-9)
-    rep = extract_irrep(carrier, g, t, idx)
-    out = tmp_path / "rep.json"
-    reps.save_rep(rep, out)
-    doc = json.loads(out.read_text())
-    assert doc["dimension"] == 3
-    assert doc["provenance"]["carrier"] == "perm4^x1"
-    mats = [np.array([[complex(re, im) for re, im in row] for row in m])
-            for m in doc["generators"]]
-    for a, b in zip(mats, rep.gen_images):
-        assert np.allclose(a, b)
 
 
 # ----------------------------------------------------------- words
