@@ -27,7 +27,7 @@ from .characters import compute_table, decompose, restrict_and_decompose
 from .codes import CodeError, IsotypicContext, verify_simplex
 from .grassmann import as_fraction, simplex_fraction
 from .permgroup import (PermGroup, load_group, make_pgl2, make_psl2,
-                        parse_group)
+                        parse_group, projective_class_count)
 from .reps import (Partition, PermCarriers, branching, extract_irrep,
                    find_carrier, hook_dimension, restrict_rep,
                    symplectic_rotation_rep, young_orthogonal_rep)
@@ -553,6 +553,11 @@ def projective_entries(q: int) -> list[CatalogEntry]:
     refs = {(c.n, c.m): (str(c.d), None) for c in cols if c.available}
     entries = []
     for family, maker in (("pgl2", make_pgl2), ("psl2", make_psl2)):
+        # refused before any element is enumerated; PGL2 has the more classes
+        n_classes = projective_class_count(q, special=family == "psl2")
+        if n_classes > config.MAX_CLASSES:
+            raise CatalogError(f"{n_classes} classes exceeds the table limit "
+                               f"{config.MAX_CLASSES}")
         per_row = frozenset({q - 1}) if family == "psl2" else frozenset()
         entries.extend(_sweep_group(family, {"q": q}, maker(q), relevant,
                                     refs, per_row_degrees=per_row))

@@ -14,8 +14,8 @@ from .grassmann import (GrassmannError, PrincipalAngleSet, SubspaceProjector,
                         chordal_sq_trace, orthoplex_bound, principal_angles,
                         product_distance, simplex_bound)
 from .permgroup import NotASubgroup, PermGroup, Permutation
-from .reps import (UnitaryRep, commutant_singular_values, isotypic_weights,
-                   restrict_rep)
+from .reps import (UnitaryRep, commutant_singular_values, inverse_class_map,
+                   isotypic_weights, restrict_rep)
 
 TOL = config.TOL
 
@@ -186,17 +186,19 @@ def _assemble(projectors, provenance, stabilizer_order=None) -> GrassmannCode:
 
 class IsotypicContext:
     """Shared machinery for building several codes from one (G, H, rho):
-    the restricted representation, its class sums, the transversal images
-    and the restriction decomposition are computed once.  It is the one
-    place where an isotypic projector (`subspace`), its dimension and its
-    orbit (`orbit`) are formed.
+    the restricted representation, its isotypic split, the transversal
+    images and the restriction decomposition are computed once.  It is the
+    one place where an isotypic projector (`subspace`), its dimension and
+    its orbit (`orbit`) are formed.
 
     H is a point stabilizer `G.stabilizer(p)`, and the codewords are indexed
     by its Schreier tree's coset reps; any other H is a CodeError.  Nothing
     here walks G: rho|H and the transversal images come from words
-    (`UnitaryRep.image`), and the multiplicities from the traces of rho|H's
-    class sums.  Irreducibility is <chi, chi> = 1 when G has an element
-    table, else Schur's lemma on the generator images."""
+    (`UnitaryRep.image`), and the multiplicities from rho|H's character at
+    the class representatives of H.  The isotypic components come from the
+    class sums of a few small classes of H (`_isotypic_split`), not from a
+    sum over all of H.  Irreducibility is <chi, chi> = 1 when G has an
+    element table, else Schur's lemma on the generator images."""
 
     def __init__(self, g: PermGroup, h: PermGroup, rho: UnitaryRep,
                  h_table: CharacterTable | None = None):
@@ -210,11 +212,10 @@ class IsotypicContext:
         self.g, self.h, self.rho = g, h, rho
         self.h_table = h_table if h_table is not None else compute_table(h)
         self.rho_h = restrict_rep(rho, h)
-        self.class_sums = self.rho_h.class_sums()
-        # chi|H at class c is tr(class sum c) / |c|: no image is formed
-        self.decomposition = decompose(
-            np.trace(self.class_sums, axis1=1, axis2=2)
-            / self.h_table.classes.sizes, self.h_table)
+        self.decomposition = decompose(self.rho_h.character().values,
+                                       self.h_table)
+        self._bases, self.checks["isotypic_split"] = _isotypic_split(
+            self.rho_h, self.h_table, self.decomposition.multiplicities)
         self.n_cosets = transversal.count
         self.t_images = [rho.image(t) for t in transversal.reps()]
 
@@ -227,8 +228,8 @@ class IsotypicContext:
             raise CodeError("W is the zero subspace for this character subset")
         if m == self.rho.dim:
             raise CodeError("W is the full space for this character subset")
-        w = isotypic_weights(self.h_table, chars)
-        pi = SubspaceProjector(np.tensordot(w, self.class_sums, axes=(0, 0)))
+        basis = np.concatenate([self._bases[int(i)] for i in chars], axis=1)
+        pi = SubspaceProjector(basis @ basis.conj().T, basis=basis)
         tr = np.trace(pi.projector)
         if abs(tr - m) > TOL.integer:
             raise CodeError(f"projector trace {tr.real:.6f} != dimension {m}")
@@ -294,6 +295,93 @@ class IsotypicContext:
 def _moved(u: np.ndarray, pi: SubspaceProjector) -> SubspaceProjector:
     """The image u W of the subspace W under the unitary u."""
     return SubspaceProjector(u @ pi.projector @ u.conj().T)
+
+
+#: the split's predicted eigenvalues must lie at least this fraction of
+#: sum_c 2|w_c||C| apart, where C runs over the summed classes
+SPLIT_GAP = 0.01
+
+#: unit weights w = exp(i theta), theta in [0, pi), tried for each class
+#: pair; -w gives the same term negated, so no wider range is needed
+_SPLIT_WEIGHTS = np.exp(1j * np.pi * np.arange(16) / 16)
+
+
+def _isotypic_split(rho_h: UnitaryRep, table: CharacterTable,
+                    lam: np.ndarray) -> tuple[dict, dict]:
+    """An orthonormal basis of each isotypic component of rho|H, keyed by
+    table row (an empty one where lam is 0), and the split's margins.
+
+    A class sum acts on the chi_i-component as the scalar
+    omega_i(C) = |C| chi_i(c) / chi_i(1).  Pairs {C, C^-1} are walked
+    cheapest first, skipping a pair whose omega is equal on every two
+    constituents that are still too close.  Each pair taken adds the
+    Hermitian term w rho(C^) + conj(w) rho(C^)^H, whose eigenvalue on the
+    chi_i-component is 2 Re(w omega_i(C)), with the unit weight w that
+    spreads the predicted eigenvalues of the present constituents most.
+    Complex weights separate a complex-conjugate pair of constituents.  The
+    pairs stop once those eigenvalues lie `SPLIT_GAP` of sum 2|w||C| apart;
+    on every class the central characters determine the constituent, so
+    only a near-tie of the weighted sums can exhaust them, and that is a
+    CodeError.
+
+    `eigh` of the summed matrix then gives each eigenvector to its nearest
+    predicted eigenvalue.  Each component must get lam_i deg_i of them and
+    commute with rho|H's generators to within TOL.ortho."""
+    cc = table.classes
+    degs = table.degrees()
+    present = [int(i) for i in np.flatnonzero(lam)]
+    omega = np.array([cc.sizes * table.irreducibles[i].values / degs[i]
+                      for i in present]).reshape(len(present), -1)
+    inv = inverse_class_map(rho_h.group)
+    pairs = sorted((c for c in range(1, cc.n_classes) if c <= inv[c]),
+                   key=lambda c: (int(cc.sizes[c]), c))
+    iu, ju = np.triu_indices(len(present), k=1)
+    predicted = np.zeros(len(present))
+    chosen, weights = [], []
+    scale = 0
+    rel_gap = float("inf") if len(present) < 2 else 0.0
+    for c in pairs:
+        if rel_gap >= SPLIT_GAP:
+            break
+        size = 2 * int(cc.sizes[c])
+        apart = predicted[iu] - predicted[ju]
+        parted = omega[iu, c] - omega[ju, c]
+        # a pair with equal omega keeps its distance whatever the weight
+        movable = np.abs(parted) > TOL.integer * size
+        if not (movable & (np.abs(apart) < SPLIT_GAP * (scale + size))).any():
+            continue                # it parts no pair that is still too close
+        trial = np.abs(apart + 2 * (_SPLIT_WEIGHTS[:, None] * parted).real)
+        best = int(np.argmax(trial[:, movable].min(axis=1)))
+        predicted = predicted + 2 * (_SPLIT_WEIGHTS[best] * omega[:, c]).real
+        scale += size
+        rel_gap = float(trial[best].min()) / scale
+        chosen.append(c)
+        weights.append(_SPLIT_WEIGHTS[best])
+    if rel_gap < SPLIT_GAP:
+        raise CodeError(f"isotypic split: no classes separate the "
+                        f"constituents, relative gap {rel_gap:.2e}")
+
+    term = np.tensordot(np.array(weights, dtype=complex),
+                        rho_h.class_sums(chosen), axes=(0, 0))
+    evals, evecs = np.linalg.eigh(term + term.conj().T)
+    nearest = np.abs(evals[:, None] - predicted[None, :]).argmin(axis=1)
+    bases = {i: evecs[:, :0] for i in range(len(lam))}
+    worst = 0.0
+    for k, i in enumerate(present):
+        basis = evecs[:, nearest == k]
+        want = int(lam[i]) * int(degs[i])
+        if basis.shape[1] != want:
+            raise CodeError(f"isotypic split gives constituent {i} "
+                            f"{basis.shape[1]} dimensions, expected {want}")
+        p = basis @ basis.conj().T
+        for a in rho_h.gen_images:
+            worst = max(worst, float(np.abs(a @ p - p @ a).max()))
+        bases[i] = basis
+    if worst > TOL.ortho:
+        raise CodeError(f"isotypic split commutator residual {worst:.2e} "
+                        f"exceeds {TOL.ortho:.0e}")
+    return bases, {"classes": [[c, int(cc.sizes[c])] for c in chosen],
+                   "rel_gap": rel_gap, "commutator_residual": worst}
 
 
 def _check_irreducible(rho: UnitaryRep) -> dict:

@@ -796,6 +796,14 @@ def make_psl2(q: int) -> PermGroup:
     return g
 
 
+def projective_class_count(q: int, special: bool) -> int:
+    """Conjugacy classes of PSL2(q) (`special`) or PGL2(q), from q alone:
+    q + 1 for even q, else (q + 5) / 2 and q + 2."""
+    if q % 2 == 0:
+        return q + 1
+    return (q + 5) // 2 if special else q + 2
+
+
 def _projective_generators(q: int, order: int,
                            special: bool) -> list[Permutation]:
     """Generators of the family of `order` elements over GF(q); PermError

@@ -3,15 +3,19 @@
 A representation stores generator images only; the image of an arbitrary
 element is the product along a word for it (`PermGroup.word_of`: the closure
 spanning tree, or the Schreier tree of a group without a table), so nothing
-of size |G| x n^2 is ever materialized.  Every group-wide sum (class sums,
-isotypic vector projections, the commutant average) is one pass of `_walk`, a
-depth-first walk over the tree that carries one matrix or one vector and
-applies one generator per edge.  Permutation tensor-power carriers apply
-elements as index gathers and never build their matrices.
+of size |G| x n^2 is ever materialized.  The two group-wide sums that
+extraction needs (isotypic vector projections and the commutant average)
+are one pass each of `_walk`, a depth-first walk over the tree that carries
+one vector and applies one generator per edge.  Class sums are formed only
+for the classes asked for, from their elements' stacked images
+(`UnitaryRep.images_of_indices`), a bounded chunk at a time.  Permutation
+tensor-power carriers apply elements as index gathers and never build their
+matrices.
 
-Isotypic projector matrices are formed only by `codes.IsotypicContext`; here
-`isotypic_weights` drives the matrix-free vector projections of extraction,
-and every multiplicity comes from `characters.decompose`.
+Isotypic projector matrices are formed only by `codes.IsotypicContext`,
+from the class sums of a few classes; here `isotypic_weights` drives the
+matrix-free vector projections of extraction, and every multiplicity comes
+from `characters.decompose`.
 """
 from __future__ import annotations
 
@@ -29,8 +33,8 @@ TOL = config.TOL
 #: rows of rho(g)x gathered before one rank-k update of the commutant average
 _ROW_BUFFER = 256
 
-#: bytes of images held at once by the homomorphism check; its products and
-#: residuals take about three times as much again
+#: bytes of images held at once by the homomorphism check and by class sums;
+#: the check's products and residuals take about three times as much again
 _IMAGE_CHUNK_BYTES = 1 << 18
 
 
@@ -63,7 +67,7 @@ def _tree_children(g: PermGroup) -> tuple[memoryview, ...]:
     return cached
 
 
-def _inverse_class_map(g: PermGroup) -> np.ndarray:
+def inverse_class_map(g: PermGroup) -> np.ndarray:
     """inv[c] = class index holding the inverses of class c."""
     cached = getattr(g, "_inv_class_map", None)
     if cached is None:
@@ -114,7 +118,7 @@ def _weighted_vector_sum(self, weights: np.ndarray,
     (node -> node^-1 is a bijection of the group)."""
     g = self.group
     cls = g.conjugacy_classes().class_of
-    winv = np.asarray(weights, dtype=complex)[_inverse_class_map(g)]
+    winv = np.asarray(weights, dtype=complex)[inverse_class_map(g)]
     acc = np.zeros(self.dim, dtype=complex)
     for node, v in _walk(g, vec.astype(complex), self.apply_gen_inv):
         acc += winv[cls[node]] * v
@@ -197,16 +201,19 @@ class UnitaryRep:
 
     weighted_vector_sum = _weighted_vector_sum
 
-    def class_sums(self) -> np.ndarray:
-        """M[c] = sum of rho(h) over class c; one walk, reusable for any
-        character-weighted projector."""
-        cc = self.group.conjugacy_classes()
-        cls = cc.class_of
-        acc = np.zeros((cc.n_classes, self.dim, self.dim), dtype=complex)
-        images = self.gen_images
-        for node, mat in _walk(self.group, np.eye(self.dim, dtype=complex),
-                               lambda gi, m: m @ images[gi]):
-            acc[cls[node]] += mat
+    def class_sums(self, classes) -> np.ndarray:
+        """M[k] = sum of rho(h) over the k-th listed class.  Only the listed
+        classes are formed, from their elements' stacked images
+        (`images_of_indices`), `_IMAGE_CHUNK_BYTES` of images at a time."""
+        classes = list(classes)
+        class_of = self.group.conjugacy_classes().class_of
+        chunk = max(1, _IMAGE_CHUNK_BYTES // (16 * self.dim ** 2))
+        acc = np.zeros((len(classes), self.dim, self.dim), dtype=complex)
+        for k, c in enumerate(classes):
+            members = np.flatnonzero(class_of == c)
+            for lo in range(0, len(members), chunk):
+                acc[k] += self.images_of_indices(
+                    members[lo:lo + chunk]).sum(axis=0)
         return acc
 
     # -- checks -----------------------------------------------------------

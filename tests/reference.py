@@ -1,15 +1,17 @@
 """Dense and brute-force references the tests hold the package against:
-permutation matrices and their Kronecker powers, and the two class-sum
-identities the equidistance proof rests on, checked over whole groups.
-The package itself applies permutation carriers as index gathers and
-checks the identity only in the form `IsotypicContext.fonda2_residual`."""
+permutation matrices and their Kronecker powers, the isotypic projector by
+the full class-sum formula, and the two class-sum identities the
+equidistance proof rests on, checked over whole groups.  The package itself
+applies permutation carriers as index gathers, splits isotypic components
+from a few class sums, and checks the identity only in the form
+`IsotypicContext.fonda2_residual`."""
 from dataclasses import dataclass
 
 import numpy as np
 
 from grasspack import config
 from grasspack.characters import class_multiplication
-from grasspack.reps import UnitaryRep
+from grasspack.reps import UnitaryRep, isotypic_weights
 
 
 def perm_rep(g, name=""):
@@ -32,6 +34,24 @@ def kron_power(rep, k):
             out = np.kron(out, m)
         images.append(out)
     return UnitaryRep(rep.group, images, name=f"{rep.name}^x{k}")
+
+
+def full_class_sums(rep):
+    """M[c] = sum of rep(h) over class c, for every class of the group, from
+    one `image_of_index` per element."""
+    cc = rep.group.conjugacy_classes()
+    sums = np.zeros((cc.n_classes, rep.dim, rep.dim), dtype=complex)
+    for i, c in enumerate(cc.class_of):
+        sums[c] += rep.image_of_index(i)
+    return sums
+
+
+def isotypic_projector(sums, table, chars):
+    """The full class-sum formula sum_c w_c M_c for the projector onto the
+    isotypic components `chars`: `sums` from `full_class_sums`, w from
+    `isotypic_weights`."""
+    return np.tensordot(isotypic_weights(table, list(chars)), sums,
+                        axes=(0, 0))
 
 
 @dataclass

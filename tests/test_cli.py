@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from grasspack import permgroup
-from grasspack.catalog import CatalogError
+from grasspack.catalog import CatalogError, projective_entries
 from grasspack.characters import CharacterError, compute_table
 from grasspack.cli import CliError, main
 from grasspack.codes import CodeError
@@ -142,6 +142,21 @@ def test_over_cap_projective_q_is_refused_before_any_field(monkeypatch,
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_over_table_limit_projective_q_is_refused_before_enumerating(
+        monkeypatch, capsys):
+    # PGL2(59) has 61 classes and PGL2(83) 85, past the table limit 60;
+    # both used to close every element before compute_table refused them
+    def no_closure(cls, *args, **kwargs):
+        raise AssertionError("a group was enumerated")
+    monkeypatch.setattr(PermGroup, "generated", classmethod(no_closure))
+    for q, n_classes in ((59, 61), (83, 85)):
+        message = f"{n_classes} classes exceeds the table limit 60"
+        with pytest.raises(CatalogError, match=message):
+            projective_entries(q)
+        code, out, err = run(capsys, "table-pgl", str(q))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_negative_cap_is_refused_up_front(capsys):

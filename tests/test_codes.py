@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from grasspack import codes
+from grasspack.catalog import canonical_shapes, data_path
 from grasspack.characters import compute_table
 from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
                              StabilizerError, build_clifford_orthoplex,
@@ -13,10 +14,11 @@ from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
 from grasspack.config import TOL
 from grasspack.grassmann import (GrassmannError, SubspaceProjector,
                                  chordal_sq_trace, principal_angles)
-from grasspack.permgroup import PermGroup, Permutation, make_pgl2, make_psl2
-from grasspack.reps import (Partition, PermCarriers, extract_irrep,
-                            find_carrier, young_orthogonal_rep)
-from reference import perm_rep
+from grasspack.permgroup import (PermGroup, Permutation, load_group, make_pgl2,
+                                 make_psl2)
+from grasspack.reps import (Partition, PermCarriers, UnitaryRep, extract_irrep,
+                            find_carrier, restrict_rep, young_orthogonal_rep)
+from reference import full_class_sums, isotypic_projector, perm_rep
 
 
 def trivial_index(table):
@@ -697,3 +699,116 @@ def test_table_free_context_matches_table_context():
                     prov["schreier_generators"]) == (5, 24, 10)
             assert prov["schur_gap"] > TOL.integer
             assert "schur_gap" not in code.provenance
+
+
+# ----------------------------------------------------------- isotypic split
+
+
+def present_rows(ctx):
+    return [int(i) for i in np.flatnonzero(ctx.decomposition.multiplicities)]
+
+
+def tower_contexts(points):
+    """S_k and A_k on k points over their point stabilizers: the Young form
+    of every canonical shape, restricted to A_k where the shape is not
+    self-conjugate."""
+    g = PermGroup.symmetric(points)
+    ga = PermGroup.alternating(points)
+    h, ha = g.stabilizer(points - 1), ga.stabilizer(points - 1)
+    ht, hat = compute_table(h), compute_table(ha)
+    out = []
+    for lam in canonical_shapes(points):
+        rho = young_orthogonal_rep(g, lam)
+        out.append(IsotypicContext(g, h, rho, ht))
+        if lam.parts != lam.conjugate().parts:
+            out.append(IsotypicContext(ga, ha, restrict_rep(rho, ga), hat))
+    return out
+
+
+def extracted_context(g, degree):
+    table = compute_table(g)
+    row = next(i for i, d in enumerate(table.degrees()) if d == degree)
+    carrier, mu = find_carrier(PermCarriers(g), table, row)
+    return IsotypicContext(g, g.stabilizer(0),
+                           extract_irrep(carrier, g, table, row, mu))
+
+
+def test_split_parts_a_complex_conjugate_pair():
+    # A4 on 3 = (3,1): H = C3 has the three linear characters 1, w, conj(w),
+    # and the one class pair {c, c^-1} parts w from conj(w) only under a
+    # complex weight: with weight 1 their eigenvalues 2 Re(w) coincide
+    g = PermGroup.alternating(4)
+    rho = restrict_rep(young_orthogonal_rep(PermGroup.symmetric(4),
+                                            Partition((3, 1))), g)
+    ctx = IsotypicContext(g, g.stabilizer(3), rho)
+    rows = present_rows(ctx)
+    assert len(rows) == 3 and ctx.h.order == 3
+    values = np.array([ctx.h_table.irreducibles[i].values for i in rows])
+    c = next(c for c in range(1, 3) if np.abs(values[:, c].imag).max() > 0.5)
+    assert len(set(np.round(values[:, c].real, 9))) == 2   # tie at weight 1
+    split = ctx.checks["isotypic_split"]
+    assert split["classes"] == [[c, 1]]
+    assert split["rel_gap"] >= codes.SPLIT_GAP
+    sums = full_class_sums(ctx.rho_h)
+    total = np.zeros((3, 3), dtype=complex)
+    for i in rows:
+        pi, m = ctx.subspace([i])
+        assert m == 1
+        assert np.abs(pi.projector - isotypic_projector(
+            sums, ctx.h_table, [i])).max() <= TOL.ortho
+        total += pi.projector
+    assert np.abs(total - np.eye(3)).max() <= TOL.ortho
+
+
+@pytest.mark.parametrize("make", [
+    *[(lambda k=k: tower_contexts(k)) for k in (4, 5, 6, 7)],
+    lambda: [extracted_context(make_psl2(19), 18)],
+    lambda: [extracted_context(load_group(data_path("sp4_2_deg10.grp")), 9)],
+], ids=["tower4", "tower5", "tower6", "tower7", "psl2_19_dim18",
+        "sp4_2_deg10_dim9"])
+def test_split_matches_full_class_sum_formula(make):
+    for ctx in make():
+        rows = present_rows(ctx)
+        split = ctx.checks["isotypic_split"]
+        assert split["commutator_residual"] <= TOL.ortho
+        if len(rows) < 2:
+            assert split["classes"] == []
+            continue
+        assert split["rel_gap"] >= codes.SPLIT_GAP
+        summed = sum(size for _, size in split["classes"])
+        assert 0 < summed < ctx.h.order
+        sums = full_class_sums(ctx.rho_h)
+        for i in rows:
+            want = isotypic_projector(sums, ctx.h_table, [i])
+            got = ctx.subspace([i])[0].projector
+            assert np.abs(got - want).max() <= TOL.ortho, (ctx.rho.name, i)
+
+
+def test_split_commutator_gate_catches_a_perturbed_generator():
+    g = PermGroup.symmetric(6)
+    good = young_orthogonal_rep(g, Partition((3, 2, 1)))
+    images = [m.copy() for m in good.gen_images]
+    images[0][0, 1] += 1e-6
+    bad = UnitaryRep(g, images)
+    with pytest.raises(CodeError,
+                       match=r"commutator residual 1\.0\de-06 exceeds"):
+        IsotypicContext(g, g.stabilizer(5), bad)
+    ctx = IsotypicContext(g, g.stabilizer(5), good)
+    assert ctx.checks["isotypic_split"]["commutator_residual"] < 1e-13
+
+
+def test_split_refuses_a_wrong_multiplicity(s6_ctx):
+    # a constituent claimed present that is not: its eigenvalue cluster is
+    # empty, and the split says so
+    lam = s6_ctx.decomposition.multiplicities.copy()
+    lam[int(np.flatnonzero(lam == 0)[0])] = 1
+    with pytest.raises(CodeError, match="isotypic split gives constituent"):
+        codes._isotypic_split(s6_ctx.rho_h, s6_ctx.h_table, lam)
+
+
+def test_split_margins_reach_the_provenance(s5_ctx):
+    code = s5_ctx.build([components_by_degree(s5_ctx, 3)[0]])
+    split = code.provenance["isotypic_split"]
+    assert split == s5_ctx.checks["isotypic_split"]
+    assert all(size == int(s5_ctx.h_table.classes.sizes[c])
+               for c, size in split["classes"])

@@ -706,3 +706,11 @@ def test_parse_group_shares_the_loader():
     degree, gens = permgroup.parse_group(GROUP_TEXT)
     g = loads_group(GROUP_TEXT)
     assert degree == g.degree and gens == g.generators
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 25, 27])
+def test_projective_class_count_matches_enumeration(q):
+    for special, maker in ((False, permgroup.make_pgl2),
+                           (True, permgroup.make_psl2)):
+        assert permgroup.projective_class_count(q, special) \
+            == maker(q).conjugacy_classes().n_classes

@@ -275,15 +275,15 @@ def test_vector_sum_with_non_involutive_generators():
     rng = np.random.default_rng(3)
     w = rng.standard_normal(t.n_classes) + 1j * rng.standard_normal(t.n_classes)
     rep = perm_rep(g)
-    dense = np.tensordot(w, rep.class_sums(), axes=1)
+    dense = np.tensordot(w, rep.class_sums(range(t.n_classes)), axes=1)
     v = rng.standard_normal(g.degree) + 1j * rng.standard_normal(g.degree)
     assert np.abs(dense @ v - rep.weighted_vector_sum(w, v)).max() < 1e-10
     car = PermTensorCarrier(g, 2)
     dense2 = kron_power(rep, 2)
     v2 = rng.standard_normal(car.dim) + 1j * rng.standard_normal(car.dim)
     got = car.weighted_vector_sum(w, v2)
-    assert np.abs(np.tensordot(w, dense2.class_sums(), axes=1) @ v2
-                  - got).max() < 1e-10
+    sums2 = dense2.class_sums(range(t.n_classes))
+    assert np.abs(np.tensordot(w, sums2, axes=1) @ v2 - got).max() < 1e-10
 
 
 def _unitary(dim, rng):
@@ -314,7 +314,7 @@ def test_tree_walk_sums_match_brute_force(make):
     want = np.zeros((t.n_classes, rep.dim, rep.dim), dtype=complex)
     for i, img in enumerate(images):
         want[cls[i]] += img
-    assert np.abs(rep.class_sums() - want).max() < 1e-10
+    assert np.abs(rep.class_sums(range(t.n_classes)) - want).max() < 1e-10
 
     v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
     want_v = sum(w[cls[i]] * img @ v for i, img in enumerate(images))
@@ -348,6 +348,24 @@ def test_batched_images_match_tree_words(make):
     shuffled = rng.permutation(g.order)[:17]
     assert np.array_equal(rep.images_of_indices(shuffled), got[shuffled])
     assert rep.images_of_indices([]).shape == (0, rep.dim, rep.dim)
+
+
+def test_class_sums_across_chunks_match_brute_force():
+    # the 16-dimensional Young form of S6 stacks 64 images per chunk, so its
+    # classes of 90, 120 and 144 elements are summed over several chunks;
+    # classes come back in the order listed, repeats included
+    g = PermGroup.symmetric(6)
+    rep = young_orthogonal_rep(g, Partition((3, 2, 1)))
+    cc = g.conjugacy_classes()
+    chunk = reps._IMAGE_CHUNK_BYTES // (16 * rep.dim ** 2)
+    big = int(np.argmax(cc.sizes))
+    assert cc.sizes[big] > 2 * chunk
+    listed = [big, 0, int(np.argmin(cc.sizes[1:])) + 1, big]
+    want = np.zeros((cc.n_classes, rep.dim, rep.dim), dtype=complex)
+    for i, c in enumerate(cc.class_of):
+        want[c] += rep.image_of_index(i)
+    assert np.abs(rep.class_sums(listed) - want[listed]).max() < 1e-10
+    assert rep.class_sums([]).shape == (0, rep.dim, rep.dim)
 
 
 def test_homomorphism_check_can_fail():
