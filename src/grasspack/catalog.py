@@ -23,13 +23,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import config
-from .characters import compute_table, decompose, restrict_and_decompose
+from .characters import compute_table, restrict_and_decompose
 from .codes import CodeError, IsotypicContext, verify_simplex
 from .grassmann import as_fraction, simplex_fraction
 from .permgroup import (PermGroup, load_group, make_pgl2, make_psl2,
                         parse_group, projective_class_count)
-from .reps import (Partition, PermCarriers, branching, extract_irrep,
-                   find_carrier, hook_dimension, restrict_rep,
+from .reps import (Partition, PermCarriers, alternating_halves, branching,
+                   extract_irrep, find_carrier, hook_dimension,
                    symplectic_rotation_rep, young_orthogonal_rep)
 
 
@@ -429,33 +429,17 @@ def _alternating_entries(points, refs):
     ha = ga.stabilizer(points - 1)
     gat = compute_table(ga)
     hat = compute_table(ha)
-    gs = PermGroup.symmetric(points)
     entries = []
     for lam in canonical_shapes(points):
-        rho_s = young_orthogonal_rep(gs, lam)
-        rho_a = restrict_rep(rho_s, ga, name=rho_s.name + "|A")
-        if lam.parts == lam.conjugate().parts:
-            reps = _split_halves(rho_a, ga, gat)
-        else:
-            reps = [rho_a]
+        rho_a = young_orthogonal_rep(ga, lam)
+        reps = (alternating_halves(rho_a, lam, gat)
+                if lam == lam.conjugate() else [rho_a])
         for rho in reps:
             entries.extend(_context_entries(
                 "alternating", {"points": points, "partition": list(lam.parts),
                                 "rep_dim": rho.dim},
                 IsotypicContext(ga, ha, rho, hat), refs))
     return entries
-
-
-def _split_halves(rho_a, ga, gat):
-    """A self-conjugate shape restricts to two irreducibles of half dim."""
-    target = rho_a.dim // 2
-    lam = decompose(rho_a.character().values, gat).multiplicities
-    rows = [i for i, (d, k) in enumerate(zip(gat.degrees(), lam))
-            if d == target and k == 1]
-    if len(rows) != 2:
-        raise CatalogError(
-            f"expected two half components of dim {target}, found {rows}")
-    return [extract_irrep(rho_a, ga, gat, i, int(lam[i])) for i in rows]
 
 
 def _flag_cross_family(entries):

@@ -20,8 +20,9 @@ from .catalog import (check_projective_table, check_symmetric_tower,
                       projective_entries, subset_reps,
                       symmetric_tower_entries)
 from .characters import compute_table
-from .codes import (CodeError, IsotypicContext, build_clifford_orthoplex,
-                    predict_from_dimensions, verify_simplex)
+from .codes import (CodeError, IdentityError, IsotypicContext,
+                    build_clifford_orthoplex, predict_from_dimensions,
+                    verify_simplex)
 from .grassmann import (format_value, orthoplex_bound, simplex_capacity,
                         simplex_fraction)
 from .permgroup import PermGroup, load_group, make_pgl2, make_psl2
@@ -351,13 +352,17 @@ def cmd_verify(args, opts: Options) -> int:
         except CodeError as err:
             raise CliError(f"chars {chars}: {err}")
         rep = verify_simplex(code)
-        certified = rep.certified and rep.equidistant
-        # the identity needs G's classes, so a table-free G skips it
-        residual = None
+        # the identity needs G's classes, so a table-free G skips it; a
+        # failed identity is a failed certification, not bad input
+        residual, identity_ok = None, True
         if g.is_enumerated:
             samples = [g.element(k % g.order)
                        for k in (1, g.order // 2, g.order - 1)]
-            residual = max(ctx.fonda2_residual(chars, s) for s in samples)
+            try:
+                residual = max(ctx.fonda2_residual(chars, s) for s in samples)
+            except IdentityError as err:
+                residual, identity_ok = err.residual, False
+        certified = rep.certified and rep.equidistant and identity_ok
         p = code.params
         em.say(f"chars {chars}: n={p.n} m={p.m} N={p.N}")
         em.say(f"  d_c^2 min {format_value(p.d_c_sq_min)}, "
@@ -367,7 +372,8 @@ def cmd_verify(args, opts: Options) -> int:
         em.say(f"  product distance min {p.d_tilde_min:.10g}")
         em.say("  character-identity residual " + (
             f"(3 samples) {residual:.2e}" if residual is not None
-            else f"not checked: {g.name} has no element table"))
+            else f"not checked: {g.name} has no element table")
+            + ("" if identity_ok else f" above {config.TOL.integer:g}: failed"))
         results.append({"chars": chars, "n": p.n, "m": p.m, "N": p.N,
                         "d_c_sq_min": p.d_c_sq_min,
                         "d_tilde_min": p.d_tilde_min,

@@ -33,6 +33,14 @@ class CodeError(config.GrasspackError):
     pass
 
 
+class IdentityError(CodeError):
+    """The character identity for d_c^2 failed by `residual`."""
+
+    def __init__(self, residual: float):
+        super().__init__(f"character identity residual {residual:.2e}")
+        self.residual = residual
+
+
 class StabilizerError(CodeError):
     """The orbit collapsed: the subspace stabilizer strictly contains H."""
 
@@ -81,25 +89,25 @@ def _chordal_blocks(projectors):
         yield lo, m - x[lo:lo + _GRAM_ROWS] @ x[lo:].T
 
 
-def spa_census(projectors, full_limit: int = CENSUS_FULL_LIMIT):
+def spa_census(projectors):
     """The one pass over a code's pairs: (census, distinct, grouped).  The
     census lists the distinct principal-angle sets over unordered pairs with
     pair counts, `distinct` counts the codewords equal to no earlier one
     (d_c^2 above TOL.integer), and `grouped` names the path taken.
 
-    Up to `full_limit` codewords every pair is resolved: for each codeword
-    one stacked SVD gives the sin^2 of its pairs with all later codewords,
-    pairs are grouped in order with the first matching set, and each new
-    set is taken from `principal_angles` on its first pair.  Above it,
-    pairs are grouped by chordal distance, read block by block from
-    `_chordal_blocks`: one entry per distance, in increasing order, whose
-    set comes from `principal_angles` on the group's first pair in
-    row-major order.  Distinct sets that share a chordal distance are
+    Up to `CENSUS_FULL_LIMIT` codewords, read at call time, every pair is
+    resolved: for each codeword one stacked SVD gives the sin^2 of its pairs
+    with all later codewords, pairs are grouped in order with the first
+    matching set, and each new set is taken from `principal_angles` on its
+    first pair.  Above it, pairs are grouped by chordal distance, read block
+    by block from `_chordal_blocks`: one entry per distance, in increasing
+    order, whose set comes from `principal_angles` on the group's first pair
+    in row-major order.  Distinct sets that share a chordal distance are
     merged into that one entry, so the grouped census can list fewer sets
     than the code has.  Both paths read d_c^2 for distinctness: the sum of
     a pair's sin^2, or its Gram entry."""
     n_words = len(projectors)
-    grouped = n_words > full_limit
+    grouped = n_words > CENSUS_FULL_LIMIT
     if n_words < 2:
         return [], n_words, grouped
     first = projectors[0]
@@ -250,7 +258,7 @@ class IsotypicContext:
 
     def fonda2_residual(self, chars, elem: Permutation) -> float:
         """Relative residual between the double-sum character expression for
-        d_c^2(W, gW) and the trace computation; CodeError above
+        d_c^2(W, gW) and the trace computation; IdentityError above
         TOL.integer."""
         g, h, rho = self.g, self.h, self.rho
         pi_w, m = self.subspace(chars)
@@ -274,7 +282,7 @@ class IsotypicContext:
         rhs = m - (total / h.order ** 2).real
         residual = abs(lhs - rhs) / max(1.0, abs(lhs))
         if residual > TOL.integer:
-            raise CodeError(f"character identity residual {residual:.2e}")
+            raise IdentityError(residual)
         return residual
 
     def dimension(self, chars) -> int:

@@ -1,16 +1,17 @@
 """Explicit unitary representations of permutation groups.
 
 A representation stores generator images only; the image of an arbitrary
-element is the product along a word for it (`PermGroup.word_of`: the closure
-spanning tree, or the Schreier tree of a group without a table), so nothing
-of size |G| x n^2 is ever materialized.  The two group-wide sums that
-extraction needs (isotypic vector projections and the commutant average)
-are one pass each of `_walk`, a depth-first walk over the tree that carries
-one vector and applies one generator per edge.  Class sums are formed only
-for the classes asked for, from their elements' stacked images
-(`UnitaryRep.images_of_indices`), a bounded chunk at a time.  Permutation
-tensor-power carriers apply elements as index gathers and never build their
-matrices.
+element is the product along a word for it (`PermGroup.word_of`), so nothing
+of size |G| x n^2 is ever materialized.  Class sums are formed only for the
+classes asked for, a bounded chunk of stacked images at a time.
+
+Young's orthogonal form gives the irreducibles of S_n and, restricted, of
+A_n; a self-conjugate shape splits on A_n into the two eigenspaces of its
+associator (`alternating_halves`).  All others are cut out of a permutation
+tensor-power carrier (`PermTensorCarrier`), whose group-wide sums gather a
+vector by G's element rows, a bounded chunk at a time.  Every derived
+representation passes one exact gate (`_check_extracted`): its basis is
+orthonormal and invariant under the generators it came from.
 
 Isotypic projector matrices are formed only by `codes.IsotypicContext`,
 from the class sums of a few classes; here `isotypic_weights` drives the
@@ -19,22 +20,19 @@ from `characters.decompose`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config
-from .characters import (CharacterTable, ClassFunction, decompose,
-                         inner_product)
+from .characters import CharacterTable, ClassFunction, decompose
 from .permgroup import PermGroup, Permutation
 
 TOL = config.TOL
 
-#: rows of rho(g)x gathered before one rank-k update of the commutant average
-_ROW_BUFFER = 256
-
-#: bytes of images held at once by the homomorphism check and by class sums;
-#: the check's products and residuals take about three times as much again
+#: bytes of images or gathered vectors held at once; the homomorphism check's
+#: products and residuals take about three times as much again
 _IMAGE_CHUNK_BYTES = 1 << 18
 
 
@@ -48,23 +46,6 @@ class CarrierBudgetError(RepError):
 
 class ExtractionError(RepError):
     pass
-
-
-def _tree_children(g: PermGroup) -> tuple[memoryview, ...]:
-    """CSR layout of the spanning tree: children of node i are
-    order[offsets[i]:offsets[i+1]], and node c hangs on generator via[c].
-    Memoryviews over the int64 arrays index and slice to Python ints."""
-    cached = getattr(g, "_tree_children", None)
-    if cached is None:
-        parent = np.asarray(g.parent[1:], dtype=np.int64)
-        order = np.argsort(parent, kind="stable").astype(np.int64) + 1
-        counts = np.bincount(parent, minlength=g.order)
-        offsets = np.zeros(g.order + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        via = np.ascontiguousarray(g.via_gen, dtype=np.int64)
-        cached = (order.data, offsets.data, via.data)
-        g._tree_children = cached
-    return cached
 
 
 def inverse_class_map(g: PermGroup) -> np.ndarray:
@@ -93,38 +74,6 @@ def _tree_words(g: PermGroup, indices) -> np.ndarray:
     return np.array(cols[::-1], dtype=np.int64).reshape(len(cols), cur.size).T
 
 
-def _walk(g: PermGroup, start, step):
-    """Depth-first walk over the spanning tree, yielding (node, payload).
-
-    The identity carries `start`; a child carries step(gi, parent payload),
-    gi being the generator on its tree edge.  Children are pushed in CSR
-    order and popped last-in first-out."""
-    order, offsets, via = _tree_children(g)
-    stack = [(0, start)]
-    while stack:
-        node, payload = stack.pop()
-        yield node, payload
-        for child in order[offsets[node]:offsets[node + 1]]:
-            stack.append((child, step(via[child], payload)))
-
-
-def _weighted_vector_sum(self, weights: np.ndarray,
-                         vec: np.ndarray) -> np.ndarray:
-    """sum_g weights[class(g)] rho(g) v, for any carrier `self` with
-    `apply_gen_inv`; each carrier class binds it as its method.
-
-    A vector payload can only be left-multiplied down the tree, so the walk
-    carries rho(node^-1) v and reads weights through the inverse-class map
-    (node -> node^-1 is a bijection of the group)."""
-    g = self.group
-    cls = g.conjugacy_classes().class_of
-    winv = np.asarray(weights, dtype=complex)[inverse_class_map(g)]
-    acc = np.zeros(self.dim, dtype=complex)
-    for node, v in _walk(g, vec.astype(complex), self.apply_gen_inv):
-        acc += winv[cls[node]] * v
-    return acc
-
-
 class UnitaryRep:
     """Matrix representation given by its generator images."""
 
@@ -141,7 +90,6 @@ class UnitaryRep:
         self.name = name or f"rep{self.dim}"
         self.provenance = provenance or {}
         self._char = None
-        self._gen_inv = None
 
     # -- evaluation ----------------------------------------------------
 
@@ -150,7 +98,8 @@ class UnitaryRep:
         inverse of generator s, whose image is rho(s)^H (rho is unitary)."""
         m = np.eye(self.dim, dtype=complex)
         for x in word:
-            m = m @ (self.gen_images[x] if x >= 0 else self._inverses()[~x])
+            m = m @ (self.gen_images[x] if x >= 0
+                     else self.gen_images[~x].conj().T)
         return m
 
     def image_of_index(self, index: int) -> np.ndarray:
@@ -163,17 +112,6 @@ class UnitaryRep:
 
     def apply_gen(self, gi: int, vec: np.ndarray) -> np.ndarray:
         return self.gen_images[gi] @ vec
-
-    def apply_gen_inv(self, gi: int, vec: np.ndarray) -> np.ndarray:
-        # one call per tree edge in every walk: no helper call once cached
-        return (self._gen_inv or self._inverses())[gi] @ vec
-
-    def _inverses(self) -> list[np.ndarray]:
-        if self._gen_inv is None:
-            # unitary inverses, kept as transposed views: the layout (and so
-            # the BLAS summation order) of an uncached `conj().T`
-            self._gen_inv = [m.conj().T for m in self.gen_images]
-        return self._gen_inv
 
     def images_of_indices(self, indices) -> np.ndarray:
         """rho(g_i) for each element index, stacked: every tree word is
@@ -196,10 +134,6 @@ class UnitaryRep:
             vals = np.array([np.trace(self.image(rep)) for rep in cc.reps])
             self._char = ClassFunction(vals, self.group.name, cc.sizes)
         return self._char
-
-    # -- group-wide sums ------------------------------------------------
-
-    weighted_vector_sum = _weighted_vector_sum
 
     def class_sums(self, classes) -> np.ndarray:
         """M[k] = sum of rho(h) over the k-th listed class.  Only the listed
@@ -284,24 +218,21 @@ class PermTensorCarrier:
         self.name = f"perm{d}^x{k}"
         self._gen_idx = [self._flat_index(p.inverse().images)
                          for p in group.generators]
-        self._gen_idx_inv = [self._flat_index(p.images)
-                             for p in group.generators]
         self._char: ClassFunction | None = None
 
     def _flat_index(self, inv_images: np.ndarray) -> np.ndarray:
-        """(rho(g) v)[p] = v[g^-1 p], flattened over k-tuples."""
+        """(rho(g) v)[p] = v[g^-1 p], flattened over k-tuples; a stack of
+        image rows gives one flat index per row."""
         d = self.group.degree
-        idx = inv_images.astype(np.int64)
+        idx = np.asarray(inv_images, dtype=np.int64)
         out = idx
         for _ in range(self.k - 1):
-            out = (out[:, None] * d + idx[None, :]).ravel()
+            out = (out[..., :, None] * d + idx[..., None, :]).reshape(
+                *idx.shape[:-1], -1)
         return out
 
     def apply_gen(self, gi: int, vec: np.ndarray) -> np.ndarray:
         return vec[self._gen_idx[gi]]
-
-    def apply_gen_inv(self, gi: int, vec: np.ndarray) -> np.ndarray:
-        return vec[self._gen_idx_inv[gi]]
 
     def character(self) -> ClassFunction:
         """Fixed points of each class representative, to the k-th power."""
@@ -313,7 +244,44 @@ class PermTensorCarrier:
             self._char = ClassFunction(fix ** self.k, self.group.name, cc.sizes)
         return self._char
 
-    weighted_vector_sum = _weighted_vector_sum
+    def _row_gathers(self, vec: np.ndarray, rows: np.ndarray):
+        """(lo, block) over an element table: row i of block is vec gathered
+        by g's own row, rho(g^-1) vec, for g = rows[lo + i]."""
+        step = max(1, _IMAGE_CHUNK_BYTES // (16 * self.dim))
+        for lo in range(0, len(rows), step):
+            yield lo, vec[self._flat_index(rows[lo:lo + step])]
+
+    def weighted_vector_sum(self, weights: np.ndarray,
+                            vec: np.ndarray) -> np.ndarray:
+        """sum_g weights[class(g)] rho(g) v.  The gathers give rho(g^-1) v,
+        so each is weighted through the inverse-class map (g -> g^-1 is a
+        bijection of the group)."""
+        g = self.group
+        winv = np.asarray(weights, dtype=complex)[inverse_class_map(g)]
+        per_row = winv[g.conjugacy_classes().class_of]
+        acc = np.zeros(self.dim, dtype=complex)
+        for lo, block in self._row_gathers(vec, g.rows):
+            acc += per_row[lo:lo + len(block)] @ block
+        return acc
+
+    def commutant_average(self, basis: np.ndarray,
+                          x: np.ndarray) -> np.ndarray:
+        """T = (1/|G|) sum_g z_g z_g^H, z_g = B^H rho(g) B x, in the commutant
+        of rho on the invariant span of B's orthonormal columns.  Over the
+        coset reps u of H = G_0, z_uh = A_u z_h with A_u = B^H rho(u) B: T is
+        (1/|G|) sum_u A_u Y A_u^H, Y summed over H's rows only."""
+        g = self.group
+        h = g.stabilizer(0)
+        conj = basis.conj()
+        y = np.zeros((basis.shape[1],) * 2, dtype=complex)
+        for _, block in self._row_gathers(basis @ x, h.rows):
+            z = block @ conj                  # row i: (B^H rho(h_i^-1) B x)^T
+            y += z.T @ z.conj()
+        acc = np.zeros_like(y)
+        for inv in np.argsort(g.coset_transversal(h).rep_rows, axis=1):
+            a = conj.T @ basis[self._flat_index(inv)]    # u^-1 row: rho(u) B
+            acc += a @ y @ a.conj().T
+        return acc / g.order
 
 
 # ------------------------------------------------------------ isotypic sums
@@ -332,18 +300,21 @@ def isotypic_weights(table: CharacterTable, chars: list[int]) -> np.ndarray:
 # ------------------------------------------------------------- extraction
 
 
-def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
-                  chi_index: int, mu: int,
+def extract_irrep(carrier: PermTensorCarrier, g: PermGroup,
+                  table: CharacterTable, chi_index: int, mu: int,
                   seed: int = config.DEFAULT_SEED) -> UnitaryRep:
-    """Cut one copy of an irreducible out of a carrier representation in
+    """Cut one copy of an irreducible out of g's carrier representation, in
     which it has multiplicity `mu` (as `find_carrier` or the caller's own
     decomposition gives it); a wrong mu fails the isotypic rank check.
 
     Project a random vector into the isotypic subspace and span its orbit;
     at multiplicity one that span is the copy.  Higher multiplicity: average
     a random rank-one matrix over the span into the commutant and take one
-    eigenvalue cluster, which is a single copy.
+    eigenvalue cluster, which is a single copy.  The copy passes the
+    invariance gate and must carry the target character.
     """
+    if carrier.group is not g:
+        raise ExtractionError(f"{carrier.name} is not a carrier of {g.name}")
     chi = table.irreducibles[chi_index]
     target = int(round(chi.degree.real))
     if mu < 1:
@@ -354,14 +325,15 @@ def extract_irrep(carrier, g: PermGroup, table: CharacterTable,
     for t in range(config.SEED_TRIES):
         rng = np.random.default_rng(seed + t)
         try:
-            basis = _single_copy_basis(carrier, g, weights, target, mu, rng)
-            images = _compress_generators(carrier, basis)
-            rep = UnitaryRep(g, images, name=f"irr{target}",
-                             provenance={"carrier": carrier.name,
-                                         "character_index": chi_index,
-                                         "seed": seed + t,
-                                         "multiplicity": mu})
-            _check_extracted(rep, chi)
+            basis = _single_copy_basis(carrier, weights, target, mu, rng)
+            rep = _check_extracted(carrier, basis, f"irr{target}",
+                                   {"carrier": carrier.name,
+                                    "character_index": chi_index,
+                                    "seed": seed + t,
+                                    "multiplicity": mu})
+            if np.abs(rep.character().values - chi.values).max() > TOL.integer:
+                raise ExtractionError("extracted character does not match "
+                                      "target")
             return rep
         except (ExtractionError, RepError) as err:
             last = err
@@ -409,7 +381,7 @@ def _orthogonal_residual(vec, basis):
     return vec / norm
 
 
-def _single_copy_basis(carrier, g, weights, target, mu, rng):
+def _single_copy_basis(carrier, weights, target, mu, rng):
     # full isotypic basis first
     v0 = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
     w0 = carrier.weighted_vector_sum(weights, v0)
@@ -431,36 +403,14 @@ def _single_copy_basis(carrier, g, weights, target, mu, rng):
     b = full.T                                # dim x (target*mu)
     if mu == 1:
         return b
-    # compress generators, then average a random rank-1 into the commutant
-    comp = _compress_generators(carrier, b)
-    small = UnitaryRep(g, comp, name="isotypic")
+    # average a random rank-1 over the isotypic span into the commutant
     x = rng.standard_normal(target * mu) + 1j * rng.standard_normal(target * mu)
-    t = _reynolds_rank1(small, x)
-    evals, evecs = np.linalg.eigh(t)
-    clusters = _eigen_clusters(evals)
-    for lo, hi in clusters:
+    evals, evecs = np.linalg.eigh(carrier.commutant_average(b, x))
+    for lo, hi in _eigen_clusters(evals):
         if hi - lo == target:
             return b @ evecs[:, lo:hi]
     raise ExtractionError(
         f"no eigenvalue cluster of size {target} in commutant spectrum")
-
-
-def _reynolds_rank1(rep: UnitaryRep, x: np.ndarray) -> np.ndarray:
-    """T = (1/|G|) sum_g (rho(g)x)(rho(g)x)^H, a commutant element.
-
-    The walk yields rho(node^-1)x per node, which covers {rho(g)x : g}; the
-    vectors are gathered as rows and summed _ROW_BUFFER at a time."""
-    acc = np.zeros((rep.dim, rep.dim), dtype=complex)
-    rows = np.empty((_ROW_BUFFER, rep.dim), dtype=complex)
-    k = 0
-    for _, v in _walk(rep.group, x.astype(complex), rep.apply_gen_inv):
-        rows[k] = v
-        k += 1
-        if k == _ROW_BUFFER:
-            acc += rows.T @ rows.conj()
-            k = 0
-    acc += rows[:k].T @ rows[:k].conj()
-    return acc / rep.group.order
 
 
 def _eigen_clusters(evals: np.ndarray) -> list[tuple[int, int]]:
@@ -474,26 +424,26 @@ def _eigen_clusters(evals: np.ndarray) -> list[tuple[int, int]]:
     return out
 
 
-def _compress_generators(carrier, basis) -> list[np.ndarray]:
-    cols = [carrier.apply_gen(gi, basis[:, j])
-            for gi in range(len(carrier.group.generators))
-            for j in range(basis.shape[1])]
-    k = basis.shape[1]
+def _check_extracted(source, basis: np.ndarray, name: str,
+                     provenance: dict) -> UnitaryRep:
+    """The representation A_s = B^H rho(s) B on the span of the columns of
+    `basis`, proven a subrepresentation of `source`: the residual
+    max(|rho(s) B - B A_s|, |B^H B - I|) over the generators s, recorded in
+    the provenance, is at most TOL.ortho, else ExtractionError.  An
+    orthonormal span invariant under the generators is so under the group."""
+    cols = basis.shape[1]
+    worst = float(np.abs(basis.conj().T @ basis - np.eye(cols)).max())
     images = []
-    for gi in range(len(carrier.group.generators)):
-        block = np.array(cols[gi * k:(gi + 1) * k]).T
-        images.append(basis.conj().T @ block)
-    return images
-
-
-def _check_extracted(rep: UnitaryRep, chi: ClassFunction):
-    rep.check_unitary_homomorphism(n_pairs=100)
-    got = rep.character()
-    if np.abs(got.values - chi.values).max() > TOL.integer:
-        raise ExtractionError("extracted character does not match target")
-    ip = inner_product(got, chi)
-    if abs(ip - 1) > TOL.integer:
-        raise ExtractionError(f"<extracted, target> = {ip}, expected 1")
+    for gi in range(len(source.group.generators)):
+        moved = source.apply_gen(gi, basis)
+        a = basis.conj().T @ moved
+        worst = max(worst, float(np.abs(moved - basis @ a).max()))
+        images.append(a)
+    if worst > TOL.ortho:
+        raise ExtractionError(f"invariance residual {worst:.2e} above "
+                              f"{TOL.ortho:g}: not a subrepresentation")
+    return UnitaryRep(source.group, images, name=name,
+                      provenance={**provenance, "invariance_residual": worst})
 
 
 class PermCarriers:
@@ -590,7 +540,6 @@ class Partition:
 
 
 def hook_dimension(lam: Partition) -> int:
-    import math
     prod = 1
     for row in lam.hooks():
         for h in row:
@@ -701,9 +650,61 @@ def young_orthogonal_rep(n_or_group, lam: Partition) -> UnitaryRep:
         return m
 
     images = [image_of(p) for p in group.generators]
-    rep = UnitaryRep(group, images, name=f"young{lam}",
-                     provenance={"partition": str(lam)})
-    return rep
+    return UnitaryRep(group, images, name=f"young{lam}",
+                      provenance={"partition": str(lam)})
+
+
+def young_associator(lam: Partition) -> np.ndarray:
+    """J e_T = eps_T e_T' on the Young basis of a self-conjugate shape, in
+    `standard_tableaux` order: T' is the transposed tableau and eps_T the
+    sign of T's row-reading word.  Transposing negates every axial distance
+    and swapping k, k+1 flips eps, so J anticommutes with the image of each
+    adjacent transposition: J rho(g) = sgn(g) rho(g) J, and J^2 = +-I."""
+    if lam.conjugate() != lam:
+        raise RepError(f"{lam} is not self-conjugate")
+    tabs = standard_tableaux(lam)
+    index = {t: i for i, t in enumerate(tabs)}
+    j = np.zeros((len(tabs), len(tabs)))
+    for i, t in enumerate(tabs):
+        transposed = tuple(tuple(row[c] for row in t if c < len(row))
+                           for c in range(len(t[0])))
+        word = [e for row in t for e in row]
+        inversions = sum(a > b for x, a in enumerate(word) for b in word[x + 1:])
+        j[index[transposed], i] = -1.0 if inversions % 2 else 1.0
+    return j
+
+
+def alternating_halves(rho: UnitaryRep, lam: Partition,
+                       table: CharacterTable) -> list[UnitaryRep]:
+    """The two irreducible halves, in row order of A_n's `table`, of the
+    Young form `rho` of a self-conjugate shape restricted to A_n.
+
+    J = `young_associator(lam)` commutes with rho(A_n).  T != T' always, and
+    over one T of each pair {T, T'} the vectors (e_T + c eps_T e_T')/sqrt(2)
+    are an exact orthonormal basis of one eigenspace of J: c = +-1 when
+    J^2 = I, c = -+i when J^2 = -I.  Each half passes the invariance gate
+    and is named by its character: one row of `table`, multiplicity 1."""
+    j = young_associator(lam)
+    partner = np.abs(j).argmax(axis=0)                 # T -> T'
+    eps = j[partner, np.arange(len(j))]                # eps_T
+    firsts = np.flatnonzero(np.arange(len(j)) < partner)
+    square = eps[firsts[0]] * eps[partner[firsts[0]]]  # J^2 = square * I
+    halves = []
+    for sign, c in zip("+-", (1, -1) if square > 0 else (-1j, 1j)):
+        basis = np.zeros((len(j), len(firsts)), dtype=complex)
+        cols = np.arange(len(firsts))
+        basis[firsts, cols] = 1 / np.sqrt(2)
+        basis[partner[firsts], cols] = c * eps[firsts] / np.sqrt(2)
+        half = _check_extracted(rho, basis, f"young{lam}{sign}",
+                                {"partition": str(lam)})
+        mult = decompose(half.character().values, table).multiplicities
+        rows = np.flatnonzero(mult)
+        if len(rows) != 1 or mult[rows[0]] != 1:
+            raise RepError(f"half {sign} of {lam} is not irreducible: "
+                           f"multiplicities {mult.tolist()}")
+        half.provenance["character_index"] = int(rows[0])
+        halves.append(half)
+    return sorted(halves, key=lambda r: r.provenance["character_index"])
 
 
 # ----------------------------------------------- rotation rep of Sp(6, 2)

@@ -165,6 +165,20 @@ def test_tower_without_alternating_lane():
     assert {(e.n, e.m) for e in entries} == {(4, 1), (5, 2), (6, 3)}
 
 
+def test_alternating_lane_splits_without_extraction(monkeypatch):
+    # a self-conjugate shape splits on A_n through its associator, so the
+    # tower extracts nothing; [3,2,1] (dimension 16) gives halves of 8
+    def refuse(*args, **kwargs):
+        raise AssertionError("the tower lane extracted a representation")
+    monkeypatch.setattr(catalog, "extract_irrep", refuse)
+    monkeypatch.setattr(reps, "extract_irrep", refuse)
+    entries = symmetric_tower_entries(6)
+    split = [e for e in entries if e.family == "alternating"
+             and e.parameters["partition"] == [3, 2, 1]]
+    assert split and {e.parameters["rep_dim"] for e in split} == {8}
+    assert all(e.status == "verified" for e in split)
+
+
 # ---------------------------------------------------------- projective line
 
 

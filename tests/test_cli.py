@@ -13,7 +13,7 @@ from grasspack import permgroup
 from grasspack.catalog import CatalogError, projective_entries
 from grasspack.characters import CharacterError, compute_table
 from grasspack.cli import CliError, main
-from grasspack.codes import CodeError
+from grasspack.codes import CodeError, IdentityError, IsotypicContext
 from grasspack.config import GrasspackError
 from grasspack.grassmann import GrassmannError
 from grasspack.permgroup import PermError, PermGroup, make_pgl2
@@ -64,6 +64,26 @@ def test_verify_young(capsys):
     assert code == 0
     assert "8/9" in out
     assert "certified: yes" in out
+
+
+def test_verify_failed_character_identity_is_a_failed_certification(
+        capsys, monkeypatch):
+    # a residual above tolerance fails the certification (exit 1) and is
+    # reported, never turned into a bad-input error (exit 2)
+    def failing(self, chars, elem):
+        raise IdentityError(0.25)
+    monkeypatch.setattr(IsotypicContext, "fonda2_residual", failing)
+    argv = ("verify", "--group", "S4", "--H", "stab3", "--rep", "young:[3,1]",
+            "--chars", "auto-min")
+    code, out, err = run(capsys, "--json", *argv)
+    assert code == 1 and err == ""
+    results = json.loads(out)["results"]
+    assert results and all(r["certified"] is False for r in results)
+    assert all(r["fonda_residual"] == 0.25 for r in results)
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err == ""
+    assert "character-identity residual (3 samples) 2.50e-01 above" in out
+    assert "certified: no" in out
 
 
 def test_verify_full_subset_is_input_error(capsys):

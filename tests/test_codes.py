@@ -471,12 +471,14 @@ def _moved(ctx, pi_w, perm):
 # ------------------------------------------------------------ census and IO
 
 
-def test_census_grouped_path_matches_full(s5_ctx):
+def test_census_grouped_path_matches_full(s5_ctx, monkeypatch):
     subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
     union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets,
                              h_table=s5_ctx.h_table)
-    full, _, _ = spa_census(union.projectors, full_limit=200)
-    grouped, _, _ = spa_census(union.projectors, full_limit=2)
+    monkeypatch.setattr(codes, "CENSUS_FULL_LIMIT", 200)
+    full, _, _ = spa_census(union.projectors)
+    monkeypatch.setattr(codes, "CENSUS_FULL_LIMIT", 2)
+    grouped, _, _ = spa_census(union.projectors)
     assert len(full) == len(grouped)
     for (sa, ka), (sb, kb) in zip(
             sorted(full, key=lambda t: t[0].chordal_sq()),
@@ -610,12 +612,14 @@ def test_grouped_census_matches_dense_reference(clifford_3_2, monkeypatch):
                        zip(s.sin_sq, ref.sin_sq)) <= 1e-12
 
 
-def test_grouped_census_is_labelled_and_merges_sets(clifford_3_2):
+def test_grouped_census_is_labelled_and_merges_sets(clifford_3_2,
+                                                    monkeypatch):
     assert clifford_3_2.params.N == 420
     assert clifford_3_2.provenance["census"] == "grouped by chordal distance"
     assert "census" not in build_clifford_orthoplex(2).provenance
     assert len(clifford_3_2.census) == 3
-    full, _, _ = spa_census(clifford_3_2.projectors, full_limit=10 ** 6)
+    monkeypatch.setattr(codes, "CENSUS_FULL_LIMIT", 10 ** 6)
+    full, _, _ = spa_census(clifford_3_2.projectors)
     assert len(full) == 5
     assert distance_counts(full) == distance_counts(clifford_3_2.census)
 
@@ -631,15 +635,18 @@ def test_duplicate_across_gram_blocks_is_caught():
         codes._assemble(projectors, {}, 1)
 
 
-def test_census_distinct_small_codes_match_dense(s5_ctx, psl5_quad_code):
+def test_census_distinct_small_codes_match_dense(s5_ctx, psl5_quad_code,
+                                                 monkeypatch):
     words = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1]).projectors
     for projectors in (list(words), list(psl5_quad_code.projectors),
                        list(words) + list(words[:2])):
         assert len(projectors) <= 28
         want = dense_distinct(projectors)
         for full_limit in (200, 2):             # both paths of the pass
-            _, distinct, grouped = spa_census(projectors, full_limit)
+            monkeypatch.setattr(codes, "CENSUS_FULL_LIMIT", full_limit)
+            _, distinct, grouped = spa_census(projectors)
             assert (distinct, grouped) == (want, full_limit == 2)
+        monkeypatch.undo()
         if want < len(projectors):
             with pytest.raises(StabilizerError):
                 codes._assemble(projectors, {}, 1)

@@ -17,7 +17,7 @@ from grasspack.reps import (CarrierBudgetError, ExtractionError, Partition,
                             branching, extract_irrep, find_carrier,
                             hook_dimension, standard_tableaux,
                             young_orthogonal_rep)
-from reference import kron_power, perm_rep
+from reference import isotypic_projector, kron_power, perm_rep
 
 # ---------------------------------------------------------------- oracles
 
@@ -268,16 +268,13 @@ def test_projector_trace_gate():
 
 
 def test_vector_sum_with_non_involutive_generators():
-    # the translation generator of PGL2(F5) has order 5; a naive forward
-    # walk silently reverses words and only survives involutive generators
+    # the translation generator of PGL2(F5) has order 5; a gather that
+    # confused g with g^-1 would only survive involutive generators
     g = make_pgl2(5)
     t = compute_table(g)
     rng = np.random.default_rng(3)
     w = rng.standard_normal(t.n_classes) + 1j * rng.standard_normal(t.n_classes)
     rep = perm_rep(g)
-    dense = np.tensordot(w, rep.class_sums(range(t.n_classes)), axes=1)
-    v = rng.standard_normal(g.degree) + 1j * rng.standard_normal(g.degree)
-    assert np.abs(dense @ v - rep.weighted_vector_sum(w, v)).max() < 1e-10
     car = PermTensorCarrier(g, 2)
     dense2 = kron_power(rep, 2)
     v2 = rng.standard_normal(car.dim) + 1j * rng.standard_normal(car.dim)
@@ -295,10 +292,10 @@ def _unitary(dim, rng):
 @pytest.mark.parametrize("make", [lambda: make_pgl2(5),
                                   lambda: PermGroup.alternating(5)],
                          ids=["pgl2_5", "a5"])
-def test_tree_walk_sums_match_brute_force(make):
-    # every sum the spanning-tree walk forms, against a plain sum over
-    # image_of_index(i) for all i; PGL2(5)'s translation generator has
-    # order 5, so a walk that reversed words would fail here
+def test_row_gather_sums_match_brute_force(make):
+    # every group-wide sum, against a plain sum over image_of_index(i) for
+    # all i; PGL2(5)'s translation generator has order 5, so a sum that
+    # gathered by g where it needed g^-1 would fail here
     g = make()
     t = compute_table(g)
     cls = g.conjugacy_classes().class_of
@@ -306,29 +303,31 @@ def test_tree_walk_sums_match_brute_force(make):
     base = perm_rep(g)
     u = _unitary(base.dim, rng)
     rep = reps.UnitaryRep(g, [u @ m @ u.conj().T for m in base.gen_images])
-    car = PermTensorCarrier(g, 2)
-    dense = kron_power(base, 2)
-    w = rng.standard_normal(t.n_classes) + 1j * rng.standard_normal(t.n_classes)
-
     images = [rep.image_of_index(i) for i in range(g.order)]
     want = np.zeros((t.n_classes, rep.dim, rep.dim), dtype=complex)
     for i, img in enumerate(images):
         want[cls[i]] += img
     assert np.abs(rep.class_sums(range(t.n_classes)) - want).max() < 1e-10
 
-    v = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
-    want_v = sum(w[cls[i]] * img @ v for i, img in enumerate(images))
-    assert np.abs(rep.weighted_vector_sum(w, v) - want_v).max() < 1e-10
+    w = rng.standard_normal(t.n_classes) + 1j * rng.standard_normal(t.n_classes)
+    for k in (1, 2, 3):
+        car = PermTensorCarrier(g, k)
+        dense = kron_power(base, k)
+        images = [dense.image_of_index(i) for i in range(g.order)]
+        v = rng.standard_normal(car.dim) + 1j * rng.standard_normal(car.dim)
+        want_v = sum(w[cls[i]] * img @ v for i, img in enumerate(images))
+        assert np.abs(car.weighted_vector_sum(w, v) - want_v).max() < 1e-10
 
-    x = rng.standard_normal(rep.dim) + 1j * rng.standard_normal(rep.dim)
-    want_t = sum(np.outer(img @ x, (img @ x).conj()) for img in images)
-    got_t = reps._reynolds_rank1(rep, x)
-    assert np.abs(got_t - want_t / g.order).max() < 1e-10
-
-    v2 = rng.standard_normal(car.dim) + 1j * rng.standard_normal(car.dim)
-    want_v2 = sum(w[cls[i]] * dense.image_of_index(i) @ v2
-                  for i in range(g.order))
-    assert np.abs(car.weighted_vector_sum(w, v2) - want_v2).max() < 1e-10
+        # commutant average on the largest isotypic span of the carrier
+        mult = decompose(car.character().values, t).multiplicities
+        chi = int(np.argmax(mult * t.degrees()))
+        evals, evecs = np.linalg.eigh(isotypic_projector(
+            dense.class_sums(range(t.n_classes)), t, [chi]))
+        b = evecs[:, evals > 0.5]
+        x = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
+        zs = [b.conj().T @ img @ b @ x for img in images]
+        want_t = sum(np.outer(z, z.conj()) for z in zs) / g.order
+        assert np.abs(car.commutant_average(b, x) - want_t).max() < 1e-10
 
 
 @pytest.mark.parametrize("make", [lambda: make_pgl2(5),
@@ -525,6 +524,67 @@ def test_extract_alternating_group():
         assert abs(inner_product(rep.character(), t.irreducibles[i]) - 1) < 1e-6
         built += 1
     assert built == t.n_classes      # every A5 irreducible is reachable
+
+
+#: table rows of A_n holding the two halves of each self-conjugate shape,
+#: in the order the tower's alternating lane builds them
+HALF_ROWS = {(2, 2): [0, 1], (3, 1, 1): [1, 2], (3, 2, 1): [3, 4],
+             (4, 1, 1, 1): [2, 3], (3, 3, 2): [4, 5], (4, 2, 1, 1): [9, 10]}
+
+
+@pytest.mark.parametrize("parts", list(HALF_ROWS), ids=str)
+def test_associator_splits_self_conjugate_shapes(parts):
+    lam = Partition(parts)
+    j = reps.young_associator(lam)
+    # S_n's first generator is the transposition (0 1): an odd element
+    transposition = young_orthogonal_rep(lam.n, lam).gen_images[0]
+    assert np.abs(j @ transposition + transposition @ j).max() <= 1e-15
+    square = j @ j
+    assert abs(square[0, 0]) == 1
+    assert np.array_equal(square, square[0, 0] * np.eye(len(j)))   # +-I
+    ga = PermGroup.alternating(lam.n)
+    t = compute_table(ga)
+    halves = reps.alternating_halves(young_orthogonal_rep(ga, lam), lam, t)
+    assert [h.provenance["character_index"] for h in halves] == HALF_ROWS[parts]
+    for h, row in zip(halves, HALF_ROWS[parts]):
+        assert h.dim == len(j) // 2
+        assert h.provenance["invariance_residual"] <= reps.TOL.ortho
+        assert abs(inner_product(h.character(), h.character()) - 1) < 1e-9
+        assert np.abs(h.character().values
+                      - t.irreducibles[row].values).max() < 1e-9
+
+
+def test_associator_needs_a_self_conjugate_shape():
+    with pytest.raises(RepError, match="not self-conjugate"):
+        reps.young_associator(Partition((3, 1)))
+
+
+def test_invariance_gate_refuses_a_perturbed_basis():
+    # the sum-zero vectors of the natural module of S5 span the standard
+    # representation; a basis of them moved by 1e-6 spans no subspace
+    g = PermGroup.symmetric(5)
+    carrier = PermTensorCarrier(g, 1)
+    basis, _ = np.linalg.qr(np.eye(5)[:, :4] - 1 / 5)
+    rep = reps._check_extracted(carrier, basis, "std", {"seed": 0})
+    assert rep.dim == 4 and rep.provenance["seed"] == 0
+    assert rep.provenance["invariance_residual"] <= 1e-14
+    rep.check_unitary_homomorphism(n_pairs=25)
+    bent = basis + 1e-6 * np.random.default_rng(2).standard_normal(basis.shape)
+    with pytest.raises(ExtractionError,
+                       match=r"invariance residual [0-9.]+e-0[67] above"):
+        reps._check_extracted(carrier, bent, "std", {})
+
+
+def test_extraction_records_its_invariance_residual():
+    g = make_pgl2(7)
+    t = compute_table(g)
+    carriers = PermCarriers(g)
+    for i in range(t.n_classes):
+        found = find_carrier(carriers, t, i)
+        if found is not None:
+            carrier, mu = found
+            rep = extract_irrep(carrier, g, t, i, mu)
+            assert 0 <= rep.provenance["invariance_residual"] <= reps.TOL.ortho
 
 
 def test_restrict_rep_matches_parent():
