@@ -371,9 +371,9 @@ def cmd_verify(args, opts: Options) -> int:
                f"certified: {'yes' if certified else 'no'}")
         em.say(f"  product distance min {p.d_tilde_min:.10g}")
         em.say("  character-identity residual " + (
-            f"(3 samples) {residual:.2e}" if residual is not None
-            else f"not checked: {g.name} has no element table")
-            + ("" if identity_ok else f" above {config.TOL.integer:g}: failed"))
+            f"not checked: {g.name} has no element table" if residual is None
+            else f"(3 samples) {residual:.2e}" if identity_ok
+            else f"{residual:.2e} above {config.TOL.integer:g}: failed"))
         results.append({"chars": chars, "n": p.n, "m": p.m, "N": p.N,
                         "d_c_sq_min": p.d_c_sq_min,
                         "d_tilde_min": p.d_tilde_min,

@@ -82,7 +82,7 @@ def test_verify_failed_character_identity_is_a_failed_certification(
     assert all(r["fonda_residual"] == 0.25 for r in results)
     code, out, err = run(capsys, *argv)
     assert code == 1 and err == ""
-    assert "character-identity residual (3 samples) 2.50e-01 above" in out
+    assert "character-identity residual 2.50e-01 above 1e-06: failed" in out
     assert "certified: no" in out
 
 

@@ -561,7 +561,7 @@ def test_associator_needs_a_self_conjugate_shape():
 
 def test_invariance_gate_refuses_a_perturbed_basis():
     # the sum-zero vectors of the natural module of S5 span the standard
-    # representation; a basis of them moved by 1e-6 spans no subspace
+    # representation; a basis of them moved by 1e-6 spans no invariant one
     g = PermGroup.symmetric(5)
     carrier = PermTensorCarrier(g, 1)
     basis, _ = np.linalg.qr(np.eye(5)[:, :4] - 1 / 5)
