@@ -14,8 +14,8 @@ from .grassmann import (GrassmannError, PrincipalAngleSet, SubspaceProjector,
                         chordal_sq_trace, orthoplex_bound, principal_angles,
                         product_distance, simplex_bound)
 from .permgroup import NotASubgroup, PermGroup, Permutation
-from .reps import (UnitaryRep, commutant_singular_values, inverse_class_map,
-                   isotypic_weights, restrict_rep)
+from .reps import (UnitaryRep, commutant_singular_values, isotypic_weights,
+                   restrict_rep)
 
 TOL = config.TOL
 
@@ -340,7 +340,7 @@ def _isotypic_split(rho_h: UnitaryRep, table: CharacterTable,
     present = [int(i) for i in np.flatnonzero(lam)]
     omega = np.array([cc.sizes * table.irreducibles[i].values / degs[i]
                       for i in present]).reshape(len(present), -1)
-    inv = inverse_class_map(rho_h.group)
+    inv = rho_h.group.conjugacy_classes().inverse
     pairs = sorted((c for c in range(1, cc.n_classes) if c <= inv[c]),
                    key=lambda c: (int(cc.sizes[c]), c))
     iu, ju = np.triu_indices(len(present), k=1)

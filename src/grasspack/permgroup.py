@@ -115,7 +115,7 @@ class Permutation:
         return Permutation(np.argsort(self.images))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*map(len, self.cycles()))
 
     def is_identity(self) -> bool:
         return bool((self.images == np.arange(self.degree, dtype=DTYPE)).all())
@@ -182,6 +182,8 @@ class ConjugacyClasses:
     sizes: np.ndarray            # int64, per class
     class_of: np.ndarray         # int32, aligned with the element table
     orders: np.ndarray           # element order per class
+    rep_index: np.ndarray        # table index of each rep
+    inverse: np.ndarray          # class holding the inverses of each class
 
     @property
     def n_classes(self) -> int:
@@ -430,7 +432,8 @@ class PermGroup:
             reps = [self.element(int(i)) for i in first]
             self._classes = ConjugacyClasses(
                 reps, np.bincount(class_of).astype(np.int64), class_of.astype(np.int32),
-                np.array([p.order() for p in reps], dtype=np.int64))
+                np.array([p.order() for p in reps], dtype=np.int64),
+                first, class_of[self._inverse_index()[first]])
         return self._classes
 
     # -- subgroups ------------------------------------------------------

@@ -48,17 +48,6 @@ class ExtractionError(RepError):
     pass
 
 
-def inverse_class_map(g: PermGroup) -> np.ndarray:
-    """inv[c] = class index holding the inverses of class c."""
-    cached = getattr(g, "_inv_class_map", None)
-    if cached is None:
-        cc = g.conjugacy_classes()
-        cached = np.array([cc.class_of[g.index_of(rep.inverse())]
-                           for rep in cc.reps], dtype=np.int64)
-        g._inv_class_map = cached
-    return cached
-
-
 def _tree_words(g: PermGroup, indices) -> np.ndarray:
     """Tree words of many elements as rows of generator indices, read left
     to right and padded with -1 on the left to a common length."""
@@ -131,7 +120,8 @@ class UnitaryRep:
         """Trace at each class representative."""
         if self._char is None:
             cc = self.group.conjugacy_classes()
-            vals = np.array([np.trace(self.image(rep)) for rep in cc.reps])
+            vals = np.array([np.trace(self.image_of_index(int(i)))
+                             for i in cc.rep_index])
             self._char = ClassFunction(vals, self.group.name, cc.sizes)
         return self._char
 
@@ -254,11 +244,11 @@ class PermTensorCarrier:
     def weighted_vector_sum(self, weights: np.ndarray,
                             vec: np.ndarray) -> np.ndarray:
         """sum_g weights[class(g)] rho(g) v.  The gathers give rho(g^-1) v,
-        so each is weighted through the inverse-class map (g -> g^-1 is a
+        so each is weighted through the inverse class (g -> g^-1 is a
         bijection of the group)."""
         g = self.group
-        winv = np.asarray(weights, dtype=complex)[inverse_class_map(g)]
-        per_row = winv[g.conjugacy_classes().class_of]
+        cc = g.conjugacy_classes()
+        per_row = np.asarray(weights, dtype=complex)[cc.inverse][cc.class_of]
         acc = np.zeros(self.dim, dtype=complex)
         for lo, block in self._row_gathers(vec, g.rows):
             acc += per_row[lo:lo + len(block)] @ block

@@ -290,7 +290,6 @@ SURFACE_ALLOWED = {
     "build_union_code": "documented library builder (README)",
     "kron_extend": "documented library builder (README)",
     "kron_product": "documented library builder (README)",
-    "UnitaryRep.image_of_index": "one-line companion of images_of_indices",
     "SubspaceProjector.from_basis": "small constructor of a public type",
     "PrincipalAngleSet.matches": "small comparison of a public type",
     "PermGroup.cyclic": "small constructor of a public type",

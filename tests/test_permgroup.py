@@ -192,6 +192,21 @@ def test_s4_class_sizes_match_brute_force():
     assert np.bincount(cc.class_of).tolist() == cc.sizes.tolist()
 
 
+@pytest.mark.parametrize("make, unreal_orders", [
+    (lambda: make_psl2(7), [7, 7]),     # the two order-7 classes swap
+    (lambda: PermGroup.symmetric(5), []),
+], ids=["psl2_7", "s5"])
+def test_classes_carry_rep_index_and_inverse_class(make, unreal_orders):
+    g = make()
+    cc = g.conjugacy_classes()
+    for c, rep in enumerate(cc.reps):
+        assert cc.rep_index[c] == g.index_of(rep)
+        assert cc.inverse[c] == cc.class_of[g.index_of(rep.inverse())]
+    assert np.array_equal(cc.inverse[cc.inverse], np.arange(cc.n_classes))
+    unreal = cc.inverse != np.arange(cc.n_classes)
+    assert cc.orders[unreal].tolist() == unreal_orders
+
+
 def test_a5_class_sizes():
     cc = PermGroup.alternating(5).conjugacy_classes()
     assert sorted(cc.sizes.tolist()) == [1, 12, 12, 15, 20]
