@@ -379,7 +379,9 @@ def cmd_verify(args, opts: Options) -> int:
                         "d_tilde_min": p.d_tilde_min,
                         "rel_gap": rep.rel_gap, "certified": certified,
                         "equidistant": rep.equidistant,
-                        "fonda_residual": residual})
+                        "fonda_residual": residual,
+                        "census_residual":
+                            code.provenance["census_residual"]})
         em.csv_rows.append([" ".join(map(str, chars)), p.n, p.m, p.N,
                             p.d_c_sq_min, certified])
         all_ok &= certified

@@ -89,33 +89,55 @@ def _chordal_blocks(projectors):
         yield lo, m - x[lo:lo + _GRAM_ROWS] @ x[lo:].T
 
 
-def spa_census(projectors):
+class Census(tuple):
+    """What `spa_census` returns.  It unpacks as (sets, distinct, grouped);
+    `residual` is the labelled path's cross-check margin, None on the
+    unlabelled paths."""
+
+    def __new__(cls, sets, distinct, grouped, residual=None):
+        census = super().__new__(cls, (sets, distinct, grouped))
+        census.residual = residual
+        return census
+
+
+def spa_census(projectors, labels=None) -> Census:
     """The one pass over a code's pairs: (census, distinct, grouped).  The
     census lists the distinct principal-angle sets over unordered pairs with
     pair counts, `distinct` counts the codewords equal to no earlier one
-    (d_c^2 above TOL.integer), and `grouped` names the path taken.
+    (d_c^2 at most TOL.integer), and `grouped` names the path taken.  Sets
+    are grouped in order with the first earlier set that matches to within
+    TOL.integer, and each set is `principal_angles` on its first pair in
+    row-major order.  There are three paths.
 
-    Up to `CENSUS_FULL_LIMIT` codewords, read at call time, every pair is
-    resolved: for each codeword one stacked SVD gives the sin^2 of its pairs
-    with all later codewords, pairs are grouped in order with the first
-    matching set, and each new set is taken from `principal_angles` on its
-    first pair.  Above it, pairs are grouped by chordal distance, read block
-    by block from `_chordal_blocks`: one entry per distance, in increasing
-    order, whose set comes from `principal_angles` on the group's first pair
-    in row-major order.  Distinct sets that share a chordal distance are
-    merged into that one entry, so the grouped census can list fewer sets
-    than the code has.  Both paths read d_c^2 for distinctness: the sum of
-    a pair's sin^2, or its Gram entry."""
+    With `labels`, an N x N int matrix under which two pairs with equal
+    min(L[a, b], L[b, a]) are unitarily equivalent (an orbit code's
+    suborbits, `PermGroup.orbitals`), the census is exact at any N: one
+    `principal_angles` per key, taken in order of its first pair, and the
+    pairs counted per key.  The Gram streamed from `_chordal_blocks` is the
+    cross-check: every pair's d_c^2 must equal its key's set's within
+    TOL.rel_distance max(value, 1), else CodeError naming the worst pair.
+    `residual` holds the worst relative residual.
+
+    Without labels, up to `CENSUS_FULL_LIMIT` codewords, read at call time,
+    every pair is resolved: for each codeword one stacked SVD gives the
+    sin^2 of its pairs with all later codewords.  Above it, pairs are
+    grouped by chordal distance, read block by block from `_chordal_blocks`:
+    one entry per distance, in increasing order.  Distinct sets that share
+    a chordal distance are merged into that one entry, so the grouped census
+    can list fewer sets than the code has.  Every path reads d_c^2 for
+    distinctness: the sum of a pair's sin^2, or its Gram entry."""
     n_words = len(projectors)
-    grouped = n_words > CENSUS_FULL_LIMIT
+    grouped = labels is None and n_words > CENSUS_FULL_LIMIT
     if n_words < 2:
-        return [], n_words, grouped
+        return Census([], n_words, grouped)
     first = projectors[0]
     for p in projectors[1:]:
         if p.n != first.n:
             raise GrassmannError(f"ambient mismatch {first.n} != {p.n}")
         if p.m != first.m:
             raise GrassmannError(f"dimension mismatch {first.m} != {p.m}")
+    if labels is not None:
+        return _labelled_census(projectors, np.asarray(labels))
     dup = np.zeros(n_words, dtype=bool)         # equal to an earlier word
     if grouped:
         groups: dict[int, list[int]] = {}       # key -> [count, i, j]
@@ -130,9 +152,9 @@ def spa_census(projectors):
                     groups[key][0] += c
                 else:
                     groups[key] = [c, lo + int(iu[k]), lo + int(ju[k])]
-        return ([(principal_angles(projectors[i], projectors[j]), c)
-                 for c, i, j in (groups[key] for key in sorted(groups))],
-                n_words - int(dup.sum()), grouped)
+        return Census([(principal_angles(projectors[i], projectors[j]), c)
+                       for c, i, j in (groups[key] for key in sorted(groups))],
+                      n_words - int(dup.sum()), grouped)
     bases = np.stack([p.basis for p in projectors])
     sets: list[PrincipalAngleSet] = []
     counts: list[int] = []
@@ -158,15 +180,70 @@ def spa_census(projectors):
             counts.append(1)
             known = np.vstack([known, sets[-1].sin_sq])
             rest, j = rest[stop + 1:], j + stop + 1
-    return list(zip(sets, counts)), n_words - int(dup.sum()), grouped
+    return Census(list(zip(sets, counts)), n_words - int(dup.sum()), grouped)
 
 
-def _assemble(projectors, provenance, stabilizer_order=None) -> GrassmannCode:
-    """The code of `projectors`, certified from one `spa_census` pass.  A
-    codeword equal to an earlier one is a StabilizerError for an orbit of a
-    subgroup of order `stabilizer_order`, else a CodeError."""
+def _labelled_census(projectors, labels) -> Census:
+    """`spa_census`'s labelled path: one set per pair key, checked against
+    every pair's streamed d_c^2."""
+    n_words = len(projectors)
+    if labels.shape != (n_words, n_words):
+        raise CodeError(f"pair labels of shape {labels.shape} for "
+                        f"{n_words} codewords")
+    dup = np.zeros(n_words, dtype=bool)         # equal to an earlier word
+    key_of = np.minimum(labels, labels.T)
+    row_of: dict[int, int] = {}                 # key -> its row of `found`
+    found = []                                  # [set, count, d_c^2] per key
+    worst, worst_pair = 0.0, (0, 1)
+    for lo, block in _chordal_blocks(projectors):
+        dup[lo:] |= np.triu(block <= TOL.integer, k=1).any(axis=0)
+        iu, ju = np.triu_indices(len(block), k=1, m=block.shape[1])
+        if not len(iu):
+            continue
+        d_sq = block[iu, ju]
+        iu, ju = iu + lo, ju + lo
+        uniq, at, inv, counts = np.unique(key_of[iu, ju], return_index=True,
+                                          return_inverse=True,
+                                          return_counts=True)
+        keys = uniq.tolist()
+        for k in np.argsort(at):                # new keys in pair order
+            if keys[k] not in row_of:
+                row_of[keys[k]] = len(found)
+                s = principal_angles(projectors[iu[at[k]]],
+                                     projectors[ju[at[k]]])
+                found.append([s, 0, s.chordal_sq()])
+        rows = [row_of[key] for key in keys]
+        for r, c in zip(rows, counts.tolist()):
+            found[r][1] += c
+        want = np.array([found[r][2] for r in rows])[inv]
+        res = np.abs(d_sq - want) / np.maximum(want, 1.0)
+        k = int(np.argmax(res))
+        if res[k] > worst:
+            worst, worst_pair = float(res[k]), (int(iu[k]), int(ju[k]))
+    if worst > TOL.rel_distance:
+        raise CodeError(f"suborbit census: pair {worst_pair} misses its "
+                        f"set's d_c^2 by relative residual {worst:.2e} > "
+                        f"{TOL.rel_distance:.0e}")
+    census: list[list] = []                     # [set, count], merged
+    for s, c, _ in found:
+        hit = next((e for e in census if e[0].matches(s)), None)
+        if hit is None:
+            census.append([s, c])
+        else:
+            hit[1] += c
+    return Census([tuple(e) for e in census], n_words - int(dup.sum()),
+                  False, worst)
+
+
+def _assemble(projectors, provenance, stabilizer_order=None,
+              labels=None) -> GrassmannCode:
+    """The code of `projectors`, certified from one `spa_census` pass under
+    the pair `labels`, if any.  A codeword equal to an earlier one is a
+    StabilizerError for an orbit of a subgroup of order `stabilizer_order`,
+    else a CodeError."""
     n, m, big_n = projectors[0].n, projectors[0].m, len(projectors)
-    census, distinct, grouped = spa_census(projectors)
+    result = spa_census(projectors, labels)
+    census, distinct, grouped = result
     if distinct != big_n:
         if stabilizer_order is None:
             raise CodeError(f"{big_n - distinct} of {big_n} codewords "
@@ -174,6 +251,8 @@ def _assemble(projectors, provenance, stabilizer_order=None) -> GrassmannCode:
         raise StabilizerError(big_n, distinct, stabilizer_order)
     if grouped:
         provenance["census"] = "grouped by chordal distance"
+    if result.residual is not None:
+        provenance["census_residual"] = result.residual
     d_min = min(s.chordal_sq() for s, _ in census) if census else 0.0
     dt_min = min(product_distance(s) for s, _ in census) if census else 0.0
     sb = simplex_bound(n, m, big_n)
@@ -206,7 +285,11 @@ class IsotypicContext:
     the class representatives of H.  The isotypic components come from the
     class sums of a few small classes of H (`_isotypic_split`), not from a
     sum over all of H.  Irreducibility is <chi, chi> = 1 when G has an
-    element table, else Schur's lemma on the generator images."""
+    element table, else Schur's lemma on the generator images.
+
+    The pair (u_a W, u_b W) is unitarily equivalent to (W, u_a^-1 u_b W),
+    so two pairs in one suborbit (`PermGroup.orbitals`) have the same
+    principal angles, and the census takes one SVD per suborbit."""
 
     def __init__(self, g: PermGroup, h: PermGroup, rho: UnitaryRep,
                  h_table: CharacterTable | None = None):
@@ -226,6 +309,7 @@ class IsotypicContext:
             self.rho_h, self.h_table, self.decomposition.multiplicities)
         self.n_cosets = transversal.count
         self.t_images = [rho.image(t) for t in transversal.reps()]
+        self.orbitals = g.orbitals(h)
 
     def subspace(self, chars) -> tuple[SubspaceProjector, int]:
         chars = list(chars)
@@ -254,7 +338,7 @@ class IsotypicContext:
                 **self.checks, "rep": self.rho.name,
                 "rep_provenance": self.rho.provenance,
                 "chars": [int(c) for c in chars]}
-        return _assemble(self.orbit(pi_w), prov, self.h.order)
+        return _assemble(self.orbit(pi_w), prov, self.h.order, self.orbitals)
 
     def fonda2_residual(self, chars, elem: Permutation) -> float:
         """Relative residual between the double-sum character expression for
@@ -484,7 +568,12 @@ def build_union_code(g: PermGroup, h: PermGroup, rho: UnitaryRep,
             "char_subsets": [list(map(int, s)) for s in subsets],
             "predicted_min_d_c_sq": cross_min,
             "formula_at_total_count": union_min_distance_formula(n, m, big_n)}
-    code = _assemble(projectors, prov, h.order)
+    # pair (orbit i, a), (orbit j, b) is labelled (i, j, orbitals[a, b])
+    t, width = len(ws), int(ctx.orbitals.max()) + 1
+    ij = np.arange(t)[:, None] * t + np.arange(t)[None, :]
+    labels = (ij[:, None, :, None] * width + ctx.orbitals[None, :, None, :]
+              ).reshape(big_n, big_n)
+    code = _assemble(projectors, prov, h.order, labels)
     if len(subsets) >= 2:
         got = code.params.d_c_sq_min
         if abs(got - cross_min) > TOL.rel_distance * max(cross_min, 1.0):

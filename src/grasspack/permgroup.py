@@ -470,13 +470,23 @@ class PermGroup:
         stabilizers; NotASubgroup for any other H."""
         return CosetTransversal(self, h, self._level_of(h).reps)
 
-    def double_coset_sizes(self, h: "PermGroup") -> list[int]:
-        """Sizes of the H\\G/H double cosets, |H| times each H-orbit on the
-        orbit of p (h u_b H = u_{h(b)} H), ordered by least orbit position."""
+    def orbitals(self, h: "PermGroup") -> np.ndarray:
+        """The N x N matrix whose [a, b] entry numbers the H-orbit of
+        u_a^-1 u_b(p), for the Schreier tree's reps u of H = G_p: the
+        suborbit of the coset pair (u_a H, u_b H), which is the orbit of
+        that pair under G.  H-orbits on the orbit of p (h u_b H =
+        u_{h(b)} H) are numbered by least orbit position, so row 0 numbers
+        the points themselves.  Table-free."""
         level = self._level_of(h)
         orbit = level.reps[:, level.point].astype(np.intp)
         acts = [level.slot[s.images[orbit]] for s in h.generators]
-        return (np.bincount(orbits(acts, len(orbit))[1]) * h.order).tolist()
+        suborbit = orbits(acts, len(orbit))[1]
+        return suborbit[level.slot[level.inv_reps[:, orbit]]]
+
+    def double_coset_sizes(self, h: "PermGroup") -> list[int]:
+        """Sizes of the H\\G/H double cosets, |H| times each suborbit,
+        ordered by least orbit position: row 0 of `orbitals`."""
+        return (np.bincount(self.orbitals(h)[0]) * h.order).tolist()
 
     def is_two_transitive(self, h: "PermGroup") -> bool:
         """True iff G acts 2-transitively on G/H: H has one orbit on the

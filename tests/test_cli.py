@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from grasspack import permgroup
+from grasspack import config, permgroup
 from grasspack.catalog import CatalogError, projective_entries
 from grasspack.characters import CharacterError, compute_table
 from grasspack.cli import CliError, main
@@ -84,6 +84,20 @@ def test_verify_failed_character_identity_is_a_failed_certification(
     assert code == 1 and err == ""
     assert "character-identity residual 2.50e-01 above 1e-06: failed" in out
     assert "certified: no" in out
+
+
+def test_verify_json_reports_the_census_cross_check(capsys):
+    code, out, _ = run(capsys, "--json", "verify", "--group", "S5",
+                       "--H", "stab4", "--rep", "young:[3,1,1]",
+                       "--chars", "auto-all")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert results
+    assert all(0 <= r["census_residual"] <= config.TOL.rel_distance
+               for r in results)
+    _, out, _ = run(capsys, "verify", "--group", "S5", "--H", "stab4",
+                    "--rep", "young:[3,1,1]", "--chars", "auto-all")
+    assert "census" not in out
 
 
 def test_verify_full_subset_is_input_error(capsys):
@@ -291,7 +305,6 @@ SURFACE_ALLOWED = {
     "kron_extend": "documented library builder (README)",
     "kron_product": "documented library builder (README)",
     "SubspaceProjector.from_basis": "small constructor of a public type",
-    "PrincipalAngleSet.matches": "small comparison of a public type",
     "PermGroup.cyclic": "small constructor of a public type",
     "RestrictionDecomposition.nonzero": "small reader of a public type",
 }

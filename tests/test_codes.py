@@ -1,9 +1,11 @@
 """Orbit codes: construction, bounds, unions, products, Clifford family."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from grasspack import codes
+from grasspack import catalog, codes
 from grasspack.catalog import canonical_shapes, data_path
 from grasspack.characters import compute_table
 from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
@@ -667,9 +669,210 @@ def test_one_gram_stream_per_code(clifford_3_2, s5_ctx, monkeypatch):
     monkeypatch.setattr(codes, "_chordal_blocks", counted)
     assert build_clifford_orthoplex(3, r=2).params == clifford_3_2.params
     assert streams == [420]
+    # an orbit code streams it once, as the suborbit census's cross-check
     code = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1])
-    assert code.params.N <= codes.CENSUS_FULL_LIMIT
-    assert streams == [420]
+    assert streams == [420, 5]
+    # an unlabelled code of at most CENSUS_FULL_LIMIT words never does
+    assert kron_extend(code, 2).params.N <= codes.CENSUS_FULL_LIMIT
+    assert streams == [420, 5]
+
+
+# ------------------------------------------------------- suborbit census
+
+
+def on_pairs(n):
+    """S_n on the 2-subsets of n points: rank 3, suborbits 1 + 2(n-2) +
+    (n-2)(n-3)/2."""
+    pairs = list(itertools.combinations(range(n), 2))
+    at = {p: k for k, p in enumerate(pairs)}
+
+    def lift(images):
+        return Permutation([at[tuple(sorted((images[a], images[b])))]
+                            for a, b in pairs])
+    return PermGroup.generated([lift([*range(1, n), 0]),
+                                lift([1, 0, *range(2, n)])],
+                               name=f"S{n} on pairs", degree=len(pairs))
+
+
+def frobenius21():
+    """x -> x + 1 and x -> 2x on GF(7): H = {1, 2, 4} has the two paired
+    suborbits {1, 2, 4} and {3, 5, 6}."""
+    return PermGroup.generated([Permutation([(x + 1) % 7 for x in range(7)]),
+                                Permutation([2 * x % 7 for x in range(7)])],
+                               name="F21", degree=7)
+
+
+def single_constituent_codes(g):
+    """Build the code of every constituent of rho|H, H = G_0, for every
+    irreducible rho of degree at least 2 that has a carrier."""
+    table = compute_table(g)
+    h = g.stabilizer(0)
+    carriers = PermCarriers(g)
+    for i, deg in enumerate(table.degrees()):
+        found = find_carrier(carriers, table, i) if deg >= 2 else None
+        if found is not None:
+            ctx = IsotypicContext(g, h, extract_irrep(found[0], g, table, i,
+                                                      found[1]))
+            for c in np.flatnonzero(ctx.decomposition.multiplicities):
+                ctx.build([int(c)])
+
+
+@pytest.fixture(scope="module")
+def context_codes():
+    """(context, code) for every code the catalog builds for the S4-S7
+    towers, PGL2/PSL2 at q <= 13 and both Sp4(2) blocks, and for every
+    constituent of two groups that are not 2-transitive: S5 on pairs and
+    F21."""
+    built = []
+    build = IsotypicContext.build
+
+    def spy(ctx, chars):
+        code = build(ctx, chars)
+        built.append((ctx, code))
+        return code
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(IsotypicContext, "build", spy)
+        for points in (4, 5, 6, 7):
+            catalog.symmetric_tower_entries(points)
+        for q in (5, 7, 9, 11, 13):
+            catalog.projective_entries(q)
+        for name in ("sp4_2_deg10", "sp4_2_deg6"):
+            catalog.loaded_group_entries(name, dims={5, 8, 9, 10})
+        single_constituent_codes(on_pairs(5))
+        single_constituent_codes(frobenius21())
+    return built
+
+
+def test_suborbit_census_matches_pairwise_reference(context_codes):
+    groups = {ctx.g.name for ctx, _ in context_codes}
+    assert {"S4", "S7", "A7", "PGL2_13", "PSL2_13", "sp4_2_deg10",
+            "sp4_2_deg6", "S5 on pairs", "F21"} <= groups
+    for ctx, code in context_codes:
+        want, distinct, grouped = spa_census(code.projectors)
+        assert not grouped and distinct == code.params.N
+        assert [c for _, c in code.census] == [c for _, c in want]
+        assert [s.sin_sq for s, _ in code.census] \
+            == [s.sin_sq for s, _ in want]
+        assert 0 <= code.provenance["census_residual"] <= TOL.rel_distance
+
+
+def test_suborbit_census_counts_from_double_cosets(context_codes):
+    ranks = set()
+    for ctx, code in context_codes:
+        big_n = code.params.N
+        sizes = [s // ctx.h.order for s in ctx.g.double_coset_sizes(ctx.h)]
+        ranks.add(len(sizes))
+        if len(sizes) == 2:                     # 2-transitive: one set
+            assert [c for _, c in code.census] == [big_n * (big_n - 1) // 2]
+            continue
+        # one set per nontrivial suborbit, from codeword 0 and a codeword
+        # of that suborbit, with N |suborbit| / 2 pairs; paired suborbits
+        # share their set and so merge
+        twice = []                              # [set, 2 * count]
+        for k, size in enumerate(sizes[1:], start=1):
+            b = int(np.flatnonzero(ctx.orbitals[0] == k)[0])
+            s = principal_angles(code.projectors[0], code.projectors[b])
+            hit = next((e for e in twice if e[0].matches(s)), None)
+            if hit is None:
+                twice.append([s, big_n * size])
+            else:
+                hit[1] += big_n * size
+        assert len(code.census) == len(twice)
+        for s, c in code.census:
+            assert [2 * c] == [t for r, t in twice if r.matches(s)]
+    assert ranks == {2, 3}
+
+
+def test_paired_suborbits_share_one_key(context_codes):
+    ctx, code = next((ctx, code) for ctx, code in context_codes
+                     if ctx.g.name == "F21")
+    assert ctx.g.double_coset_sizes(ctx.h) == [3, 9, 9]
+    assert not np.array_equal(ctx.orbitals, ctx.orbitals.T)
+    spy = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "principal_angles",
+                   lambda a, b: spy.append(1) or principal_angles(a, b))
+        census = spa_census(code.projectors, ctx.orbitals)
+    assert len(spy) == 1
+    assert [c for _, c in census[0]] == [21]
+
+
+def test_union_suborbit_census_matches_pairwise_reference(s5_ctx):
+    subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
+    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets,
+                             h_table=s5_ctx.h_table)
+    want, _, _ = spa_census(union.projectors)
+    assert [c for _, c in union.census] == [c for _, c in want] == [20, 5, 20]
+    assert [s.sin_sq for s, _ in union.census] \
+        == [s.sin_sq for s, _ in want]
+    assert union.provenance["census_residual"] <= TOL.rel_distance
+
+
+def test_cross_check_catches_a_perturbed_codeword(s5_ctx):
+    code = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1])
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    evals, evecs = np.linalg.eigh(a + a.conj().T)
+    u = (evecs * np.exp(1e-4j * evals)) @ evecs.conj().T    # near 1
+    projectors = list(code.projectors)
+    projectors[3] = SubspaceProjector(u @ projectors[3].projector
+                                      @ u.conj().T)
+    with pytest.raises(CodeError, match=r"pair \(\d+, \d+\) .* relative "
+                       r"residual \d\.\d\de-\d\d > 1e-08") as err:
+        spa_census(projectors, s5_ctx.orbitals)
+    assert not isinstance(err.value, StabilizerError)
+
+
+def test_cross_check_catches_merged_suborbits(context_codes):
+    ctx, code = next((ctx, code) for ctx, code in context_codes
+                     if ctx.g.name == "S5 on pairs" and len(code.census) == 2)
+    assert spa_census(code.projectors, ctx.orbitals).residual \
+        <= TOL.rel_distance
+    with pytest.raises(CodeError, match=r"relative residual \d\.\d\de"):
+        spa_census(code.projectors, np.minimum(ctx.orbitals, 1))
+    with pytest.raises(CodeError, match="pair labels of shape"):
+        spa_census(code.projectors, ctx.orbitals[1:])
+
+
+def test_collapsed_orbit_through_the_labelled_census():
+    # D4 on the corners of a square: the half-turn fixes the diagonal line
+    # W of the trivial constituent of H = G_0, so 2 of 4 codewords survive
+    g = PermGroup.generated([Permutation.from_cycles(4, [[0, 1, 2, 3]]),
+                             Permutation.from_cycles(4, [[1, 3]])], name="D4")
+    table = compute_table(g)
+    two = next(i for i, d in enumerate(table.degrees()) if d == 2)
+    carrier, mu = find_carrier(PermCarriers(g), table, two)
+    ctx = IsotypicContext(g, g.stabilizer(0),
+                          extract_irrep(carrier, g, table, two, mu))
+    chars = [trivial_index(ctx.h_table)]
+    census = spa_census(ctx.orbit(ctx.subspace(chars)[0]), ctx.orbitals)
+    assert census[1] == 2 and census.residual <= TOL.rel_distance
+    with pytest.raises(StabilizerError) as err:
+        ctx.build(chars)
+    assert err.value.actual_stabilizer_order == 4
+
+
+def test_two_transitive_census_takes_one_svd(context_codes, monkeypatch):
+    ctx, code = next((ctx, code) for ctx, code in context_codes
+                     if ctx.g.name == "PGL2_13")
+    assert ctx.g.is_two_transitive(ctx.h) and code.params.N == 14
+    calls = {"angles": 0, "stacked_svd": 0}
+    angles, svd = codes.principal_angles, np.linalg.svd
+
+    def counted_angles(a, b):
+        calls["angles"] += 1
+        return angles(a, b)
+
+    def counted_svd(a, *args, **kwargs):
+        calls["stacked_svd"] += np.ndim(a) > 2
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(codes, "principal_angles", counted_angles)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    again = ctx.build(code.provenance["chars"])
+    assert calls == {"angles": 1, "stacked_svd": 0}
+    assert again.census == code.census
 
 
 # ----------------------------------------------- table-free G (Schreier route)

@@ -552,6 +552,41 @@ def test_cosets_and_double_cosets_match_brute_force(name, point):
     assert g.double_coset_sizes(h) == [len(doubles[b]) for b in first]
 
 
+ORBITAL_CHECKED = {         # name -> (group, stabilized point)
+    "S5": (lambda: PermGroup.symmetric(5), 0),
+    "D4": (lambda: PermGroup.generated(
+        [Permutation.from_cycles(4, [[0, 1, 2, 3]]),
+         Permutation.from_cycles(4, [[1, 3]])]), 0),
+    "F21": (lambda: PermGroup.generated(
+        [Permutation([(x + 1) % 7 for x in range(7)]),
+         Permutation([2 * x % 7 for x in range(7)])]), 0),
+    "PGL2(7)": (lambda: make_pgl2(7), 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORBITAL_CHECKED))
+def test_orbitals_match_brute_force(name):
+    make, point = ORBITAL_CHECKED[name]
+    g = make()
+    h = g.stabilizer(point)
+    reps = g.coset_transversal(h).reps()
+    position = {u(point): b for b, u in enumerate(reps)}
+    suborbit = {}                   # H-orbits, numbered by least position
+    for b, u in enumerate(reps):
+        if b not in suborbit:
+            k = len(set(suborbit.values()))
+            suborbit.update((position[y(u(point))], k)
+                            for y in (h.element(i) for i in range(h.order)))
+    want = [[suborbit[position[(ua.inverse() * ub)(point)]] for ub in reps]
+            for ua in reps]
+    assert g.orbitals(h).tolist() == want
+    free = table_free(g)
+    assert free.orbitals(free.stabilizer(point)).tolist() == want
+    assert g.double_coset_sizes(h) \
+        == [row.count(k) * h.order for row in want[:1]
+            for k in range(len(set(row)))]
+
+
 def test_cached_cosets_and_inverses_match_fresh_groups():
     # the second group answers in the opposite order, so whichever call
     # fills a cache first, both groups must agree
