@@ -8,10 +8,11 @@ classes asked for, a bounded chunk of stacked images at a time.
 Young's orthogonal form gives the irreducibles of S_n and, restricted, of
 A_n; a self-conjugate shape splits on A_n into the two eigenspaces of its
 associator (`alternating_halves`).  All others are cut out of a permutation
-tensor-power carrier (`PermTensorCarrier`), whose group-wide sums gather a
-vector by G's element rows, a bounded chunk at a time.  Every derived
-representation passes one exact gate (`_check_extracted`): its basis is
-orthonormal and invariant under the generators it came from.
+tensor-power carrier (`PermTensorCarrier`): the isotypic component is spanned
+by the projections of one point per G-orbit on k-tuples and their images,
+and each projection is a weighted bincount of the point's |G| images.  Every
+derived representation passes one exact gate (`_check_extracted`): its basis
+is orthonormal and invariant under the generators it came from.
 
 Isotypic projector matrices are formed only by `codes.IsotypicContext`,
 from the class sums of a few classes; here `isotypic_weights` drives the
@@ -27,12 +28,13 @@ import numpy as np
 
 from . import config
 from .characters import CharacterTable, ClassFunction, decompose
-from .permgroup import PermGroup, Permutation
+from .permgroup import PermGroup, Permutation, orbits
 
 TOL = config.TOL
 
-#: bytes of images or gathered vectors held at once; the homomorphism check's
-#: products and residuals take about three times as much again
+#: bytes of images, or of `commutant_average`'s gathered vectors, held at
+#: once; the homomorphism check's products and residuals take about three
+#: times as much again
 _IMAGE_CHUNK_BYTES = 1 << 18
 
 
@@ -234,24 +236,28 @@ class PermTensorCarrier:
             self._char = ClassFunction(fix ** self.k, self.group.name, cc.sizes)
         return self._char
 
-    def _row_gathers(self, vec: np.ndarray, rows: np.ndarray):
-        """(lo, block) over an element table: row i of block is vec gathered
-        by g's own row, rho(g^-1) vec, for g = rows[lo + i]."""
-        step = max(1, _IMAGE_CHUNK_BYTES // (16 * self.dim))
-        for lo in range(0, len(rows), step):
-            yield lo, vec[self._flat_index(rows[lo:lo + step])]
+    def orbit_points(self) -> np.ndarray:
+        """The least k-tuple, as a flat index, of each G-orbit on [d]^k."""
+        return orbits(self._gen_idx, self.dim)[0]
 
     def weighted_vector_sum(self, weights: np.ndarray,
                             vec: np.ndarray) -> np.ndarray:
-        """sum_g weights[class(g)] rho(g) v.  The gathers give rho(g^-1) v,
-        so each is weighted through the inverse class (g -> g^-1 is a
-        bijection of the group)."""
+        """sum_g weights[class(g)] rho(g) v, over the nonzero entries of v:
+        rho(g) e_r = e_{g.r}, and the flat indices of g.r for all g come from
+        r's k columns of G's element table, so each v_r adds one weighted
+        bincount of |G| entries."""
         g = self.group
-        cc = g.conjugacy_classes()
-        per_row = np.asarray(weights, dtype=complex)[cc.inverse][cc.class_of]
+        d = g.degree
+        per_row = np.asarray(weights, dtype=complex)[
+            g.conjugacy_classes().class_of]
         acc = np.zeros(self.dim, dtype=complex)
-        for lo, block in self._row_gathers(vec, g.rows):
-            acc += per_row[lo:lo + len(block)] @ block
+        for r in np.flatnonzero(vec):
+            idx = np.zeros(g.order, dtype=np.intp)
+            for point in np.unravel_index(r, (d,) * self.k):
+                idx = idx * d + g.rows[:, point]
+            w = per_row * vec[r]
+            acc += np.bincount(idx, w.real, self.dim)
+            acc += 1j * np.bincount(idx, w.imag, self.dim)
         return acc
 
     def commutant_average(self, basis: np.ndarray,
@@ -263,9 +269,12 @@ class PermTensorCarrier:
         g = self.group
         h = g.stabilizer(0)
         conj = basis.conj()
+        vec = basis @ x
         y = np.zeros((basis.shape[1],) * 2, dtype=complex)
-        for _, block in self._row_gathers(basis @ x, h.rows):
-            z = block @ conj                  # row i: (B^H rho(h_i^-1) B x)^T
+        step = max(1, _IMAGE_CHUNK_BYTES // (16 * self.dim))
+        for lo in range(0, h.order, step):
+            # gathered by h's own row: row i is (B^H rho(h_i^-1) B x)^T
+            z = vec[self._flat_index(h.rows[lo:lo + step])] @ conj
             y += z.T @ z.conj()
         acc = np.zeros_like(y)
         for inv in np.argsort(g.coset_transversal(h).rep_rows, axis=1):
@@ -297,11 +306,12 @@ def extract_irrep(carrier: PermTensorCarrier, g: PermGroup,
     which it has multiplicity `mu` (as `find_carrier` or the caller's own
     decomposition gives it); a wrong mu fails the isotypic rank check.
 
-    Project a random vector into the isotypic subspace and span its orbit;
-    at multiplicity one that span is the copy.  Higher multiplicity: average
-    a random rank-one matrix over the span into the commutant and take one
-    eigenvalue cluster, which is a single copy.  The copy passes the
-    invariance gate and must carry the target character.
+    The isotypic component is spanned by the projections of the points e_r,
+    one r per G-orbit on k-tuples (`_isotypic_basis`), once; at multiplicity
+    one it is the copy.  Higher multiplicity: average a random rank-one
+    matrix over it into the commutant and take one eigenvalue cluster, which
+    is a single copy; only this random split is retried, from seed + 1 on.
+    The copy passes the invariance gate and must carry the target character.
     """
     if carrier.group is not g:
         raise ExtractionError(f"{carrier.name} is not a carrier of {g.name}")
@@ -310,12 +320,13 @@ def extract_irrep(carrier: PermTensorCarrier, g: PermGroup,
     if mu < 1:
         raise ExtractionError(
             f"character {chi_index} does not appear in carrier {carrier.name}")
-    weights = isotypic_weights(table, [chi_index])
+    full = _isotypic_basis(carrier, isotypic_weights(table, [chi_index]),
+                           target * mu)
     last: Exception | None = None
-    for t in range(config.SEED_TRIES):
-        rng = np.random.default_rng(seed + t)
+    for t in range(config.SEED_TRIES if mu > 1 else 1):
         try:
-            basis = _single_copy_basis(carrier, weights, target, mu, rng)
+            basis = full if mu == 1 else _commutant_copy(
+                carrier, full, target, np.random.default_rng(seed + t))
             rep = _check_extracted(carrier, basis, f"irr{target}",
                                    {"carrier": carrier.name,
                                     "character_index": chi_index,
@@ -325,7 +336,9 @@ def extract_irrep(carrier: PermTensorCarrier, g: PermGroup,
                 raise ExtractionError("extracted character does not match "
                                       "target")
             return rep
-        except (ExtractionError, RepError) as err:
+        except RepError as err:
+            if mu == 1:
+                raise
             last = err
     raise ExtractionError(
         f"extraction failed after {config.SEED_TRIES} seeds: {last}")
@@ -371,47 +384,34 @@ def _orthogonal_residual(vec, basis):
     return vec / norm
 
 
-def _single_copy_basis(carrier, weights, target, mu, rng):
-    # full isotypic basis first
-    v0 = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
-    w0 = carrier.weighted_vector_sum(weights, v0)
-    norm = np.linalg.norm(w0)
-    if norm < 1e-10:
-        raise ExtractionError("projected vector vanished")
-    full = _grow_orbit_basis(carrier, [w0 / norm], target * mu + 1)
-    if len(full) < target * mu:
-        # orbit of one vector can miss copies; seed with more projections
-        for _ in range(mu):
-            v = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
-            w = carrier.weighted_vector_sum(weights, v)
-            full = _grow_orbit_basis(carrier, [*full, w], target * mu + 1)
-            if len(full) >= target * mu:
-                break
-    if len(full) != target * mu:
+def _isotypic_basis(carrier, weights, rank) -> np.ndarray:
+    """Orthonormal columns spanning P V, P = sum_g weights[class(g)] rho(g).
+    V is spanned by the e_{g.r} over one point r per G-orbit and
+    P e_{g.r} = rho(g) P e_r, so the orbits of the P e_r span P V exactly;
+    any rank but `rank` is an ExtractionError."""
+    seeds = [carrier.weighted_vector_sum(weights, np.eye(1, carrier.dim, r)[0])
+             for r in carrier.orbit_points()]         # e_r: row r of I
+    full = _grow_orbit_basis(carrier, seeds, rank + 1)
+    if len(full) != rank:
         raise ExtractionError(
-            f"isotypic basis has rank {len(full)}, expected {target * mu}")
-    b = full.T                                # dim x (target*mu)
-    if mu == 1:
-        return b
-    # average a random rank-1 over the isotypic span into the commutant
-    x = rng.standard_normal(target * mu) + 1j * rng.standard_normal(target * mu)
+            f"isotypic basis has rank {len(full)}, expected {rank}")
+    return full.T
+
+
+def _commutant_copy(carrier, b, target, rng):
+    """One copy inside the isotypic span of b's columns: a random rank-1
+    averaged into the commutant, whose eigenvalue clusters (split at gaps
+    above 1e-6 of the largest) of size `target` are copies."""
+    x = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
     evals, evecs = np.linalg.eigh(carrier.commutant_average(b, x))
-    for lo, hi in _eigen_clusters(evals):
+    scale = max(1.0, float(np.abs(evals).max()))
+    edges = [0, *(np.flatnonzero(np.diff(evals) > 1e-6 * scale) + 1),
+             len(evals)]
+    for lo, hi in zip(edges, edges[1:]):
         if hi - lo == target:
             return b @ evecs[:, lo:hi]
     raise ExtractionError(
         f"no eigenvalue cluster of size {target} in commutant spectrum")
-
-
-def _eigen_clusters(evals: np.ndarray) -> list[tuple[int, int]]:
-    scale = max(1.0, float(np.abs(evals).max()))
-    out = []
-    lo = 0
-    for i in range(1, len(evals) + 1):
-        if i == len(evals) or evals[i] - evals[i - 1] > 1e-6 * scale:
-            out.append((lo, i))
-            lo = i
-    return out
 
 
 def _check_extracted(source, basis: np.ndarray, name: str,

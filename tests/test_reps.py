@@ -10,7 +10,8 @@ from grasspack.characters import compute_table, decompose, inner_product
 from grasspack.codes import CodeError, IsotypicContext
 from grasspack.catalog import data_path
 from grasspack.permgroup import (NotEnumerated, PermError, PermGroup,
-                                 Permutation, load_group, make_pgl2)
+                                 Permutation, load_group, make_pgl2,
+                                 make_psl2)
 from grasspack.symplectic import SymplecticError
 from grasspack.reps import (CarrierBudgetError, ExtractionError, Partition,
                             PermCarriers, PermTensorCarrier, RepError,
@@ -525,6 +526,131 @@ def test_extract_alternating_group():
         built += 1
     assert built == t.n_classes      # every A5 irreducible is reachable
 
+
+
+@pytest.mark.parametrize("make, powers", [
+    (lambda: make_pgl2(5), (1, 2, 3)),
+    (lambda: PermGroup.alternating(5), (1, 2, 3)),
+    (lambda: make_psl2(7), (1, 2))], ids=["pgl2_5", "a5", "psl2_7"])
+def test_vector_sum_of_every_point_matches_the_dense_power(make, powers):
+    # column r of sum_c w_c M_c, M_c the class sums of the Kronecker power,
+    # is the sum applied to e_r: the one-bincount path of a single entry.
+    # PSL2(7)'s two classes of order 7 are each other's inverses, so a sum
+    # that weighted g by the class of g^-1 would fail there
+    g = make()
+    t = compute_table(g)
+    rng = np.random.default_rng(19)
+    w = rng.standard_normal(t.n_classes) + 1j * rng.standard_normal(t.n_classes)
+    for k in powers:
+        car = PermTensorCarrier(g, k)
+        dense = kron_power(perm_rep(g), k)
+        want = np.tensordot(w, dense.class_sums(range(t.n_classes)), axes=1)
+        got = np.column_stack([car.weighted_vector_sum(w, e)
+                               for e in np.eye(car.dim)])
+        assert np.abs(got - want).max() < 1e-12, k
+
+
+def test_orbit_points_are_the_least_points_of_the_orbits_on_tuples():
+    # PSL2(7) on 8 points is 2- but not 3-transitive: the triples fall into
+    # the diagonal, three patterns with one repeat and two orbits of
+    # distinct triples; each orbit's least flat index, from G's rows
+    g = make_psl2(7)
+    car = PermTensorCarrier(g, 3)
+    tuples = np.stack(np.unravel_index(np.arange(car.dim), (8,) * 3), axis=1)
+    least = np.full(car.dim, car.dim)
+    for row in g.rows.astype(np.int64):
+        moved = row[tuples]
+        least = np.minimum(least, (moved[:, 0] * 8 + moved[:, 1]) * 8
+                           + moved[:, 2])
+    want = np.unique(least)
+    assert len(want) == 6
+    assert np.array_equal(car.orbit_points(), want)
+
+
+@pytest.mark.parametrize("make", [lambda: make_pgl2(7), lambda: make_psl2(9)],
+                         ids=["pgl2_7", "psl2_9"])
+def test_every_character_is_extracted_from_every_carrier_holding_it(make):
+    # the point seeds span the whole isotypic component at once, so every
+    # extraction passes the exact rank check without a retry
+    g = make()
+    t = compute_table(g)
+    carriers = PermCarriers(g)
+    powers, reached = [], set()
+    for carrier in carriers:
+        powers.append(carrier.k)
+        mult = carriers.multiplicities(carrier, t)
+        for i in np.flatnonzero(mult):
+            rep = extract_irrep(carrier, g, t, int(i), int(mult[i]), seed=7)
+            assert rep.dim == t.degrees()[i]
+            assert rep.provenance["multiplicity"] == mult[i]
+            assert rep.provenance["seed"] == 7
+            reached.add(int(i))
+    # the cube holds every irreducible of both groups
+    assert powers == [1, 2, 3] and len(reached) == t.n_classes
+
+
+def _without_off_diagonal_seed(monkeypatch):
+    points = PermTensorCarrier.orbit_points
+
+    def dropped(self):
+        # keep the points whose k-tuple repeats one point: the diagonal
+        flat = points(self)
+        coords = np.unravel_index(flat, (self.group.degree,) * self.k)
+        return flat[np.all(np.equal(coords, coords[0]), axis=0)]
+    monkeypatch.setattr(PermTensorCarrier, "orbit_points", dropped)
+
+
+def _psl2_7(degree):
+    """extract_irrep's arguments for PSL2(7)'s character of `degree`."""
+    g = make_psl2(7)
+    t = compute_table(g)
+    i = next(i for i, d in enumerate(t.degrees()) if d == degree)
+    carrier, mu = find_carrier(PermCarriers(g), t, i)
+    return carrier, g, t, i, mu
+
+
+def test_a_missing_seed_orbit_fails_the_rank_check(monkeypatch):
+    # the degree-(q-1) character lies twice in the module on distinct pairs
+    # and not at all in the diagonal of the square, the natural module
+    # 1 + 7: the diagonal's projection alone spans nothing
+    args = _psl2_7(6)
+    assert (args[0].k, args[-1]) == (2, 2)
+    extract_irrep(*args)
+    _without_off_diagonal_seed(monkeypatch)
+    with pytest.raises(ExtractionError,
+                       match="isotypic basis has rank 0, expected 12"):
+        extract_irrep(*args)
+
+
+def test_extraction_grows_the_isotypic_basis_once(monkeypatch):
+    grown, checked = [], []
+    grow = reps._grow_orbit_basis
+    monkeypatch.setattr(reps, "_grow_orbit_basis",
+                        lambda *a: grown.append(1) or grow(*a))
+
+    def refuse(*a):
+        checked.append(1)
+        raise ExtractionError("invariance residual refused")
+    monkeypatch.setattr(reps, "_check_extracted", refuse)
+    # multiplicity one: nothing random to retry, so the failure is final
+    seven = _psl2_7(7)
+    assert seven[-1] == 1
+    with pytest.raises(ExtractionError, match="invariance residual refused"):
+        extract_irrep(*seven)
+    assert len(grown) == len(checked) == 1
+    # multiplicity two retries only the commutant split, on one basis
+    grown.clear()
+    checked.clear()
+    with pytest.raises(ExtractionError, match="failed after 5 seeds"):
+        extract_irrep(*_psl2_7(6))
+    assert len(grown) == 1 and len(checked) == reps.config.SEED_TRIES == 5
+    # and a rank failure is final before any split
+    _without_off_diagonal_seed(monkeypatch)
+    grown.clear()
+    checked.clear()
+    with pytest.raises(ExtractionError, match="isotypic basis has rank"):
+        extract_irrep(*_psl2_7(6))
+    assert len(grown) == 1 and not checked
 
 #: table rows of A_n holding the two halves of each self-conjugate shape,
 #: in the order the tower's alternating lane builds them
