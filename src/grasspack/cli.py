@@ -414,6 +414,10 @@ def cmd_clifford(args, opts: Options) -> int:
         em.say("r > 1: no optimality claim")
     em.payload = {"index": args.index, "r": args.r, "n": p.n, "m": p.m,
                   "N": p.N, "distances": sorted(by_dist.items()),
+                  "angle_sets": [{"sin_sq": list(angles.sin_sq),
+                                  "pairs": count}
+                                 for angles, count in code.census],
+                  "census_residual": code.provenance["census_residual"],
                   "orthoplex_applicable": applicable,
                   "meets_orthoplex": p.meets_orthoplex}
     em.csv_header = ["index", "r", "n", "m", "N", "d_min", "meets_orthoplex"]

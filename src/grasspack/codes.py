@@ -3,6 +3,8 @@ unions, and the Clifford-group orthoplex construction."""
 from __future__ import annotations
 
 import itertools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +26,6 @@ _LOOKUP_ROWS = 1 << 16
 
 #: codeword rows per block of the streamed chordal Gram
 _GRAM_ROWS = 128
-
-#: above this many codewords the census groups pairs by chordal distance
-CENSUS_FULL_LIMIT = 200
 
 
 class CodeError(config.GrasspackError):
@@ -69,6 +68,7 @@ class GrassmannCode:
     params: CodeParams
     provenance: dict
     census: tuple[tuple[PrincipalAngleSet, int], ...] = ()
+    keys: Callable | None = None      # pair keys, see spa_census
 
 
 # ------------------------------------------------------------ census/params
@@ -89,170 +89,99 @@ def _chordal_blocks(projectors):
         yield lo, m - x[lo:lo + _GRAM_ROWS] @ x[lo:].T
 
 
-class Census(tuple):
-    """What `spa_census` returns.  It unpacks as (sets, distinct, grouped);
-    `residual` is the labelled path's cross-check margin, None on the
-    unlabelled paths."""
-
-    def __new__(cls, sets, distinct, grouped, residual=None):
-        census = super().__new__(cls, (sets, distinct, grouped))
-        census.residual = residual
-        return census
-
-
-def spa_census(projectors, labels=None) -> Census:
-    """The one pass over a code's pairs: (census, distinct, grouped).  The
+def spa_census(projectors, keys):
+    """The one pass over a code's pairs: (census, distinct, residual).  The
     census lists the distinct principal-angle sets over unordered pairs with
-    pair counts, `distinct` counts the codewords equal to no earlier one
-    (d_c^2 at most TOL.integer), and `grouped` names the path taken.  Sets
-    are grouped in order with the first earlier set that matches to within
-    TOL.integer, and each set is `principal_angles` on its first pair in
-    row-major order.  There are three paths.
+    pair counts, and `distinct` counts the codewords equal to no earlier one
+    (d_c^2 at most TOL.integer).
 
-    With `labels`, an N x N int matrix under which two pairs with equal
-    min(L[a, b], L[b, a]) are unitarily equivalent (an orbit code's
-    suborbits, `PermGroup.orbitals`), the census is exact at any N: one
-    `principal_angles` per key, taken in order of its first pair, and the
-    pairs counted per key.  The Gram streamed from `_chordal_blocks` is the
+    `keys(rows, cols)` gives the keys of the pairs rows x cols as small
+    non-negative integers, equal for (a, b) and (b, a), such that two pairs
+    with one key have the same principal angles; a codeword paired with
+    itself is a pair like any other.  The pairs are counted per key, one
+    `principal_angles` is taken per key on its first pair in row-major
+    order, and keys whose sets match to within TOL.integer are merged in
+    that order.  The Gram streamed from `_chordal_blocks` is the
     cross-check: every pair's d_c^2 must equal its key's set's within
-    TOL.rel_distance max(value, 1), else CodeError naming the worst pair.
-    `residual` holds the worst relative residual.
-
-    Without labels, up to `CENSUS_FULL_LIMIT` codewords, read at call time,
-    every pair is resolved: for each codeword one stacked SVD gives the
-    sin^2 of its pairs with all later codewords.  Above it, pairs are
-    grouped by chordal distance, read block by block from `_chordal_blocks`:
-    one entry per distance, in increasing order.  Distinct sets that share
-    a chordal distance are merged into that one entry, so the grouped census
-    can list fewer sets than the code has.  Every path reads d_c^2 for
-    distinctness: the sum of a pair's sin^2, or its Gram entry."""
+    TOL.rel_distance max(value, 1), else CodeError naming the worst pair;
+    `residual` is the worst relative residual.  The cross-check reads d_c^2
+    only, so a key coarser than the angle sets whose sets share d_c^2 would
+    pass it: each builder's keys are held against a pairwise reference in
+    the tests.  Distinctness is read from the Gram."""
     n_words = len(projectors)
-    grouped = labels is None and n_words > CENSUS_FULL_LIMIT
     if n_words < 2:
-        return Census([], n_words, grouped)
+        return [], n_words, 0.0
     first = projectors[0]
     for p in projectors[1:]:
         if p.n != first.n:
             raise GrassmannError(f"ambient mismatch {first.n} != {p.n}")
         if p.m != first.m:
             raise GrassmannError(f"dimension mismatch {first.m} != {p.m}")
-    if labels is not None:
-        return _labelled_census(projectors, np.asarray(labels))
     dup = np.zeros(n_words, dtype=bool)         # equal to an earlier word
-    if grouped:
-        groups: dict[int, list[int]] = {}       # key -> [count, i, j]
-        for lo, block in _chordal_blocks(projectors):
-            dup[lo:] |= np.triu(block <= TOL.integer, k=1).any(axis=0)
-            iu, ju = np.triu_indices(len(block), k=1, m=block.shape[1])
-            keys = np.round(block[iu, ju] / (TOL.integer * 10)).astype(np.int64)
-            uniq, at, counts = np.unique(keys, return_index=True,
-                                         return_counts=True)
-            for key, k, c in zip(uniq.tolist(), at.tolist(), counts.tolist()):
-                if key in groups:
-                    groups[key][0] += c
-                else:
-                    groups[key] = [c, lo + int(iu[k]), lo + int(ju[k])]
-        return Census([(principal_angles(projectors[i], projectors[j]), c)
-                       for c, i, j in (groups[key] for key in sorted(groups))],
-                      n_words - int(dup.sum()), grouped)
-    bases = np.stack([p.basis for p in projectors])
-    sets: list[PrincipalAngleSet] = []
-    counts: list[int] = []
-    known = np.zeros((0, first.m))              # sets[k].sin_sq as rows
-    for i in range(n_words - 1):
-        cross = bases[i].conj().T @ bases[i + 1:]
-        cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
-        rest = np.sort(1.0 - cos ** 2, axis=1)
-        dup[i + 1:] |= rest.sum(axis=1) <= TOL.integer
-        j = i + 1                               # codeword of rest[0]
-        while len(rest):
-            hit = np.abs(rest[:, None, :] - known[None]).max(
-                axis=2, initial=0.0) <= TOL.integer
-            matched = hit.any(axis=1)
-            stop = len(rest) if matched.all() else int(np.argmin(matched))
-            if stop:
-                for k, c in enumerate(np.bincount(hit[:stop].argmax(axis=1),
-                                                  minlength=len(counts))):
-                    counts[k] += int(c)
-            if stop == len(rest):
-                break
-            sets.append(principal_angles(projectors[i], projectors[j + stop]))
-            counts.append(1)
-            known = np.vstack([known, sets[-1].sin_sq])
-            rest, j = rest[stop + 1:], j + stop + 1
-    return Census(list(zip(sets, counts)), n_words - int(dup.sum()), grouped)
-
-
-def _labelled_census(projectors, labels) -> Census:
-    """`spa_census`'s labelled path: one set per pair key, checked against
-    every pair's streamed d_c^2."""
-    n_words = len(projectors)
-    if labels.shape != (n_words, n_words):
-        raise CodeError(f"pair labels of shape {labels.shape} for "
-                        f"{n_words} codewords")
-    dup = np.zeros(n_words, dtype=bool)         # equal to an earlier word
-    key_of = np.minimum(labels, labels.T)
-    row_of: dict[int, int] = {}                 # key -> its row of `found`
-    found = []                                  # [set, count, d_c^2] per key
+    counts = np.zeros(1, dtype=np.int64)        # pairs per key + 1; 0 unused
+    want = np.zeros(1)                          # d_c^2 per key + 1
+    found = []                                  # (key + 1, set), pair order
     worst, worst_pair = 0.0, (0, 1)
     for lo, block in _chordal_blocks(projectors):
-        dup[lo:] |= np.triu(block <= TOL.integer, k=1).any(axis=0)
-        iu, ju = np.triu_indices(len(block), k=1, m=block.shape[1])
-        if not len(iu):
-            continue
-        d_sq = block[iu, ju]
-        iu, ju = iu + lo, ju + lo
-        uniq, at, inv, counts = np.unique(key_of[iu, ju], return_index=True,
-                                          return_inverse=True,
-                                          return_counts=True)
-        keys = uniq.tolist()
-        for k in np.argsort(at):                # new keys in pair order
-            if keys[k] not in row_of:
-                row_of[keys[k]] = len(found)
-                s = principal_angles(projectors[iu[at[k]]],
-                                     projectors[ju[at[k]]])
-                found.append([s, 0, s.chordal_sq()])
-        rows = [row_of[key] for key in keys]
-        for r, c in zip(rows, counts.tolist()):
-            found[r][1] += c
-        want = np.array([found[r][2] for r in rows])[inv]
-        res = np.abs(d_sq - want) / np.maximum(want, 1.0)
-        k = int(np.argmax(res))
-        if res[k] > worst:
-            worst, worst_pair = float(res[k]), (int(iu[k]), int(ju[k]))
+        # in C order: every pass below would stride across an F-order block
+        key = np.array(keys(np.arange(lo, lo + len(block)),
+                            np.arange(lo, n_words)), dtype=np.intp, order="C")
+        key += 1
+        if key.shape != block.shape:
+            raise CodeError(f"pair keys of shape {key.shape} for a Gram "
+                            f"block of shape {block.shape}")
+        below = np.tril_indices(len(block))     # (a, b) with b <= a: no pair
+        key[below] = 0
+        per_key = np.bincount(key.ravel())
+        per_key[0] = 0
+        if len(per_key) > len(counts):
+            grow = len(per_key) - len(counts)
+            counts, want = np.pad(counts, (0, grow)), np.pad(want, (0, grow))
+        new = np.flatnonzero((per_key > 0) & (counts[:len(per_key)] == 0))
+        counts[:len(per_key)] += per_key
+        for at, k in sorted((int(np.argmax(key == k)), int(k)) for k in new):
+            i, j = divmod(at, key.shape[1])
+            s = principal_angles(projectors[lo + i], projectors[lo + j])
+            want[k] = s.chordal_sq()
+            found.append((k, s))
+        res = want[key]
+        res -= block
+        np.abs(res, out=res)
+        res /= np.maximum(want, 1.0)[key]
+        res[below] = 0.0
+        at = int(np.argmax(res))
+        if res.flat[at] > worst:
+            i, j = divmod(at, key.shape[1])
+            worst, worst_pair = float(res.flat[at]), (lo + i, lo + j)
+        block[below] = np.inf
+        dup[lo:] |= (block <= TOL.integer).any(axis=0)
     if worst > TOL.rel_distance:
-        raise CodeError(f"suborbit census: pair {worst_pair} misses its "
-                        f"set's d_c^2 by relative residual {worst:.2e} > "
+        raise CodeError(f"census: pair {worst_pair} misses its key's d_c^2 "
+                        f"by relative residual {worst:.2e} > "
                         f"{TOL.rel_distance:.0e}")
     census: list[list] = []                     # [set, count], merged
-    for s, c, _ in found:
+    for k, s in found:
         hit = next((e for e in census if e[0].matches(s)), None)
         if hit is None:
-            census.append([s, c])
+            census.append([s, int(counts[k])])
         else:
-            hit[1] += c
-    return Census([tuple(e) for e in census], n_words - int(dup.sum()),
-                  False, worst)
+            hit[1] += int(counts[k])
+    return [tuple(e) for e in census], n_words - int(dup.sum()), worst
 
 
-def _assemble(projectors, provenance, stabilizer_order=None,
-              labels=None) -> GrassmannCode:
+def _assemble(projectors, provenance, keys,
+              stabilizer_order=None) -> GrassmannCode:
     """The code of `projectors`, certified from one `spa_census` pass under
-    the pair `labels`, if any.  A codeword equal to an earlier one is a
-    StabilizerError for an orbit of a subgroup of order `stabilizer_order`,
-    else a CodeError."""
+    the pair `keys`.  A repeated codeword is a StabilizerError for an orbit
+    of a subgroup of order `stabilizer_order`, else a CodeError."""
     n, m, big_n = projectors[0].n, projectors[0].m, len(projectors)
-    result = spa_census(projectors, labels)
-    census, distinct, grouped = result
+    census, distinct, residual = spa_census(projectors, keys)
     if distinct != big_n:
         if stabilizer_order is None:
             raise CodeError(f"{big_n - distinct} of {big_n} codewords "
                             f"repeat an earlier one")
         raise StabilizerError(big_n, distinct, stabilizer_order)
-    if grouped:
-        provenance["census"] = "grouped by chordal distance"
-    if result.residual is not None:
-        provenance["census_residual"] = result.residual
+    provenance["census_residual"] = residual
     d_min = min(s.chordal_sq() for s, _ in census) if census else 0.0
     dt_min = min(product_distance(s) for s, _ in census) if census else 0.0
     sb = simplex_bound(n, m, big_n)
@@ -265,7 +194,23 @@ def _assemble(projectors, provenance, stabilizer_order=None,
                         spa_sets=tuple(s for s, _ in census),
                         meets_simplex=meets_s, meets_orthoplex=meets_o)
     return GrassmannCode(projectors=tuple(projectors), params=params,
-                         provenance=provenance, census=tuple(census))
+                         provenance=provenance, census=tuple(census),
+                         keys=keys)
+
+
+def _suborbit_keys(orbitals: np.ndarray, t: int = 1):
+    """Pair keys of the union of t orbits of one context, codeword o N + a
+    being u_a W_o.  The pair (u_a W_o, u_b W_p) is unitarily equivalent to
+    (W_o, u_a^-1 u_b W_p), so it is labelled (o, p, orbitals[a, b]); its
+    key is the lesser of its two labels, one per order of the pair."""
+    n, width = len(orbitals), int(orbitals.max()) + 1
+
+    def labels(rows, cols):
+        (o, a), (p, b) = divmod(rows, n), divmod(cols, n)
+        return (o[:, None] * t + p) * width + orbitals[a[:, None], b]
+
+    return lambda rows, cols: np.minimum(labels(rows, cols),
+                                         labels(cols, rows).T)
 
 
 # ------------------------------------------------------------ orbit builds
@@ -310,6 +255,7 @@ class IsotypicContext:
         self.n_cosets = transversal.count
         self.t_images = [rho.image(t) for t in transversal.reps()]
         self.orbitals = g.orbitals(h)
+        self.keys = _suborbit_keys(self.orbitals)
 
     def subspace(self, chars) -> tuple[SubspaceProjector, int]:
         chars = list(chars)
@@ -338,7 +284,7 @@ class IsotypicContext:
                 **self.checks, "rep": self.rho.name,
                 "rep_provenance": self.rho.provenance,
                 "chars": [int(c) for c in chars]}
-        return _assemble(self.orbit(pi_w), prov, self.h.order, self.orbitals)
+        return _assemble(self.orbit(pi_w), prov, self.keys, self.h.order)
 
     def fonda2_residual(self, chars, elem: Permutation) -> float:
         """Relative residual between the double-sum character expression for
@@ -568,12 +514,8 @@ def build_union_code(g: PermGroup, h: PermGroup, rho: UnitaryRep,
             "char_subsets": [list(map(int, s)) for s in subsets],
             "predicted_min_d_c_sq": cross_min,
             "formula_at_total_count": union_min_distance_formula(n, m, big_n)}
-    # pair (orbit i, a), (orbit j, b) is labelled (i, j, orbitals[a, b])
-    t, width = len(ws), int(ctx.orbitals.max()) + 1
-    ij = np.arange(t)[:, None] * t + np.arange(t)[None, :]
-    labels = (ij[:, None, :, None] * width + ctx.orbitals[None, :, None, :]
-              ).reshape(big_n, big_n)
-    code = _assemble(projectors, prov, h.order, labels)
+    code = _assemble(projectors, prov, _suborbit_keys(ctx.orbitals, len(ws)),
+                     h.order)
     if len(subsets) >= 2:
         got = code.params.d_c_sq_min
         if abs(got - cross_min) > TOL.rel_distance * max(cross_min, 1.0):
@@ -605,12 +547,14 @@ def kron_extend(code: GrassmannCode, k: int) -> GrassmannCode:
                   for p in code.projectors]
     prov = dict(code.provenance)
     prov["kron_extend"] = k
-    return _assemble(projectors, prov)
+    return _assemble(projectors, prov, code.keys)
 
 
 def kron_product(code1: GrassmannCode, code2: GrassmannCode) -> GrassmannCode:
     """All pairwise Kronecker products; min distance is verified downstream
-    against min(m1 d2^2, m2 d1^2)."""
+    against min(m1 d2^2, m2 d1^2).  The cosines of a pair of products are
+    the products of the factors' cosines, so a pair's key is the pair of
+    its factor keys, numbered by Cantor's pairing."""
     if not code1.projectors or not code2.projectors:
         raise CodeError("empty factor code")
     projectors = [SubspaceProjector(np.kron(p.projector, q.projector))
@@ -618,7 +562,14 @@ def kron_product(code1: GrassmannCode, code2: GrassmannCode) -> GrassmannCode:
     prov = {"kron_product": [code1.provenance, code2.provenance],
             "expected_min": min(code1.params.m * code2.params.d_c_sq_min,
                                 code2.params.m * code1.params.d_c_sq_min)}
-    return _assemble(projectors, prov)
+    n2 = len(code2.projectors)
+
+    def keys(rows, cols):
+        a = code1.keys(rows // n2, cols // n2)
+        b = code2.keys(rows % n2, cols % n2)
+        return (a + b) * (a + b + 1) // 2 + b
+
+    return _assemble(projectors, prov, keys)
 
 
 # ------------------------------------------------------- Clifford orthoplex
@@ -701,29 +652,72 @@ class CliffordGroupData:
 def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
     """Projectors (1/|S|) sum chi(s) s over S in S_r and characters with
     chi(-I) = -1; for r = 1 the distances are {m, m/2} and the orthoplex
-    bound is met whenever N > n(n+1)/2.  S_r is empty unless 1 <= r <= i."""
+    bound is met whenever N > n(n+1)/2.  S_r is empty unless 1 <= r <= i.
+
+    Each codeword is a stabilizer code: the joint +1 eigenspace of the
+    signed elements of one S, whose 2^r codewords are consecutive.  The
+    census keys its pairs from the labels and signs (`_stabilizer_keys`),
+    so every principal-angle set is listed, at any N."""
     data = CliffordGroupData(i)
     if not 1 <= r <= i:
         raise CodeError(f"r must be between 1 and i = {i}")
-    n = data.n
     family = data.subgroup_family(r)
     projectors = []
     membership = []
+    codeword_signs = []
     for s_idx, canon in enumerate(family):
         mats = [data.element(*lbl) for lbl in canon]
         for signs in itertools.product((1, -1), repeat=r):
             # chi(g_eps) = prod signs[t]^eps_t; the canonical sign of g_eps
             # is already inside mats[eps], matching chi's multiplicativity
-            pi = np.zeros((n, n))
-            for eps in range(1 << r):
-                chi = 1
-                for t in range(r):
-                    if eps >> t & 1:
-                        chi *= signs[t]
-                pi += chi * mats[eps]
-            pi /= 1 << r
+            chis = [math.prod(signs[t] for t in range(r) if eps >> t & 1)
+                    for eps in range(1 << r)]
+            pi = sum(chi * mat for chi, mat in zip(chis, mats)) / (1 << r)
             projectors.append(SubspaceProjector(pi))
             membership.append(s_idx)
+            codeword_signs.append([c * s for c, (s, _, _) in zip(chis, canon)])
+    labels = np.array([[a | b << i for _, a, b in canon] for canon in family])
     prov = {"clifford_i": i, "r": r, "n_subgroups": len(family),
             "same_subgroup": membership}
-    return _assemble(projectors, prov, 1 << (r + 1))
+    keys = _stabilizer_keys(labels, np.array(codeword_signs, dtype=np.int8),
+                            i, r)
+    return _assemble(projectors, prov, keys, 1 << (r + 1))
+
+
+def _stabilizer_keys(labels: np.ndarray, signs: np.ndarray, i: int, r: int):
+    """Pair keys of stabilizer codewords in dimension 2^i.  Codeword
+    A = 2^r s + k is the joint +1 eigenspace of signs[A, e] X(a)Y(b) over
+    the labels l = a + 2^i b = labels[s, e] of the totally singular r-space
+    L_A.  Let K = L_A & L_B and M = L_B & L_A^perp under the symplectic form
+    a.d + b.c.  Where the signs of A and B differ somewhere on K, every
+    principal angle is pi/2: key (r+1)^2.  Otherwise cos^2 = |M|/2^r with
+    multiplicity 2^(i-r) |K|/|M| and every other angle is pi/2, so
+    d_c^2 = 2^(i-r) - |K| 2^(i-2r): key (r+1) log2|K| + log2|M|.  |K| and
+    |M| depend only on the pair of subgroups, so they are tabulated once
+    per subgroup pair; only the signs are read per codeword pair."""
+    n_sub, size = labels.shape
+    n_labels = 1 << 2 * i
+    member = np.zeros((n_sub, n_labels), dtype=np.float32)
+    member[np.arange(n_sub)[:, None], labels] = 1.0
+    # <l, w> = a.d + b.c = parity of l & w', w' = w with its halves swapped
+    v = np.arange(n_labels)
+    swapped = v >> i | (v & ((1 << i) - 1)) << i
+    parity = np.array([bin(x).count("1") & 1 for x in range(n_labels)])
+    perp = ~parity[labels[:, :, None] & swapped].any(axis=1)
+    table = ((r + 1) * np.log2(member @ member.T)
+             + np.log2(perp.astype(np.float32) @ member.T)).astype(np.int8)
+    # sign of each codeword on every label, 0 off its own L
+    on_label = np.zeros((len(signs), n_labels), dtype=np.int8)
+    on_label[np.arange(len(signs))[:, None],
+             np.repeat(labels, size, axis=0)] = signs
+
+    def keys(rows, cols):
+        key = np.take(table[rows >> r], cols >> r, axis=1).astype(np.intp)
+        shared = np.flatnonzero(key > r)        # pairs with |K| > 1
+        a, b = divmod(shared, key.shape[1])
+        theirs = on_label[cols[b][:, None], labels[rows[a] >> r]]
+        clash = (signs[rows[a]] * theirs < 0).any(axis=1)
+        key.flat[shared[clash]] = (r + 1) ** 2
+        return key
+
+    return keys

@@ -1,16 +1,18 @@
 """Dense and brute-force references the tests hold the package against:
 permutation matrices and their Kronecker powers, the isotypic projector by
-the full class-sum formula, and the two class-sum identities the
-equidistance proof rests on, checked over whole groups.  The package itself
-applies permutation carriers as index gathers, splits isotypic components
-from a few class sums, and checks the identity only in the form
-`IsotypicContext.fonda2_residual`."""
+the full class-sum formula, the two class-sum identities the equidistance
+proof rests on, checked over whole groups, and the principal-angle census
+of a code resolved pair by pair.  The package itself applies permutation
+carriers as index gathers, splits isotypic components from a few class
+sums, checks the identity only in the form `IsotypicContext.fonda2_residual`,
+and takes its census from pair keys (`codes.spa_census`)."""
 from dataclasses import dataclass
 
 import numpy as np
 
 from grasspack import config
 from grasspack.characters import class_multiplication
+from grasspack.grassmann import principal_angles
 from grasspack.reps import UnitaryRep, isotypic_weights
 
 
@@ -106,3 +108,39 @@ def character_identities(table, g, n_pairs=None, seed=config.DEFAULT_SEED):
         twist = max(twist, float((np.abs(got - want)
                                   / np.maximum(1.0, np.abs(want))).max()))
     return IdentityReport(product, twist, len(pairs))
+
+
+def pairwise_census(projectors):
+    """(census, distinct) with every pair resolved by SVD: for each codeword
+    one stacked SVD gives the sin^2 of its pairs with all later codewords.
+    Sets are grouped in order with the first earlier set that matches to
+    within TOL.integer, and each set is `principal_angles` on its first pair
+    in row-major order; `distinct` counts the codewords whose pairs with
+    every earlier one have d_c^2 above TOL.integer."""
+    n_words = len(projectors)
+    bases = np.stack([p.basis for p in projectors])
+    dup = np.zeros(n_words, dtype=bool)         # equal to an earlier word
+    sets, counts = [], []
+    known = np.zeros((0, projectors[0].m))      # sets[k].sin_sq as rows
+    for i in range(n_words - 1):
+        cross = bases[i].conj().T @ bases[i + 1:]
+        cos = np.clip(np.linalg.svd(cross, compute_uv=False), 0.0, 1.0)
+        rest = np.sort(1.0 - cos ** 2, axis=1)
+        dup[i + 1:] |= rest.sum(axis=1) <= config.TOL.integer
+        j = i + 1                               # codeword of rest[0]
+        while len(rest):
+            hit = np.abs(rest[:, None, :] - known[None]).max(
+                axis=2, initial=0.0) <= config.TOL.integer
+            matched = hit.any(axis=1)
+            stop = len(rest) if matched.all() else int(np.argmin(matched))
+            if stop:
+                for k, c in enumerate(np.bincount(hit[:stop].argmax(axis=1),
+                                                  minlength=len(counts))):
+                    counts[k] += int(c)
+            if stop == len(rest):
+                break
+            sets.append(principal_angles(projectors[i], projectors[j + stop]))
+            counts.append(1)
+            known = np.vstack([known, sets[-1].sin_sq])
+            rest, j = rest[stop + 1:], j + stop + 1
+    return list(zip(sets, counts)), n_words - int(dup.sum())

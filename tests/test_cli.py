@@ -261,6 +261,20 @@ def test_clifford_reports(capsys):
     assert "bound attained: yes" in out
 
 
+def test_clifford_json_lists_every_angle_set(capsys):
+    # (3, 2): 420 codewords, five principal-angle sets on three distances
+    code, out, _ = run(capsys, "--json", "clifford", "3", "--r", "2")
+    assert code == 0
+    payload = json.loads(out)
+    sets = payload["angle_sets"]
+    assert len(sets) == 5 and len(payload["distances"]) == 3
+    assert sum(s["pairs"] for s in sets) == 87990 == 420 * 419 // 2
+    assert all(len(s["sin_sq"]) == 2 for s in sets)
+    assert 0 <= payload["census_residual"] <= config.TOL.rel_distance
+    _, human, _ = run(capsys, "clifford", "3", "--r", "2")
+    assert "census" not in human and "sin" not in human
+
+
 def test_clifford_small_case_applicability(capsys):
     code, out, _ = run(capsys, "clifford", "1")
     assert code == 0

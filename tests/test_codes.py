@@ -1,6 +1,7 @@
 """Orbit codes: construction, bounds, unions, products, Clifford family."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from grasspack.permgroup import (PermGroup, Permutation, load_group, make_pgl2,
                                  make_psl2)
 from grasspack.reps import (Partition, PermCarriers, UnitaryRep, extract_irrep,
                             find_carrier, restrict_rep, young_orthogonal_rep)
-from reference import full_class_sums, isotypic_projector, perm_rep
+from reference import (full_class_sums, isotypic_projector, pairwise_census,
+                       perm_rep)
 
 
 def trivial_index(table):
@@ -473,20 +475,10 @@ def _moved(ctx, pi_w, perm):
 # ------------------------------------------------------------ census and IO
 
 
-def test_census_grouped_path_matches_full(s5_ctx, monkeypatch):
-    subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
-    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets,
-                             h_table=s5_ctx.h_table)
-    monkeypatch.setattr(codes, "CENSUS_FULL_LIMIT", 200)
-    full, _, _ = spa_census(union.projectors)
-    monkeypatch.setattr(codes, "CENSUS_FULL_LIMIT", 2)
-    grouped, _, _ = spa_census(union.projectors)
-    assert len(full) == len(grouped)
-    for (sa, ka), (sb, kb) in zip(
-            sorted(full, key=lambda t: t[0].chordal_sq()),
-            sorted(grouped, key=lambda t: t[0].chordal_sq())):
-        assert ka == kb
-        assert sa.matches(sb, tol=1e-8)
+def per_pair_keys(n):
+    """A key of its own for every unordered pair of n codewords."""
+    return lambda rows, cols: (np.minimum.outer(rows, cols) * n
+                               + np.maximum.outer(rows, cols))
 
 
 def census_by_pairs(projectors):
@@ -520,22 +512,23 @@ def test_batched_census_matches_pairwise_angles(s5_ctx, psl5_quad_code):
     scattered = [SubspaceProjector.from_basis(
         rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
         for _ in range(12)]
-    for projectors, n_sets in ((psl5_quad_code.projectors, 1),
-                               (union.projectors, 3),
-                               (scattered, 66)):
+    for projectors, keys, n_sets in (
+            (psl5_quad_code.projectors, psl5_quad_code.keys, 1),
+            (union.projectors, union.keys, 3),
+            (scattered, per_pair_keys(12), 66)):
         want = census_by_pairs(projectors)
         assert len(want) == n_sets
-        assert_same_census(spa_census(projectors)[0], want)
+        assert_same_census(spa_census(projectors, keys)[0], want)
 
 
 def test_census_rejects_mixed_dimensions(s4_ctx, s5_ctx):
     line = s4_ctx.build(components_by_degree(s4_ctx, 1)[:1]).projectors
     plane = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1]).projectors
     with pytest.raises(GrassmannError):
-        spa_census(list(line) + list(plane))
+        spa_census(list(line) + list(plane), per_pair_keys(9))
     thin = SubspaceProjector.from_basis(np.eye(plane[0].n)[:, :1])
     with pytest.raises(GrassmannError):
-        spa_census(list(plane) + [thin])
+        spa_census(list(plane) + [thin], per_pair_keys(6))
 
 
 # ------------------------------------------------------- streamed Gram
@@ -551,15 +544,6 @@ def dense_chordal_gram(projectors):
     """The whole N x N Gram of d_c^2 from one complex product."""
     flat = np.stack([p.projector.ravel() for p in projectors])
     return projectors[0].m - (flat @ flat.conj().T).real
-
-
-def dense_grouped_census(projectors):
-    """(first pair, count) per chordal-distance key, keys ascending."""
-    gram = dense_chordal_gram(projectors)
-    iu, ju = np.triu_indices(len(projectors), k=1)
-    keys = np.round(gram[iu, ju] / (TOL.integer * 10)).astype(np.int64)
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return [((int(iu[k]), int(ju[k])), int(c)) for k, c in zip(first, counts)]
 
 
 def dense_distinct(projectors):
@@ -583,78 +567,126 @@ def clifford_3_2():
 
 @pytest.mark.parametrize("odd", [dict(m=1), dict(n=5)],
                          ids=["line", "ambient"])
-def test_grouped_census_rejects_mixed_dimensions(odd):
+def test_census_rejects_an_odd_word_past_the_first_block(odd):
     rng = np.random.default_rng(29)
     planes = random_subspaces(rng, 201)
+    assert len(planes) > codes._GRAM_ROWS
     with pytest.raises(GrassmannError):
-        spa_census(planes + random_subspaces(rng, 1, **odd))
+        spa_census(planes + random_subspaces(rng, 1, **odd),
+                   per_pair_keys(202))
 
 
-def test_grouped_census_matches_dense_reference(clifford_3_2, monkeypatch):
-    rng = np.random.default_rng(31)
-    scattered = random_subspaces(rng, 301, n=3, m=1)
-    for projectors in (clifford_3_2.projectors, scattered):
-        assert len(projectors) % codes._GRAM_ROWS
-        index = {id(p): k for k, p in enumerate(projectors)}
-        pairs = []
+def test_census_takes_each_key_on_its_first_pair(clifford_3_2, monkeypatch):
+    projectors, keys = clifford_3_2.projectors, clifford_3_2.keys
+    big_n = len(projectors)
+    assert big_n % codes._GRAM_ROWS             # a short last block
+    at = np.arange(big_n)
+    dense = keys(at, at)
+    assert np.array_equal(dense, dense.T)
+    iu, ju = np.triu_indices(big_n, k=1)
+    _, first, counts = np.unique(dense[iu, ju], return_index=True,
+                                 return_counts=True)
+    order = np.argsort(first)
+    index = {id(p): k for k, p in enumerate(projectors)}
+    pairs = []
 
-        def spy(a, b):
-            pairs.append((index[id(a)], index[id(b)]))
-            return principal_angles(a, b)
+    def spy(a, b):
+        pairs.append((index[id(a)], index[id(b)]))
+        return principal_angles(a, b)
 
-        monkeypatch.setattr(codes, "principal_angles", spy)
-        got, _, _ = spa_census(projectors)
-        monkeypatch.undo()
-        want = dense_grouped_census(projectors)
-        assert pairs == [pair for pair, _ in want]
-        assert [c for _, c in got] == [c for _, c in want]
-        for (s, _), ((i, j), _) in zip(got, want):
-            ref = principal_angles(projectors[i], projectors[j])
-            assert max(abs(x - y) for x, y in
-                       zip(s.sin_sq, ref.sin_sq)) <= 1e-12
-
-
-def test_grouped_census_is_labelled_and_merges_sets(clifford_3_2,
-                                                    monkeypatch):
-    assert clifford_3_2.params.N == 420
-    assert clifford_3_2.provenance["census"] == "grouped by chordal distance"
-    assert "census" not in build_clifford_orthoplex(2).provenance
-    assert len(clifford_3_2.census) == 3
-    monkeypatch.setattr(codes, "CENSUS_FULL_LIMIT", 10 ** 6)
-    full, _, _ = spa_census(clifford_3_2.projectors)
-    assert len(full) == 5
-    assert distance_counts(full) == distance_counts(clifford_3_2.census)
+    monkeypatch.setattr(codes, "principal_angles", spy)
+    census, distinct, _ = spa_census(projectors, keys)
+    assert pairs == [(iu[first[k]], ju[first[k]]) for k in order]
+    assert [c for _, c in census] == counts[order].tolist()
+    assert distinct == big_n
 
 
-def test_duplicate_across_gram_blocks_is_caught():
-    rng = np.random.default_rng(37)
-    projectors = random_subspaces(rng, 300)
-    projectors[290] = projectors[5]
+def test_clifford_census_lists_every_angle_set(clifford_3_2):
+    # every set is listed, though several share one d_c^2 (5, 3 and 6
+    # sets on 3, 2 and 3 distances)
+    assert "census" not in clifford_3_2.provenance
+    for code, n_sets, n_dists in (
+            (clifford_3_2, 5, 3),
+            (build_clifford_orthoplex(4, r=1), 3, 2),
+            (build_clifford_orthoplex(4, r=2), 6, 3)):
+        p = code.params
+        assert len(code.census) == n_sets
+        assert len(distance_counts(code.census)) == n_dists
+        assert sum(c for _, c in code.census) == p.N * (p.N - 1) // 2
+        assert 0 <= code.provenance["census_residual"] <= TOL.rel_distance
+    # (4, 2), m = 4: cos^2 = |M|/4 with multiplicity 4|K|/|M| for
+    # (|K|, |M|) in (1, 1), (1, 2), (1, 4), (2, 2), (2, 4), and all
+    # angles pi/2 where the signs differ on K
+    want = sorted([(.75,) * 4, (.5, .5, 1, 1), (0, 1, 1, 1), (.5,) * 4,
+                   (0, 0, 1, 1), (1,) * 4])
+    got = sorted(s.sin_sq for s, _ in code.census)
+    assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_clifford_keys_need_the_sign_agreement(monkeypatch):
+    # all signs +1: pairs whose signs differ on K take the key of pairs
+    # that agree, and the cross-check names one
+    stabilizer_keys = codes._stabilizer_keys
+    monkeypatch.setattr(codes, "_stabilizer_keys",
+                        lambda labels, signs, *args: stabilizer_keys(
+                            labels, np.abs(signs), *args))
+    with pytest.raises(CodeError, match=r"pair \(\d+, \d+\) misses its "
+                       r"key's d_c\^2 by relative residual"):
+        build_clifford_orthoplex(3, r=2)
+
+
+@pytest.mark.parametrize("i, r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
+def test_subgroup_family_is_every_totally_singular_space(i, r):
+    # the premise of the Clifford pair keys: S_r is the set of totally
+    # singular r-spaces of O+(2i, 2), prod_{j<r} (2^(i-j) - 1)
+    # (2^(i-j-1) + 1) / (2^(j+1) - 1) of them
+    want = Fraction(1)
+    for j in range(r):
+        want *= Fraction((2 ** (i - j) - 1) * (2 ** (i - j - 1) + 1),
+                         2 ** (j + 1) - 1)
+    family = CliffordGroupData(i).subgroup_family(r)
+    assert len(family) == want
+    spaces = set()
+    for canon in family:
+        space = {(a, b) for _, a, b in canon}
+        assert len(space) == 2 ** r
+        assert all((a ^ c, b ^ d) in space
+                   for a, b in space for c, d in space)
+        assert all(bin(a & b).count("1") % 2 == 0 for a, b in space)
+        spaces.add(frozenset(space))
+    assert len(spaces) == len(family)
+
+
+def test_duplicate_across_gram_blocks_is_caught(clifford_3_2):
+    # codeword 290 replaced by codeword 5, its pair keys following it
+    at = np.arange(clifford_3_2.params.N)
+    at[290] = 5
     assert 290 // codes._GRAM_ROWS != 5 // codes._GRAM_ROWS
-    _, distinct, grouped = spa_census(projectors)
-    assert grouped and distinct == 299
-    with pytest.raises(StabilizerError, match="orbit has 299 distinct"):
-        codes._assemble(projectors, {}, 1)
+    projectors = [clifford_3_2.projectors[k] for k in at]
+
+    def keys(rows, cols):
+        return clifford_3_2.keys(at[rows], at[cols])
+
+    _, distinct, residual = spa_census(projectors, keys)
+    assert distinct == 419 and residual <= TOL.rel_distance
+    with pytest.raises(StabilizerError, match="orbit has 419 distinct"):
+        codes._assemble(projectors, {}, keys, 1)
 
 
-def test_census_distinct_small_codes_match_dense(s5_ctx, psl5_quad_code,
-                                                 monkeypatch):
+def test_census_distinct_small_codes_match_dense(s5_ctx, psl5_quad_code):
     words = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1]).projectors
     for projectors in (list(words), list(psl5_quad_code.projectors),
                        list(words) + list(words[:2])):
         assert len(projectors) <= 28
         want = dense_distinct(projectors)
-        for full_limit in (200, 2):             # both paths of the pass
-            monkeypatch.setattr(codes, "CENSUS_FULL_LIMIT", full_limit)
-            _, distinct, grouped = spa_census(projectors)
-            assert (distinct, grouped) == (want, full_limit == 2)
-        monkeypatch.undo()
+        keys = per_pair_keys(len(projectors))
+        assert spa_census(projectors, keys)[1] == want
         if want < len(projectors):
             with pytest.raises(StabilizerError):
-                codes._assemble(projectors, {}, 1)
+                codes._assemble(projectors, {}, keys, 1)
             # without a stabilizer (Kronecker codes) the same is a CodeError
             with pytest.raises(CodeError) as err:
-                codes._assemble(projectors, {})
+                codes._assemble(projectors, {}, keys)
             assert not isinstance(err.value, StabilizerError)
 
 
@@ -669,12 +701,11 @@ def test_one_gram_stream_per_code(clifford_3_2, s5_ctx, monkeypatch):
     monkeypatch.setattr(codes, "_chordal_blocks", counted)
     assert build_clifford_orthoplex(3, r=2).params == clifford_3_2.params
     assert streams == [420]
-    # an orbit code streams it once, as the suborbit census's cross-check
+    # every code streams it once, as its census's cross-check
     code = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1])
     assert streams == [420, 5]
-    # an unlabelled code of at most CENSUS_FULL_LIMIT words never does
-    assert kron_extend(code, 2).params.N <= codes.CENSUS_FULL_LIMIT
-    assert streams == [420, 5]
+    kron_extend(code, 2)
+    assert streams == [420, 5, 5]
 
 
 # ------------------------------------------------------- suborbit census
@@ -749,8 +780,8 @@ def test_suborbit_census_matches_pairwise_reference(context_codes):
     assert {"S4", "S7", "A7", "PGL2_13", "PSL2_13", "sp4_2_deg10",
             "sp4_2_deg6", "S5 on pairs", "F21"} <= groups
     for ctx, code in context_codes:
-        want, distinct, grouped = spa_census(code.projectors)
-        assert not grouped and distinct == code.params.N
+        want, distinct = pairwise_census(code.projectors)
+        assert distinct == code.params.N
         assert [c for _, c in code.census] == [c for _, c in want]
         assert [s.sin_sq for s, _ in code.census] \
             == [s.sin_sq for s, _ in want]
@@ -793,7 +824,7 @@ def test_paired_suborbits_share_one_key(context_codes):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes, "principal_angles",
                    lambda a, b: spy.append(1) or principal_angles(a, b))
-        census = spa_census(code.projectors, ctx.orbitals)
+        census = spa_census(code.projectors, ctx.keys)
     assert len(spy) == 1
     assert [c for _, c in census[0]] == [21]
 
@@ -802,11 +833,43 @@ def test_union_suborbit_census_matches_pairwise_reference(s5_ctx):
     subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
     union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets,
                              h_table=s5_ctx.h_table)
-    want, _, _ = spa_census(union.projectors)
+    want, _ = pairwise_census(union.projectors)
     assert [c for _, c in union.census] == [c for _, c in want] == [20, 5, 20]
     assert [s.sin_sq for s, _ in union.census] \
         == [s.sin_sq for s, _ in want]
     assert union.provenance["census_residual"] <= TOL.rel_distance
+
+
+def test_keyed_census_matches_pairwise_reference(s4_ctx, s5_ctx, pgl5_ctx,
+                                                psl5_quad_code,
+                                                clifford_3_2):
+    # every keyed builder besides the orbit codes above: the Clifford codes
+    # up to N = 420, unions, and Kronecker codes over each kind of key
+    line = s4_ctx.build([trivial_index(s4_ctx.h_table)])
+    plane = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1])
+    unions = [build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho,
+                               [[c] for c in components_by_degree(s5_ctx, 3)],
+                               h_table=s5_ctx.h_table),
+              build_union_code(pgl5_ctx.g, pgl5_ctx.h, pgl5_ctx.rho,
+                               [[c] for c in components_by_degree(pgl5_ctx, 1)
+                                if c != trivial_index(pgl5_ctx.h_table)],
+                               h_table=pgl5_ctx.h_table)]
+    clifford = [build_clifford_orthoplex(i, r)
+                for i, r in ((2, 1), (3, 1), (2, 2), (4, 1))]
+    built = [*clifford, clifford_3_2, *unions,
+             kron_extend(line, 2), kron_extend(psl5_quad_code, 3),
+             kron_extend(clifford[2], 2), kron_product(line, plane),
+             kron_product(kron_product(line, line), line),
+             kron_product(unions[1], line),
+             kron_product(clifford[0], psl5_quad_code)]
+    for code in built:
+        assert code.params.N <= 420
+        want, distinct = pairwise_census(code.projectors)
+        assert distinct == code.params.N
+        assert [c for _, c in code.census] == [c for _, c in want]
+        assert [s.sin_sq for s, _ in code.census] \
+            == [s.sin_sq for s, _ in want]
+        assert 0 <= code.provenance["census_residual"] <= TOL.rel_distance
 
 
 def test_cross_check_catches_a_perturbed_codeword(s5_ctx):
@@ -820,19 +883,20 @@ def test_cross_check_catches_a_perturbed_codeword(s5_ctx):
                                       @ u.conj().T)
     with pytest.raises(CodeError, match=r"pair \(\d+, \d+\) .* relative "
                        r"residual \d\.\d\de-\d\d > 1e-08") as err:
-        spa_census(projectors, s5_ctx.orbitals)
+        spa_census(projectors, s5_ctx.keys)
     assert not isinstance(err.value, StabilizerError)
 
 
 def test_cross_check_catches_merged_suborbits(context_codes):
     ctx, code = next((ctx, code) for ctx, code in context_codes
                      if ctx.g.name == "S5 on pairs" and len(code.census) == 2)
-    assert spa_census(code.projectors, ctx.orbitals).residual \
-        <= TOL.rel_distance
+    assert spa_census(code.projectors, ctx.keys)[2] <= TOL.rel_distance
     with pytest.raises(CodeError, match=r"relative residual \d\.\d\de"):
-        spa_census(code.projectors, np.minimum(ctx.orbitals, 1))
-    with pytest.raises(CodeError, match="pair labels of shape"):
-        spa_census(code.projectors, ctx.orbitals[1:])
+        spa_census(code.projectors,
+                   codes._suborbit_keys(np.minimum(ctx.orbitals, 1)))
+    with pytest.raises(CodeError, match="pair keys of shape"):
+        spa_census(code.projectors,
+                   lambda rows, cols: ctx.keys(rows, cols)[1:])
 
 
 def test_collapsed_orbit_through_the_labelled_census():
@@ -846,8 +910,8 @@ def test_collapsed_orbit_through_the_labelled_census():
     ctx = IsotypicContext(g, g.stabilizer(0),
                           extract_irrep(carrier, g, table, two, mu))
     chars = [trivial_index(ctx.h_table)]
-    census = spa_census(ctx.orbit(ctx.subspace(chars)[0]), ctx.orbitals)
-    assert census[1] == 2 and census.residual <= TOL.rel_distance
+    census = spa_census(ctx.orbit(ctx.subspace(chars)[0]), ctx.keys)
+    assert census[1] == 2 and census[2] <= TOL.rel_distance
     with pytest.raises(StabilizerError) as err:
         ctx.build(chars)
     assert err.value.actual_stabilizer_order == 4
