@@ -219,13 +219,10 @@ class RestrictionDecomposition:
 
 
 def class_fusion(g: PermGroup, h: PermGroup) -> np.ndarray:
-    """G-class index of each H-class (membership lookup of the H-reps)."""
-    gcc = g.conjugacy_classes()
-    hcc = h.conjugacy_classes()
-    fusion = np.empty(hcc.n_classes, dtype=np.int64)
-    for j, rep in enumerate(hcc.reps):
-        fusion[j] = gcc.class_of[g.index_of(rep)]
-    return fusion
+    """G-class index of each H-class: one batched lookup of the H-reps' rows
+    in G, PermError if one is not in G."""
+    reps = h.rows[h.conjugacy_classes().rep_index]
+    return g.conjugacy_classes().class_of[g.lookup_rows(reps)].astype(np.int64)
 
 
 def restrict_and_decompose(chi: ClassFunction, g: PermGroup, h: PermGroup,

@@ -184,6 +184,7 @@ class ConjugacyClasses:
     orders: np.ndarray           # element order per class
     rep_index: np.ndarray        # table index of each rep
     inverse: np.ndarray          # class holding the inverses of each class
+    conjugations: list[np.ndarray]   # [s][i]: index of s^-1 g_i s, generator s
 
     @property
     def n_classes(self) -> int:
@@ -420,20 +421,21 @@ class PermGroup:
             self._inv_index = self.lookup_rows(self.inverse_rows())
         return self._inv_index
 
-    def _conjugations(self) -> list[np.ndarray]:
-        """Index maps i -> s^-1 g_i s, one per generator s, three gathers each."""
-        inv = self._inverse_index()
-        return [r[inv[r[inv]]] for r in self._require_table().right]
-
     def conjugacy_classes(self) -> ConjugacyClasses:
-        """Classes numbered by their least element index, which is the rep."""
+        """Classes numbered by their least element index, which is the rep:
+        the orbits of the index maps i -> s^-1 g_i s, one per generator s
+        (three gathers each), which the classes keep in the least unsigned
+        type that holds every index."""
         if self._classes is None:
-            first, class_of = orbits(self._conjugations(), self.order)
+            inv = self._inverse_index()
+            conj = [r[inv[r[inv]]].astype(np.min_scalar_type(self.order))
+                    for r in self._require_table().right]
+            first, class_of = orbits(conj, self.order)
             reps = [self.element(int(i)) for i in first]
             self._classes = ConjugacyClasses(
                 reps, np.bincount(class_of).astype(np.int64), class_of.astype(np.int32),
                 np.array([p.order() for p in reps], dtype=np.int64),
-                first, class_of[self._inverse_index()[first]])
+                first, class_of[inv[first]], conj)
         return self._classes
 
     # -- subgroups ------------------------------------------------------

@@ -2,8 +2,10 @@
 
 A representation stores generator images only; the image of an arbitrary
 element is the product along a word for it (`PermGroup.word_of`), so nothing
-of size |G| x n^2 is ever materialized.  Class sums are formed only for the
-classes asked for, a bounded chunk of stacked images at a time.
+of size |G| x n^2 is ever materialized.  Each class sum asked for walks its
+class under conjugation by the generators, two products per member, a level
+of stacked images at a time; the character takes the class reps' images
+along the closure tree, one product per tree node on the way to them.
 
 Young's orthogonal form gives the irreducibles of S_n and, restricted, of
 A_n; a self-conjugate shape splits on A_n into the two eigenspaces of its
@@ -22,6 +24,7 @@ from `characters.decompose`.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +35,9 @@ from .permgroup import PermGroup, Permutation, orbits
 
 TOL = config.TOL
 
-#: bytes of images, or of `commutant_average`'s gathered vectors, held at
-#: once; the homomorphism check's products and residuals take about three
-#: times as much again
+#: bytes of images in one stacked product (a slab of a class walk), or of
+#: `commutant_average`'s gathered vectors, held at once; the homomorphism
+#: check's products and residuals take about three times as much again
 _IMAGE_CHUNK_BYTES = 1 << 18
 
 
@@ -93,9 +96,6 @@ class UnitaryRep:
                      else self.gen_images[~x].conj().T)
         return m
 
-    def image_of_index(self, index: int) -> np.ndarray:
-        return self.image_of_word(self.group.tree_word(index))
-
     def image(self, p: Permutation) -> np.ndarray:
         """rho(p) from a word for p (`PermGroup.word_of`): NotEnumerated,
         never a matrix, when the group knows no word for it."""
@@ -106,7 +106,7 @@ class UnitaryRep:
 
     def images_of_indices(self, indices) -> np.ndarray:
         """rho(g_i) for each element index, stacked: every tree word is
-        multiplied out left to right as in `image_of_index`, all words
+        multiplied out left to right as in `image_of_word`, all words
         stepping together with one stacked product per generator per step."""
         words = _tree_words(self.group, indices)
         out = np.broadcast_to(np.eye(self.dim, dtype=complex),
@@ -119,28 +119,61 @@ class UnitaryRep:
         return out
 
     def character(self) -> ClassFunction:
-        """Trace at each class representative."""
+        """Trace at each class representative.  The reps' tree words, taken
+        in lexicographic order, walk the closure tree depth first, holding
+        the images along one path: one product per tree node on the way."""
         if self._char is None:
             cc = self.group.conjugacy_classes()
-            vals = np.array([np.trace(self.image_of_index(int(i)))
-                             for i in cc.rep_index])
+            vals = np.empty(cc.n_classes, dtype=complex)
+            path, word = [np.eye(self.dim, dtype=complex)], []
+            for w, k in sorted((self.group.tree_word(int(i)), k)
+                               for k, i in enumerate(cc.rep_index)):
+                n = 0                          # letters shared with the path
+                while n < min(len(w), len(word)) and w[n] == word[n]:
+                    n += 1
+                del path[n + 1:]
+                for x in w[n:]:
+                    path.append(path[-1] @ self.gen_images[x])
+                word = w
+                vals[k] = np.trace(path[-1])
             self._char = ClassFunction(vals, self.group.name, cc.sizes)
         return self._char
 
     def class_sums(self, classes) -> np.ndarray:
-        """M[k] = sum of rho(h) over the k-th listed class.  Only the listed
-        classes are formed, from their elements' stacked images
-        (`images_of_indices`), `_IMAGE_CHUNK_BYTES` of images at a time."""
-        classes = list(classes)
-        class_of = self.group.conjugacy_classes().class_of
-        chunk = max(1, _IMAGE_CHUNK_BYTES // (16 * self.dim ** 2))
+        """M[k] = sum of rho(h) over the k-th listed class, each distinct
+        class walked once (`_class_walk`)."""
+        classes = [int(c) for c in classes]
         acc = np.zeros((len(classes), self.dim, self.dim), dtype=complex)
         for k, c in enumerate(classes):
-            members = np.flatnonzero(class_of == c)
-            for lo in range(0, len(members), chunk):
-                acc[k] += self.images_of_indices(
-                    members[lo:lo + chunk]).sum(axis=0)
+            first = classes.index(c)
+            acc[k] = acc[first] if first < k else sum(
+                images.sum(axis=0) for _, images in self._class_walk(c))
         return acc
+
+    def _class_walk(self, c: int):
+        """(indices, images) of class c's members in slabs of at most
+        `_IMAGE_CHUNK_BYTES`: the rep (`ConjugacyClasses.rep_index`) from its
+        tree word, then breadth first under x -> s^-1 x s, each new image
+        rho(s)^H rho(x) rho(s).  The queue holds about one level."""
+        cc = self.group.conjugacy_classes()
+        start = int(cc.rep_index[c])
+        seen = np.zeros(self.group.order, dtype=bool)
+        seen[start] = True
+        word = self.group.tree_word(start)
+        queue = deque([(np.array([start]), self.image_of_word(word)[None])])
+        chunk = max(1, _IMAGE_CHUNK_BYTES // (16 * self.dim ** 2))
+        while queue:
+            idx, images = queue.popleft()
+            yield idx, images
+            kids = [(idx[:0], images[:0])]         # none without generators
+            for a, conj in zip(self.gen_images, cc.conjugations):
+                to = conj[idx]
+                fresh = np.flatnonzero(~seen[to])
+                seen[to[fresh]] = True
+                kids.append((to[fresh], a.conj().T @ images[fresh] @ a))
+            to, x = (np.concatenate(v) for v in zip(*kids))
+            queue.extend((to[lo:lo + chunk], x[lo:lo + chunk])
+                         for lo in range(0, len(to), chunk))
 
     # -- checks -----------------------------------------------------------
 

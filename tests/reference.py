@@ -38,13 +38,18 @@ def kron_power(rep, k):
     return UnitaryRep(rep.group, images, name=f"{rep.name}^x{k}")
 
 
+def image_of_index(rep, i):
+    """rep(g_i), multiplied out along element i's closure-tree word."""
+    return rep.image_of_word(rep.group.tree_word(i))
+
+
 def full_class_sums(rep):
     """M[c] = sum of rep(h) over class c, for every class of the group, from
     one `image_of_index` per element."""
     cc = rep.group.conjugacy_classes()
     sums = np.zeros((cc.n_classes, rep.dim, rep.dim), dtype=complex)
     for i, c in enumerate(cc.class_of):
-        sums[c] += rep.image_of_index(i)
+        sums[c] += image_of_index(rep, i)
     return sums
 
 

@@ -15,7 +15,7 @@ from grasspack.characters import (
     restrict_and_decompose,
 )
 from grasspack.config import TOL
-from grasspack.permgroup import PermGroup, Permutation, make_pgl2
+from grasspack.permgroup import PermError, PermGroup, Permutation, make_pgl2
 from reference import character_identities
 
 # ---------------------------------------------------------------- oracles
@@ -258,6 +258,16 @@ def test_class_fusion_covers_h_classes():
     assert len(fusion) == hcc.n_classes
     # fused class must contain elements of the same order
     assert np.array_equal(gcc.orders[fusion], hcc.orders)
+    # the batched lookup agrees with one membership lookup per H-class rep
+    want = [gcc.class_of[g.index_of(rep)] for rep in hcc.reps]
+    assert fusion.dtype == np.int64 and fusion.tolist() == want
+
+
+def test_class_fusion_refuses_a_non_subgroup():
+    # S4 = S5_stab4 holds odd permutations, which A5 does not
+    with pytest.raises(PermError):
+        class_fusion(PermGroup.alternating(5),
+                     PermGroup.symmetric(5).stabilizer(4))
 
 
 def test_trivial_group_table():

@@ -324,6 +324,41 @@ SURFACE_ALLOWED = {
 }
 
 
+# modules whose attributes are never the package's own names
+LIBRARY_MODULES = {"np", "numpy", "math"}
+
+
+def referred_names(tree, strings=False):
+    """(name, line) of every Name and Attribute in `tree`, and with
+    `strings` the dotted parts of every string constant; an attribute
+    reached off a library module (np.nonzero, np.linalg.svd) is not one."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in LIBRARY_MODULES:
+                continue
+            names = [node.attr]
+        elif (strings and isinstance(node, ast.Constant)
+              and isinstance(node.value, str)):
+            names = node.value.split(".")
+        else:
+            continue
+        for name in names:
+            yield name, node.lineno
+
+
+def test_library_attributes_are_not_callers():
+    found = {name for name, _ in referred_names(ast.parse(
+        "np.nonzero(x)\nnumpy.linalg.svd(a)\nmath.comb(4, 2)\ndec.order()"))}
+    assert "nonzero" not in found and "svd" not in found
+    assert "comb" not in found and "linalg" not in found
+    assert {"order", "dec", "np", "x"} <= found
+
+
 def test_every_public_name_has_a_caller():
     # a public function, class or method of the package must be referred
     # to (a Name or an Attribute) in the package outside its own
@@ -335,19 +370,9 @@ def test_every_public_name_has_a_caller():
              *sorted((root / "perfbench").glob("*.py"))]
     refs = {}                                   # name -> [(path, line)]
     for path in files:
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Name):
-                names = [node.id]
-            elif isinstance(node, ast.Attribute):
-                names = [node.attr]
-            elif (path.parent.name == "perfbench"
-                  and isinstance(node, ast.Constant)
-                  and isinstance(node.value, str)):
-                names = node.value.split(".")
-            else:
-                continue
-            for name in names:
-                refs.setdefault(name, []).append((path, node.lineno))
+        for name, line in referred_names(ast.parse(path.read_text()),
+                                         path.parent.name == "perfbench"):
+            refs.setdefault(name, []).append((path, line))
 
     def called(path, name, node):
         return any(p != path or not node.lineno <= line <= node.end_lineno

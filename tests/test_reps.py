@@ -18,7 +18,7 @@ from grasspack.reps import (CarrierBudgetError, ExtractionError, Partition,
                             branching, extract_irrep, find_carrier,
                             hook_dimension, standard_tableaux,
                             young_orthogonal_rep)
-from reference import isotypic_projector, kron_power, perm_rep
+from reference import image_of_index, isotypic_projector, kron_power, perm_rep
 
 # ---------------------------------------------------------------- oracles
 
@@ -294,8 +294,8 @@ def _unitary(dim, rng):
                                   lambda: PermGroup.alternating(5)],
                          ids=["pgl2_5", "a5"])
 def test_row_gather_sums_match_brute_force(make):
-    # every group-wide sum, against a plain sum over image_of_index(i) for
-    # all i; PGL2(5)'s translation generator has order 5, so a sum that
+    # every group-wide sum, against a plain sum over image_of_index(rep, i)
+    # for all i; PGL2(5)'s translation generator has order 5, so a sum that
     # gathered by g where it needed g^-1 would fail here
     g = make()
     t = compute_table(g)
@@ -304,7 +304,7 @@ def test_row_gather_sums_match_brute_force(make):
     base = perm_rep(g)
     u = _unitary(base.dim, rng)
     rep = reps.UnitaryRep(g, [u @ m @ u.conj().T for m in base.gen_images])
-    images = [rep.image_of_index(i) for i in range(g.order)]
+    images = [image_of_index(rep, i) for i in range(g.order)]
     want = np.zeros((t.n_classes, rep.dim, rep.dim), dtype=complex)
     for i, img in enumerate(images):
         want[cls[i]] += img
@@ -314,7 +314,7 @@ def test_row_gather_sums_match_brute_force(make):
     for k in (1, 2, 3):
         car = PermTensorCarrier(g, k)
         dense = kron_power(base, k)
-        images = [dense.image_of_index(i) for i in range(g.order)]
+        images = [image_of_index(dense, i) for i in range(g.order)]
         v = rng.standard_normal(car.dim) + 1j * rng.standard_normal(car.dim)
         want_v = sum(w[cls[i]] * img @ v for i, img in enumerate(images))
         assert np.abs(car.weighted_vector_sum(w, v) - want_v).max() < 1e-10
@@ -344,7 +344,7 @@ def test_batched_images_match_tree_words(make):
     assert got.shape == (g.order, rep.dim, rep.dim)
     for i in range(g.order):
         # same products in the same order, so the same bits
-        assert np.array_equal(got[i], rep.image_of_index(i)), i
+        assert np.array_equal(got[i], image_of_index(rep, i)), i
     shuffled = rng.permutation(g.order)[:17]
     assert np.array_equal(rep.images_of_indices(shuffled), got[shuffled])
     assert rep.images_of_indices([]).shape == (0, rep.dim, rep.dim)
@@ -363,9 +363,112 @@ def test_class_sums_across_chunks_match_brute_force():
     listed = [big, 0, int(np.argmin(cc.sizes[1:])) + 1, big]
     want = np.zeros((cc.n_classes, rep.dim, rep.dim), dtype=complex)
     for i, c in enumerate(cc.class_of):
-        want[c] += rep.image_of_index(i)
+        want[c] += image_of_index(rep, i)
     assert np.abs(rep.class_sums(listed) - want[listed]).max() < 1e-10
     assert rep.class_sums([]).shape == (0, rep.dim, rep.dim)
+
+
+@pytest.fixture(scope="module")
+def s8_a8():
+    s8 = PermGroup.symmetric(8)
+    return s8, PermGroup.alternating(8)
+
+
+def _brute_class_sum(rep, c):
+    members = np.flatnonzero(rep.group.conjugacy_classes().class_of == c)
+    return sum(image_of_index(rep, int(i)) for i in members)
+
+
+def _class_of_order(h, size, order):
+    cc = h.conjugacy_classes()
+    return int(np.flatnonzero((cc.sizes == size) & (cc.orders == order))[0])
+
+
+@pytest.mark.parametrize("case", ["s8_transpositions_90", "a8_3cycles_35",
+                                  "a8_3cycles_70"])
+def test_class_walk_matches_tree_words(s8_a8, case):
+    # the conjugation walk against every member's tree-word image
+    s8, a8 = s8_a8
+    lam, g, size = {"s8_transpositions_90": ((4, 2, 1, 1), s8, 21),
+                    "a8_3cycles_35": ((5, 1, 1, 1), a8, 70),
+                    "a8_3cycles_70": ((4, 3, 1), a8, 70)}[case]
+    rho = reps.restrict_rep(young_orthogonal_rep(s8, Partition(lam)), g)
+    h = g.stabilizer(7)
+    rep = reps.restrict_rep(rho, h)
+    c = _class_of_order(h, size, 2 if g is s8 else 3)
+    assert rep.dim == {"s8_transpositions_90": 90, "a8_3cycles_35": 35,
+                       "a8_3cycles_70": 70}[case]
+    want = _brute_class_sum(rep, c)
+    assert np.abs(rep.class_sums([c])[0] - want).max() < 1e-10
+
+
+def test_class_walk_every_class_of_a_pgl2_stabilizer():
+    # PGL2(7)'s stabilizer has generators of order above 2, so a walk that
+    # conjugated by s where it needed s^-1 would fail here
+    h = make_pgl2(7).stabilizer(7)
+    rng = np.random.default_rng(17)
+    base = perm_rep(h)
+    u = _unitary(base.dim, rng)
+    rep = reps.UnitaryRep(h, [u @ m @ u.conj().T for m in base.gen_images])
+    n = h.conjugacy_classes().n_classes
+    want = np.array([_brute_class_sum(rep, c) for c in range(n)])
+    assert np.abs(rep.class_sums(range(n)) - want).max() < 1e-10
+
+
+def test_class_sums_of_identity_repeats_and_nothing():
+    g = PermGroup.symmetric(6)
+    rep = young_orthogonal_rep(g, Partition((4, 2)))
+    assert np.array_equal(rep.class_sums([0])[0], np.eye(rep.dim))
+    sums = rep.class_sums([3, 0, 3, 3])
+    want = _brute_class_sum(rep, 3)
+    for k in (0, 2, 3):
+        assert np.abs(sums[k] - want).max() < 1e-10
+    assert np.array_equal(sums[1], np.eye(rep.dim))
+    assert rep.class_sums([]).shape == (0, rep.dim, rep.dim)
+    trivial = reps.UnitaryRep(PermGroup.trivial(3), [])
+    assert np.array_equal(trivial.class_sums([0, 0]), [np.eye(3)] * 2)
+    assert trivial.character().values.tolist() == [3]
+
+
+def test_class_walk_takes_one_word_and_conjugates_the_rest(monkeypatch):
+    # per listed class: one tree-word image, at the rep, and |C| - 1 members
+    # reached by conjugation, each once
+    g = PermGroup.alternating(7)
+    rep = young_orthogonal_rep(PermGroup.symmetric(7), Partition((4, 2, 1)))
+    rep = reps.restrict_rep(rep, g)
+    cc = g.conjugacy_classes()
+    words = []
+    real = reps.UnitaryRep.image_of_word
+    monkeypatch.setattr(reps.UnitaryRep, "image_of_word",
+                        lambda self, w: words.append(list(w)) or real(self, w))
+    for c in range(cc.n_classes):
+        words.clear()
+        slabs = list(rep._class_walk(c))
+        assert words == [g.tree_word(int(cc.rep_index[c]))]
+        assert slabs[0][0].tolist() == [cc.rep_index[c]]
+        walked = np.concatenate([idx for idx, _ in slabs])
+        assert len(walked) == cc.sizes[c]
+        assert np.array_equal(np.sort(walked),
+                              np.flatnonzero(cc.class_of == c))
+    words.clear()
+    rep.class_sums([2, 5, 2, 0])
+    assert len(words) == 3
+
+
+def test_character_is_the_trace_of_tree_word_images(s8_a8):
+    # the closure-tree walk forms each rep's image by the same products, in
+    # the same order, as its tree word, so the traces agree to the bit
+    s8, a8 = s8_a8
+    young = young_orthogonal_rep(s8, Partition((5, 2, 1)))
+    pgl = make_pgl2(9)
+    t = compute_table(pgl)
+    ten = next(i for i, d in enumerate(t.degrees()) if d == 10)
+    carrier, mu = find_carrier(PermCarriers(pgl), t, ten)
+    for rep in (young, reps.restrict_rep(young, a8),
+                extract_irrep(carrier, pgl, t, ten, mu)):
+        cc = rep.group.conjugacy_classes()
+        want = [np.trace(image_of_index(rep, int(i))) for i in cc.rep_index]
+        assert np.array_equal(rep.character().values, want)
 
 
 def test_homomorphism_check_can_fail():
