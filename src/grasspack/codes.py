@@ -2,6 +2,7 @@
 unions, and the Clifford-group orthoplex construction."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Callable
@@ -26,6 +27,9 @@ _LOOKUP_ROWS = 1 << 16
 
 #: codeword rows per block of the streamed chordal Gram
 _GRAM_ROWS = 128
+
+#: codewords per chunk of the Gram's packed coordinates
+_PACK_ROWS = 512
 
 
 class CodeError(config.GrasspackError):
@@ -74,19 +78,53 @@ class GrassmannCode:
 # ------------------------------------------------------------ census/params
 
 
+@functools.lru_cache
+def _packed_columns(n: int) -> np.ndarray:
+    """Read-only indices into the float view of vec P, for an n x n P, of
+    the real diagonal, then the real and the imaginary parts above it."""
+    iu, ju = np.triu_indices(n, k=1)
+    upper = 2 * (iu * n + ju)
+    cols = np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1])
+    cols.flags.writeable = False
+    return cols
+
+
+def _packed_rows(projectors) -> np.ndarray:
+    """One row per Hermitian projector P, [diag P, sqrt2 Re P_ij, sqrt2 Im
+    P_ij] (i < j), so that tr(PQ) = sum_i P_ii Q_ii + 2 sum_{i<j} (Re P_ij
+    Re Q_ij + Im P_ij Im Q_ij) is the dot product of the rows of P and Q:
+    n^2 columns, against the 2n^2 of the interleaved vec P.  The rows are
+    packed from stacks of `_PACK_ROWS` projectors, and the columns that
+    vanish in every row (the imaginary ones of a real code) are dropped:
+    136 columns for a real code with n = 16."""
+    n = projectors[0].n
+    cols = _packed_columns(n)
+    keep = np.zeros(n * n, dtype=bool)
+    chunks = []
+    # np.take gathers columns in C order; an x[:, cols] gather comes back
+    # in F order and slows every pass after it
+    for lo in range(0, len(projectors), _PACK_ROWS):
+        p = np.stack([q.projector for q in projectors[lo:lo + _PACK_ROWS]])
+        rows = np.take(p.reshape(len(p), -1).view(np.float64), cols, axis=1)
+        rows[:, n:] *= math.sqrt(2)
+        keep |= rows.any(axis=0)
+        chunks.append(rows)
+    if not keep.all():
+        at = np.flatnonzero(keep)
+        chunks = [np.take(rows, at, axis=1) for rows in chunks]
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+
+
 def _chordal_blocks(projectors):
     """d_c^2 = m - tr(P_i P_j) streamed in blocks of `_GRAM_ROWS` codeword
     rows: yields (lo, block) with block[a, b] = d_c^2 of codewords lo + a
-    and lo + b, so only entries above the diagonal are pairs.
-
-    tr(PQ) = sum(Re P Re Q + Im P Im Q) for Hermitian P, Q, so one real
-    product over the interleaved coordinates of vec P gives the overlaps;
-    coordinates that vanish in every codeword are dropped once."""
+    and lo + b, so only entries above the diagonal are pairs.  The
+    overlaps are one real product over the packed rows (`_packed_rows`)."""
     m = projectors[0].m
-    x = np.stack([p.projector.ravel() for p in projectors]).view(np.float64)
-    x = x[:, x.any(axis=0)]
+    x = _packed_rows(projectors)
     for lo in range(0, len(x), _GRAM_ROWS):
-        yield lo, m - x[lo:lo + _GRAM_ROWS] @ x[lo:].T
+        block = x[lo:lo + _GRAM_ROWS] @ x[lo:].T
+        yield lo, np.subtract(m, block, out=block)
 
 
 def spa_census(projectors, keys):
@@ -577,25 +615,15 @@ def kron_product(code1: GrassmannCode, code2: GrassmannCode) -> GrassmannCode:
 
 class CliffordGroupData:
     """The real extraspecial-type group E = <X(a), Y(b)> in dimension 2^i,
-    its involutions, and the abelian subgroup family S_r."""
+    its involutions, and the abelian subgroup family S_r.  An element is
+    the label (sign, a, b) of sign X(a)Y(b), where X(a) maps basis vector
+    u to u + a and Y(b) is the diagonal (-1)^{b.u}."""
 
     def __init__(self, i: int):
         if not 1 <= i <= 5:
             raise CodeError("i must be between 1 and 5")
         self.i = i
         self.n = 1 << i
-
-    def x_matrix(self, a: int) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        for u in range(self.n):
-            m[u ^ a, u] = 1.0
-        return m
-
-    def y_matrix(self, b: int) -> np.ndarray:
-        return np.diag([(-1.0) ** bin(b & u).count("1") for u in range(self.n)])
-
-    def element(self, sign: int, a: int, b: int) -> np.ndarray:
-        return sign * self.x_matrix(a) @ self.y_matrix(b)
 
     def order(self) -> int:
         return 1 << (2 * self.i + 1)
@@ -655,31 +683,41 @@ def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
     bound is met whenever N > n(n+1)/2.  S_r is empty unless 1 <= r <= i.
 
     Each codeword is a stabilizer code: the joint +1 eigenspace of the
-    signed elements of one S, whose 2^r codewords are consecutive.  The
-    census keys its pairs from the labels and signs (`_stabilizer_keys`),
-    so every principal-angle set is listed, at any N."""
+    signed elements of one S, whose 2^r codewords are consecutive, one per
+    sign choice in `itertools.product((1, -1), repeat=r)` order.  All are
+    formed as one stack from the label arrays: (sign X(a)Y(b))[u + a, u] =
+    sign (-1)^{b.u}, so one vectorised step per element e of S adds
+    chi(g_e) sign_e (-1)^{b_e.u} / 2^r at [u + a_e, u] of every codeword.
+    The entries are multiples of 2^-r, so the sums are exact, and
+    `SubspaceProjector.stack` checks the stack.  The census keys its pairs
+    from the labels and signs (`_stabilizer_keys`), so every principal-angle
+    set is listed, at any N."""
     data = CliffordGroupData(i)
     if not 1 <= r <= i:
         raise CodeError(f"r must be between 1 and i = {i}")
-    family = data.subgroup_family(r)
-    projectors = []
-    membership = []
-    codeword_signs = []
-    for s_idx, canon in enumerate(family):
-        mats = [data.element(*lbl) for lbl in canon]
-        for signs in itertools.product((1, -1), repeat=r):
-            # chi(g_eps) = prod signs[t]^eps_t; the canonical sign of g_eps
-            # is already inside mats[eps], matching chi's multiplicativity
-            chis = [math.prod(signs[t] for t in range(r) if eps >> t & 1)
-                    for eps in range(1 << r)]
-            pi = sum(chi * mat for chi, mat in zip(chis, mats)) / (1 << r)
-            projectors.append(SubspaceProjector(pi))
-            membership.append(s_idx)
-            codeword_signs.append([c * s for c, (s, _, _) in zip(chis, canon)])
-    labels = np.array([[a | b << i for _, a, b in canon] for canon in family])
-    prov = {"clifford_i": i, "r": r, "n_subgroups": len(family),
-            "same_subgroup": membership}
-    keys = _stabilizer_keys(labels, np.array(codeword_signs, dtype=np.int8),
+    family = np.array(data.subgroup_family(r), dtype=np.int64)
+    sign, a, b = family.transpose(2, 0, 1)      # (subgroup, element e)
+    n_sub, size, n = len(family), 1 << r, data.n
+    # chi(g_e) = prod signs[t]^eps_t over the bits eps_t of e, for each
+    # sign choice; the canonical sign of g_e is in `sign`, matching chi's
+    # multiplicativity
+    choices = np.array(list(itertools.product((1, -1), repeat=r)))
+    eps = np.arange(size)[:, None] >> np.arange(r) & 1
+    chis = np.where(eps, choices[:, None, :], 1).prod(axis=2)
+    coef = chis[None] * sign[:, None, :]        # (subgroup, choice, e)
+    u = np.arange(n)
+    odd = np.array([bin(v).count("1") & 1 for v in range(n)])
+    pis = np.zeros((n_sub, size, n, n), dtype=complex)
+    at_s, at_k = np.arange(n_sub)[:, None, None], np.arange(size)[:, None]
+    for e in range(size):
+        y = (1 - 2 * odd[b[:, e, None] & u]) / size    # (subgroup, u)
+        rows = (a[:, e, None] ^ u)[:, None, :]
+        pis[at_s, at_k, rows, u] += coef[:, :, e, None] * y[:, None, :]
+    projectors = SubspaceProjector.stack(pis.reshape(-1, n, n))
+    labels = a | b << i
+    prov = {"clifford_i": i, "r": r, "n_subgroups": n_sub,
+            "same_subgroup": np.repeat(np.arange(n_sub), size).tolist()}
+    keys = _stabilizer_keys(labels, coef.reshape(-1, size).astype(np.int8),
                             i, r)
     return _assemble(projectors, prov, keys, 1 << (r + 1))
 

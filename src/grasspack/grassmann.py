@@ -22,29 +22,79 @@ class GrassmannError(config.GrasspackError):
     pass
 
 
+#: bytes of projector stack per chunk of a stacked check
+_CHECK_BYTES = 1 << 20
+
+
+def _checked_ranks(stack: np.ndarray) -> np.ndarray:
+    """The rank of every matrix of an (N, n, n) stack of projectors, checked
+    in chunks of about `_CHECK_BYTES`: each must be Hermitian and
+    idempotent within TOL.ortho and have a trace within TOL.integer of an
+    integer.  The first matrix that fails raises the GrassmannError of the
+    first gate it fails, as when the matrices are checked one at a time;
+    a NaN fails its gate."""
+    ranks = np.empty(len(stack), dtype=np.int64)
+    step = max(1, _CHECK_BYTES // max(stack[:1].nbytes, 1))
+    for lo in range(0, len(stack), step):
+        p = stack[lo:lo + step]
+        herm = np.abs(p - p.conj().transpose(0, 2, 1))
+        idem = np.abs(p @ p - p)
+        tr = np.trace(p, axis1=1, axis2=2).real
+        m = np.rint(tr)
+        off = np.abs(tr - m)
+        # written as "not within" so that a NaN fails its gate
+        if not (herm.max() <= TOL.ortho and idem.max() <= TOL.ortho
+                and off.max() <= TOL.integer):
+            herm, idem = herm.max(axis=(1, 2)), idem.max(axis=(1, 2))
+            k = int(np.argmin((herm <= TOL.ortho) & (idem <= TOL.ortho)
+                              & (off <= TOL.integer)))
+            if not herm[k] <= TOL.ortho:
+                raise GrassmannError("projector is not Hermitian")
+            if not idem[k] <= TOL.ortho:
+                raise GrassmannError("projector is not idempotent")
+            raise GrassmannError(f"projector trace {tr[k]} is not an integer")
+        ranks[lo:lo + step] = m
+    return ranks
+
+
 class SubspaceProjector:
-    """Orthogonal projector onto an m-dimensional subspace of C^n."""
+    """Orthogonal projector onto an m-dimensional subspace of C^n.  The
+    constructor and `stack` run one check (`_checked_ranks`): Hermitian and
+    idempotent within TOL.ortho, trace within TOL.integer of an integer."""
 
     def __init__(self, projector: np.ndarray, basis: np.ndarray | None = None):
         p = np.asarray(projector, dtype=complex)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise GrassmannError("projector must be square")
-        if np.abs(p - p.conj().T).max() > TOL.ortho:
-            raise GrassmannError("projector is not Hermitian")
-        if np.abs(p @ p - p).max() > TOL.ortho:
-            raise GrassmannError("projector is not idempotent")
-        tr = np.trace(p).real
-        m = int(round(tr))
-        if abs(tr - m) > TOL.integer:
-            raise GrassmannError(f"projector trace {tr} is not an integer")
-        self.projector = p
-        self.n = p.shape[0]
-        self.m = m
+        self._adopt(p, int(_checked_ranks(p[None])[0]))
         if basis is not None:
             basis = np.asarray(basis, dtype=complex)
             if np.abs(p - basis @ basis.conj().T).max() > TOL.ortho:
                 raise GrassmannError("basis does not reproduce the projector")
         self._basis = basis
+
+    def _adopt(self, p: np.ndarray, m: int):
+        self.projector = p
+        self.n = p.shape[0]
+        self.m = m
+        self._basis = None
+
+    @classmethod
+    def stack(cls, matrices: np.ndarray) -> list["SubspaceProjector"]:
+        """One projector per matrix of an (N, n, n) stack, in order, each the
+        projector the constructor would give.  The stack is checked in
+        chunks, and each projector is a view into the complex stack (the
+        caller's array when it is complex already)."""
+        p = np.asarray(matrices, dtype=complex)
+        if p.ndim != 3 or p.shape[1] != p.shape[2]:
+            raise GrassmannError(f"projector stack of shape {p.shape} is "
+                                 f"not (N, n, n)")
+        out = []
+        for mat, m in zip(p, _checked_ranks(p).tolist()):
+            proj = cls.__new__(cls)
+            proj._adopt(mat, m)
+            out.append(proj)
+        return out
 
     @classmethod
     def from_basis(cls, columns: np.ndarray) -> "SubspaceProjector":

@@ -2,15 +2,21 @@
 permutation matrices and their Kronecker powers, the isotypic projector by
 the full class-sum formula, the two class-sum identities the equidistance
 proof rests on, checked over whole groups, and the principal-angle census
-of a code resolved pair by pair.  The package itself applies permutation
-carriers as index gathers, splits isotypic components from a few class
-sums, checks the identity only in the form `IsotypicContext.fonda2_residual`,
-and takes its census from pair keys (`codes.spa_census`)."""
+of a code resolved pair by pair, and the Clifford codewords formed one
+label at a time from dense shift and sign matrices.  The package itself
+applies permutation carriers as index gathers, splits isotypic components
+from a few class sums, checks the identity only in the form
+`IsotypicContext.fonda2_residual`, takes its census from pair keys
+(`codes.spa_census`) and forms the Clifford codewords as one stack from
+label arrays (`codes.build_clifford_orthoplex`)."""
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from grasspack import config
+from grasspack.codes import CliffordGroupData
 from grasspack.characters import class_multiplication
 from grasspack.grassmann import principal_angles
 from grasspack.reps import UnitaryRep, isotypic_weights
@@ -149,3 +155,36 @@ def pairwise_census(projectors):
             known = np.vstack([known, sets[-1].sin_sq])
             rest, j = rest[stop + 1:], j + stop + 1
     return list(zip(sets, counts)), n_words - int(dup.sum())
+
+
+def x_matrix(n, a):
+    """The shift X(a) on C^n, n = 2^i: basis vector u goes to u + a over
+    F_2^i."""
+    m = np.zeros((n, n))
+    for u in range(n):
+        m[u ^ a, u] = 1.0
+    return m
+
+
+def y_matrix(n, b):
+    """The sign Y(b) on C^n: the diagonal (-1)^{b.u}."""
+    return np.diag([(-1.0) ** bin(b & u).count("1") for u in range(n)])
+
+
+def clifford_projectors(i, r):
+    """The projectors of `build_clifford_orthoplex(i, r)` in its order, one
+    per subgroup S of `subgroup_family(r)` and sign choice in
+    `itertools.product((1, -1), repeat=r)` order: (1/2^r) sum over the
+    labels (sign, a, b) of S of chi(g_eps) sign X(a) Y(b), with
+    chi(g_eps) = prod signs[t]^eps_t, each element a dense product."""
+    data = CliffordGroupData(i)
+    out = []
+    for canon in data.subgroup_family(r):
+        mats = [sign * x_matrix(data.n, a) @ y_matrix(data.n, b)
+                for sign, a, b in canon]
+        for signs in itertools.product((1, -1), repeat=r):
+            chis = [math.prod(signs[t] for t in range(r) if eps >> t & 1)
+                    for eps in range(1 << r)]
+            out.append(sum(chi * mat for chi, mat in zip(chis, mats))
+                       / (1 << r))
+    return out

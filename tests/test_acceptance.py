@@ -33,7 +33,7 @@ from grasspack.grassmann import (SubspaceProjector, chordal_sq_trace,
 from grasspack.permgroup import PermGroup, make_pgl2
 from grasspack.reps import (Partition, PermCarriers, branching, extract_irrep,
                             find_carrier, hook_dimension, young_orthogonal_rep)
-from reference import character_identities
+from reference import character_identities, x_matrix, y_matrix
 
 SQRT5 = 5.0 ** 0.5
 
@@ -214,7 +214,7 @@ def test_criterion_7_clifford_orthoplex():
     assert len(labels) == 9
     oracle = []
     for a, b in labels:
-        mat = data.x_matrix(a) @ data.y_matrix(b)
+        mat = x_matrix(4, a) @ y_matrix(4, b)
         assert np.allclose(mat @ mat, np.eye(4))
         assert np.allclose(mat, mat.T)
         oracle.append((np.eye(4) + mat) / 2)

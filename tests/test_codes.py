@@ -21,8 +21,9 @@ from grasspack.permgroup import (PermGroup, Permutation, load_group, make_pgl2,
                                  make_psl2)
 from grasspack.reps import (Partition, PermCarriers, UnitaryRep, extract_irrep,
                             find_carrier, restrict_rep, young_orthogonal_rep)
-from reference import (full_class_sums, isotypic_projector, pairwise_census,
-                       perm_rep)
+from reference import (clifford_projectors, full_class_sums,
+                       isotypic_projector, pairwise_census, perm_rep,
+                       x_matrix, y_matrix)
 
 
 def trivial_index(table):
@@ -350,11 +351,10 @@ def test_clifford_orthoplex_i2():
 def test_clifford_matches_direct_enumeration():
     # every projector must be (I +- M)/2 for an involution M of the group
     # generated by the shift and sign matrices, computed independently here
-    data = CliffordGroupData(2)
     mats = {}
     for a in range(4):
         for b in range(4):
-            m = data.x_matrix(a) @ data.y_matrix(b)
+            m = x_matrix(4, a) @ y_matrix(4, b)
             if (a, b) != (0, 0) and np.allclose(m @ m, np.eye(4)):
                 mats[(a, b)] = m
     assert len(mats) == 9
@@ -390,6 +390,31 @@ def test_clifford_bad_arguments():
         build_clifford_orthoplex(0)
     with pytest.raises(CodeError):
         CliffordGroupData(6)
+
+
+@pytest.mark.parametrize("i, r", [(i, r) for i in (1, 2, 3)
+                                  for r in range(1, i + 1)] + [(4, 1)])
+def test_clifford_stack_equals_per_label_projectors(i, r):
+    # the entries are multiples of 2^-r, so the stacked build and the dense
+    # per-label oracle agree exactly, codeword by codeword
+    code = build_clifford_orthoplex(i, r)
+    want = clifford_projectors(i, r)
+    assert len(code.projectors) == len(want)
+    for p, q in zip(code.projectors, want):
+        assert np.array_equal(p.projector, q)
+        assert (p.n, p.m) == (2 ** i, 2 ** (i - r))
+    size = 2 ** r
+    assert code.provenance["same_subgroup"] == [
+        k // size for k in range(len(want))]
+
+
+def test_clifford_4_2_keeps_its_census():
+    code = build_clifford_orthoplex(4, r=2)
+    big_n = code.params.N
+    assert big_n == len(code.projectors) == 6300
+    assert len(code.census) == 6
+    assert sum(c for _, c in code.census) == big_n * (big_n - 1) // 2
+    assert code.provenance["census_residual"] <= TOL.rel_distance
 
 
 # ------------------------------------------------------------ the distance
@@ -706,6 +731,49 @@ def test_one_gram_stream_per_code(clifford_3_2, s5_ctx, monkeypatch):
     assert streams == [420, 5]
     kron_extend(code, 2)
     assert streams == [420, 5, 5]
+
+
+def assert_gram_matches_trace(projectors):
+    big_n = len(projectors)
+    seen = 0
+    for lo, block in codes._chordal_blocks(projectors):
+        for a in range(len(block)):
+            for b in range(a + 1, block.shape[1]):
+                want = chordal_sq_trace(projectors[lo + a],
+                                        projectors[lo + b])
+                assert abs(block[a, b] - want) <= 1e-12
+                seen += 1
+    assert seen == big_n * (big_n - 1) // 2
+
+
+def test_packed_gram_matches_the_trace_across_blocks():
+    rng = np.random.default_rng(31)
+    planes = random_subspaces(rng, 201)
+    assert len(planes) > codes._GRAM_ROWS
+    # complex words: no column vanishes, n^2 packed columns
+    assert codes._packed_rows(planes).shape == (201, 36)
+    assert_gram_matches_trace(planes)
+
+
+def test_packed_gram_drops_the_zero_columns(clifford_3_2):
+    projectors = list(clifford_3_2.projectors)
+    assert len(projectors) > codes._GRAM_ROWS
+    # a real code with n = 8: the diagonal and the real upper triangle
+    assert codes._packed_rows(projectors).shape == (420, 36)
+    assert_gram_matches_trace(projectors)
+
+
+def test_packed_rows_across_pack_chunks(monkeypatch):
+    # columns vanish only when they vanish in every chunk: the one complex
+    # word past the first chunk keeps the imaginary columns
+    rng = np.random.default_rng(37)
+    real = [SubspaceProjector.from_basis(rng.standard_normal((4, 2)))
+            for _ in range(7)]
+    words = real + random_subspaces(rng, 1, n=4)
+    monkeypatch.setattr(codes, "_PACK_ROWS", 3)
+    assert codes._packed_rows(real).shape == (7, 10)
+    assert codes._packed_rows(words).shape == (8, 16)
+    assert_gram_matches_trace(words)
 
 
 # ------------------------------------------------------- suborbit census

@@ -1,10 +1,12 @@
 """Principal angles, distances and bounds on the Grassmannian."""
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grasspack import config, grassmann
 from grasspack.grassmann import (BoundReport, GrassmannError,
                                  PrincipalAngleSet, SubspaceProjector,
                                  as_fraction, chordal_sq_trace, format_value,
@@ -33,6 +35,80 @@ def test_projector_validation():
         SubspaceProjector(np.array([[1.0, 0.2], [0.0, 0.0]]))
     p = SubspaceProjector(np.diag([1.0, 1.0, 0.0]))
     assert (p.n, p.m) == (3, 2)
+
+
+def mixed_words(rng, count, n=5):
+    return [random_subspace(rng, n, int(m))
+            for m in rng.integers(1, n, size=count)]
+
+
+@pytest.fixture
+def chunks_of_three(monkeypatch):
+    # three 5 x 5 complex matrices per chunk of the stacked check
+    monkeypatch.setattr(grassmann, "_CHECK_BYTES", 3 * 5 * 5 * 16)
+
+
+def test_stack_equals_one_at_a_time(chunks_of_three):
+    words = mixed_words(np.random.default_rng(41), 10)
+    got = SubspaceProjector.stack(np.stack([w.projector for w in words]))
+    assert len(got) == len(words)
+    for p, w in zip(got, words):
+        one = SubspaceProjector(w.projector)
+        assert (p.n, p.m) == (one.n, one.m)
+        assert np.array_equal(p.projector, one.projector)
+        assert np.abs(p.basis @ p.basis.conj().T - w.projector).max() < 1e-9
+
+
+def not_hermitian(p):
+    q = p.copy()
+    q[0, 1] += 1e-3
+    return q
+
+
+def not_idempotent(p):
+    return 0.9 * p
+
+
+def nan_entry(p):
+    q = p.copy()
+    q[2, 2] = np.nan
+    return q
+
+
+@pytest.mark.parametrize("spoil", [not_hermitian, not_idempotent, nan_entry])
+def test_stack_raises_the_constructors_message(chunks_of_three, spoil):
+    words = [w.projector for w in mixed_words(np.random.default_rng(43), 10)]
+    bad = spoil(words[7])                   # in the third chunk
+    with pytest.raises(GrassmannError) as one:
+        SubspaceProjector(bad)
+    words[7] = bad
+    words[8] = not_hermitian(words[8])      # a later fault does not win
+    with pytest.raises(GrassmannError) as stacked:
+        SubspaceProjector.stack(np.stack(words))
+    assert str(stacked.value) == str(one.value)
+
+
+def test_stack_raises_the_trace_message(chunks_of_three, monkeypatch):
+    # idempotency within 1e-9 pins the trace to an integer, so the trace
+    # gate is reached only under a looser ortho tolerance
+    monkeypatch.setattr(grassmann, "TOL", config.ToleranceLadder(ortho=0.3))
+    bad = np.diag([0.8, 0, 0, 0, 0]).astype(complex)
+    with pytest.raises(GrassmannError,
+                       match="projector trace 0.8 is not an integer"):
+        SubspaceProjector(bad)
+    words = [w.projector for w in mixed_words(np.random.default_rng(47), 10)]
+    words[5] = bad
+    with pytest.raises(GrassmannError,
+                       match="projector trace 0.8 is not an integer"):
+        SubspaceProjector.stack(np.stack(words))
+
+
+def test_stack_of_nothing_and_of_non_squares():
+    assert SubspaceProjector.stack(np.zeros((0, 4, 4))) == []
+    for bad in (np.zeros((2, 4, 3)), np.eye(4)):
+        with pytest.raises(GrassmannError, match=re.escape(
+                f"shape {bad.shape} is not (N, n, n)")):
+            SubspaceProjector.stack(bad)
 
 
 def test_from_basis_orthonormalizes():
