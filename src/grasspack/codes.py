@@ -17,8 +17,8 @@ from .grassmann import (GrassmannError, PrincipalAngleSet, SubspaceProjector,
                         chordal_sq_trace, orthoplex_bound, principal_angles,
                         product_distance, simplex_bound)
 from .permgroup import NotASubgroup, PermGroup, Permutation
-from .reps import (UnitaryRep, commutant_singular_values, isotypic_weights,
-                   restrict_rep)
+from .reps import (UnitaryRep, commutant_singular_values, coset_images,
+                   isotypic_weights, restrict_rep)
 
 TOL = config.TOL
 
@@ -263,8 +263,9 @@ class IsotypicContext:
 
     H is a point stabilizer `G.stabilizer(p)`, and the codewords are indexed
     by its Schreier tree's coset reps; any other H is a CodeError.  Nothing
-    here walks G: rho|H and the transversal images come from words
-    (`UnitaryRep.image`), and the multiplicities from rho|H's character at
+    here walks G: rho|H comes from words (`UnitaryRep.image`), each
+    transversal image from its parent's along the Schreier tree, one product
+    apiece (`coset_images`), and the multiplicities from rho|H's character at
     the class representatives of H.  The isotypic components come from the
     class sums of a few small classes of H (`_isotypic_split`), not from a
     sum over all of H.  Irreducibility is <chi, chi> = 1 when G has an
@@ -291,7 +292,7 @@ class IsotypicContext:
         self._bases, self.checks["isotypic_split"] = _isotypic_split(
             self.rho_h, self.h_table, self.decomposition.multiplicities)
         self.n_cosets = transversal.count
-        self.t_images = [rho.image(t) for t in transversal.reps()]
+        self.t_images = coset_images(transversal, rho.gen_images, rho.dim)
         self.orbitals = g.orbitals(h)
         self.keys = _suborbit_keys(self.orbitals)
 
@@ -624,9 +625,6 @@ class CliffordGroupData:
             raise CodeError("i must be between 1 and 5")
         self.i = i
         self.n = 1 << i
-
-    def order(self) -> int:
-        return 1 << (2 * self.i + 1)
 
     @staticmethod
     def _mul(p, q):

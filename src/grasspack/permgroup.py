@@ -191,14 +191,18 @@ class ConjugacyClasses:
         return len(self.reps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CosetTransversal:
     """Left coset representatives u_b of H = G_p in G, one per orbit point
-    b of p, in the Schreier tree's order (u_0 = 1)."""
+    b of p, in the Schreier tree's order (u_0 = 1).  `words[k]` spells u_k
+    in generator indices, read left to right: (s, *words[parent]), so
+    u_k = s u_parent with the parent earlier in the order, and the image of
+    u_k in any representation is one product along the tree."""
 
     group: "PermGroup"
     subgroup: "PermGroup"
     rep_rows: np.ndarray            # image row of each representative
+    words: tuple[tuple[int, ...], ...]
 
     @property
     def count(self) -> int:
@@ -470,7 +474,9 @@ class PermGroup:
     def coset_transversal(self, h: "PermGroup") -> CosetTransversal:
         """The Schreier tree's reps, for H one of this group's point
         stabilizers; NotASubgroup for any other H."""
-        return CosetTransversal(self, h, self._level_of(h).reps)
+        level = self._level_of(h)
+        return CosetTransversal(self, h, level.reps,
+                                tuple(tuple(w) for w in level.words))
 
     def orbitals(self, h: "PermGroup") -> np.ndarray:
         """The N x N matrix whose [a, b] entry numbers the H-orbit of

@@ -16,6 +16,12 @@ and each projection is a weighted bincount of the point's |G| images.  Every
 derived representation passes one exact gate (`_check_extracted`): its basis
 is orthonormal and invariant under the generators it came from.
 
+Arithmetic stays in the field of the data: a representation whose generator
+images are real is held, multiplied and summed in float64, and a real
+character is extracted with real weights, so its basis and images are real.
+Coset reps' images come along the Schreier tree (`coset_images`), one product
+per coset rep.
+
 Isotypic projector matrices are formed only by `codes.IsotypicContext`,
 from the class sums of a few classes; here `isotypic_weights` drives the
 matrix-free vector projections of extraction, and every multiplicity comes
@@ -31,7 +37,7 @@ import numpy as np
 
 from . import config
 from .characters import CharacterTable, ClassFunction, decompose
-from .permgroup import PermGroup, Permutation, orbits
+from .permgroup import CosetTransversal, PermGroup, Permutation, orbits
 
 TOL = config.TOL
 
@@ -69,12 +75,20 @@ def _tree_words(g: PermGroup, indices) -> np.ndarray:
 
 
 class UnitaryRep:
-    """Matrix representation given by its generator images."""
+    """Matrix representation given by its generator images.  They are kept
+    as float64 when every one is real (no entry with a nonzero imaginary
+    part), else as complex128; `dtype` records which, and every image,
+    class sum and trace is formed in it."""
 
     def __init__(self, group: PermGroup, gen_images: list[np.ndarray],
                  name: str = "", provenance: dict | None = None):
         self.group = group
-        self.gen_images = [np.asarray(m, dtype=complex) for m in gen_images]
+        gen_images = [np.asarray(m) for m in gen_images]
+        real = all(np.isrealobj(m) or not m.imag.any() for m in gen_images)
+        self.dtype = np.dtype(float if real else complex)
+        self.gen_images = [np.ascontiguousarray(m.real if real else m,
+                                                dtype=self.dtype)
+                           for m in gen_images]
         if len(self.gen_images) != len(group.generators):
             raise RepError("one image per group generator required")
         self.dim = group.degree if not self.gen_images else self.gen_images[0].shape[0]
@@ -90,7 +104,7 @@ class UnitaryRep:
     def image_of_word(self, word) -> np.ndarray:
         """Product of the letters' images left to right; letter ~s is the
         inverse of generator s, whose image is rho(s)^H (rho is unitary)."""
-        m = np.eye(self.dim, dtype=complex)
+        m = np.eye(self.dim, dtype=self.dtype)
         for x in word:
             m = m @ (self.gen_images[x] if x >= 0
                      else self.gen_images[~x].conj().T)
@@ -109,7 +123,7 @@ class UnitaryRep:
         multiplied out left to right as in `image_of_word`, all words
         stepping together with one stacked product per generator per step."""
         words = _tree_words(self.group, indices)
-        out = np.broadcast_to(np.eye(self.dim, dtype=complex),
+        out = np.broadcast_to(np.eye(self.dim, dtype=self.dtype),
                               (len(words), self.dim, self.dim)).copy()
         for col in words.T:
             for gi, img in enumerate(self.gen_images):
@@ -124,8 +138,8 @@ class UnitaryRep:
         the images along one path: one product per tree node on the way."""
         if self._char is None:
             cc = self.group.conjugacy_classes()
-            vals = np.empty(cc.n_classes, dtype=complex)
-            path, word = [np.eye(self.dim, dtype=complex)], []
+            vals = np.empty(cc.n_classes, dtype=self.dtype)
+            path, word = [np.eye(self.dim, dtype=self.dtype)], []
             for w, k in sorted((self.group.tree_word(int(i)), k)
                                for k, i in enumerate(cc.rep_index)):
                 n = 0                          # letters shared with the path
@@ -143,7 +157,7 @@ class UnitaryRep:
         """M[k] = sum of rho(h) over the k-th listed class, each distinct
         class walked once (`_class_walk`)."""
         classes = [int(c) for c in classes]
-        acc = np.zeros((len(classes), self.dim, self.dim), dtype=complex)
+        acc = np.zeros((len(classes), self.dim, self.dim), dtype=self.dtype)
         for k, c in enumerate(classes):
             first = classes.index(c)
             acc[k] = acc[first] if first < k else sum(
@@ -161,7 +175,8 @@ class UnitaryRep:
         seen[start] = True
         word = self.group.tree_word(start)
         queue = deque([(np.array([start]), self.image_of_word(word)[None])])
-        chunk = max(1, _IMAGE_CHUNK_BYTES // (16 * self.dim ** 2))
+        chunk = max(1, _IMAGE_CHUNK_BYTES
+                    // (self.dtype.itemsize * self.dim ** 2))
         while queue:
             idx, images = queue.popleft()
             yield idx, images
@@ -192,7 +207,8 @@ class UnitaryRep:
         prods = g.lookup_rows(np.take_along_axis(
             rows[pairs[:, 0]], rows[pairs[:, 1]], axis=1))   # rows[i][rows[j]]
         eye = np.eye(self.dim)
-        chunk = max(1, _IMAGE_CHUNK_BYTES // (3 * 16 * self.dim ** 2))
+        chunk = max(1, _IMAGE_CHUNK_BYTES
+                    // (3 * self.dtype.itemsize * self.dim ** 2))
         worst = 0.0
         for lo in range(0, n_pairs, chunk):
             i, j = pairs[lo:lo + chunk, 0], pairs[lo:lo + chunk, 1]
@@ -219,6 +235,22 @@ def commutant_singular_values(rep: UnitaryRep) -> np.ndarray:
     blocks = [np.kron(eye, a) - np.kron(a.T, eye) for a in rep.gen_images]
     stacked = np.concatenate(blocks or [np.zeros((1, n * n))])
     return np.linalg.svd(stacked, compute_uv=False)[::-1]
+
+
+def coset_images(transversal: CosetTransversal, gen_images,
+                 dim: int) -> np.ndarray:
+    """The images of the coset reps u_k, stacked in transversal order, for
+    the generator images of any dim-dimensional representation: u_0 = 1,
+    and u_k = s u_parent along the Schreier tree (`CosetTransversal.words`),
+    so each further image is one product A_s A_parent."""
+    words = transversal.words
+    at = {w: k for k, w in enumerate(words)}
+    out = np.empty((len(words), dim, dim),
+                   dtype=np.result_type(float, *gen_images))
+    out[0] = np.eye(dim)
+    for k, w in enumerate(words[1:], 1):
+        out[k] = gen_images[w[0]] @ out[at[w[1:]]]
+    return out
 
 
 def restrict_rep(rep: UnitaryRep, h: PermGroup, name: str = "") -> UnitaryRep:
@@ -281,16 +313,16 @@ class PermTensorCarrier:
         bincount of |G| entries."""
         g = self.group
         d = g.degree
-        per_row = np.asarray(weights, dtype=complex)[
-            g.conjugacy_classes().class_of]
-        acc = np.zeros(self.dim, dtype=complex)
+        per_row = np.asarray(weights)[g.conjugacy_classes().class_of]
+        acc = np.zeros(self.dim, dtype=np.result_type(float, per_row, vec))
         for r in np.flatnonzero(vec):
             idx = np.zeros(g.order, dtype=np.intp)
             for point in np.unravel_index(r, (d,) * self.k):
                 idx = idx * d + g.rows[:, point]
             w = per_row * vec[r]
             acc += np.bincount(idx, w.real, self.dim)
-            acc += 1j * np.bincount(idx, w.imag, self.dim)
+            if np.iscomplexobj(w):
+                acc += 1j * np.bincount(idx, w.imag, self.dim)
         return acc
 
     def commutant_average(self, basis: np.ndarray,
@@ -298,22 +330,25 @@ class PermTensorCarrier:
         """T = (1/|G|) sum_g z_g z_g^H, z_g = B^H rho(g) B x, in the commutant
         of rho on the invariant span of B's orthonormal columns.  Over the
         coset reps u of H = G_0, z_uh = A_u z_h with A_u = B^H rho(u) B: T is
-        (1/|G|) sum_u A_u Y A_u^H, Y summed over H's rows only."""
+        (1/|G|) sum_u A_u Y A_u^H, Y summed over H's rows only.  The span is
+        invariant, so A_u is the representation on it: A_u = A_s A_parent
+        along the Schreier tree (`coset_images`), one rank^3 product per
+        coset rep from the generators' A_s = B^H rho(s) B, and the coset sum
+        is one stacked product."""
         g = self.group
         h = g.stabilizer(0)
         conj = basis.conj()
         vec = basis @ x
-        y = np.zeros((basis.shape[1],) * 2, dtype=complex)
-        step = max(1, _IMAGE_CHUNK_BYTES // (16 * self.dim))
+        y = np.zeros((basis.shape[1],) * 2, dtype=vec.dtype)
+        step = max(1, _IMAGE_CHUNK_BYTES // (vec.itemsize * self.dim))
         for lo in range(0, h.order, step):
             # gathered by h's own row: row i is (B^H rho(h_i^-1) B x)^T
             z = vec[self._flat_index(h.rows[lo:lo + step])] @ conj
             y += z.T @ z.conj()
-        acc = np.zeros_like(y)
-        for inv in np.argsort(g.coset_transversal(h).rep_rows, axis=1):
-            a = conj.T @ basis[self._flat_index(inv)]    # u^-1 row: rho(u) B
-            acc += a @ y @ a.conj().T
-        return acc / g.order
+        a = coset_images(g.coset_transversal(h),
+                         [conj.T @ self.apply_gen(s, basis)
+                          for s in range(len(g.generators))], basis.shape[1])
+        return np.tensordot(a @ y, a.conj(), axes=([0, 2], [0, 2])) / g.order
 
 
 # ------------------------------------------------------------ isotypic sums
@@ -345,6 +380,11 @@ def extract_irrep(carrier: PermTensorCarrier, g: PermGroup,
     matrix over it into the commutant and take one eigenvalue cluster, which
     is a single copy; only this random split is retried, from seed + 1 on.
     The copy passes the invariance gate and must carry the target character.
+    A real character (every |Im chi| within TOL.integer) takes real weights,
+    so the component and a multiplicity-one copy are real; the split's
+    random vector stays complex, so a real character with no real form
+    (quaternionic type) splits too.  Real weights on a complex character
+    would project onto chi + conj(chi) and fail the rank check.
     """
     if carrier.group is not g:
         raise ExtractionError(f"{carrier.name} is not a carrier of {g.name}")
@@ -353,8 +393,10 @@ def extract_irrep(carrier: PermTensorCarrier, g: PermGroup,
     if mu < 1:
         raise ExtractionError(
             f"character {chi_index} does not appear in carrier {carrier.name}")
-    full = _isotypic_basis(carrier, isotypic_weights(table, [chi_index]),
-                           target * mu)
+    weights = isotypic_weights(table, [chi_index])
+    if np.abs(chi.values.imag).max() <= TOL.integer:
+        weights = weights.real           # a real character: real arithmetic
+    full = _isotypic_basis(carrier, weights, target * mu)
     last: Exception | None = None
     for t in range(config.SEED_TRIES if mu > 1 else 1):
         try:
@@ -380,7 +422,8 @@ def extract_irrep(carrier: PermTensorCarrier, g: PermGroup,
 def _grow_orbit_basis(carrier, seeds, cap) -> np.ndarray:
     """Orthonormal rows spanning the seeds and their images, grown breadth
     first (each basis vector in turn, each generator in turn) up to `cap`."""
-    basis = np.empty((max(cap, len(seeds)), carrier.dim), dtype=complex)
+    basis = np.empty((max(cap, len(seeds)), carrier.dim),
+                     dtype=np.result_type(float, *seeds))
     n = 0
     for s in seeds:
         vec = _orthogonal_residual(s, basis[:n])
@@ -405,15 +448,16 @@ def _grow_orbit_basis(carrier, seeds, cap) -> np.ndarray:
 def _orthogonal_residual(vec, basis):
     """vec less its projection on the orthonormal rows of `basis`, by two
     classical Gram-Schmidt sweeps, normalised; None if it vanishes relative
-    to TOL.rel_distance."""
-    scale = np.linalg.norm(vec)
+    to TOL.rel_distance.  A sweep never lengthens the vector, so one that
+    vanishes after the first sweep is refused without the second."""
+    floor = TOL.rel_distance * max(np.linalg.norm(vec), 1.0)
     # second sweep keeps orthogonality tight against rounding; the
     # coefficients conj(basis) @ vec are formed without copying the basis
     for _ in range(2):
         vec = vec - (basis @ vec.conj()).conj() @ basis
-    norm = np.linalg.norm(vec)
-    if norm <= TOL.rel_distance * max(scale, 1.0):
-        return None
+        norm = np.linalg.norm(vec)
+        if norm <= floor:
+            return None
     return vec / norm
 
 

@@ -244,6 +244,25 @@ def test_coset_transversal_partitions_group():
     assert set().union(*cosets) == {tuple(r) for r in g.rows.tolist()}
 
 
+@pytest.mark.parametrize("make", [lambda: PermGroup.symmetric(5),
+                                  lambda: make_pgl2(7),
+                                  lambda: make_psl2(27)],
+                         ids=["s5", "pgl2_7", "psl2_27"])
+def test_transversal_words_spell_the_reps_along_the_tree(make):
+    g = make()
+    t = g.coset_transversal(g.stabilizer(0))
+    gens = [s.images for s in g.generators]
+    assert t.words[0] == ()
+    for k, word in enumerate(t.words):
+        row = np.arange(g.degree)
+        for x in reversed(word):             # u = s_0 s_1 ... : s_last first
+            row = gens[x][row]
+        assert np.array_equal(row, t.rep_rows[k]), k
+        # u_k = s u_parent, the parent earlier in the tree's order
+        if k:
+            assert t.words.index(word[1:]) < k
+
+
 def test_coset_transversal_rejects_non_subgroup():
     g = PermGroup.alternating(4)
     h = PermGroup.generated([Permutation.from_cycles(4, [[0, 1]])], degree=4)

@@ -334,6 +334,35 @@ def test_row_gather_sums_match_brute_force(make):
 @pytest.mark.parametrize("make", [lambda: make_pgl2(5),
                                   lambda: PermGroup.alternating(5)],
                          ids=["pgl2_5", "a5"])
+def test_commutant_average_on_a_real_basis_matches_the_dense_sum(make):
+    # a real character's isotypic projector is real, so its span has a
+    # real orthonormal basis; x stays complex, as in extraction
+    g = make()
+    t = compute_table(g)
+    rng = np.random.default_rng(17)
+    for k in (1, 2):
+        car = PermTensorCarrier(g, k)
+        dense = kron_power(perm_rep(g), k)
+        images = [image_of_index(dense, i) for i in range(g.order)]
+        mult = decompose(car.character().values, t).multiplicities
+        chi = int(np.argmax(mult * t.degrees()))
+        assert np.abs(t.irreducibles[chi].values.imag).max() < 1e-9
+        proj = isotypic_projector(dense.class_sums(range(t.n_classes)), t,
+                                  [chi])
+        assert np.abs(proj.imag).max() < 1e-12
+        evals, evecs = np.linalg.eigh(proj.real)
+        b = evecs[:, evals > 0.5]
+        assert b.dtype == np.float64
+        assert b.shape[1] == mult[chi] * t.degrees()[chi]
+        x = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
+        zs = [b.T @ img @ b @ x for img in images]
+        want_t = sum(np.outer(z, z.conj()) for z in zs) / g.order
+        assert np.abs(car.commutant_average(b, x) - want_t).max() < 1e-10
+
+
+@pytest.mark.parametrize("make", [lambda: make_pgl2(5),
+                                  lambda: PermGroup.alternating(5)],
+                         ids=["pgl2_5", "a5"])
 def test_batched_images_match_tree_words(make):
     g = make()
     rng = np.random.default_rng(11)
@@ -824,6 +853,103 @@ def test_restrict_rep_matches_parent():
     for hg, img in zip(h.generators, r.gen_images):
         assert np.allclose(img, rep.image(hg))
     r.check_unitary_homomorphism(n_pairs=25)
+
+
+# ------------------------------------------------------- real and complex
+
+
+def _assert_real(rep, n_classes):
+    assert rep.dtype == np.float64
+    assert all(m.dtype == np.float64 for m in rep.gen_images)
+    assert rep.class_sums(range(n_classes)).dtype == np.float64
+    assert not rep.character().values.imag.any()
+
+
+def test_real_representations_stay_real():
+    g = PermGroup.symmetric(5)
+    t = compute_table(g)
+    _assert_real(young_orthogonal_rep(g, Partition((3, 2))), t.n_classes)
+    # an extraction of a real character: the standard 4 in the natural
+    # module, at multiplicity one
+    carrier = PermTensorCarrier(g, 1)
+    mult = decompose(carrier.character().values, t).multiplicities
+    four = next(i for i, d in enumerate(t.degrees()) if d == 4 and mult[i])
+    rho = extract_irrep(carrier, g, t, four, int(mult[four]))
+    _assert_real(rho, t.n_classes)
+    assert np.abs(rho.character().values
+                  - t.irreducibles[four].values).max() < 1e-9
+    # complex images with no imaginary part are real too
+    assert reps.UnitaryRep(g, [m.astype(complex)
+                               for m in rho.gen_images]).dtype == np.float64
+
+
+@pytest.mark.parametrize("q, degree", [(7, 3), (11, 5)])
+def test_complex_characters_extract_in_complex_arithmetic(q, degree):
+    # PSL2(q), q = 3 mod 4, has a complex-conjugate pair of degree
+    # (q - 1) / 2, each once in the square of the natural module
+    g = make_psl2(q)
+    t = compute_table(g)
+    carriers = PermCarriers(g)
+    rows = [i for i, d in enumerate(t.degrees()) if d == degree]
+    assert len(rows) == 2
+    for i in rows:
+        chi = t.irreducibles[i].values
+        assert np.abs(chi.imag).max() > 1
+        carrier, mu = find_carrier(carriers, t, i)
+        assert (carrier.name, mu) == (f"perm{q + 1}^x2", 1)
+        rho = extract_irrep(carrier, g, t, i, mu)
+        assert rho.dtype == np.complex128
+        assert all(m.dtype == np.complex128 for m in rho.gen_images)
+        assert np.abs(rho.character().values - chi).max() < 1e-9
+
+
+def test_real_weights_on_a_complex_character_fail_the_rank_check(monkeypatch):
+    # real weights project on chi + conj(chi): twice the rank, refused by
+    # the exact isotypic rank check before any copy is formed
+    args = _psl2_7(3)
+    assert np.abs(args[2].irreducibles[args[3]].values.imag).max() > 1
+    extract_irrep(*args)
+    weights = reps.isotypic_weights
+    monkeypatch.setattr(reps, "isotypic_weights",
+                        lambda *a: weights(*a).real)
+    with pytest.raises(ExtractionError,
+                       match="isotypic basis has rank 4, expected 3"):
+        extract_irrep(*args)
+
+
+def _young_s5():
+    rho = young_orthogonal_rep(5, Partition((3, 1, 1)))
+    return rho.group, rho
+
+
+def _extracted_pgl2_7():
+    g = make_pgl2(7)
+    t = compute_table(g)
+    i = int(np.argmax(t.degrees()))
+    carrier, mu = find_carrier(PermCarriers(g), t, i)
+    return g, extract_irrep(carrier, g, t, i, mu)
+
+
+def _table_free_rotation():
+    g = load_group(data_path("sp6_2_deg28.grp"), cap=1)
+    assert not g.is_enumerated
+    return g, reps.symplectic_rotation_rep(g)
+
+
+@pytest.mark.parametrize("make", [_young_s5, _extracted_pgl2_7,
+                                  _table_free_rotation],
+                         ids=["young_s5", "extracted_pgl2_7",
+                              "table_free_sp6_2"])
+def test_transversal_images_are_the_coset_reps_images(make):
+    g, rho = make()
+    h = g.stabilizer(0)
+    ctx = IsotypicContext(g, h, rho, compute_table(h))
+    t = g.coset_transversal(h)
+    assert len(ctx.t_images) == ctx.n_cosets == t.count
+    assert ctx.t_images.dtype == rho.dtype
+    for k, row in enumerate(t.rep_rows):
+        assert np.abs(ctx.t_images[k]
+                      - rho.image(Permutation(row))).max() < 1e-12, k
 
 
 # ----------------------------------------------------------- E7 dictionary
