@@ -1,5 +1,9 @@
 """Orbit codes from isotypic subspaces, bounds certification, products,
-unions, and the Clifford-group orthoplex construction."""
+unions, and the Clifford-group orthoplex construction.
+
+Dtypes follow the data, as in `reps` and `grassmann`: a real split and every
+Clifford code give float64 bases, codewords and packed Gram rows; complex
+arithmetic enters only with complex data or to part a conjugate pair."""
 from __future__ import annotations
 
 import functools
@@ -79,12 +83,14 @@ class GrassmannCode:
 
 
 @functools.lru_cache
-def _packed_columns(n: int) -> np.ndarray:
-    """Read-only indices into the float view of vec P, for an n x n P, of
-    the real diagonal, then the real and the imaginary parts above it."""
+def _packed_columns(n: int, width: int) -> np.ndarray:
+    """Read-only indices into the float view of vec P, for an n x n P of
+    `width` floats per entry (1 real, 2 complex), of the diagonal, then the
+    real parts above it and, for a complex P, the imaginary parts."""
     iu, ju = np.triu_indices(n, k=1)
-    upper = 2 * (iu * n + ju)
-    cols = np.concatenate([2 * (n + 1) * np.arange(n), upper, upper + 1])
+    upper = width * (iu * n + ju)
+    parts = [width * (n + 1) * np.arange(n), upper, upper + 1]
+    cols = np.concatenate(parts[:width + 1])
     cols.flags.writeable = False
     return cols
 
@@ -92,26 +98,24 @@ def _packed_columns(n: int) -> np.ndarray:
 def _packed_rows(projectors) -> np.ndarray:
     """One row per Hermitian projector P, [diag P, sqrt2 Re P_ij, sqrt2 Im
     P_ij] (i < j), so that tr(PQ) = sum_i P_ii Q_ii + 2 sum_{i<j} (Re P_ij
-    Re Q_ij + Im P_ij Im Q_ij) is the dot product of the rows of P and Q:
-    n^2 columns, against the 2n^2 of the interleaved vec P.  The rows are
-    packed from stacks of `_PACK_ROWS` projectors, and the columns that
-    vanish in every row (the imaginary ones of a real code) are dropped:
-    136 columns for a real code with n = 16."""
+    Re Q_ij + Im P_ij Im Q_ij) is the dot product of the rows of P and Q.
+    The layout follows the code's dtype: a code of real projectors has no
+    imaginary parts and takes n(n+1)/2 columns, one with any complex
+    projector n^2, against the 2n^2 of the interleaved vec P.  The rows are
+    packed from stacks of `_PACK_ROWS` projectors."""
     n = projectors[0].n
-    cols = _packed_columns(n)
-    keep = np.zeros(n * n, dtype=bool)
+    real = not any(np.iscomplexobj(q.projector) for q in projectors)
+    dtype, width = (float, 1) if real else (complex, 2)
+    cols = _packed_columns(n, width)
     chunks = []
     # np.take gathers columns in C order; an x[:, cols] gather comes back
     # in F order and slows every pass after it
     for lo in range(0, len(projectors), _PACK_ROWS):
-        p = np.stack([q.projector for q in projectors[lo:lo + _PACK_ROWS]])
+        p = np.stack([q.projector for q in projectors[lo:lo + _PACK_ROWS]],
+                     dtype=dtype)
         rows = np.take(p.reshape(len(p), -1).view(np.float64), cols, axis=1)
         rows[:, n:] *= math.sqrt(2)
-        keep |= rows.any(axis=0)
         chunks.append(rows)
-    if not keep.all():
-        at = np.flatnonzero(keep)
-        chunks = [np.take(rows, at, axis=1) for rows in chunks]
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
@@ -395,10 +399,12 @@ def _isotypic_split(rho_h: UnitaryRep, table: CharacterTable,
     Hermitian term w rho(C^) + conj(w) rho(C^)^H, whose eigenvalue on the
     chi_i-component is 2 Re(w omega_i(C)), with the unit weight w that
     spreads the predicted eigenvalues of the present constituents most.
-    Complex weights separate a complex-conjugate pair of constituents.  The
-    pairs stop once those eigenvalues lie `SPLIT_GAP` of sum 2|w||C| apart;
-    on every class the central characters determine the constituent, so
-    only a near-tie of the weighted sums can exhaust them, and that is a
+    Complex weights separate a complex-conjugate pair of constituents.  A
+    real rho|H whose present omega are real keeps Re w alone: rho(C^)^T =
+    rho(C^-1) acts as omega_i(C) too, so the split is real.  The pairs stop
+    once those eigenvalues lie `SPLIT_GAP` of sum 2|w||C| apart; on every
+    class the central characters determine the constituent, so only a
+    near-tie of the weighted sums can exhaust them, and that is a
     CodeError.
 
     `eigh` of the summed matrix then gives each eigenvector to its nearest
@@ -438,8 +444,10 @@ def _isotypic_split(rho_h: UnitaryRep, table: CharacterTable,
         raise CodeError(f"isotypic split: no classes separate the "
                         f"constituents, relative gap {rel_gap:.2e}")
 
-    term = np.tensordot(np.array(weights, dtype=complex),
-                        rho_h.class_sums(chosen), axes=(0, 0))
+    weights = np.array(weights)
+    if rho_h.dtype == np.float64 and np.abs(omega.imag).max() <= TOL.integer:
+        weights = weights.real
+    term = np.tensordot(weights, rho_h.class_sums(chosen), axes=(0, 0))
     evals, evecs = np.linalg.eigh(term + term.conj().T)
     nearest = np.abs(evals[:, None] - predicted[None, :]).argmin(axis=1)
     bases = {i: evecs[:, :0] for i in range(len(lam))}
@@ -705,7 +713,7 @@ def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
     coef = chis[None] * sign[:, None, :]        # (subgroup, choice, e)
     u = np.arange(n)
     odd = np.array([bin(v).count("1") & 1 for v in range(n)])
-    pis = np.zeros((n_sub, size, n, n), dtype=complex)
+    pis = np.zeros((n_sub, size, n, n))
     at_s, at_k = np.arange(n_sub)[:, None, None], np.arange(size)[:, None]
     for e in range(size):
         y = (1 - 2 * odd[b[:, e, None] & u]) / size    # (subgroup, u)

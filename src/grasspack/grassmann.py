@@ -3,6 +3,9 @@
 Angle sets are stored as sin^2 values (ascending); angles are recovered from
 orthonormal bases by SVD rather than from projector spectra, which is better
 conditioned near zero angles.
+
+A projector's dtype follows its data: float64 for real input, integers
+included, and complex128 for complex input; nothing here casts to complex.
 """
 from __future__ import annotations
 
@@ -24,6 +27,12 @@ class GrassmannError(config.GrasspackError):
 
 #: bytes of projector stack per chunk of a stacked check
 _CHECK_BYTES = 1 << 20
+
+
+def _in_field(a) -> np.ndarray:
+    """a as float64 when it is real, integers included, else as complex128."""
+    a = np.asarray(a)
+    return a.astype(np.result_type(a.dtype, float), copy=False)
 
 
 def _checked_ranks(stack: np.ndarray) -> np.ndarray:
@@ -63,12 +72,12 @@ class SubspaceProjector:
     idempotent within TOL.ortho, trace within TOL.integer of an integer."""
 
     def __init__(self, projector: np.ndarray, basis: np.ndarray | None = None):
-        p = np.asarray(projector, dtype=complex)
+        p = _in_field(projector)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise GrassmannError("projector must be square")
         self._adopt(p, int(_checked_ranks(p[None])[0]))
         if basis is not None:
-            basis = np.asarray(basis, dtype=complex)
+            basis = _in_field(basis)
             if np.abs(p - basis @ basis.conj().T).max() > TOL.ortho:
                 raise GrassmannError("basis does not reproduce the projector")
         self._basis = basis
@@ -83,9 +92,9 @@ class SubspaceProjector:
     def stack(cls, matrices: np.ndarray) -> list["SubspaceProjector"]:
         """One projector per matrix of an (N, n, n) stack, in order, each the
         projector the constructor would give.  The stack is checked in
-        chunks, and each projector is a view into the complex stack (the
-        caller's array when it is complex already)."""
-        p = np.asarray(matrices, dtype=complex)
+        chunks, and each projector is a view into the stack (the caller's
+        array when it is float64 or complex128 already)."""
+        p = _in_field(matrices)
         if p.ndim != 3 or p.shape[1] != p.shape[2]:
             raise GrassmannError(f"projector stack of shape {p.shape} is "
                                  f"not (N, n, n)")
@@ -98,7 +107,7 @@ class SubspaceProjector:
 
     @classmethod
     def from_basis(cls, columns: np.ndarray) -> "SubspaceProjector":
-        q, r = np.linalg.qr(np.asarray(columns, dtype=complex))
+        q, r = np.linalg.qr(_in_field(columns))
         keep = np.abs(np.diag(r)) > 1e-12
         q = q[:, keep]
         return cls(q @ q.conj().T, basis=q)

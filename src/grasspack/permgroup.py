@@ -208,9 +208,6 @@ class CosetTransversal:
     def count(self) -> int:
         return len(self.rep_rows)
 
-    def reps(self) -> list[Permutation]:
-        return [Permutation(r) for r in self.rep_rows]
-
 
 class _Level(NamedTuple):
     """One level of a stabilizer chain: the Schreier tree of `point` and

@@ -42,8 +42,7 @@ from .permgroup import CosetTransversal, PermGroup, Permutation, orbits
 TOL = config.TOL
 
 #: bytes of images in one stacked product (a slab of a class walk), or of
-#: `commutant_average`'s gathered vectors, held at once; the homomorphism
-#: check's products and residuals take about three times as much again
+#: `commutant_average`'s gathered vectors, held at once
 _IMAGE_CHUNK_BYTES = 1 << 18
 
 
@@ -57,21 +56,6 @@ class CarrierBudgetError(RepError):
 
 class ExtractionError(RepError):
     pass
-
-
-def _tree_words(g: PermGroup, indices) -> np.ndarray:
-    """Tree words of many elements as rows of generator indices, read left
-    to right and padded with -1 on the left to a common length."""
-    cur = np.asarray(indices, dtype=np.int64)
-    cols = []
-    while True:
-        step = g.via_gen[cur]
-        live = step != -1
-        if not live.any():
-            break
-        cols.append(step)
-        cur = np.where(live, g.parent[cur], cur)
-    return np.array(cols[::-1], dtype=np.int64).reshape(len(cols), cur.size).T
 
 
 class UnitaryRep:
@@ -117,20 +101,6 @@ class UnitaryRep:
 
     def apply_gen(self, gi: int, vec: np.ndarray) -> np.ndarray:
         return self.gen_images[gi] @ vec
-
-    def images_of_indices(self, indices) -> np.ndarray:
-        """rho(g_i) for each element index, stacked: every tree word is
-        multiplied out left to right as in `image_of_word`, all words
-        stepping together with one stacked product per generator per step."""
-        words = _tree_words(self.group, indices)
-        out = np.broadcast_to(np.eye(self.dim, dtype=self.dtype),
-                              (len(words), self.dim, self.dim)).copy()
-        for col in words.T:
-            for gi, img in enumerate(self.gen_images):
-                sel = np.flatnonzero(col == gi)
-                if sel.size:
-                    out[sel] = out[sel] @ img
-        return out
 
     def character(self) -> ClassFunction:
         """Trace at each class representative.  The reps' tree words, taken
@@ -196,7 +166,8 @@ class UnitaryRep:
                                    seed: int = config.DEFAULT_SEED,
                                    tol: float = TOL.ortho) -> float:
         """Largest of |rho(a) rho(a)^H - I| and |rho(a) rho(b) - rho(ab)| over
-        random pairs (a, b); RepError above `tol`."""
+        random pairs (a, b), each image from its tree word; RepError above
+        `tol`."""
         if n_pairs < 1:
             return 0.0
         g = self.group
@@ -207,15 +178,10 @@ class UnitaryRep:
         prods = g.lookup_rows(np.take_along_axis(
             rows[pairs[:, 0]], rows[pairs[:, 1]], axis=1))   # rows[i][rows[j]]
         eye = np.eye(self.dim)
-        chunk = max(1, _IMAGE_CHUNK_BYTES
-                    // (3 * self.dtype.itemsize * self.dim ** 2))
         worst = 0.0
-        for lo in range(0, n_pairs, chunk):
-            i, j = pairs[lo:lo + chunk, 0], pairs[lo:lo + chunk, 1]
-            a, b, ab = np.split(self.images_of_indices(
-                np.concatenate([i, j, prods[lo:lo + chunk]])), 3)
-            worst = max(worst,
-                        float(np.abs(a @ a.conj().transpose(0, 2, 1) - eye).max()),
+        for (i, j), k in zip(pairs.tolist(), prods.tolist()):
+            a, b, ab = (self.image_of_word(g.tree_word(x)) for x in (i, j, k))
+            worst = max(worst, float(np.abs(a @ a.conj().T - eye).max()),
                         float(np.abs(a @ b - ab).max()))
         if worst > tol:
             raise RepError(f"unitarity/homomorphism residual {worst:.2e}")

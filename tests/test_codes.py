@@ -429,7 +429,8 @@ def test_fonda2_identity_element(s4_ctx):
 
 def test_fonda2_transversal_elements(s4_ctx):
     idx = trivial_index(s4_ctx.h_table)
-    for t in s4_ctx.g.coset_transversal(s4_ctx.h).reps()[1:]:
+    rows = s4_ctx.g.coset_transversal(s4_ctx.h).rep_rows
+    for t in (Permutation(r) for r in rows[1:]):
         residual = s4_ctx.fonda2_residual([idx], t)
         assert residual < 1e-9
 
@@ -749,12 +750,12 @@ def test_packed_gram_matches_the_trace_across_blocks():
     rng = np.random.default_rng(31)
     planes = random_subspaces(rng, 201)
     assert len(planes) > codes._GRAM_ROWS
-    # complex words: no column vanishes, n^2 packed columns
+    # complex words: n^2 packed columns
     assert codes._packed_rows(planes).shape == (201, 36)
     assert_gram_matches_trace(planes)
 
 
-def test_packed_gram_drops_the_zero_columns(clifford_3_2):
+def test_packed_gram_of_a_real_code(clifford_3_2):
     projectors = list(clifford_3_2.projectors)
     assert len(projectors) > codes._GRAM_ROWS
     # a real code with n = 8: the diagonal and the real upper triangle
@@ -763,8 +764,8 @@ def test_packed_gram_drops_the_zero_columns(clifford_3_2):
 
 
 def test_packed_rows_across_pack_chunks(monkeypatch):
-    # columns vanish only when they vanish in every chunk: the one complex
-    # word past the first chunk keeps the imaginary columns
+    # the layout is chosen for the whole code: the one complex word past
+    # the first chunk gives every row the imaginary columns
     rng = np.random.default_rng(37)
     real = [SubspaceProjector.from_basis(rng.standard_normal((4, 2)))
             for _ in range(7)]
@@ -1123,6 +1124,46 @@ def test_split_matches_full_class_sum_formula(make):
             want = isotypic_projector(sums, ctx.h_table, [i])
             got = ctx.subspace([i])[0].projector
             assert np.abs(got - want).max() <= TOL.ortho, (ctx.rho.name, i)
+
+
+def test_real_data_stays_real(clifford_3_2):
+    # a real rep over real H-characters: float64 from the split's bases to
+    # the packed Gram, n(n+1)/2 columns; the Clifford stack is real, and an
+    # integer projector is promoted to float64
+    g = PermGroup.symmetric(7)
+    ctx = IsotypicContext(g, g.stabilizer(6),
+                          young_orthogonal_rep(g, Partition((4, 2, 1))))
+    rows = present_rows(ctx)
+    assert len(rows) == 3
+    assert {b.dtype for b in ctx._bases.values()} == {np.dtype(np.float64)}
+    pi, _ = ctx.subspace(rows[:1])
+    assert pi.projector.dtype == pi.basis.dtype == np.float64
+    code = ctx.build(rows[:1])
+    assert {p.projector.dtype for p in code.projectors} == {
+        np.dtype(np.float64)}
+    n = ctx.rho.dim
+    assert codes._packed_rows(code.projectors).shape == (7, n * (n + 1) // 2)
+    assert {p.projector.dtype for p in clifford_3_2.projectors} == {
+        np.dtype(np.float64)}
+    assert SubspaceProjector(np.diag([1, 1, 0])).projector.dtype == np.float64
+
+
+def test_complex_where_the_data_needs_it():
+    # A4 on 3: a real rep, but C3's omega and conj(omega) part only under a
+    # complex weight, so the split and the code stay complex
+    g = PermGroup.alternating(4)
+    rho = restrict_rep(young_orthogonal_rep(PermGroup.symmetric(4),
+                                            Partition((3, 1))), g)
+    ctx = IsotypicContext(g, g.stabilizer(3), rho)
+    assert rho.dtype == np.float64
+    assert [b.shape[1] for b in ctx._bases.values()] == [1, 1, 1]
+    assert {b.dtype for b in ctx._bases.values()} == {np.dtype(complex)}
+    code = ctx.build(present_rows(ctx)[:1])
+    assert {p.projector.dtype for p in code.projectors} == {np.dtype(complex)}
+    # PSL2(7)'s degree-3 character is not real: its extraction is complex
+    # (irreducible on the stabilizer, so it gives no proper subspace)
+    ctx = extracted_context(make_psl2(7), 3)
+    assert ctx.rho.dtype == ctx._bases[present_rows(ctx)[0]].dtype == complex
 
 
 def test_split_commutator_gate_catches_a_perturbed_generator():

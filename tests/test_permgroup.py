@@ -588,7 +588,7 @@ def test_orbitals_match_brute_force(name):
     make, point = ORBITAL_CHECKED[name]
     g = make()
     h = g.stabilizer(point)
-    reps = g.coset_transversal(h).reps()
+    reps = [Permutation(r) for r in g.coset_transversal(h).rep_rows]
     position = {u(point): b for b, u in enumerate(reps)}
     suborbit = {}                   # H-orbits, numbered by least position
     for b, u in enumerate(reps):

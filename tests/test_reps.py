@@ -360,25 +360,6 @@ def test_commutant_average_on_a_real_basis_matches_the_dense_sum(make):
         assert np.abs(car.commutant_average(b, x) - want_t).max() < 1e-10
 
 
-@pytest.mark.parametrize("make", [lambda: make_pgl2(5),
-                                  lambda: PermGroup.alternating(5)],
-                         ids=["pgl2_5", "a5"])
-def test_batched_images_match_tree_words(make):
-    g = make()
-    rng = np.random.default_rng(11)
-    base = perm_rep(g)
-    u = _unitary(base.dim, rng)
-    rep = reps.UnitaryRep(g, [u @ m @ u.conj().T for m in base.gen_images])
-    got = rep.images_of_indices(np.arange(g.order))
-    assert got.shape == (g.order, rep.dim, rep.dim)
-    for i in range(g.order):
-        # same products in the same order, so the same bits
-        assert np.array_equal(got[i], image_of_index(rep, i)), i
-    shuffled = rng.permutation(g.order)[:17]
-    assert np.array_equal(rep.images_of_indices(shuffled), got[shuffled])
-    assert rep.images_of_indices([]).shape == (0, rep.dim, rep.dim)
-
-
 def test_class_sums_across_chunks_match_brute_force():
     # the 16-dimensional Young form of S6 stacks 64 images per chunk, so its
     # classes of 90, 120 and 144 elements are summed over several chunks;
