@@ -23,14 +23,16 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import config
-from .characters import compute_table, restrict_and_decompose
+# compute_table is uncalled here; perfbench/test_bench.py checks its binding
+from .characters import (character_table, compute_table,
+                         restrict_and_decompose)
 from .codes import CodeError, IsotypicContext, verify_simplex
 from .grassmann import as_fraction, simplex_fraction
 from .permgroup import (PermGroup, load_group, make_pgl2, make_psl2,
                         parse_group, projective_class_count)
-from .reps import (Partition, PermCarriers, alternating_halves, branching,
-                   extract_irrep, find_carrier, hook_dimension,
-                   symplectic_rotation_rep, young_orthogonal_rep)
+from .reps import (Partition, alternating_halves, branching, extract_irrep,
+                   find_carrier, hook_dimension, symplectic_rotation_rep,
+                   young_orthogonal_rep)
 
 
 class CatalogError(config.GrasspackError):
@@ -257,10 +259,10 @@ def _canonical_subsets(dims, n):
     return sorted((mc, combo) for mc, (m, combo) in best.items())
 
 
-def subset_reps(decomposition, h_table, n):
+def subset_reps(decomposition, n):
     """One representative character subset per achievable canonical m."""
     lam = decomposition.multiplicities
-    degs = h_table.degrees()
+    degs = decomposition.subgroup_table.degrees()
     present = [i for i in range(len(lam)) if lam[i] > 0]
     dims = [int(lam[i]) * int(degs[i]) for i in present]
     return [(mc, [present[c] for c in combo])
@@ -293,7 +295,7 @@ def _context_entries(family, params, ctx, refs, plan=None):
     """One entry per (m, chars) of `plan`, by default every canonical subset
     of the context; `chars` is appended to a copy of `params`."""
     if plan is None:
-        plan = subset_reps(ctx.decomposition, ctx.h_table, ctx.rho.dim)
+        plan = subset_reps(ctx.decomposition, ctx.rho.dim)
     entries = []
     for m, chars in plan:
         expected, corrected = _lookup_reference(refs, ctx.rho.dim, m)
@@ -394,10 +396,9 @@ def symmetric_tower_entries(points: int,
     refs = _tower_references(points)
     g = PermGroup.symmetric(points)
     h = g.stabilizer(points - 1)
-    ht = compute_table(h)
     entries = []
     for lam in canonical_shapes(points):
-        ctx = IsotypicContext(g, h, young_orthogonal_rep(g, lam), ht)
+        ctx = IsotypicContext(g, h, young_orthogonal_rep(g, lam))
         entries.extend(_context_entries(
             "symmetric", {"points": points, "partition": list(lam.parts)},
             ctx, refs))
@@ -427,18 +428,16 @@ def predicted_tower_entries(points: int) -> list[CatalogEntry]:
 def _alternating_entries(points, refs):
     ga = PermGroup.alternating(points)
     ha = ga.stabilizer(points - 1)
-    gat = compute_table(ga)
-    hat = compute_table(ha)
     entries = []
     for lam in canonical_shapes(points):
         rho_a = young_orthogonal_rep(ga, lam)
-        reps = (alternating_halves(rho_a, lam, gat)
+        reps = (alternating_halves(rho_a, lam)
                 if lam == lam.conjugate() else [rho_a])
         for rho in reps:
             entries.extend(_context_entries(
                 "alternating", {"points": points, "partition": list(lam.parts),
                                 "rep_dim": rho.dim},
-                IsotypicContext(ga, ha, rho, hat), refs))
+                IsotypicContext(ga, ha, rho), refs))
     return entries
 
 
@@ -494,27 +493,23 @@ def _sweep_group(family, base_params, g, dims, refs,
     Same-degree representations give the same cell parameters, so only the
     first is kept, except for degrees in per_row_degrees, whose codes can
     differ in their principal angles."""
-    table = compute_table(g)
     h = g.stabilizer(0)
-    ht = compute_table(h)
-    degrees = table.degrees()
+    degrees = character_table(g).degrees()
     entries, done = [], set()
     count = g.order // h.order
-    carriers = PermCarriers(g)
-    for i in range(table.n_classes):
+    for i, chi in enumerate(character_table(g).irreducibles):
         deg = int(degrees[i])
         if deg < 2 or (dims is not None and deg not in dims):
             continue
         key = i if deg in per_row_degrees else deg
-        chi = table.irreducibles[i]
-        dec = restrict_and_decompose(chi, g, h, ht)
-        plan = [(m, chars) for m, chars in subset_reps(dec, ht, deg)
+        dec = restrict_and_decompose(chi, g, h)
+        plan = [(m, chars) for m, chars in subset_reps(dec, deg)
                 if (key, m) not in done]
         if not plan:
             continue
         done.update((key, m) for m, _ in plan)
-        found = find_carrier(carriers, table, i)
-        if found is None:
+        carrier = find_carrier(g, i)
+        if carrier is None:
             for m, chars in plan:
                 expected, corrected = _lookup_reference(refs, deg, m)
                 entries.append(_predicted_entry(
@@ -522,9 +517,7 @@ def _sweep_group(family, base_params, g, dims, refs,
                     deg, m, count, expected, corrected,
                     ("no-carrier-within-budget",)))
             continue
-        carrier, mu = found
-        ctx = IsotypicContext(g, h, extract_irrep(carrier, g, table, i, mu),
-                              ht)
+        ctx = IsotypicContext(g, h, extract_irrep(carrier, i))
         entries.extend(_context_entries(
             family, dict(base_params, rep_degree=deg, table_row=i), ctx,
             refs, plan))
@@ -656,7 +649,7 @@ def rotation_code_entries() -> list[CatalogEntry]:
     degree, gens = parse_group(data_path(name).read_text())
     g = PermGroup.deferred(gens, name=name, degree=degree)
     h = g.stabilizer(0)
-    ctx = IsotypicContext(g, h, symplectic_rotation_rep(g), compute_table(h))
+    ctx = IsotypicContext(g, h, symplectic_rotation_rep(g))
     return _context_entries(
         "loaded", {"group": name, "rep": "rotation"}, ctx,
         _block_references(reference_block("Sp6(2) on 28 points")))

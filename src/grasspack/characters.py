@@ -5,6 +5,9 @@ applied to a random real combination of class-multiplication matrices, then a
 Loewdin step restores first orthogonality to ~1e-12.  Integrality (degrees,
 restriction multiplicities) is recovered by rounding under the fixed tolerance
 ladder, never assumed.
+
+One table per group: `character_table` computes it once and keeps it on the
+group, and production code reaches a table only through it.
 """
 from __future__ import annotations
 
@@ -127,6 +130,13 @@ def class_multiplication(g: PermGroup) -> np.ndarray:
     return a
 
 
+def character_table(g: PermGroup) -> CharacterTable:
+    """g's character table: `compute_table(g)` on the first call, kept on g."""
+    if g._characters is None:
+        g._characters = compute_table(g)
+    return g._characters
+
+
 def compute_table(g: PermGroup,
                   seed: int = config.DEFAULT_SEED) -> CharacterTable:
     cc = g.conjugacy_classes()
@@ -225,12 +235,9 @@ def class_fusion(g: PermGroup, h: PermGroup) -> np.ndarray:
     return g.conjugacy_classes().class_of[g.lookup_rows(reps)].astype(np.int64)
 
 
-def restrict_and_decompose(chi: ClassFunction, g: PermGroup, h: PermGroup,
-                           h_table: CharacterTable | None = None
-                           ) -> RestrictionDecomposition:
-    if h_table is None:
-        h_table = compute_table(h)
-    return decompose(chi.values[class_fusion(g, h)], h_table)
+def restrict_and_decompose(chi: ClassFunction, g: PermGroup,
+                           h: PermGroup) -> RestrictionDecomposition:
+    return decompose(chi.values[class_fusion(g, h)], character_table(h))
 
 
 def decompose(values, h_table: CharacterTable) -> RestrictionDecomposition:

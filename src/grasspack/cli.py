@@ -1,8 +1,8 @@
 """Command-line front end: table sweeps, single-code verification, utilities.
 
 Exit codes: 0 all requested checks passed, 1 at least one cell or
-certification failed, 2 bad input (any of INPUT_ERRORS or an OSError, reported
-as one `error:` line).
+certification failed, 2 bad input (a GrasspackError or an OSError, reported
+as one `error:` line); any other exception is a fault and propagates.
 """
 from __future__ import annotations
 
@@ -19,18 +19,18 @@ from .catalog import (check_projective_table, check_symmetric_tower,
                       load_packaged_group, predicted_tower_entries,
                       projective_entries, subset_reps,
                       symmetric_tower_entries)
-from .characters import compute_table
+from .characters import character_table
 from .codes import (CodeError, IdentityError, IsotypicContext,
                     build_clifford_orthoplex, predict_from_dimensions,
                     verify_simplex)
 from .grassmann import (format_value, orthoplex_bound, simplex_capacity,
                         simplex_fraction)
 from .permgroup import PermGroup, load_group, make_pgl2, make_psl2
-from .reps import (Partition, PermCarriers, branching, extract_irrep,
-                   find_carrier, hook_dimension, symplectic_rotation_rep,
+from .reps import (Partition, branching, extract_irrep, find_carrier,
+                   hook_dimension, symplectic_rotation_rep,
                    young_orthogonal_rep)
 
-INPUT_ERRORS = (config.GrasspackError, ValueError)
+INPUT_ERRORS = config.GrasspackError
 
 
 class CliError(config.GrasspackError):
@@ -103,13 +103,20 @@ def _entries_payload(entries, checks=None):
 # ------------------------------------------------------------- spec parsing
 
 
+def _spec_int(spec: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"{spec!r}: {text!r} is not an integer") from None
+
+
 def _resolve_group(spec: str, cap: int) -> PermGroup:
     s = spec.strip()
     try:
         if s.upper().startswith("PGL2:"):
-            return make_pgl2(int(s.split(":", 1)[1]))
+            return make_pgl2(_spec_int(spec, s[5:]))
         if s.upper().startswith("PSL2:"):
-            return make_psl2(int(s.split(":", 1)[1]))
+            return make_psl2(_spec_int(spec, s[5:]))
         if s.startswith("file:"):
             return load_group(Path(s[5:]), cap=cap)
         if s.startswith("data:"):
@@ -118,6 +125,8 @@ def _resolve_group(spec: str, cap: int) -> PermGroup:
             k = int(s[1:])
             return (PermGroup.symmetric(k) if s[0] == "S"
                     else PermGroup.alternating(k))
+    except CliError:
+        raise
     except INPUT_ERRORS as err:
         raise CliError(f"cannot resolve group {spec!r}: {err}")
     raise CliError(f"unrecognized group spec {spec!r} "
@@ -151,20 +160,17 @@ def _resolve_rep(g: PermGroup, spec: str, seed: int):
         except INPUT_ERRORS as err:
             raise CliError(f"rotation rep failed: {err}")
     if s.startswith("dim:"):
-        want = int(s[4:])
+        want = _spec_int(spec, s[4:])
         try:
-            table = compute_table(g, seed=seed)
-            degs = table.degrees()
-            rows = [i for i in range(table.n_classes) if int(degs[i]) == want]
+            degs = character_table(g).degrees().tolist()
+            rows = [i for i, d in enumerate(degs) if d == want]
             if not rows:
                 raise CliError(f"no irreducible of dimension {want} "
                                f"in {g.name}")
-            carriers = PermCarriers(g)
             for i in rows:
-                found = find_carrier(carriers, table, i)
-                if found is not None:
-                    carrier, mu = found
-                    return extract_irrep(carrier, g, table, i, mu, seed=seed)
+                carrier = find_carrier(g, i)
+                if carrier is not None:
+                    return extract_irrep(carrier, i, seed=seed)
         except CliError:
             raise
         except INPUT_ERRORS as err:
@@ -188,7 +194,7 @@ def _parse_partition(text: str) -> Partition:
 def _resolve_chars(ctx: IsotypicContext, spec: str) -> list[list[int]]:
     s = spec.strip()
     if s in ("auto-min", "auto-all"):
-        plan = subset_reps(ctx.decomposition, ctx.h_table, ctx.rho.dim)
+        plan = subset_reps(ctx.decomposition, ctx.rho.dim)
         if not plan:
             raise CliError("restriction has a single component; "
                            "no proper invariant subspace to pick")
@@ -445,10 +451,9 @@ def cmd_selftest(args, opts: Options) -> int:
         # W is the trivial H-component of the Young [3,1] representation
         g = PermGroup.symmetric(4)
         h = g.stabilizer(3)
-        ht = compute_table(h)
         rho = young_orthogonal_rep(g, Partition((3, 1)))
-        return IsotypicContext(g, h, rho, ht), [next(
-            i for i, chi in enumerate(ht.irreducibles)
+        return IsotypicContext(g, h, rho), [next(
+            i for i, chi in enumerate(character_table(h).irreducibles)
             if abs(chi.values - 1).max() < 1e-9)]
 
     def small_pipeline():
@@ -478,7 +483,7 @@ def cmd_selftest(args, opts: Options) -> int:
                f"{'met' if code.params.meets_orthoplex else 'missed'}")
 
     def characters():
-        table = compute_table(PermGroup.symmetric(5))
+        table = character_table(PermGroup.symmetric(5))
         residual = table.orthogonality_residual()
         expect(residual < 1e-9, f"orthogonality residual {residual:.2e}")
 
@@ -516,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the subparser copy from clobbering a value given up front
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="RNG seed for representation extraction")
+                        help="RNG seed of the commutant split that cuts "
+                        "one copy of a repeated --rep dim: irreducible")
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
                         help="group enumeration cap for loaded groups")
     common.add_argument("--json", action="store_true",
@@ -598,7 +604,7 @@ def main(argv=None) -> int:
         if opts.cap < 0:
             raise CliError(f"--cap must be non-negative, got {opts.cap}")
         return args.fn(args, opts)
-    except (*INPUT_ERRORS, OSError) as err:
+    except (INPUT_ERRORS, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .characters import (CharacterTable, compute_table, decompose,
+# compute_table is uncalled here; perfbench/test_bench.py checks its binding
+from .characters import (character_table, compute_table, decompose,
                          inner_product)
 from .grassmann import (GrassmannError, PrincipalAngleSet, SubspaceProjector,
                         chordal_sq_trace, orthoplex_bound, principal_angles,
@@ -279,8 +280,7 @@ class IsotypicContext:
     so two pairs in one suborbit (`PermGroup.orbitals`) have the same
     principal angles, and the census takes one SVD per suborbit."""
 
-    def __init__(self, g: PermGroup, h: PermGroup, rho: UnitaryRep,
-                 h_table: CharacterTable | None = None):
+    def __init__(self, g: PermGroup, h: PermGroup, rho: UnitaryRep):
         if rho.group is not g:
             raise CodeError("representation does not belong to G")
         try:
@@ -289,12 +289,11 @@ class IsotypicContext:
             raise CodeError(str(err)) from None
         self.checks = _check_irreducible(rho)
         self.g, self.h, self.rho = g, h, rho
-        self.h_table = h_table if h_table is not None else compute_table(h)
         self.rho_h = restrict_rep(rho, h)
         self.decomposition = decompose(self.rho_h.character().values,
-                                       self.h_table)
+                                       character_table(h))
         self._bases, self.checks["isotypic_split"] = _isotypic_split(
-            self.rho_h, self.h_table, self.decomposition.multiplicities)
+            self.rho_h, self.decomposition.multiplicities)
         self.n_cosets = transversal.count
         self.t_images = coset_images(transversal, rho.gen_images, rho.dim)
         self.orbitals = g.orbitals(h)
@@ -337,7 +336,7 @@ class IsotypicContext:
         pi_w, m = self.subspace(chars)
         lhs = chordal_sq_trace(pi_w, _moved(rho.image(elem), pi_w))
 
-        e_by_class = h.order * isotypic_weights(self.h_table, chars)
+        e_by_class = h.order * isotypic_weights(character_table(h), chars)
         e_vals = e_by_class[h.conjugacy_classes().class_of]   # per H element
 
         chi_rho = rho.character().values
@@ -369,7 +368,7 @@ class IsotypicContext:
                             f"0..{len(lam) - 1}")
         if len(set(chars)) != len(chars):
             raise CodeError(f"repeated character index in {chars}")
-        degs = self.h_table.degrees()
+        degs = character_table(self.h).degrees()
         return int(sum(int(lam[i]) * int(degs[i]) for i in chars))
 
 
@@ -387,10 +386,9 @@ SPLIT_GAP = 0.01
 _SPLIT_WEIGHTS = np.exp(1j * np.pi * np.arange(16) / 16)
 
 
-def _isotypic_split(rho_h: UnitaryRep, table: CharacterTable,
-                    lam: np.ndarray) -> tuple[dict, dict]:
+def _isotypic_split(rho_h: UnitaryRep, lam: np.ndarray) -> tuple[dict, dict]:
     """An orthonormal basis of each isotypic component of rho|H, keyed by
-    table row (an empty one where lam is 0), and the split's margins.
+    row of H's table (an empty one where lam is 0), and the split's margins.
 
     A class sum acts on the chi_i-component as the scalar
     omega_i(C) = |C| chi_i(c) / chi_i(1).  Pairs {C, C^-1} are walked
@@ -410,6 +408,7 @@ def _isotypic_split(rho_h: UnitaryRep, table: CharacterTable,
     `eigh` of the summed matrix then gives each eigenvector to its nearest
     predicted eigenvalue.  Each component must get lam_i deg_i of them and
     commute with rho|H's generators to within TOL.ortho."""
+    table = character_table(rho_h.group)
     cc = table.classes
     degs = table.degrees()
     present = [int(i) for i in np.flatnonzero(lam)]
@@ -528,8 +527,7 @@ def verify_simplex(code: GrassmannCode) -> SimplexReport:
 
 
 def build_union_code(g: PermGroup, h: PermGroup, rho: UnitaryRep,
-                     char_subsets,
-                     h_table: CharacterTable | None = None) -> GrassmannCode:
+                     char_subsets) -> GrassmannCode:
     """Union of the orbits of several isotypic sums W_1..W_t (disjoint
     character subsets, equal dimension, pairwise orthogonal).
 
@@ -544,7 +542,7 @@ def build_union_code(g: PermGroup, h: PermGroup, rho: UnitaryRep,
     flat = [c for s in subsets for c in s]
     if len(set(flat)) != len(flat):
         raise CodeError("character subsets overlap")
-    ctx = IsotypicContext(g, h, rho, h_table)
+    ctx = IsotypicContext(g, h, rho)
     ws = [ctx.subspace(s) for s in subsets]
     ms = {m for _, m in ws}
     if len(ms) != 1:

@@ -168,7 +168,10 @@ def parse_cycles(text: str, degree: int) -> Permutation:
         raise PermError(f"unparsable cycle text: {text!r}")
     cycles = []
     for grp in _CYCLE_RE.findall(stripped):
-        pts = [int(tok) for tok in grp.split()]
+        try:
+            pts = [int(tok) for tok in grp.split()]
+        except ValueError as err:               # names the bad token
+            raise PermError(f"cycle text {text!r}: {err}") from None
         if pts:
             cycles.append(pts)
     return Permutation.from_cycles(degree, cycles, one_based=True)
@@ -237,7 +240,9 @@ class PermGroup:
         self._inv_index = None
         self._levels: dict[int, _Level] = {}   # point -> Schreier level
         self._classes: ConjugacyClasses | None = None
-        self._class_mult = None        # cached by charactertable helpers
+        self._class_mult = None        # kept by `characters`, as is
+        self._characters = None        # the character table, and by `reps`:
+        self._carriers: list = []      # tensor powers, None past the budget
         self.provenance: dict = {}     # how a stabilizer was proved
 
     # -- construction -------------------------------------------------
@@ -314,14 +319,6 @@ class PermGroup:
     @property
     def rows(self) -> np.ndarray:
         return self._require_table().rows
-
-    @property
-    def parent(self) -> np.ndarray:
-        return self._require_table().parent
-
-    @property
-    def via_gen(self) -> np.ndarray:
-        return self._require_table().via_gen
 
     @property
     def order(self) -> int:
@@ -887,7 +884,10 @@ def parse_group(text: str) -> tuple[int, list[Permutation]]:
 
 def load_group(path, name: str = "", cap: int = config.ENUM_CAP) -> PermGroup:
     p = Path(path)
-    return loads_group(p.read_text(), name=name or p.stem, cap=cap)
+    try:
+        return loads_group(p.read_text(), name=name or p.stem, cap=cap)
+    except UnicodeDecodeError:
+        raise PermError(f"{p} is not a text file") from None
 
 
 def dumps_group(group: PermGroup, comment: str = "") -> str:

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from .characters import CharacterTable, ClassFunction, decompose
+from .characters import (CharacterTable, ClassFunction, character_table,
+                         decompose)
 from .permgroup import CosetTransversal, PermGroup, Permutation, orbits
 
 TOL = config.TOL
@@ -242,6 +243,7 @@ class PermTensorCarrier:
         self._gen_idx = [self._flat_index(p.inverse().images)
                          for p in group.generators]
         self._char: ClassFunction | None = None
+        self._mults: np.ndarray | None = None
 
     def _flat_index(self, inv_images: np.ndarray) -> np.ndarray:
         """(rho(g) v)[p] = v[g^-1 p], flattened over k-tuples; a stack of
@@ -266,6 +268,14 @@ class PermTensorCarrier:
                             .sum() for rep in cc.reps], dtype=float)
             self._char = ClassFunction(fix ** self.k, self.group.name, cc.sizes)
         return self._char
+
+    def multiplicities(self) -> np.ndarray:
+        """Multiplicity of each row of the group's character table
+        (`characters.character_table`) in this carrier, decomposed once."""
+        if self._mults is None:
+            self._mults = decompose(self.character().values,
+                                    character_table(self.group)).multiplicities
+        return self._mults
 
     def orbit_points(self) -> np.ndarray:
         """The least k-tuple, as a flat index, of each G-orbit on [d]^k."""
@@ -333,12 +343,12 @@ def isotypic_weights(table: CharacterTable, chars: list[int]) -> np.ndarray:
 # ------------------------------------------------------------- extraction
 
 
-def extract_irrep(carrier: PermTensorCarrier, g: PermGroup,
-                  table: CharacterTable, chi_index: int, mu: int,
+def extract_irrep(carrier: PermTensorCarrier, chi_index: int,
                   seed: int = config.DEFAULT_SEED) -> UnitaryRep:
-    """Cut one copy of an irreducible out of g's carrier representation, in
-    which it has multiplicity `mu` (as `find_carrier` or the caller's own
-    decomposition gives it); a wrong mu fails the isotypic rank check.
+    """Cut one copy of the irreducible in row `chi_index` of its group's
+    table (`characters.character_table`) out of `carrier`.  Its multiplicity
+    mu there comes from the carrier (`PermTensorCarrier.multiplicities`);
+    mu = 0 is an ExtractionError.
 
     The isotypic component is spanned by the projections of the points e_r,
     one r per G-orbit on k-tuples (`_isotypic_basis`), once; at multiplicity
@@ -352,10 +362,10 @@ def extract_irrep(carrier: PermTensorCarrier, g: PermGroup,
     (quaternionic type) splits too.  Real weights on a complex character
     would project onto chi + conj(chi) and fail the rank check.
     """
-    if carrier.group is not g:
-        raise ExtractionError(f"{carrier.name} is not a carrier of {g.name}")
+    table = character_table(carrier.group)
     chi = table.irreducibles[chi_index]
     target = int(round(chi.degree.real))
+    mu = int(carrier.multiplicities()[chi_index])
     if mu < 1:
         raise ExtractionError(
             f"character {chi_index} does not appear in carrier {carrier.name}")
@@ -479,48 +489,20 @@ def _check_extracted(source, basis: np.ndarray, name: str,
                       provenance={**provenance, "invariance_residual": worst})
 
 
-class PermCarriers:
-    """The tensor powers k = 1, 2, 3 of g's permutation module, up to the
-    first one past the carrier budget.  Iteration builds each power on first
-    reach and keeps it, so a caller asking about several characters of g
-    builds each power at most once, and none that it never reaches; each
-    power's multiplicities against a table are likewise computed once."""
-
-    def __init__(self, group: PermGroup):
-        self.group = group
-        self._built: list[PermTensorCarrier | None] = []   # None: over budget
-        # (k, id(table)) -> (table, multiplicities); holding the table keeps
-        # its id from being reused
-        self._mults: dict[tuple[int, int], tuple] = {}
-
-    def __iter__(self):
-        for k in (1, 2, 3):
-            if len(self._built) < k:
-                try:
-                    self._built.append(PermTensorCarrier(self.group, k))
-                except CarrierBudgetError:
-                    self._built.append(None)
-            if self._built[k - 1] is None:
-                return
-            yield self._built[k - 1]
-
-    def multiplicities(self, carrier: PermTensorCarrier,
-                       table: CharacterTable) -> np.ndarray:
-        key = (carrier.k, id(table))
-        if key not in self._mults:
-            self._mults[key] = (table, decompose(carrier.character().values,
-                                                 table).multiplicities)
-        return self._mults[key][1]
-
-
-def find_carrier(carriers: PermCarriers, table: CharacterTable,
-                 chi_index: int):
-    """(carrier, multiplicity) for the smallest of the carriers, up to the
-    cube, containing the target character; None if none does."""
-    for carrier in carriers:
-        mu = int(carriers.multiplicities(carrier, table)[chi_index])
-        if mu >= 1:
-            return carrier, mu
+def find_carrier(g: PermGroup, chi_index: int) -> PermTensorCarrier | None:
+    """The smallest tensor power k <= 3 of g's permutation module holding
+    row `chi_index` of g's table; None if none within the carrier budget
+    does.  Each power is built the first time it is reached and kept on g,
+    so a caller asking about several characters builds each at most once."""
+    for k in (1, 2, 3):
+        if len(g._carriers) < k:
+            try:
+                g._carriers.append(PermTensorCarrier(g, k))
+            except CarrierBudgetError:
+                g._carriers.append(None)
+        carrier = g._carriers[k - 1]
+        if carrier is None or carrier.multiplicities()[chi_index] >= 1:
+            return carrier
     return None
 
 
@@ -707,30 +689,31 @@ def young_associator(lam: Partition) -> np.ndarray:
     return j
 
 
-def alternating_halves(rho: UnitaryRep, lam: Partition,
-                       table: CharacterTable) -> list[UnitaryRep]:
-    """The two irreducible halves, in row order of A_n's `table`, of the
-    Young form `rho` of a self-conjugate shape restricted to A_n.
+def alternating_halves(rho: UnitaryRep, lam: Partition) -> list[UnitaryRep]:
+    """The two irreducible halves, in row order of A_n's character table,
+    of the Young form `rho` of a self-conjugate shape restricted to A_n.
 
     J = `young_associator(lam)` commutes with rho(A_n).  T != T' always, and
     over one T of each pair {T, T'} the vectors (e_T + c eps_T e_T')/sqrt(2)
     are an exact orthonormal basis of one eigenspace of J: c = +-1 when
-    J^2 = I, c = -+i when J^2 = -I.  Each half passes the invariance gate
-    and is named by its character: one row of `table`, multiplicity 1."""
+    J^2 = I, c = -+i when J^2 = -I.  The basis takes the dtype of c, so it
+    is real unless J^2 = -I.  Each half passes the invariance gate and is
+    named by its character: one row of the table, multiplicity 1."""
     j = young_associator(lam)
     partner = np.abs(j).argmax(axis=0)                 # T -> T'
     eps = j[partner, np.arange(len(j))]                # eps_T
     firsts = np.flatnonzero(np.arange(len(j)) < partner)
     square = eps[firsts[0]] * eps[partner[firsts[0]]]  # J^2 = square * I
     halves = []
-    for sign, c in zip("+-", (1, -1) if square > 0 else (-1j, 1j)):
-        basis = np.zeros((len(j), len(firsts)), dtype=complex)
+    for sign, c in zip("+-", (1.0, -1.0) if square > 0 else (-1j, 1j)):
+        basis = np.zeros((len(j), len(firsts)), dtype=np.result_type(c))
         cols = np.arange(len(firsts))
         basis[firsts, cols] = 1 / np.sqrt(2)
         basis[partner[firsts], cols] = c * eps[firsts] / np.sqrt(2)
         half = _check_extracted(rho, basis, f"young{lam}{sign}",
                                 {"partition": str(lam)})
-        mult = decompose(half.character().values, table).multiplicities
+        mult = decompose(half.character().values,
+                         character_table(rho.group)).multiplicities
         rows = np.flatnonzero(mult)
         if len(rows) != 1 or mult[rows[0]] != 1:
             raise RepError(f"half {sign} of {lam} is not irreducible: "

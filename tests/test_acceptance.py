@@ -22,7 +22,7 @@ from grasspack.catalog import (CUSPIDAL_ANGLES, LOADED_CORRECTIONS,
                                reference_prediction_entries,
                                rotation_code_entries, subset_reps,
                                symmetric_tower_entries)
-from grasspack.characters import compute_table
+from grasspack.characters import character_table
 from grasspack.codes import (CliffordGroupData, IsotypicContext,
                              build_clifford_orthoplex, build_union_code,
                              kron_extend, kron_product,
@@ -31,8 +31,8 @@ from grasspack.codes import (CliffordGroupData, IsotypicContext,
 from grasspack.grassmann import (SubspaceProjector, chordal_sq_trace,
                                  orthoplex_bound, principal_angles)
 from grasspack.permgroup import PermGroup, make_pgl2
-from grasspack.reps import (Partition, PermCarriers, branching, extract_irrep,
-                            find_carrier, hook_dimension, young_orthogonal_rep)
+from grasspack.reps import (Partition, branching, extract_irrep, find_carrier,
+                            hook_dimension, young_orthogonal_rep)
 from reference import character_identities, x_matrix, y_matrix
 
 SQRT5 = 5.0 ** 0.5
@@ -58,9 +58,8 @@ def test_criterion_1_four_point_pipeline():
     t0 = time.monotonic()
     g = PermGroup.symmetric(4)
     h = g.stabilizer(3)
-    ht = compute_table(h)
     rho = young_orthogonal_rep(g, Partition((3, 1)))
-    code = IsotypicContext(g, h, rho, ht).build([trivial_row(ht)])
+    code = IsotypicContext(g, h, rho).build([trivial_row(character_table(h))])
     p = code.params
     assert (p.n, p.m, p.N) == (3, 1, 4)
     for d in pairwise_distances(code):
@@ -142,21 +141,19 @@ def test_criterion_5_union_minimum():
     # desk-scale union: two one-dim components of the 6-dim rep of the
     # projective group on 6 points
     g = make_pgl2(5)
-    table = compute_table(g)
-    degs = table.degrees()
-    row6 = next(i for i in range(table.n_classes) if degs[i] == 6)
-    carrier, mu = find_carrier(PermCarriers(g), table, row6)
-    rho = extract_irrep(carrier, g, table, row6, mu)
+    row6 = next(i for i, d in enumerate(character_table(g).degrees())
+                if d == 6)
+    rho = extract_irrep(find_carrier(g, row6), row6)
     h = g.stabilizer(0)
-    ht = compute_table(h)
-    ctx = IsotypicContext(g, h, rho, ht)
+    ht = character_table(h)
+    ctx = IsotypicContext(g, h, rho)
     lam = ctx.decomposition.multiplicities
     hdegs = ht.degrees()
     lines = [i for i in range(ht.n_classes)
              if lam[i] == 1 and hdegs[i] == 1
              and abs(ht.irreducibles[i].values - 1).max() > 1e-9]
     assert len(lines) == 2
-    code = build_union_code(g, h, rho, [[lines[0]], [lines[1]]], ht)
+    code = build_union_code(g, h, rho, [[lines[0]], [lines[1]]])
     assert code.params.N == 2 * ctx.n_cosets
     dists = pairwise_distances(code)
     predicted = union_min_distance_formula(rho.dim, 1, ctx.n_cosets)
@@ -170,20 +167,19 @@ def test_criterion_6_kronecker_operations():
     t0 = time.monotonic()
     g4 = PermGroup.symmetric(4)
     h4 = g4.stabilizer(3)
-    ht4 = compute_table(h4)
-    line = IsotypicContext(g4, h4, young_orthogonal_rep(g4, Partition((3, 1))),
-                           ht4).build([trivial_row(ht4)])
+    rho4 = young_orthogonal_rep(g4, Partition((3, 1)))
+    line = IsotypicContext(g4, h4, rho4).build(
+        [trivial_row(character_table(h4))])
     for k in (2, 3):
         scaled = kron_extend(line, k)
         assert scaled.params.n == 3 * k and scaled.params.m == k
         assert rel_close(scaled.params.d_c_sq_min, k * 8 / 9, 1e-10)
     g5 = PermGroup.symmetric(5)
     h5 = g5.stabilizer(4)
-    ht5 = compute_table(h5)
     rho5 = young_orthogonal_rep(g5, Partition((3, 1, 1)))
-    ctx5 = IsotypicContext(g5, h5, rho5, ht5)
+    ctx5 = IsotypicContext(g5, h5, rho5)
     plane = next(ctx5.build(chars)
-                 for m, chars in subset_reps(ctx5.decomposition, ht5, 6)
+                 for m, chars in subset_reps(ctx5.decomposition, 6)
                  if m == 3)
     assert rel_close(plane.params.d_c_sq_min, 15 / 8, 1e-10)
     prod = kron_product(line, plane)
@@ -257,7 +253,7 @@ def test_criterion_9_property_suites():
     groups.append(make_pgl2(5))
     groups.append(load_packaged_group("m11"))
     for g in groups:
-        table = compute_table(g)
+        table = character_table(g)
         assert table.orthogonality_residual() <= 1e-9, g.name
         report = character_identities(table, g, n_pairs=40)
         assert report.max_residual <= 1e-6, g.name

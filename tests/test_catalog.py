@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from grasspack import catalog, codes, permgroup, reps
+from grasspack import catalog, characters, codes, permgroup, reps
 from grasspack.catalog import (CUSPIDAL_ANGLES, LOADED_CORRECTIONS,
                                LOADED_REFERENCE, SYMMETRIC_CORRECTIONS,
                                SYMMETRIC_REFERENCE, CatalogError,
@@ -315,6 +315,28 @@ def test_each_carrier_is_decomposed_once_per_table(monkeypatch):
     pairs = {(id(values), id(table)) for values, table in calls}
     # PGL2(7) and PSL2(7), each against its own table, on k = 1, 2
     assert len(calls) == len(pairs) <= 4
+
+
+@pytest.mark.parametrize("sweep, tables", [
+    (lambda: symmetric_tower_entries(6), 3),        # S5, A6, A5
+    (lambda: projective_entries(7), 4),             # PGL2, PSL2, stabilizers
+    (lambda: loaded_group_entries("sp4_2_deg10"), 4),   # G, G', stabilizers
+    (catalog.rotation_code_entries, 1),             # H only; G has no table
+    (lambda: main(["verify", "--group", "data:sp4_2_deg10", "--H", "stab0",
+                   "--rep", "dim:5"]) == 0, 2)],
+    ids=["tower6", "projective7", "sp4_2_deg10", "rotation", "verify-dim5"])
+def test_each_group_is_tabulated_once(monkeypatch, sweep, tables):
+    # a group's character table is computed on first use and kept on it
+    tabulated = []                  # the groups themselves, so ids stay unique
+    compute = characters.compute_table
+
+    def counted(g, *args, **kwargs):
+        tabulated.append(g)
+        return compute(g, *args, **kwargs)
+
+    monkeypatch.setattr(characters, "compute_table", counted)
+    assert sweep()
+    assert len({id(g) for g in tabulated}) == len(tabulated) == tables
 
 
 def test_data_path_env_override(tmp_path, monkeypatch):

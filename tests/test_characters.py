@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from grasspack import characters
 from grasspack.characters import (
     CharacterError,
     ClassFunction,
+    character_table,
     class_fusion,
     class_multiplication,
     compute_table,
@@ -145,6 +147,24 @@ def test_s5_degrees_match_hook_oracle():
     assert sorted(table.degrees().tolist()) == [1, 1, 4, 4, 5, 5, 6]
 
 
+def test_character_table_is_computed_once_per_group(monkeypatch):
+    calls = []
+    compute = compute_table
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return compute(g, *args, **kwargs)
+
+    monkeypatch.setattr(characters, "compute_table", counted)
+    g, other = PermGroup.symmetric(4), PermGroup.symmetric(4)
+    table = character_table(g)
+    assert character_table(g) is table and calls == [g]
+    # the kept table is the one compute_table gives, row for row
+    assert np.array_equal(table.matrix(), compute(g).matrix())
+    # another group object of the same order gets its own table
+    assert character_table(other) is not table and calls == [g, other]
+
+
 def test_c4_linear_characters():
     table = compute_table(PermGroup.cyclic(4))
     assert table.degrees().tolist() == [1, 1, 1, 1]
@@ -229,9 +249,10 @@ def test_restrict_standard_s5_to_s4():
 
 def test_restrict_to_whole_group_is_indicator():
     g = PermGroup.symmetric(4)
-    table = compute_table(g)
+    table = character_table(g)
     for i, chi in enumerate(table.irreducibles):
-        dec = restrict_and_decompose(chi, g, g, table)
+        dec = restrict_and_decompose(chi, g, g)
+        assert dec.subgroup_table is table
         want = np.zeros(table.n_classes, dtype=np.int64)
         want[i] = 1
         assert np.array_equal(dec.multiplicities, want)

@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from grasspack import config, permgroup
+from grasspack import cli, config, permgroup
 from grasspack.catalog import CatalogError, projective_entries
-from grasspack.characters import CharacterError, compute_table
+from grasspack.characters import CharacterError, character_table
 from grasspack.cli import CliError, main
 from grasspack.codes import CodeError, IdentityError, IsotypicContext
 from grasspack.config import GrasspackError
@@ -160,6 +160,33 @@ def test_bad_input_is_one_error_line(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_non_integer_specs_and_points_are_one_error_line(tmp_path, capsys):
+    # these used to leave the program as bare ValueErrors, which main
+    # treated as input errors alongside every other ValueError
+    bad = tmp_path / "bad.grp"
+    bad.write_text("degree 3\n(1 a)\n")
+    for group, rep, named in ((f"file:{bad}", "dim:2", "'(1 a)'"),
+                              ("S5", "dim:x", "'dim:x'"),
+                              ("PGL2:x", "dim:2", "'PGL2:x'"),
+                              ("PSL2:7.5", "dim:2", "'PSL2:7.5'")):
+        code, out, err = run(capsys, "verify", "--group", group,
+                             "--H", "stab0", "--rep", rep)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
+
+def test_a_value_error_inside_a_builder_is_not_bad_input(monkeypatch):
+    # only GrasspackError and OSError are input errors: a ValueError from
+    # inside the program is a fault and propagates out of main
+    def broken(*args, **kwargs):
+        raise ValueError("fault inside a builder")
+    monkeypatch.setattr(cli, "young_orthogonal_rep", broken)
+    with pytest.raises(ValueError, match="fault inside a builder"):
+        main(["verify", "--group", "S4", "--H", "stab3",
+              "--rep", "young:[3,1]"])
 
 
 def test_over_cap_projective_q_is_refused_before_any_field(monkeypatch,
@@ -419,8 +446,8 @@ def test_out_writes_file(tmp_path, capsys):
 
 def test_verify_csv_out_writes_the_code_row(tmp_path, capsys):
     # --json, --csv and --out are the one export path for a code
-    h_table = compute_table(PermGroup.symmetric(4).stabilizer(3))
-    trivial = next(i for i, chi in enumerate(h_table.irreducibles)
+    table = character_table(PermGroup.symmetric(4).stabilizer(3))
+    trivial = next(i for i, chi in enumerate(table.irreducibles)
                    if abs(chi.values - 1).max() < 1e-9)
     target = tmp_path / "code.csv"
     code, out, _ = run(capsys, "--csv", "--out", str(target), "verify",

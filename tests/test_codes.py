@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grasspack import catalog, codes
+from grasspack import catalog, characters, codes
 from grasspack.catalog import canonical_shapes, data_path
-from grasspack.characters import compute_table
+from grasspack.characters import character_table
 from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
                              StabilizerError, build_clifford_orthoplex,
                              build_union_code, kron_extend, kron_product,
@@ -19,8 +19,8 @@ from grasspack.grassmann import (GrassmannError, SubspaceProjector,
                                  chordal_sq_trace, principal_angles)
 from grasspack.permgroup import (PermGroup, Permutation, load_group, make_pgl2,
                                  make_psl2)
-from grasspack.reps import (Partition, PermCarriers, UnitaryRep, extract_irrep,
-                            find_carrier, restrict_rep, young_orthogonal_rep)
+from grasspack.reps import (Partition, UnitaryRep, extract_irrep, find_carrier,
+                            restrict_rep, young_orthogonal_rep)
 from reference import (clifford_projectors, full_class_sums,
                        isotypic_projector, pairwise_census, perm_rep,
                        x_matrix, y_matrix)
@@ -33,7 +33,7 @@ def trivial_index(table):
 
 def components_by_degree(ctx, deg):
     lam = ctx.decomposition.multiplicities
-    degs = ctx.h_table.degrees()
+    degs = character_table(ctx.h).degrees()
     return [i for i in range(len(degs))
             if lam[i] > 0 and int(degs[i]) == deg]
 
@@ -68,10 +68,10 @@ def s6_ctx():
 @pytest.fixture(scope="module")
 def pgl5_ctx():
     g = make_pgl2(5)
-    table = compute_table(g)
+    table = character_table(g)
     six = next(i for i, d in enumerate(table.degrees()) if d == 6)
-    carrier, mu = find_carrier(PermCarriers(g), table, six)
-    rho = extract_irrep(carrier, g, table, six, mu)
+    carrier = find_carrier(g, six)
+    rho = extract_irrep(carrier, six)
     return IsotypicContext(g, g.stabilizer(0), rho)
 
 
@@ -81,10 +81,10 @@ def psl5_quad_code():
     # H the point stabilizer (dihedral of order 10), one of the two
     # two-dimensional components
     g = make_psl2(5)
-    table = compute_table(g)
+    table = character_table(g)
     four = next(i for i, d in enumerate(table.degrees()) if d == 4)
-    carrier, mu = find_carrier(PermCarriers(g), table, four)
-    rho = extract_irrep(carrier, g, table, four, mu)
+    carrier = find_carrier(g, four)
+    rho = extract_irrep(carrier, four)
     ctx = IsotypicContext(g, g.stabilizer(0), rho)
     chars = components_by_degree(ctx, 2)
     return ctx.build([chars[0]])
@@ -94,7 +94,7 @@ def psl5_quad_code():
 
 
 def test_s4_line_code(s4_ctx):
-    code = s4_ctx.build([trivial_index(s4_ctx.h_table)])
+    code = s4_ctx.build([trivial_index(character_table(s4_ctx.h))])
     p = code.params
     assert (p.n, p.m, p.N) == (3, 1, 4)
     assert abs(p.d_c_sq_min - 8 / 9) < 1e-12
@@ -114,10 +114,24 @@ def test_s5_plane_code(s5_ctx):
 
 
 def test_build_helper_matches_context(s4_ctx):
-    idx = trivial_index(s4_ctx.h_table)
-    ctx = IsotypicContext(s4_ctx.g, s4_ctx.h, s4_ctx.rho, s4_ctx.h_table)
+    idx = trivial_index(character_table(s4_ctx.h))
+    ctx = IsotypicContext(s4_ctx.g, s4_ctx.h, s4_ctx.rho)
     code = ctx.build([idx])
     assert abs(code.params.d_c_sq_min - 8 / 9) < 1e-12
+
+
+def test_contexts_on_one_subgroup_share_its_table(monkeypatch):
+    calls = []
+    compute = characters.compute_table
+    monkeypatch.setattr(characters, "compute_table",
+                        lambda g, **kw: calls.append(g) or compute(g, **kw))
+    g = PermGroup.symmetric(5)
+    h = g.stabilizer(4)
+    first, second = (IsotypicContext(g, h, young_orthogonal_rep(g, lam))
+                     for lam in (Partition((4, 1)), Partition((3, 2))))
+    assert calls == [h]
+    assert (first.decomposition.subgroup_table
+            is second.decomposition.subgroup_table is character_table(h))
 
 
 def test_empty_and_degenerate_subsets_rejected(s4_ctx):
@@ -140,10 +154,10 @@ def test_reducible_rep_rejected():
 
 def test_non_subgroup_rejected():
     g = PermGroup.alternating(4)
-    table = compute_table(g)
+    table = character_table(g)
     three = next(i for i, d in enumerate(table.degrees()) if d == 3)
-    carrier, mu = find_carrier(PermCarriers(g), table, three)
-    rho = extract_irrep(carrier, g, table, three, mu)
+    carrier = find_carrier(g, three)
+    rho = extract_irrep(carrier, three)
     odd = PermGroup.generated([Permutation([1, 0, 2, 3])], name="C2",
                               degree=4)
     with pytest.raises(CodeError):
@@ -162,14 +176,13 @@ def test_stabilizer_collapse_is_loud():
     # orbit has 2 distinct subspaces instead of the 4 cosets
     g = PermGroup.generated([Permutation.from_cycles(4, [[0, 1, 2, 3]]),
                              Permutation.from_cycles(4, [[1, 3]])], name="D4")
-    table = compute_table(g)
+    table = character_table(g)
     two = next(i for i, d in enumerate(table.degrees()) if d == 2)
-    carrier, mu = find_carrier(PermCarriers(g), table, two)
-    rho = extract_irrep(carrier, g, table, two, mu)
+    carrier = find_carrier(g, two)
+    rho = extract_irrep(carrier, two)
     h = g.stabilizer(0)
-    h_table = compute_table(h)
     with pytest.raises(StabilizerError) as err:
-        IsotypicContext(g, h, rho, h_table).build([trivial_index(h_table)])
+        IsotypicContext(g, h, rho).build([trivial_index(character_table(h))])
     assert err.value.actual_stabilizer_order == 4
 
 
@@ -185,7 +198,7 @@ def test_predict_from_dimensions_exact():
 
 
 def test_predict_matches_build(s4_ctx):
-    idx = trivial_index(s4_ctx.h_table)
+    idx = trivial_index(character_table(s4_ctx.h))
     predicted = predict_from_dimensions(s4_ctx.rho.dim,
                                         s4_ctx.dimension([idx]),
                                         s4_ctx.n_cosets)
@@ -198,7 +211,7 @@ def test_predict_matches_build(s4_ctx):
 
 
 def test_verify_simplex_s4(s4_ctx):
-    code = s4_ctx.build([trivial_index(s4_ctx.h_table)])
+    code = s4_ctx.build([trivial_index(character_table(s4_ctx.h))])
     report = verify_simplex(code)
     assert report.certified and report.equidistant
     assert abs(report.rel_gap) < 1e-10
@@ -218,8 +231,7 @@ def test_verify_simplex_reports_gap(s5_ctx):
     # a union is not equidistant and sits below the simplex bound at its
     # total cardinality, so certification must fail
     subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
-    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets,
-                             h_table=s5_ctx.h_table)
+    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets)
     report = verify_simplex(union)
     assert not report.equidistant
     assert not report.certified
@@ -237,8 +249,7 @@ def test_union_formula_values():
 
 def test_union_three_distance_classes(s5_ctx):
     subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
-    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets,
-                             h_table=s5_ctx.h_table)
+    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets)
     p = union.params
     assert (p.n, p.m, p.N) == (6, 3, 10)
     dists = census_distances(union)
@@ -251,10 +262,9 @@ def test_union_collapses_to_two_distances(pgl5_ctx):
     # n = m |G/H| here (6 = 1 * 6), so the within-orbit distance equals
     # the orthogonal-pair distance m and only two values survive
     subsets = [[c] for c in components_by_degree(pgl5_ctx, 1)
-               if c != trivial_index(pgl5_ctx.h_table)]
+               if c != trivial_index(character_table(pgl5_ctx.h))]
     assert len(subsets) == 2
-    union = build_union_code(pgl5_ctx.g, pgl5_ctx.h, pgl5_ctx.rho, subsets,
-                             h_table=pgl5_ctx.h_table)
+    union = build_union_code(pgl5_ctx.g, pgl5_ctx.h, pgl5_ctx.rho, subsets)
     p = union.params
     assert (p.n, p.m, p.N) == (6, 1, 12)
     dists = census_distances(union)
@@ -264,8 +274,7 @@ def test_union_collapses_to_two_distances(pgl5_ctx):
 
 def test_union_single_subset_reduces_to_plain_build(s5_ctx):
     chars = components_by_degree(s5_ctx, 3)
-    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, [[chars[0]]],
-                             h_table=s5_ctx.h_table)
+    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, [[chars[0]]])
     plain = s5_ctx.build([chars[0]])
     assert union.params.N == plain.params.N
     assert abs(union.params.d_c_sq_min - plain.params.d_c_sq_min) < 1e-12
@@ -274,23 +283,21 @@ def test_union_single_subset_reduces_to_plain_build(s5_ctx):
 def test_union_overlap_rejected(s5_ctx):
     c = components_by_degree(s5_ctx, 3)[0]
     with pytest.raises(CodeError):
-        build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, [[c], [c]],
-                         h_table=s5_ctx.h_table)
+        build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, [[c], [c]])
 
 
 def test_union_unequal_dimensions_rejected(s6_ctx):
     five = components_by_degree(s6_ctx, 5)[0]
     six = components_by_degree(s6_ctx, 6)[0]
     with pytest.raises(CodeError):
-        build_union_code(s6_ctx.g, s6_ctx.h, s6_ctx.rho, [[five], [six]],
-                         h_table=s6_ctx.h_table)
+        build_union_code(s6_ctx.g, s6_ctx.h, s6_ctx.rho, [[five], [six]])
 
 
 # ------------------------------------------------------------ products
 
 
 def test_kron_extend_scales_everything(s4_ctx):
-    code = s4_ctx.build([trivial_index(s4_ctx.h_table)])
+    code = s4_ctx.build([trivial_index(character_table(s4_ctx.h))])
     doubled = kron_extend(code, 2)
     p = doubled.params
     assert (p.n, p.m, p.N) == (6, 2, 4)
@@ -311,7 +318,7 @@ def test_kron_extend_triples_quad_code(psl5_quad_code):
 
 
 def test_kron_product_line_codes(s4_ctx):
-    code = s4_ctx.build([trivial_index(s4_ctx.h_table)])
+    code = s4_ctx.build([trivial_index(character_table(s4_ctx.h))])
     prod = kron_product(code, code)
     p = prod.params
     assert (p.n, p.m, p.N) == (9, 1, 16)
@@ -320,7 +327,7 @@ def test_kron_product_line_codes(s4_ctx):
 
 
 def test_kron_product_mixed_dimensions(s4_ctx, s5_ctx):
-    line = s4_ctx.build([trivial_index(s4_ctx.h_table)])
+    line = s4_ctx.build([trivial_index(character_table(s4_ctx.h))])
     plane = s5_ctx.build([components_by_degree(s5_ctx, 3)[0]])
     prod = kron_product(line, plane)
     p = prod.params
@@ -421,14 +428,14 @@ def test_clifford_4_2_keeps_its_census():
 
 
 def test_fonda2_identity_element(s4_ctx):
-    idx = trivial_index(s4_ctx.h_table)
+    idx = trivial_index(character_table(s4_ctx.h))
     e = s4_ctx.g.identity()
     residual = s4_ctx.fonda2_residual([idx], e)
     assert residual < 1e-10
 
 
 def test_fonda2_transversal_elements(s4_ctx):
-    idx = trivial_index(s4_ctx.h_table)
+    idx = trivial_index(character_table(s4_ctx.h))
     rows = s4_ctx.g.coset_transversal(s4_ctx.h).rep_rows
     for t in (Permutation(r) for r in rows[1:]):
         residual = s4_ctx.fonda2_residual([idx], t)
@@ -437,7 +444,7 @@ def test_fonda2_transversal_elements(s4_ctx):
 
 def test_fonda2_on_nonreal_linear_components(pgl5_ctx):
     chars = [c for c in components_by_degree(pgl5_ctx, 1)
-             if c != trivial_index(pgl5_ctx.h_table)]
+             if c != trivial_index(character_table(pgl5_ctx.h))]
     rng = np.random.default_rng(7)
     picks = rng.choice(pgl5_ctx.g.order, size=3, replace=False)
     for gi in picks:
@@ -464,7 +471,7 @@ def test_fonda2_blocks_agree(s5_ctx, monkeypatch):
 def test_group_averaged_distance_identity(s4_ctx):
     # summing d(W, tW) over cosets: (|G| - |H|) d = |G| m - |G| m^2 / n
     # for an equidistant orbit, checked on the built projectors
-    idx = trivial_index(s4_ctx.h_table)
+    idx = trivial_index(character_table(s4_ctx.h))
     code = s4_ctx.build([idx])
     base = code.projectors[0]
     total = sum(chordal_sq_trace(base, p) for p in code.projectors)
@@ -531,8 +538,7 @@ def assert_same_census(got, want):
 
 def test_batched_census_matches_pairwise_angles(s5_ctx, psl5_quad_code):
     subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
-    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets,
-                             h_table=s5_ctx.h_table)
+    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets)
     rng = np.random.default_rng(19)
     scattered = [SubspaceProjector.from_basis(
         rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2)))
@@ -804,14 +810,11 @@ def frobenius21():
 def single_constituent_codes(g):
     """Build the code of every constituent of rho|H, H = G_0, for every
     irreducible rho of degree at least 2 that has a carrier."""
-    table = compute_table(g)
     h = g.stabilizer(0)
-    carriers = PermCarriers(g)
-    for i, deg in enumerate(table.degrees()):
-        found = find_carrier(carriers, table, i) if deg >= 2 else None
-        if found is not None:
-            ctx = IsotypicContext(g, h, extract_irrep(found[0], g, table, i,
-                                                      found[1]))
+    for i, deg in enumerate(character_table(g).degrees()):
+        carrier = find_carrier(g, i) if deg >= 2 else None
+        if carrier is not None:
+            ctx = IsotypicContext(g, h, extract_irrep(carrier, i))
             for c in np.flatnonzero(ctx.decomposition.multiplicities):
                 ctx.build([int(c)])
 
@@ -899,8 +902,7 @@ def test_paired_suborbits_share_one_key(context_codes):
 
 def test_union_suborbit_census_matches_pairwise_reference(s5_ctx):
     subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
-    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets,
-                             h_table=s5_ctx.h_table)
+    union = build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets)
     want, _ = pairwise_census(union.projectors)
     assert [c for _, c in union.census] == [c for _, c in want] == [20, 5, 20]
     assert [s.sin_sq for s, _ in union.census] \
@@ -913,15 +915,14 @@ def test_keyed_census_matches_pairwise_reference(s4_ctx, s5_ctx, pgl5_ctx,
                                                 clifford_3_2):
     # every keyed builder besides the orbit codes above: the Clifford codes
     # up to N = 420, unions, and Kronecker codes over each kind of key
-    line = s4_ctx.build([trivial_index(s4_ctx.h_table)])
+    line = s4_ctx.build([trivial_index(character_table(s4_ctx.h))])
     plane = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1])
+    trivial = trivial_index(character_table(pgl5_ctx.h))
     unions = [build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho,
-                               [[c] for c in components_by_degree(s5_ctx, 3)],
-                               h_table=s5_ctx.h_table),
+                               [[c] for c in components_by_degree(s5_ctx, 3)]),
               build_union_code(pgl5_ctx.g, pgl5_ctx.h, pgl5_ctx.rho,
                                [[c] for c in components_by_degree(pgl5_ctx, 1)
-                                if c != trivial_index(pgl5_ctx.h_table)],
-                               h_table=pgl5_ctx.h_table)]
+                                if c != trivial])]
     clifford = [build_clifford_orthoplex(i, r)
                 for i, r in ((2, 1), (3, 1), (2, 2), (4, 1))]
     built = [*clifford, clifford_3_2, *unions,
@@ -972,12 +973,12 @@ def test_collapsed_orbit_through_the_labelled_census():
     # W of the trivial constituent of H = G_0, so 2 of 4 codewords survive
     g = PermGroup.generated([Permutation.from_cycles(4, [[0, 1, 2, 3]]),
                              Permutation.from_cycles(4, [[1, 3]])], name="D4")
-    table = compute_table(g)
+    table = character_table(g)
     two = next(i for i, d in enumerate(table.degrees()) if d == 2)
-    carrier, mu = find_carrier(PermCarriers(g), table, two)
+    carrier = find_carrier(g, two)
     ctx = IsotypicContext(g, g.stabilizer(0),
-                          extract_irrep(carrier, g, table, two, mu))
-    chars = [trivial_index(ctx.h_table)]
+                          extract_irrep(carrier, two))
+    chars = [trivial_index(character_table(ctx.h))]
     census = spa_census(ctx.orbit(ctx.subspace(chars)[0]), ctx.keys)
     assert census[1] == 2 and census[2] <= TOL.rel_distance
     with pytest.raises(StabilizerError) as err:
@@ -1031,7 +1032,7 @@ def test_table_free_context_matches_table_context():
     assert free_ctx.decomposition.multiplicities.tolist() \
         == ctx.decomposition.multiplicities.tolist()
     assert free_ctx.n_cosets == ctx.n_cosets == 5
-    for i in range(ctx.h_table.n_classes):
+    for i in range(character_table(ctx.h).n_classes):
         if ctx.decomposition.multiplicities[i]:
             code, free_code = ctx.build([i]), free_ctx.build([i])
             assert abs(free_code.params.d_c_sq_min - code.params.d_c_sq_min) \
@@ -1057,22 +1058,20 @@ def tower_contexts(points):
     g = PermGroup.symmetric(points)
     ga = PermGroup.alternating(points)
     h, ha = g.stabilizer(points - 1), ga.stabilizer(points - 1)
-    ht, hat = compute_table(h), compute_table(ha)
     out = []
     for lam in canonical_shapes(points):
         rho = young_orthogonal_rep(g, lam)
-        out.append(IsotypicContext(g, h, rho, ht))
+        out.append(IsotypicContext(g, h, rho))
         if lam.parts != lam.conjugate().parts:
-            out.append(IsotypicContext(ga, ha, restrict_rep(rho, ga), hat))
+            out.append(IsotypicContext(ga, ha, restrict_rep(rho, ga)))
     return out
 
 
 def extracted_context(g, degree):
-    table = compute_table(g)
+    table = character_table(g)
     row = next(i for i, d in enumerate(table.degrees()) if d == degree)
-    carrier, mu = find_carrier(PermCarriers(g), table, row)
-    return IsotypicContext(g, g.stabilizer(0),
-                           extract_irrep(carrier, g, table, row, mu))
+    carrier = find_carrier(g, row)
+    return IsotypicContext(g, g.stabilizer(0), extract_irrep(carrier, row))
 
 
 def test_split_parts_a_complex_conjugate_pair():
@@ -1085,7 +1084,8 @@ def test_split_parts_a_complex_conjugate_pair():
     ctx = IsotypicContext(g, g.stabilizer(3), rho)
     rows = present_rows(ctx)
     assert len(rows) == 3 and ctx.h.order == 3
-    values = np.array([ctx.h_table.irreducibles[i].values for i in rows])
+    values = np.array([character_table(ctx.h).irreducibles[i].values
+                       for i in rows])
     c = next(c for c in range(1, 3) if np.abs(values[:, c].imag).max() > 0.5)
     assert len(set(np.round(values[:, c].real, 9))) == 2   # tie at weight 1
     split = ctx.checks["isotypic_split"]
@@ -1097,7 +1097,7 @@ def test_split_parts_a_complex_conjugate_pair():
         pi, m = ctx.subspace([i])
         assert m == 1
         assert np.abs(pi.projector - isotypic_projector(
-            sums, ctx.h_table, [i])).max() <= TOL.ortho
+            sums, character_table(ctx.h), [i])).max() <= TOL.ortho
         total += pi.projector
     assert np.abs(total - np.eye(3)).max() <= TOL.ortho
 
@@ -1121,7 +1121,7 @@ def test_split_matches_full_class_sum_formula(make):
         assert 0 < summed < ctx.h.order
         sums = full_class_sums(ctx.rho_h)
         for i in rows:
-            want = isotypic_projector(sums, ctx.h_table, [i])
+            want = isotypic_projector(sums, character_table(ctx.h), [i])
             got = ctx.subspace([i])[0].projector
             assert np.abs(got - want).max() <= TOL.ortho, (ctx.rho.name, i)
 
@@ -1185,12 +1185,12 @@ def test_split_refuses_a_wrong_multiplicity(s6_ctx):
     lam = s6_ctx.decomposition.multiplicities.copy()
     lam[int(np.flatnonzero(lam == 0)[0])] = 1
     with pytest.raises(CodeError, match="isotypic split gives constituent"):
-        codes._isotypic_split(s6_ctx.rho_h, s6_ctx.h_table, lam)
+        codes._isotypic_split(s6_ctx.rho_h, lam)
 
 
 def test_split_margins_reach_the_provenance(s5_ctx):
     code = s5_ctx.build([components_by_degree(s5_ctx, 3)[0]])
     split = code.provenance["isotypic_split"]
     assert split == s5_ctx.checks["isotypic_split"]
-    assert all(size == int(s5_ctx.h_table.classes.sizes[c])
+    assert all(size == int(character_table(s5_ctx.h).classes.sizes[c])
                for c, size in split["classes"])

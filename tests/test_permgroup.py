@@ -18,6 +18,7 @@ from grasspack.permgroup import (
     PermGroup,
     Permutation,
     dumps_group,
+    load_group,
     loads_group,
     make_pgl2,
     make_psl2,
@@ -107,6 +108,21 @@ def test_parse_rejects_garbage():
         parse_cycles("1 2 3", 4)
 
 
+def test_a_non_integer_point_is_a_perm_error():
+    # int() used to raise a bare ValueError here
+    with pytest.raises(PermError, match=r"cycle text '\(1 a\)': .*'a'$"):
+        parse_cycles("(1 a)", 3)
+    with pytest.raises(PermError, match="'a'$"):
+        loads_group("degree 3\n(1 a)\n")
+
+
+def test_a_binary_generator_file_is_a_perm_error(tmp_path):
+    path = tmp_path / "binary.grp"
+    path.write_bytes(b"degree 3\n\xff\xfe\n")
+    with pytest.raises(PermError, match="not a text file"):
+        load_group(path)
+
+
 @given(st.permutations(list(range(7))), st.permutations(list(range(7))))
 def test_compose_matches_tuple_model(a, b):
     pa, pb = Permutation(a), Permutation(b)
@@ -155,10 +171,9 @@ def test_parent_chain_reaches_identity():
     g = PermGroup.symmetric(5)
     # every table row must factor through the spanning tree into generators
     for i in (17, 63, 119):
-        j, acc = i, Permutation.identity(5)
-        while j != -1 and g.via_gen[j] != -1:
-            acc = g.generators[g.via_gen[j]] * acc
-            j = g.parent[j]
+        acc = Permutation.identity(5)
+        for s in g.tree_word(i):
+            acc = acc * g.generators[s]
         assert acc == g.element(i)
 
 
@@ -514,8 +529,11 @@ def test_closure_order_matches_reference_bfs(name):
     gens = [tuple(int(x) for x in s.images) for s in g.generators]
     rows, parent, via = reference_closure(gens, g.degree)
     assert [tuple(r) for r in g.rows.tolist()] == rows
-    assert g.parent.tolist() == parent
-    assert g.via_gen.tolist() == via
+    # each tree word is its parent's word and the generator that led to it
+    words = [[]]
+    for i in range(1, len(rows)):
+        words.append(words[parent[i]] + [via[i]])
+    assert [g.tree_word(i) for i in range(g.order)] == words
 
 
 def brute_index_sets(g, sets_of):

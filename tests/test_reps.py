@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grasspack import reps
-from grasspack.characters import compute_table, decompose, inner_product
+from grasspack.characters import character_table, decompose, inner_product
 from grasspack.codes import CodeError, IsotypicContext
 from grasspack.catalog import data_path
 from grasspack.permgroup import (NotEnumerated, PermError, PermGroup,
@@ -14,8 +14,8 @@ from grasspack.permgroup import (NotEnumerated, PermError, PermGroup,
                                  make_psl2)
 from grasspack.symplectic import SymplecticError
 from grasspack.reps import (CarrierBudgetError, ExtractionError, Partition,
-                            PermCarriers, PermTensorCarrier, RepError,
-                            branching, extract_irrep, find_carrier,
+                            PermTensorCarrier, RepError, branching,
+                            extract_irrep, find_carrier,
                             hook_dimension, standard_tableaux,
                             young_orthogonal_rep)
 from reference import image_of_index, isotypic_projector, kron_power, perm_rep
@@ -206,10 +206,10 @@ def irreducible_contexts():
     out = [IsotypicContext(s6, s6.stabilizer(5),
                            young_orthogonal_rep(s6, Partition((3, 2, 1))))]
     g = make_pgl2(5)
-    t = compute_table(g)
+    t = character_table(g)
     six = next(i for i, d in enumerate(t.degrees()) if d == 6)
-    carrier, mu = find_carrier(PermCarriers(g), t, six)
-    rho = extract_irrep(carrier, g, t, six, mu)
+    carrier = find_carrier(g, six)
+    rho = extract_irrep(carrier, six)
     out.append(IsotypicContext(g, g.stabilizer(0), rho))
     return out
 
@@ -272,7 +272,7 @@ def test_vector_sum_with_non_involutive_generators():
     # the translation generator of PGL2(F5) has order 5; a gather that
     # confused g with g^-1 would only survive involutive generators
     g = make_pgl2(5)
-    t = compute_table(g)
+    t = character_table(g)
     rng = np.random.default_rng(3)
     w = rng.standard_normal(t.n_classes) + 1j * rng.standard_normal(t.n_classes)
     rep = perm_rep(g)
@@ -298,7 +298,7 @@ def test_row_gather_sums_match_brute_force(make):
     # for all i; PGL2(5)'s translation generator has order 5, so a sum that
     # gathered by g where it needed g^-1 would fail here
     g = make()
-    t = compute_table(g)
+    t = character_table(g)
     cls = g.conjugacy_classes().class_of
     rng = np.random.default_rng(5)
     base = perm_rep(g)
@@ -338,7 +338,7 @@ def test_commutant_average_on_a_real_basis_matches_the_dense_sum(make):
     # a real character's isotypic projector is real, so its span has a
     # real orthonormal basis; x stays complex, as in extraction
     g = make()
-    t = compute_table(g)
+    t = character_table(g)
     rng = np.random.default_rng(17)
     for k in (1, 2):
         car = PermTensorCarrier(g, k)
@@ -471,11 +471,11 @@ def test_character_is_the_trace_of_tree_word_images(s8_a8):
     s8, a8 = s8_a8
     young = young_orthogonal_rep(s8, Partition((5, 2, 1)))
     pgl = make_pgl2(9)
-    t = compute_table(pgl)
+    t = character_table(pgl)
     ten = next(i for i, d in enumerate(t.degrees()) if d == 10)
-    carrier, mu = find_carrier(PermCarriers(pgl), t, ten)
+    carrier = find_carrier(pgl, ten)
     for rep in (young, reps.restrict_rep(young, a8),
-                extract_irrep(carrier, pgl, t, ten, mu)):
+                extract_irrep(carrier, ten)):
         cc = rep.group.conjugacy_classes()
         want = [np.trace(image_of_index(rep, int(i))) for i in cc.rep_index]
         assert np.array_equal(rep.character().values, want)
@@ -528,14 +528,14 @@ def _grow_orbit_basis_by_loops(carrier, seeds, cap):
 
 def test_grow_orbit_basis_is_orthonormal_and_spans_the_orbit():
     g = make_pgl2(7)
-    t = compute_table(g)
+    t = character_table(g)
     rng = np.random.default_rng(17)
     grown = 0
     for chi in range(t.n_classes):
-        found = find_carrier(PermCarriers(g), t, chi)
-        if found is None:
+        carrier = find_carrier(g, chi)
+        if carrier is None:
             continue
-        carrier, mu = found
+        mu = int(carrier.multiplicities()[chi])
         cap = int(t.degrees()[chi]) * mu + 1
         v = rng.standard_normal(carrier.dim) + 1j * rng.standard_normal(carrier.dim)
         w = carrier.weighted_vector_sum(reps.isotypic_weights(t, [chi]), v)
@@ -549,12 +549,29 @@ def test_grow_orbit_basis_is_orthonormal_and_spans_the_orbit():
     assert grown >= 4
 
 
+def test_find_carrier_keeps_each_power_on_its_group(monkeypatch):
+    g = make_pgl2(5)
+    six = next(i for i, d in enumerate(character_table(g).degrees())
+               if d == 6)
+    carrier = find_carrier(g, six)
+    decomposed = []
+    decompose_ = reps.decompose
+    monkeypatch.setattr(reps, "decompose",
+                        lambda *a: decomposed.append(a) or decompose_(*a))
+    assert find_carrier(g, six) is carrier
+    assert extract_irrep(carrier, six).dim == 6
+    assert decomposed == []
+    # a group of its own builds and decomposes its own carriers
+    assert find_carrier(make_pgl2(5), six) is not carrier
+    assert decomposed
+
+
 def test_extract_from_non_involutive_generators():
     g = make_pgl2(5)
-    t = compute_table(g)
+    t = character_table(g)
     i6 = next(i for i, d in enumerate(t.degrees()) if d == 6)
-    carrier, mu = find_carrier(PermCarriers(g), t, i6)
-    rho = extract_irrep(carrier, g, t, i6, mu)
+    carrier = find_carrier(g, i6)
+    rho = extract_irrep(carrier, i6)
     assert rho.dim == 6
     rho.check_unitary_homomorphism(n_pairs=50)
 
@@ -564,13 +581,12 @@ def test_extract_from_non_involutive_generators():
 
 def test_extract_standard_from_perm():
     g = PermGroup.symmetric(5)
-    t = compute_table(g)
+    t = character_table(g)
     carrier = PermTensorCarrier(g, 1)
     pc = carrier.character()
     idx = next(i for i, d in enumerate(t.degrees()) if d == 4
                and abs(inner_product(pc, t.irreducibles[i]) - 1) < 1e-9)
-    mu = int(decompose(pc.values, t).multiplicities[idx])
-    rep = extract_irrep(carrier, g, t, idx, mu)
+    rep = extract_irrep(carrier, idx)
     assert rep.dim == 4
     assert rep.provenance["multiplicity"] == 1
     rep.check_unitary_homomorphism(n_pairs=100, tol=1e-9)
@@ -578,15 +594,14 @@ def test_extract_standard_from_perm():
 
 def test_extract_all_reachable_s5():
     g = PermGroup.symmetric(5)
-    t = compute_table(g)
+    t = character_table(g)
     degs = list(t.degrees())
     reached = []
     for i in range(t.n_classes):
-        found = find_carrier(PermCarriers(g), t, i)
-        if found is None:
+        carrier = find_carrier(g, i)
+        if carrier is None:
             continue
-        carrier, mu = found
-        rep = extract_irrep(carrier, g, t, i, mu)
+        rep = extract_irrep(carrier, i)
         assert rep.dim == degs[i]
         assert abs(inner_product(rep.character(), t.irreducibles[i]) - 1) < 1e-6
         reached.append(int(degs[i]))
@@ -596,13 +611,11 @@ def test_extract_all_reachable_s5():
 
 def test_extract_higher_multiplicity_path():
     g = PermGroup.symmetric(5)
-    t = compute_table(g)
+    t = character_table(g)
     c2 = PermTensorCarrier(g, 2)
     idx = next(i for i, d in enumerate(t.degrees())
-               if d == 4
-               and decompose(c2.character().values, t).multiplicities[i] == 3)
-    mu = int(decompose(c2.character().values, t).multiplicities[idx])
-    rep = extract_irrep(c2, g, t, idx, mu)
+               if d == 4 and c2.multiplicities()[i] == 3)
+    rep = extract_irrep(c2, idx)
     assert rep.dim == 4
     assert rep.provenance["multiplicity"] == 3
     rep.check_unitary_homomorphism(n_pairs=100, tol=1e-9)
@@ -610,31 +623,27 @@ def test_extract_higher_multiplicity_path():
 
 def test_extract_missing_character_raises():
     g = PermGroup.symmetric(5)
-    t = compute_table(g)
+    t = character_table(g)
     carrier = PermTensorCarrier(g, 1)
     sign = next(i for i in range(t.n_classes)
                 if t.degrees()[i] == 1
                 and t.irreducibles[i].values.real.min() < -0.5)
-    mu = int(decompose(carrier.character().values, t).multiplicities[sign])
+    assert carrier.multiplicities()[sign] == 0
     with pytest.raises(ExtractionError, match="does not appear"):
-        extract_irrep(carrier, g, t, sign, mu)
-    # a multiplicity the carrier does not have fails as loudly
-    with pytest.raises(ExtractionError):
-        extract_irrep(carrier, g, t, sign, 1)
-    assert find_carrier(PermCarriers(g), t, sign) is None
+        extract_irrep(carrier, sign)
+    assert find_carrier(g, sign) is None
 
 
 def test_extract_alternating_group():
     # no Young form on A5; the generic path must handle it
     g = PermGroup.alternating(5)
-    t = compute_table(g)
+    t = character_table(g)
     built = 0
     for i in range(t.n_classes):
-        found = find_carrier(PermCarriers(g), t, i)
-        if found is None:
+        carrier = find_carrier(g, i)
+        if carrier is None:
             continue
-        carrier, mu = found
-        rep = extract_irrep(carrier, g, t, i, mu)
+        rep = extract_irrep(carrier, i)
         assert abs(inner_product(rep.character(), t.irreducibles[i]) - 1) < 1e-6
         built += 1
     assert built == t.n_classes      # every A5 irreducible is reachable
@@ -651,7 +660,7 @@ def test_vector_sum_of_every_point_matches_the_dense_power(make, powers):
     # PSL2(7)'s two classes of order 7 are each other's inverses, so a sum
     # that weighted g by the class of g^-1 would fail there
     g = make()
-    t = compute_table(g)
+    t = character_table(g)
     rng = np.random.default_rng(19)
     w = rng.standard_normal(t.n_classes) + 1j * rng.standard_normal(t.n_classes)
     for k in powers:
@@ -686,14 +695,13 @@ def test_every_character_is_extracted_from_every_carrier_holding_it(make):
     # the point seeds span the whole isotypic component at once, so every
     # extraction passes the exact rank check without a retry
     g = make()
-    t = compute_table(g)
-    carriers = PermCarriers(g)
+    t = character_table(g)
     powers, reached = [], set()
-    for carrier in carriers:
+    for carrier in (PermTensorCarrier(g, k) for k in (1, 2, 3)):
         powers.append(carrier.k)
-        mult = carriers.multiplicities(carrier, t)
+        mult = carrier.multiplicities()
         for i in np.flatnonzero(mult):
-            rep = extract_irrep(carrier, g, t, int(i), int(mult[i]), seed=7)
+            rep = extract_irrep(carrier, int(i), seed=7)
             assert rep.dim == t.degrees()[i]
             assert rep.provenance["multiplicity"] == mult[i]
             assert rep.provenance["seed"] == 7
@@ -716,10 +724,13 @@ def _without_off_diagonal_seed(monkeypatch):
 def _psl2_7(degree):
     """extract_irrep's arguments for PSL2(7)'s character of `degree`."""
     g = make_psl2(7)
-    t = compute_table(g)
-    i = next(i for i, d in enumerate(t.degrees()) if d == degree)
-    carrier, mu = find_carrier(PermCarriers(g), t, i)
-    return carrier, g, t, i, mu
+    i = next(i for i, d in enumerate(character_table(g).degrees())
+             if d == degree)
+    return find_carrier(g, i), i
+
+
+def _multiplicity(carrier, i):
+    return int(carrier.multiplicities()[i])
 
 
 def test_a_missing_seed_orbit_fails_the_rank_check(monkeypatch):
@@ -727,7 +738,7 @@ def test_a_missing_seed_orbit_fails_the_rank_check(monkeypatch):
     # and not at all in the diagonal of the square, the natural module
     # 1 + 7: the diagonal's projection alone spans nothing
     args = _psl2_7(6)
-    assert (args[0].k, args[-1]) == (2, 2)
+    assert (args[0].k, _multiplicity(*args)) == (2, 2)
     extract_irrep(*args)
     _without_off_diagonal_seed(monkeypatch)
     with pytest.raises(ExtractionError,
@@ -747,7 +758,7 @@ def test_extraction_grows_the_isotypic_basis_once(monkeypatch):
     monkeypatch.setattr(reps, "_check_extracted", refuse)
     # multiplicity one: nothing random to retry, so the failure is final
     seven = _psl2_7(7)
-    assert seven[-1] == 1
+    assert _multiplicity(*seven) == 1
     with pytest.raises(ExtractionError, match="invariance residual refused"):
         extract_irrep(*seven)
     assert len(grown) == len(checked) == 1
@@ -782,8 +793,8 @@ def test_associator_splits_self_conjugate_shapes(parts):
     assert abs(square[0, 0]) == 1
     assert np.array_equal(square, square[0, 0] * np.eye(len(j)))   # +-I
     ga = PermGroup.alternating(lam.n)
-    t = compute_table(ga)
-    halves = reps.alternating_halves(young_orthogonal_rep(ga, lam), lam, t)
+    t = character_table(ga)
+    halves = reps.alternating_halves(young_orthogonal_rep(ga, lam), lam)
     assert [h.provenance["character_index"] for h in halves] == HALF_ROWS[parts]
     for h, row in zip(halves, HALF_ROWS[parts]):
         assert h.dim == len(j) // 2
@@ -791,6 +802,24 @@ def test_associator_splits_self_conjugate_shapes(parts):
         assert abs(inner_product(h.character(), h.character()) - 1) < 1e-9
         assert np.abs(h.character().values
                       - t.irreducibles[row].values).max() < 1e-9
+
+
+@pytest.mark.parametrize("parts, dtype", [
+    ((3, 1, 1), np.float64), ((3, 2, 1), np.float64),
+    ((4, 2, 1, 1), np.complex128)], ids=str)
+def test_alternating_halves_keep_real_data_real(monkeypatch, parts, dtype):
+    # c = +-1 when J^2 = I, so the basis is real; only J^2 = -I (A8's
+    # [4,2,1,1]) needs c = -+i and a complex basis
+    bases = []
+    check = reps._check_extracted
+    monkeypatch.setattr(reps, "_check_extracted",
+                        lambda src, b, *a: bases.append(b)
+                        or check(src, b, *a))
+    lam = Partition(parts)
+    ga = PermGroup.alternating(lam.n)
+    halves = reps.alternating_halves(young_orthogonal_rep(ga, lam), lam)
+    assert [b.dtype for b in bases] == [dtype, dtype]
+    assert all(h.dtype == np.float64 for h in halves) == (dtype == np.float64)
 
 
 def test_associator_needs_a_self_conjugate_shape():
@@ -816,13 +845,11 @@ def test_invariance_gate_refuses_a_perturbed_basis():
 
 def test_extraction_records_its_invariance_residual():
     g = make_pgl2(7)
-    t = compute_table(g)
-    carriers = PermCarriers(g)
+    t = character_table(g)
     for i in range(t.n_classes):
-        found = find_carrier(carriers, t, i)
-        if found is not None:
-            carrier, mu = found
-            rep = extract_irrep(carrier, g, t, i, mu)
+        carrier = find_carrier(g, i)
+        if carrier is not None:
+            rep = extract_irrep(carrier, i)
             assert 0 <= rep.provenance["invariance_residual"] <= reps.TOL.ortho
 
 
@@ -848,14 +875,14 @@ def _assert_real(rep, n_classes):
 
 def test_real_representations_stay_real():
     g = PermGroup.symmetric(5)
-    t = compute_table(g)
+    t = character_table(g)
     _assert_real(young_orthogonal_rep(g, Partition((3, 2))), t.n_classes)
     # an extraction of a real character: the standard 4 in the natural
     # module, at multiplicity one
     carrier = PermTensorCarrier(g, 1)
-    mult = decompose(carrier.character().values, t).multiplicities
+    mult = carrier.multiplicities()
     four = next(i for i, d in enumerate(t.degrees()) if d == 4 and mult[i])
-    rho = extract_irrep(carrier, g, t, four, int(mult[four]))
+    rho = extract_irrep(carrier, four)
     _assert_real(rho, t.n_classes)
     assert np.abs(rho.character().values
                   - t.irreducibles[four].values).max() < 1e-9
@@ -869,16 +896,16 @@ def test_complex_characters_extract_in_complex_arithmetic(q, degree):
     # PSL2(q), q = 3 mod 4, has a complex-conjugate pair of degree
     # (q - 1) / 2, each once in the square of the natural module
     g = make_psl2(q)
-    t = compute_table(g)
-    carriers = PermCarriers(g)
+    t = character_table(g)
     rows = [i for i, d in enumerate(t.degrees()) if d == degree]
     assert len(rows) == 2
     for i in rows:
         chi = t.irreducibles[i].values
         assert np.abs(chi.imag).max() > 1
-        carrier, mu = find_carrier(carriers, t, i)
-        assert (carrier.name, mu) == (f"perm{q + 1}^x2", 1)
-        rho = extract_irrep(carrier, g, t, i, mu)
+        carrier = find_carrier(g, i)
+        assert carrier.name == f"perm{q + 1}^x2"
+        assert carrier.multiplicities()[i] == 1
+        rho = extract_irrep(carrier, i)
         assert rho.dtype == np.complex128
         assert all(m.dtype == np.complex128 for m in rho.gen_images)
         assert np.abs(rho.character().values - chi).max() < 1e-9
@@ -888,7 +915,8 @@ def test_real_weights_on_a_complex_character_fail_the_rank_check(monkeypatch):
     # real weights project on chi + conj(chi): twice the rank, refused by
     # the exact isotypic rank check before any copy is formed
     args = _psl2_7(3)
-    assert np.abs(args[2].irreducibles[args[3]].values.imag).max() > 1
+    chi = character_table(args[0].group).irreducibles[args[1]]
+    assert np.abs(chi.values.imag).max() > 1
     extract_irrep(*args)
     weights = reps.isotypic_weights
     monkeypatch.setattr(reps, "isotypic_weights",
@@ -905,10 +933,10 @@ def _young_s5():
 
 def _extracted_pgl2_7():
     g = make_pgl2(7)
-    t = compute_table(g)
+    t = character_table(g)
     i = int(np.argmax(t.degrees()))
-    carrier, mu = find_carrier(PermCarriers(g), t, i)
-    return g, extract_irrep(carrier, g, t, i, mu)
+    carrier = find_carrier(g, i)
+    return g, extract_irrep(carrier, i)
 
 
 def _table_free_rotation():
@@ -924,7 +952,7 @@ def _table_free_rotation():
 def test_transversal_images_are_the_coset_reps_images(make):
     g, rho = make()
     h = g.stabilizer(0)
-    ctx = IsotypicContext(g, h, rho, compute_table(h))
+    ctx = IsotypicContext(g, h, rho)
     t = g.coset_transversal(h)
     assert len(ctx.t_images) == ctx.n_cosets == t.count
     assert ctx.t_images.dtype == rho.dtype
