@@ -161,43 +161,49 @@ def spa_census(projectors, keys):
         if p.m != first.m:
             raise GrassmannError(f"dimension mismatch {first.m} != {p.m}")
     dup = np.zeros(n_words, dtype=bool)         # equal to an earlier word
-    counts = np.zeros(1, dtype=np.int64)        # pairs per key + 1; 0 unused
-    want = np.zeros(1)                          # d_c^2 per key + 1
-    found = []                                  # (key + 1, set), pair order
+    counts = np.zeros(0, dtype=np.int64)        # pairs per key
+    want = np.zeros(0)                          # d_c^2 per key
+    found = []                                  # (key, set), pair order
     worst, worst_pair = 0.0, (0, 1)
     for lo, block in _chordal_blocks(projectors):
-        # in C order: every pass below would stride across an F-order block
-        key = np.array(keys(np.arange(lo, lo + len(block)),
-                            np.arange(lo, n_words)), dtype=np.intp, order="C")
-        key += 1
+        # in C order: every pass below would stride across an F-order block;
+        # the keys are only read, so keys already in that form are not copied
+        key = np.require(keys(np.arange(lo, lo + len(block)),
+                              np.arange(lo, n_words)), np.intp, "C")
         if key.shape != block.shape:
             raise CodeError(f"pair keys of shape {key.shape} for a Gram "
                             f"block of shape {block.shape}")
         below = np.tril_indices(len(block))     # (a, b) with b <= a: no pair
-        key[below] = 0
-        per_key = np.bincount(key.ravel())
-        per_key[0] = 0
+        per_key = np.bincount(key.ravel(), minlength=len(counts))
+        per_key -= np.bincount(key[below], minlength=len(per_key))
         if len(per_key) > len(counts):
             grow = len(per_key) - len(counts)
             counts, want = np.pad(counts, (0, grow)), np.pad(want, (0, grow))
-        new = np.flatnonzero((per_key > 0) & (counts[:len(per_key)] == 0))
-        counts[:len(per_key)] += per_key
-        for at, k in sorted((int(np.argmax(key == k)), int(k)) for k in new):
+        new = np.flatnonzero((per_key > 0) & (counts == 0))
+        counts += per_key
+        firsts = []
+        for k in new:
+            hit = key == k
+            hit[below] = False
+            firsts.append((int(np.argmax(hit)), int(k)))
+        for at, k in sorted(firsts):
             i, j = divmod(at, key.shape[1])
             s = principal_angles(projectors[lo + i], projectors[lo + j])
             want[k] = s.chordal_sq()
             found.append((k, s))
-        res = want[key]
-        res -= block
-        np.abs(res, out=res)
-        res /= np.maximum(want, 1.0)[key]
-        res[below] = 0.0
-        at = int(np.argmax(res))
-        if res.flat[at] > worst:
-            i, j = divmod(at, key.shape[1])
-            worst, worst_pair = float(res.flat[at]), (lo + i, lo + j)
         block[below] = np.inf
         dup[lo:] |= (block <= TOL.integer).any(axis=0)
+        # the block becomes |d_c^2 - want| / max(want, 1), from one gather
+        scale = np.take(want, key)
+        block -= scale
+        np.abs(block, out=block)
+        block /= np.maximum(scale, 1.0, out=scale)
+        block[below] = 0.0
+        at = int(np.argmax(block))
+        if block.flat[at] > worst:
+            i, j = divmod(at, key.shape[1])
+            worst, worst_pair = float(block.flat[at]), (lo + i, lo + j)
+        del key, scale          # not held while the next block is formed
     if worst > TOL.rel_distance:
         raise CodeError(f"census: pair {worst_pair} misses its key's d_c^2 "
                         f"by relative residual {worst:.2e} > "
@@ -649,6 +655,16 @@ class CliffordGroupData:
                     out.append((a, b))
         return out
 
+    def subgroup_count(self, r: int) -> int:
+        """|S_r|, the number of totally singular r-spaces of O+(2i, 2):
+        prod_{j<r} (2^(i-j) - 1)(2^(i-j-1) + 1) / (2^(j+1) - 1), counted
+        without forming S_r."""
+        num = den = 1
+        for j in range(r):
+            num *= ((1 << self.i - j) - 1) * ((1 << self.i - j - 1) + 1)
+            den *= (1 << j + 1) - 1
+        return num // den
+
     def subgroup_family(self, r: int) -> list[tuple[tuple[int, int], ...]]:
         """S_r: abelian subgroups <-I, g_1..g_r>, returned as the canonical
         labels of the 2^r products indexed by exponent masks."""
@@ -695,10 +711,19 @@ def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
     The entries are multiples of 2^-r, so the sums are exact, and
     `SubspaceProjector.stack` checks the stack.  The census keys its pairs
     from the labels and signs (`_stabilizer_keys`), so every principal-angle
-    set is listed, at any N."""
+    set is listed, at any N; the keys are tabulated per pair of subgroups,
+    not per pair of codewords.  N = 2^r |S_r| is counted first
+    (`CliffordGroupData.subgroup_count`): more than `config.PAIR_BUDGET`
+    pairs is a CodeError, raised before S_r is formed."""
     data = CliffordGroupData(i)
     if not 1 <= r <= i:
         raise CodeError(f"r must be between 1 and i = {i}")
+    big_n = data.subgroup_count(r) << r
+    pairs = big_n * (big_n - 1) // 2
+    if pairs > config.PAIR_BUDGET:
+        raise CodeError(f"clifford ({i}, {r}): {big_n:,} codewords make "
+                        f"{pairs:,} pairs, over the pair budget "
+                        f"{config.PAIR_BUDGET:,}")
     family = np.array(data.subgroup_family(r), dtype=np.int64)
     sign, a, b = family.transpose(2, 0, 1)      # (subgroup, element e)
     n_sub, size, n = len(family), 1 << r, data.n
@@ -734,9 +759,20 @@ def _stabilizer_keys(labels: np.ndarray, signs: np.ndarray, i: int, r: int):
     a.d + b.c.  Where the signs of A and B differ somewhere on K, every
     principal angle is pi/2: key (r+1)^2.  Otherwise cos^2 = |M|/2^r with
     multiplicity 2^(i-r) |K|/|M| and every other angle is pi/2, so
-    d_c^2 = 2^(i-r) - |K| 2^(i-2r): key (r+1) log2|K| + log2|M|.  |K| and
-    |M| depend only on the pair of subgroups, so they are tabulated once
-    per subgroup pair; only the signs are read per codeword pair."""
+    d_c^2 = 2^(i-r) - |K| 2^(i-2r): key (r+1) log2|K| + log2|M|.
+
+    A key depends on the pair of subgroups (s, t) and on the sign choices
+    k and l within them, so it is tabulated once per subgroup pair: a small
+    code, `code[s, t]`, picks the 2^r x 2^r table `lut[code]` of the keys
+    over (k, l), and a pair's key is one gather of `code` and one of `lut`.
+    |K| and |M| come from label incidences.  Where |K| > 1, whether the
+    signs agree on K is a pattern in (k, l) fixed by the position in t of
+    each label of s, by whether sign choice 0 of s and of t agree there, and
+    by each subgroup's signs relative to its choice 0.  The subgroup pairs
+    fall into few such kinds with their key (29 for i = 4, r = 2), and each
+    kind's pattern is read off its first pair.  The codes below (r + 1)^2
+    are the subgroup pairs with |K| = 1, whose key is the same for every
+    (k, l)."""
     n_sub, size = labels.shape
     n_labels = 1 << 2 * i
     member = np.zeros((n_sub, n_labels), dtype=np.float32)
@@ -744,22 +780,68 @@ def _stabilizer_keys(labels: np.ndarray, signs: np.ndarray, i: int, r: int):
     # <l, w> = a.d + b.c = parity of l & w', w' = w with its halves swapped
     v = np.arange(n_labels)
     swapped = v >> i | (v & ((1 << i) - 1)) << i
-    parity = np.array([bin(x).count("1") & 1 for x in range(n_labels)])
-    perp = ~parity[labels[:, :, None] & swapped].any(axis=1)
-    table = ((r + 1) * np.log2(member @ member.T)
-             + np.log2(perp.astype(np.float32) @ member.T)).astype(np.int8)
-    # sign of each codeword on every label, 0 off its own L
-    on_label = np.zeros((len(signs), n_labels), dtype=np.int8)
-    on_label[np.arange(len(signs))[:, None],
-             np.repeat(labels, size, axis=0)] = signs
+    odd = np.array([bin(x).count("1") & 1 for x in range(n_labels)], bool)
+    perp = np.ones((n_sub, n_labels), dtype=bool)
+    for e in range(size):       # one label at a time keeps the peak down
+        perp &= ~odd[labels[:, e, None] & swapped]
+    table = member @ member.T                   # |K|, then the key
+    np.log2(table, out=table)
+    table *= r + 1
+    size_m = perp.astype(np.float32) @ member.T        # |M|
+    table += np.log2(size_m, out=size_m)
+    del size_m                  # not held while the kinds are formed
+    table = table.astype(np.int8)
+    # the pairs with |K| > 1, each of one kind: its key, the signs of both
+    # subgroups relative to their sign choice 0, numbered, and for each
+    # label of s, +-(2p + 1) if it sits at position p of t, + where choice
+    # 0 of s and of t agree there, else 0; as one integer, renumbered
+    # before it would overflow
+    blocks = signs.reshape(n_sub, size, size)
+    ratio = (blocks * blocks[:, :1]).reshape(n_sub, -1)
+    row = np.dtype((np.void, ratio.itemsize * ratio.shape[1]))
+    _, ratio_of = np.unique(ratio.view(row), return_inverse=True)
+    ratio_of = ratio_of.ravel()
+    n_ratios = ratio_of.max() + 1
+    place = np.zeros((n_sub, n_labels), dtype=np.intp)
+    place[np.arange(n_sub)[:, None], labels] = \
+        (2 * np.arange(size) + 1) * blocks[:, 0]
+    shared = np.flatnonzero(table > r)
+    s, t = np.divmod(shared, n_sub)
+    at_t = t * n_labels
+    kind = table.flat[shared].astype(np.int64)
+    kind = (kind * n_ratios + ratio_of[s]) * n_ratios + ratio_of[t]
+    for e in range(size):
+        if kind.max() >= np.iinfo(np.int64).max // (4 * size):
+            kind = np.unique(kind, return_inverse=True)[1].ravel()
+        kind = kind * (4 * size) + 2 * size + (
+            np.take(place, labels[s, e] + at_t) * blocks[s, 0, e])
+    _, first, kind = np.unique(kind, return_index=True, return_inverse=True)
+    # each kind's (k, l) tables, from its first pair: where the signs
+    # agree on K, its key, else the key of a clash
+    s, t = s[first], t[first]
+    p = (np.abs(np.take(place, labels[s] + (t * n_labels)[:, None])) - 1) // 2
+    theirs = np.take_along_axis(blocks[t], np.maximum(p, 0)[:, None],
+                                axis=2)                 # (kind, l, e)
+    agree = ((blocks[s, :, None] == theirs[:, None])
+             | (p < 0)[:, None, None]).all(axis=3)     # (kind, k, l)
+    clash = (r + 1) ** 2
+    lut = np.concatenate([
+        np.broadcast_to(np.arange(clash)[:, None, None], (clash, size, size)),
+        np.where(agree, table[s, t][:, None, None], clash)])
+    # code b < clash is key b throughout, for the pairs with |K| = 1
+    code = table.astype(np.min_scalar_type(len(lut)))
+    code.flat[shared] = kind.ravel() + clash
+    lut = lut.ravel().astype(np.intp)
+    low = size - 1
 
     def keys(rows, cols):
-        key = np.take(table[rows >> r], cols >> r, axis=1).astype(np.intp)
-        shared = np.flatnonzero(key > r)        # pairs with |K| > 1
-        a, b = divmod(shared, key.shape[1])
-        theirs = on_label[cols[b][:, None], labels[rows[a] >> r]]
-        clash = (signs[rows[a]] * theirs < 0).any(axis=1)
-        key.flat[shared[clash]] = (r + 1) ** 2
-        return key
+        # each row's (code, k) against every subgroup t, shifted for l;
+        # np.take gathers columns in C order, where an x[:, cols] gather
+        # comes back in F order and slows every pass after it
+        head = (code[rows >> r].astype(np.intp) << r
+                | (rows & low)[:, None]) << r
+        at = np.take(head, cols >> r, axis=1)
+        at |= cols & low
+        return np.take(lut, at)
 
     return keys

@@ -24,6 +24,11 @@ TENSOR_BUDGET = 4096
 #: matrix-free carriers (vectors only, permutation gathers) may be larger
 VECTOR_CARRIER_BUDGET = 32768
 
+#: codes refuse more codeword pairs than this, counted before any codeword
+#: is formed: the census visits every pair, and the Clifford code (4, 2),
+#: 19,841,850 pairs, is the largest it certifies; (4, 3) has 131 million
+PAIR_BUDGET = 1 << 25
+
 #: character table computation refuses groups with more classes than this
 MAX_CLASSES = 60
 

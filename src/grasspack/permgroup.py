@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -241,8 +242,11 @@ class PermGroup:
         self._levels: dict[int, _Level] = {}   # point -> Schreier level
         self._classes: ConjugacyClasses | None = None
         self._class_mult = None        # kept by `characters`, as is
-        self._characters = None        # the character table, and by `reps`:
-        self._carriers: list = []      # tensor powers, None past the budget
+        self._characters = None        # the character table, and by `reps`
+        # the tensor powers, None past the budget, with no reference back
+        # here, and the copies that refer here, while a caller holds them
+        self._carriers: list = []
+        self._held_carriers = weakref.WeakValueDictionary()
         self.provenance: dict = {}     # how a stabilizer was proved
 
     # -- construction -------------------------------------------------

@@ -29,6 +29,7 @@ from `characters.decompose`.
 """
 from __future__ import annotations
 
+import copy
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -492,16 +493,29 @@ def _check_extracted(source, basis: np.ndarray, name: str,
 def find_carrier(g: PermGroup, chi_index: int) -> PermTensorCarrier | None:
     """The smallest tensor power k <= 3 of g's permutation module holding
     row `chi_index` of g's table; None if none within the carrier budget
-    does.  Each power is built the first time it is reached and kept on g,
-    so a caller asking about several characters builds each at most once."""
+    does.  Each power is built and decomposed the first time it is reached
+    and kept on g without its group, so that g and its carriers make no
+    reference cycle and g is freed with its last use.  A caller gets a copy
+    that refers to g; g keeps it while the caller holds it, so a caller
+    asking about several characters gets the same carrier each time."""
     for k in (1, 2, 3):
         if len(g._carriers) < k:
             try:
-                g._carriers.append(PermTensorCarrier(g, k))
+                kept = PermTensorCarrier(g, k)
             except CarrierBudgetError:
-                g._carriers.append(None)
-        carrier = g._carriers[k - 1]
-        if carrier is None or carrier.multiplicities()[chi_index] >= 1:
+                kept = None
+            else:
+                kept.multiplicities()       # decomposed while it has g
+                kept.group = None
+            g._carriers.append(kept)
+        kept = g._carriers[k - 1]
+        if kept is None:
+            return None
+        if kept.multiplicities()[chi_index] >= 1:
+            carrier = g._held_carriers.get(k)
+            if carrier is None:
+                carrier = g._held_carriers[k] = copy.copy(kept)
+                carrier.group = g
             return carrier
     return None
 

@@ -2,13 +2,15 @@
 permutation matrices and their Kronecker powers, the isotypic projector by
 the full class-sum formula, the two class-sum identities the equidistance
 proof rests on, checked over whole groups, and the principal-angle census
-of a code resolved pair by pair, and the Clifford codewords formed one
-label at a time from dense shift and sign matrices.  The package itself
-applies permutation carriers as index gathers, splits isotypic components
-from a few class sums, checks the identity only in the form
+of a code resolved pair by pair, the Clifford codewords formed one label
+at a time from dense shift and sign matrices, and the Clifford pair keys
+with the signs compared pair by pair.  The package itself applies
+permutation carriers as index gathers, splits isotypic components from a
+few class sums, checks the identity only in the form
 `IsotypicContext.fonda2_residual`, takes its census from pair keys
-(`codes.spa_census`) and forms the Clifford codewords as one stack from
-label arrays (`codes.build_clifford_orthoplex`)."""
+(`codes.spa_census`), forms the Clifford codewords as one stack from label
+arrays (`codes.build_clifford_orthoplex`) and reads the Clifford keys from
+tables per subgroup pair (`codes._stabilizer_keys`)."""
 import itertools
 import math
 from dataclasses import dataclass
@@ -188,3 +190,52 @@ def clifford_projectors(i, r):
             out.append(sum(chi * mat for chi, mat in zip(chis, mats))
                        / (1 << r))
     return out
+
+
+def clifford_labels_and_signs(i, r):
+    """The arguments `build_clifford_orthoplex(i, r)` keys its pairs from:
+    labels[s, e] = a + 2^i b over the labels (sign, a, b) of subgroup s of
+    `subgroup_family(r)`, and signs[2^r s + k, e] = chi(g_e) sign, with
+    chi(g_e) = prod signs[t]^e_t for the k-th sign choice in
+    `itertools.product((1, -1), repeat=r)` order."""
+    family = CliffordGroupData(i).subgroup_family(r)
+    labels = np.array([[a | b << i for _, a, b in canon] for canon in family])
+    signs = []
+    for canon in family:
+        for choice in itertools.product((1, -1), repeat=r):
+            signs.append([sign * math.prod(choice[t] for t in range(r)
+                                           if e >> t & 1)
+                          for e, (sign, _, _) in enumerate(canon)])
+    return labels, np.array(signs, dtype=np.int8)
+
+
+def stabilizer_pair_keys(labels, signs, i, r):
+    """The keys of `codes._stabilizer_keys` with the signs compared pair by
+    pair: |K| and |M| from the label incidences of each subgroup pair, then,
+    for every codeword pair with |K| > 1, each codeword's sign on every
+    label of the other's subgroup (0 off it), gathered; a pair whose signs
+    differ on a shared label gets the key (r + 1)^2 of a clash."""
+    n_sub, size = labels.shape
+    n_labels = 1 << 2 * i
+    member = np.zeros((n_sub, n_labels), dtype=np.float32)
+    member[np.arange(n_sub)[:, None], labels] = 1.0
+    v = np.arange(n_labels)
+    swapped = v >> i | (v & ((1 << i) - 1)) << i
+    parity = np.array([bin(x).count("1") & 1 for x in range(n_labels)])
+    perp = ~parity[labels[:, :, None] & swapped].any(axis=1)
+    table = ((r + 1) * np.log2(member @ member.T)
+             + np.log2(perp.astype(np.float32) @ member.T)).astype(np.int8)
+    on_label = np.zeros((len(signs), n_labels), dtype=np.int8)
+    on_label[np.arange(len(signs))[:, None],
+             np.repeat(labels, size, axis=0)] = signs
+
+    def keys(rows, cols):
+        key = np.take(table[rows >> r], cols >> r, axis=1).astype(np.intp)
+        shared = np.flatnonzero(key > r)        # pairs with |K| > 1
+        a, b = divmod(shared, key.shape[1])
+        theirs = on_label[cols[b][:, None], labels[rows[a] >> r]]
+        clash = (signs[rows[a]] * theirs < 0).any(axis=1)
+        key.flat[shared[clash]] = (r + 1) ** 2
+        return key
+
+    return keys

@@ -1,4 +1,6 @@
 """Catalog lanes: reference data sanity, tower sweeps, projective columns."""
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -298,6 +300,29 @@ def test_each_carrier_is_built_once_per_group(monkeypatch, capsys):
     built.clear()
     assert loaded_group_entries("m11", dims={3}) == []
     assert built == []
+
+
+def test_a_finished_group_is_freed_without_the_collector(monkeypatch):
+    # each carrier refers to its group, and the group keeps its carriers
+    # with no reference back: no cycle holds a group once its entries are
+    # built, so refcounting frees it with the collector off
+    made = []
+    init = permgroup.PermGroup.__init__
+
+    def tracked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(weakref.ref(self))
+
+    monkeypatch.setattr(permgroup.PermGroup, "__init__", tracked)
+    gc.disable()
+    try:
+        entries = projective_entries(7)
+        assert entries and made
+        del entries
+        alive = sum(ref() is not None for ref in made)
+    finally:
+        gc.enable()
+    assert alive == 0
 
 
 def test_each_carrier_is_decomposed_once_per_table(monkeypatch):

@@ -13,7 +13,8 @@ from grasspack import cli, config, permgroup
 from grasspack.catalog import CatalogError, projective_entries
 from grasspack.characters import CharacterError, character_table
 from grasspack.cli import CliError, main
-from grasspack.codes import CodeError, IdentityError, IsotypicContext
+from grasspack.codes import (CliffordGroupData, CodeError, IdentityError,
+                             IsotypicContext)
 from grasspack.config import GrasspackError
 from grasspack.grassmann import GrassmannError
 from grasspack.permgroup import PermError, PermGroup, make_pgl2
@@ -319,6 +320,19 @@ def test_clifford_out_of_range(capsys):
     code, _, err = run(capsys, "clifford", "9")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_clifford_over_the_pair_budget_is_one_error_line(capsys, monkeypatch,
+                                                         r):
+    # clifford 5 --r 2 ran out of memory and --r 3 ran for minutes; both
+    # are refused from the subgroup count, before S_r is formed
+    monkeypatch.setattr(CliffordGroupData, "subgroup_family",
+                        lambda *a: pytest.fail("S_r formed"))
+    code, out, err = run(capsys, "clifford", "5", "--r", str(r))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "over the pair budget" in err
 
 
 def test_selftest_passes(capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from grasspack import catalog, characters, codes
+from grasspack import catalog, characters, codes, config
 from grasspack.catalog import canonical_shapes, data_path
 from grasspack.characters import character_table
 from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
@@ -21,9 +21,9 @@ from grasspack.permgroup import (PermGroup, Permutation, load_group, make_pgl2,
                                  make_psl2)
 from grasspack.reps import (Partition, UnitaryRep, extract_irrep, find_carrier,
                             restrict_rep, young_orthogonal_rep)
-from reference import (clifford_projectors, full_class_sums,
-                       isotypic_projector, pairwise_census, perm_rep,
-                       x_matrix, y_matrix)
+from reference import (clifford_labels_and_signs, clifford_projectors,
+                       full_class_sums, isotypic_projector, pairwise_census,
+                       perm_rep, stabilizer_pair_keys, x_matrix, y_matrix)
 
 
 def trivial_index(table):
@@ -686,6 +686,55 @@ def test_subgroup_family_is_every_totally_singular_space(i, r):
         assert all(bin(a & b).count("1") % 2 == 0 for a, b in space)
         spaces.add(frozenset(space))
     assert len(spaces) == len(family)
+
+
+def _keys_before_the_census(monkeypatch, i, r):
+    """The pair keys `build_clifford_orthoplex(i, r)` hands its census."""
+    with monkeypatch.context() as mp:
+        mp.setattr(codes, "_assemble", lambda projectors, prov, keys, *a: keys)
+        return build_clifford_orthoplex(i, r)
+
+
+@pytest.mark.parametrize("i, r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),
+                                  (3, 3)])
+def test_clifford_keys_match_the_pairwise_sign_comparison(monkeypatch, i, r):
+    # the orthoplex workload's five codes and (3, 3), 8 labels a subgroup:
+    # every pair up to N = 420, and every block the census asks for at
+    # (4, 1) and (4, 2)
+    keys = _keys_before_the_census(monkeypatch, i, r)
+    labels, signs = clifford_labels_and_signs(i, r)
+    want = stabilizer_pair_keys(labels, signs, i, r)
+    big_n = len(signs)
+    at = np.arange(big_n)
+    if big_n <= 420:
+        assert np.array_equal(keys(at, at), want(at, at))
+    if i == 4:
+        for lo in range(0, big_n, codes._GRAM_ROWS):
+            rows, cols = at[lo:lo + codes._GRAM_ROWS], at[lo:]
+            got = keys(rows, cols)
+            # read by the census as they are, without a copy
+            assert got.dtype == np.intp and got.flags.c_contiguous
+            assert np.array_equal(got, want(rows, cols))
+
+
+@pytest.mark.parametrize("i, r", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2),
+                                  (3, 3), (4, 1), (4, 2)])
+def test_subgroup_count_is_the_size_of_the_family(i, r):
+    data = CliffordGroupData(i)
+    assert data.subgroup_count(r) == len(data.subgroup_family(r))
+
+
+def test_clifford_over_the_pair_budget_is_refused_before_its_family(
+        monkeypatch):
+    def formed(*args):
+        raise AssertionError("S_r formed")
+
+    monkeypatch.setattr(CliffordGroupData, "subgroup_family", formed)
+    # (4, 3): 16,200 codewords; (5, 2) and (5, 3): 94,860 and 948,600
+    for i, r in ((4, 3), (5, 2), (5, 3)):
+        with pytest.raises(CodeError, match="over the pair budget"):
+            build_clifford_orthoplex(i, r)
+    assert 6300 * 6299 // 2 <= config.PAIR_BUDGET       # (4, 2) is built
 
 
 def test_duplicate_across_gram_blocks_is_caught(clifford_3_2):
