@@ -89,6 +89,21 @@ class CharacterTable:
             raise CharacterError("non-positive degree in table")
         return rounded
 
+    def indicator(self, i: int) -> int:
+        """Frobenius-Schur indicator of row i, (1/|G|) sum_C |C| chi(C^2):
+        +1 for a character of real type (a real form exists), -1 for
+        quaternionic type (real-valued, no real form) and 0 for a
+        non-real-valued character.  CharacterError unless it is within
+        TOL.integer of one of the three."""
+        chi = self.irreducibles[i].values
+        nu = complex(np.sum(self.classes.sizes * chi[self.classes.square])
+                     / self.order)
+        rounded = round(nu.real)
+        if abs(nu - rounded) > TOL.integer or rounded not in (-1, 0, 1):
+            raise CharacterError(f"Frobenius-Schur indicator {nu:.6g} of "
+                                 f"row {i} is not -1, 0 or +1")
+        return rounded
+
     def orthogonality_residual(self) -> float:
         x = self.matrix()
         w = self.classes.sizes / self.order

@@ -392,6 +392,8 @@ def cmd_verify(args, opts: Options) -> int:
                             p.d_c_sq_min, certified])
         all_ok &= certified
     em.payload = {"group": g.name, "subgroup": h.name, "rep_dim": rho.dim,
+                  "rep": {"name": rho.name, "dim": rho.dim,
+                          "dtype": str(rho.dtype), **rho.provenance},
                   "results": results}
     em.flush()
     return 0 if all_ok else 1

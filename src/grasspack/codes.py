@@ -247,6 +247,16 @@ def _assemble(projectors, provenance, keys,
                          keys=keys)
 
 
+def _within_pair_budget(what: str, big_n: int):
+    """CodeError naming the count and `config.PAIR_BUDGET` if `big_n`
+    codewords make more pairs than it; called before any codeword is
+    formed."""
+    pairs = big_n * (big_n - 1) // 2
+    if pairs > config.PAIR_BUDGET:
+        raise CodeError(f"{what}: {big_n:,} codewords make {pairs:,} pairs, "
+                        f"over the pair budget {config.PAIR_BUDGET:,}")
+
+
 def _suborbit_keys(orbitals: np.ndarray, t: int = 1):
     """Pair keys of the union of t orbits of one context, codeword o N + a
     being u_a W_o.  The pair (u_a W_o, u_b W_p) is unitarily equivalent to
@@ -326,6 +336,8 @@ class IsotypicContext:
         return [_moved(u, pi_w) for u in self.t_images]
 
     def build(self, chars) -> GrassmannCode:
+        _within_pair_budget(f"orbit of {self.h.name} in {self.g.name}",
+                            self.n_cosets)
         pi_w, m = self.subspace(chars)
         prov = {"group": self.g.name, "subgroup": self.h.name,
                 "subgroup_order": self.h.order, **self.h.provenance,
@@ -549,6 +561,8 @@ def build_union_code(g: PermGroup, h: PermGroup, rho: UnitaryRep,
     if len(set(flat)) != len(flat):
         raise CodeError("character subsets overlap")
     ctx = IsotypicContext(g, h, rho)
+    _within_pair_budget(f"union of {len(subsets)} orbits of {h.name} in "
+                        f"{g.name}", len(subsets) * ctx.n_cosets)
     ws = [ctx.subspace(s) for s in subsets]
     ms = {m for _, m in ws}
     if len(ms) != 1:
@@ -608,6 +622,7 @@ def kron_product(code1: GrassmannCode, code2: GrassmannCode) -> GrassmannCode:
     its factor keys, numbered by Cantor's pairing."""
     if not code1.projectors or not code2.projectors:
         raise CodeError("empty factor code")
+    _within_pair_budget("Kronecker product", code1.params.N * code2.params.N)
     projectors = [SubspaceProjector(np.kron(p.projector, q.projector))
                   for p in code1.projectors for q in code2.projectors]
     prov = {"kron_product": [code1.provenance, code2.provenance],
@@ -718,12 +733,7 @@ def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
     data = CliffordGroupData(i)
     if not 1 <= r <= i:
         raise CodeError(f"r must be between 1 and i = {i}")
-    big_n = data.subgroup_count(r) << r
-    pairs = big_n * (big_n - 1) // 2
-    if pairs > config.PAIR_BUDGET:
-        raise CodeError(f"clifford ({i}, {r}): {big_n:,} codewords make "
-                        f"{pairs:,} pairs, over the pair budget "
-                        f"{config.PAIR_BUDGET:,}")
+    _within_pair_budget(f"clifford ({i}, {r})", data.subgroup_count(r) << r)
     family = np.array(data.subgroup_family(r), dtype=np.int64)
     sign, a, b = family.transpose(2, 0, 1)      # (subgroup, element e)
     n_sub, size, n = len(family), 1 << r, data.n

@@ -188,6 +188,7 @@ class ConjugacyClasses:
     orders: np.ndarray           # element order per class
     rep_index: np.ndarray        # table index of each rep
     inverse: np.ndarray          # class holding the inverses of each class
+    square: np.ndarray           # class holding the squares of each class
     conjugations: list[np.ndarray]   # [s][i]: index of s^-1 g_i s, generator s
 
     @property
@@ -427,17 +428,20 @@ class PermGroup:
         """Classes numbered by their least element index, which is the rep:
         the orbits of the index maps i -> s^-1 g_i s, one per generator s
         (three gathers each), which the classes keep in the least unsigned
-        type that holds every index."""
+        type that holds every index.  The class of each rep's square is one
+        lookup of the reps' squared rows."""
         if self._classes is None:
             inv = self._inverse_index()
             conj = [r[inv[r[inv]]].astype(np.min_scalar_type(self.order))
                     for r in self._require_table().right]
             first, class_of = orbits(conj, self.order)
             reps = [self.element(int(i)) for i in first]
+            rows = self.rows[first]
+            squares = self.lookup_rows(np.take_along_axis(rows, rows, axis=1))
             self._classes = ConjugacyClasses(
                 reps, np.bincount(class_of).astype(np.int64), class_of.astype(np.int32),
                 np.array([p.order() for p in reps], dtype=np.int64),
-                first, class_of[inv[first]], conj)
+                first, class_of[inv[first]], class_of[squares], conj)
         return self._classes
 
     # -- subgroups ------------------------------------------------------

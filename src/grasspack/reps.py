@@ -17,8 +17,10 @@ derived representation passes one exact gate (`_check_extracted`): its basis
 is orthonormal and invariant under the generators it came from.
 
 Arithmetic stays in the field of the data: a representation whose generator
-images are real is held, multiplied and summed in float64, and a real
-character is extracted with real weights, so its basis and images are real.
+images are real is held, multiplied and summed in float64.  Extraction takes
+its field from the Frobenius-Schur indicator nu: real weights iff nu != 0,
+and a real commutant split iff nu = +1, so a copy of real type is real and
+only a quaternionic copy (nu = -1) or a complex character is complex.
 Coset reps' images come along the Schreier tree (`coset_images`), one product
 per coset rep.
 
@@ -245,6 +247,7 @@ class PermTensorCarrier:
                          for p in group.generators]
         self._char: ClassFunction | None = None
         self._mults: np.ndarray | None = None
+        self._points: np.ndarray | None = None
 
     def _flat_index(self, inv_images: np.ndarray) -> np.ndarray:
         """(rho(g) v)[p] = v[g^-1 p], flattened over k-tuples; a stack of
@@ -280,7 +283,9 @@ class PermTensorCarrier:
 
     def orbit_points(self) -> np.ndarray:
         """The least k-tuple, as a flat index, of each G-orbit on [d]^k."""
-        return orbits(self._gen_idx, self.dim)[0]
+        if self._points is None:
+            self._points = orbits(self._gen_idx, self.dim)[0]
+        return self._points
 
     def weighted_vector_sum(self, weights: np.ndarray,
                             vec: np.ndarray) -> np.ndarray:
@@ -357,11 +362,11 @@ def extract_irrep(carrier: PermTensorCarrier, chi_index: int,
     matrix over it into the commutant and take one eigenvalue cluster, which
     is a single copy; only this random split is retried, from seed + 1 on.
     The copy passes the invariance gate and must carry the target character.
-    A real character (every |Im chi| within TOL.integer) takes real weights,
-    so the component and a multiplicity-one copy are real; the split's
-    random vector stays complex, so a real character with no real form
-    (quaternionic type) splits too.  Real weights on a complex character
-    would project onto chi + conj(chi) and fail the rank check.
+    The field follows chi's Frobenius-Schur indicator nu
+    (`CharacterTable.indicator`): real weights iff nu != 0 (on a complex chi
+    they would project onto chi + conj(chi) and fail the rank check), and a
+    real split iff nu = +1; at nu = -1 (quaternionic) a real symmetric
+    average has only clusters of size 2 target, so the split stays complex.
     """
     table = character_table(carrier.group)
     chi = table.irreducibles[chi_index]
@@ -370,20 +375,21 @@ def extract_irrep(carrier: PermTensorCarrier, chi_index: int,
     if mu < 1:
         raise ExtractionError(
             f"character {chi_index} does not appear in carrier {carrier.name}")
-    weights = isotypic_weights(table, [chi_index])
-    if np.abs(chi.values.imag).max() <= TOL.integer:
-        weights = weights.real           # a real character: real arithmetic
-    full = _isotypic_basis(carrier, weights, target * mu)
+    nu = table.indicator(chi_index)
+    w = isotypic_weights(table, [chi_index])
+    full = _isotypic_basis(carrier, w.real if nu else w, target * mu)
     last: Exception | None = None
     for t in range(config.SEED_TRIES if mu > 1 else 1):
         try:
             basis = full if mu == 1 else _commutant_copy(
-                carrier, full, target, np.random.default_rng(seed + t))
+                carrier, full, target, np.random.default_rng(seed + t),
+                real=nu == 1)
             rep = _check_extracted(carrier, basis, f"irr{target}",
                                    {"carrier": carrier.name,
-                                    "character_index": chi_index,
+                                    "character_index": int(chi_index),
                                     "seed": seed + t,
-                                    "multiplicity": mu})
+                                    "multiplicity": mu,
+                                    "indicator": nu})
             if np.abs(rep.character().values - chi.values).max() > TOL.integer:
                 raise ExtractionError("extracted character does not match "
                                       "target")
@@ -452,11 +458,12 @@ def _isotypic_basis(carrier, weights, rank) -> np.ndarray:
     return full.T
 
 
-def _commutant_copy(carrier, b, target, rng):
-    """One copy inside the isotypic span of b's columns: a random rank-1
-    averaged into the commutant, whose eigenvalue clusters (split at gaps
-    above 1e-6 of the largest) of size `target` are copies."""
-    x = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
+def _commutant_copy(carrier, b, target, rng, real):
+    """One copy inside the isotypic span of b's columns: a random rank-1,
+    real if `real`, averaged into the commutant, whose eigenvalue clusters
+    (split at gaps above 1e-6 of the largest) of size `target` are copies."""
+    n = b.shape[1]
+    x = rng.standard_normal(n) + (0 if real else 1j * rng.standard_normal(n))
     evals, evecs = np.linalg.eigh(carrier.commutant_average(b, x))
     scale = max(1.0, float(np.abs(evals).max()))
     edges = [0, *(np.flatnonzero(np.diff(evals) > 1e-6 * scale) + 1),
@@ -506,6 +513,7 @@ def find_carrier(g: PermGroup, chi_index: int) -> PermTensorCarrier | None:
                 kept = None
             else:
                 kept.multiplicities()       # decomposed while it has g
+                kept.orbit_points()         # kept by every copy handed out
                 kept.group = None
             g._carriers.append(kept)
         kept = g._carriers[k - 1]
@@ -553,10 +561,8 @@ class Partition:
         return sum(self.parts)
 
     def conjugate(self) -> "Partition":
-        if not self.parts:
-            return self
-        k = self.parts[0]
-        return Partition(tuple(sum(1 for r in self.parts if r > j)
+        k = self.parts[0] if self.parts else 0
+        return Partition(tuple(sum(r > j for r in self.parts)
                                for j in range(k)))
 
     def hooks(self) -> list[list[int]]:
@@ -569,11 +575,8 @@ class Partition:
 
 
 def hook_dimension(lam: Partition) -> int:
-    prod = 1
-    for row in lam.hooks():
-        for h in row:
-            prod *= h
-    dim, rem = divmod(math.factorial(lam.n), prod)
+    dim, rem = divmod(math.factorial(lam.n),
+                      math.prod(h for row in lam.hooks() for h in row))
     if rem:
         raise RepError(f"hook product of {lam} does not divide {lam.n}!")
     return dim
@@ -621,12 +624,8 @@ def young_orthogonal_rep(n_or_group, lam: Partition) -> UnitaryRep:
     axial distance d = content(k+1) - content(k):
         s_k T_vec = (1/d) T_vec + sqrt(1 - 1/d^2) (swapped T)_vec
     """
-    if isinstance(n_or_group, PermGroup):
-        group = n_or_group
-        n = group.degree
-    else:
-        n = int(n_or_group)
-        group = None
+    group = n_or_group if isinstance(n_or_group, PermGroup) else None
+    n = int(n_or_group) if group is None else group.degree
     if lam.n != n:
         raise RepError(f"partition of {lam.n} against degree {n}")
     dim = hook_dimension(lam)

@@ -1,7 +1,8 @@
 """Dense and brute-force references the tests hold the package against:
 permutation matrices and their Kronecker powers, the isotypic projector by
-the full class-sum formula, the two class-sum identities the equidistance
-proof rests on, checked over whole groups, and the principal-angle census
+the full class-sum formula, the quaternion group Q8 in its regular action,
+the two class-sum identities the equidistance proof rests on, checked over
+whole groups, and the principal-angle census
 of a code resolved pair by pair, the Clifford codewords formed one label
 at a time from dense shift and sign matrices, and the Clifford pair keys
 with the signs compared pair by pair.  The package itself applies
@@ -21,6 +22,7 @@ from grasspack import config
 from grasspack.codes import CliffordGroupData
 from grasspack.characters import class_multiplication
 from grasspack.grassmann import principal_angles
+from grasspack.permgroup import PermGroup
 from grasspack.reps import UnitaryRep, isotypic_weights
 
 
@@ -33,6 +35,25 @@ def perm_rep(g, name=""):
         images.append(m)
     return UnitaryRep(g, images, name=name or f"perm{g.degree}",
                       provenance={"carrier": "perm"})
+
+
+def quaternion_group():
+    """Q8 acting on its 8 elements by left multiplication, generated by i
+    and j: the units +-1, +-i, +-j, +-k as signed basis 4-tuples, multiplied
+    by the Hamilton product."""
+    def mul(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+    units = [tuple(s * (t == u) for u in range(4))
+             for t in range(4) for s in (1, -1)]
+    index = {q: n for n, q in enumerate(units)}
+    return PermGroup.generated([[index[mul(x, q)] for q in units]
+                                for x in (units[2], units[4])], name="Q8")
 
 
 def kron_power(rep, k):

@@ -17,8 +17,9 @@ from grasspack.characters import (
     restrict_and_decompose,
 )
 from grasspack.config import TOL
-from grasspack.permgroup import PermError, PermGroup, Permutation, make_pgl2
-from reference import character_identities
+from grasspack.permgroup import (PermError, PermGroup, Permutation, make_pgl2,
+                                 make_psl2)
+from reference import character_identities, quaternion_group
 
 # ---------------------------------------------------------------- oracles
 
@@ -332,3 +333,51 @@ def test_identities_fail_on_corrupt_table():
     table = compute_table(g)
     table.irreducibles[3].values[2] += 0.05
     assert character_identities(table, g).max_residual > TOL.integer
+
+
+# ------------------------------------------------ Frobenius-Schur indicator
+
+
+def test_square_classes_match_brute_force():
+    for g in (PermGroup.symmetric(5), make_psl2(7), quaternion_group()):
+        cc = g.conjugacy_classes()
+        for k, i in enumerate(cc.rep_index):
+            x = g.element(int(i))
+            assert cc.square[k] == cc.class_of[g.index_of(x * x)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_every_symmetric_group_character_is_of_real_type(n):
+    t = character_table(PermGroup.symmetric(n))
+    assert [t.indicator(i) for i in range(t.n_classes)] == [1] * t.n_classes
+
+
+@pytest.mark.parametrize("make, want", [
+    (lambda: PermGroup.alternating(4), [0, 0, 1, 1]),
+    (quaternion_group, [1, 1, 1, 1, -1])], ids=["a4", "q8"])
+def test_indicators_in_table_order(make, want):
+    # A4's two non-real linear characters come first; Q8's 2-dimensional
+    # character is real-valued with no real form (quaternionic)
+    t = character_table(make())
+    assert [t.indicator(i) for i in range(t.n_classes)] == want
+
+
+def test_the_complex_pair_of_psl2_7_has_indicator_zero():
+    t = character_table(make_psl2(7))
+    got = {i: t.indicator(i) for i in range(t.n_classes)}
+    pair = [i for i, d in enumerate(t.degrees()) if d == 3]
+    assert len(pair) == 2 and [got[i] for i in pair] == [0, 0]
+    assert all(got[i] == 1 for i in got if i not in pair)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda v: 2 * v,                            # an indicator of 2
+    lambda v: v + np.eye(1, len(v))[0] * 0.3,   # chi(1) moved: off-integer
+], ids=["doubled", "off-integer"])
+def test_a_corrupted_row_trips_the_indicator_gate(corrupt):
+    table = compute_table(PermGroup.symmetric(4))
+    assert table.indicator(2) == 1
+    table.irreducibles[2].values = corrupt(table.irreducibles[2].values)
+    with pytest.raises(CharacterError,
+                       match="Frobenius-Schur indicator .* of row 2 is not"):
+        table.indicator(2)

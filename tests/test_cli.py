@@ -101,6 +101,31 @@ def test_verify_json_reports_the_census_cross_check(capsys):
     assert "census" not in out
 
 
+def test_verify_json_reports_the_rep_and_its_provenance(capsys):
+    # PSL2(7)'s 6-dimensional irreducible is extracted from the square of
+    # the natural module, where it lies twice; its indicator is +1, so the
+    # split is real
+    argv = ("verify", "--group", "PSL2:7", "--H", "stab0", "--rep", "dim:6")
+    code, out, _ = run(capsys, "--json", *argv)
+    assert code == 0
+    rep = json.loads(out)["rep"]
+    assert rep["invariance_residual"] <= config.TOL.ortho
+    del rep["invariance_residual"]
+    assert rep == {"name": "irr6", "dim": 6, "dtype": "float64",
+                   "carrier": "perm8^x2",
+                   "character_index": character_table(
+                       permgroup.make_psl2(7)).degrees().tolist().index(6),
+                   "seed": config.DEFAULT_SEED, "multiplicity": 2,
+                   "indicator": 1}
+    _, human, _ = run(capsys, *argv)
+    assert not any(w in human for w in ("indicator", "carrier", "float64"))
+    _, out, _ = run(capsys, "--json", "verify", "--group", "S5", "--H",
+                    "stab4", "--rep", "young:[3,1,1]")
+    assert json.loads(out)["rep"] == {"name": "young[3,1,1]", "dim": 6,
+                                      "dtype": "float64",
+                                      "partition": "[3,1,1]"}
+
+
 def test_verify_full_subset_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "--group", "S4", "--H", "stab3",
                        "--rep", "young:[3,1]", "--chars", "0,1,2")

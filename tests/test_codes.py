@@ -337,6 +337,51 @@ def test_kron_product_mixed_dimensions(s4_ctx, s5_ctx):
     assert abs(p.d_c_sq_min - expected) < 1e-9
 
 
+# ------------------------------------------------------------ pair budget
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a codeword was formed")
+
+
+def test_union_over_the_pair_budget_is_refused_before_its_codewords(
+        s5_ctx, monkeypatch):
+    # two orbits of |S5 : S4| = 5 make 10 codewords, 45 pairs
+    subsets = [[c] for c in components_by_degree(s5_ctx, 3)]
+    assert len(subsets) == 2
+    monkeypatch.setattr(config, "PAIR_BUDGET", 45)
+    assert build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho,
+                            subsets).params.N == 10
+    monkeypatch.setattr(config, "PAIR_BUDGET", 44)
+    monkeypatch.setattr(IsotypicContext, "subspace", _refuse)
+    with pytest.raises(CodeError, match="union of 2 orbits .*: 10 codewords "
+                       "make 45 pairs, over the pair budget 44"):
+        build_union_code(s5_ctx.g, s5_ctx.h, s5_ctx.rho, subsets)
+
+
+def test_orbit_over_the_pair_budget_is_refused_before_its_codewords(
+        s5_ctx, monkeypatch):
+    chars = components_by_degree(s5_ctx, 3)[:1]
+    monkeypatch.setattr(config, "PAIR_BUDGET", 9)
+    monkeypatch.setattr(IsotypicContext, "subspace", _refuse)
+    with pytest.raises(CodeError, match="5 codewords make 10 pairs, over "
+                       "the pair budget 9"):
+        s5_ctx.build(chars)
+
+
+def test_kron_product_over_the_pair_budget_is_refused_before_its_codewords(
+        s4_ctx, monkeypatch):
+    # 4 x 4 codewords make 120 pairs
+    line = s4_ctx.build([trivial_index(character_table(s4_ctx.h))])
+    monkeypatch.setattr(config, "PAIR_BUDGET", 120)
+    assert kron_product(line, line).params.N == 16
+    monkeypatch.setattr(config, "PAIR_BUDGET", 119)
+    monkeypatch.setattr(codes, "SubspaceProjector", _refuse)
+    with pytest.raises(CodeError, match="Kronecker product: 16 codewords "
+                       "make 120 pairs, over the pair budget 119"):
+        kron_product(line, line)
+
+
 # ------------------------------------------------------------ Clifford
 
 

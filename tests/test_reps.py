@@ -18,7 +18,8 @@ from grasspack.reps import (CarrierBudgetError, ExtractionError, Partition,
                             extract_irrep, find_carrier,
                             hook_dimension, standard_tableaux,
                             young_orthogonal_rep)
-from reference import image_of_index, isotypic_projector, kron_power, perm_rep
+from reference import (image_of_index, isotypic_projector, kron_power,
+                       perm_rep, quaternion_group)
 
 # ---------------------------------------------------------------- oracles
 
@@ -336,7 +337,8 @@ def test_row_gather_sums_match_brute_force(make):
                          ids=["pgl2_5", "a5"])
 def test_commutant_average_on_a_real_basis_matches_the_dense_sum(make):
     # a real character's isotypic projector is real, so its span has a
-    # real orthonormal basis; x stays complex, as in extraction
+    # real orthonormal basis; x is complex, as for a quaternionic split, or
+    # real, as for a split of real type, and then so is the average
     g = make()
     t = character_table(g)
     rng = np.random.default_rng(17)
@@ -354,10 +356,14 @@ def test_commutant_average_on_a_real_basis_matches_the_dense_sum(make):
         b = evecs[:, evals > 0.5]
         assert b.dtype == np.float64
         assert b.shape[1] == mult[chi] * t.degrees()[chi]
-        x = rng.standard_normal(b.shape[1]) + 1j * rng.standard_normal(b.shape[1])
-        zs = [b.T @ img @ b @ x for img in images]
-        want_t = sum(np.outer(z, z.conj()) for z in zs) / g.order
-        assert np.abs(car.commutant_average(b, x) - want_t).max() < 1e-10
+        for x in (rng.standard_normal(b.shape[1])
+                  + 1j * rng.standard_normal(b.shape[1]),
+                  rng.standard_normal(b.shape[1])):
+            zs = [b.T @ img @ b @ x for img in images]
+            want_t = sum(np.outer(z, z.conj()) for z in zs) / g.order
+            got = car.commutant_average(b, x)
+            assert got.dtype == np.result_type(float, x)
+            assert np.abs(got - want_t).max() < 1e-10
 
 
 def test_class_sums_across_chunks_match_brute_force():
@@ -924,6 +930,88 @@ def test_real_weights_on_a_complex_character_fail_the_rank_check(monkeypatch):
     with pytest.raises(ExtractionError,
                        match="isotypic basis has rank 4, expected 3"):
         extract_irrep(*args)
+
+
+@pytest.mark.parametrize("make, degree", [
+    (lambda: make_psl2(7), 6), (lambda: make_psl2(13), 12)],
+    ids=["psl2_7", "psl2_13"])
+def test_copies_of_real_type_extract_in_real_arithmetic(make, degree):
+    # indicator +1 at multiplicity 2: the commutant split draws a real x,
+    # so the copy, its images and its class sums are float64
+    g = make()
+    t = character_table(g)
+    i = next(i for i, d in enumerate(t.degrees()) if d == degree)
+    carrier = find_carrier(g, i)
+    assert _multiplicity(carrier, i) == 2 and t.indicator(i) == 1
+    rho = extract_irrep(carrier, i)
+    _assert_real(rho, t.n_classes)
+    assert rho.provenance["indicator"] == 1
+    assert np.abs(rho.character().values
+                  - t.irreducibles[i].values).max() < 1e-9
+
+
+def _q8_two():
+    """Q8's regular action and the row of its 2-dimensional character."""
+    g = quaternion_group()
+    return g, int(np.argmax(character_table(g).degrees()))
+
+
+def test_a_quaternionic_irreducible_extracts(monkeypatch):
+    # Q8's 2-dimensional character lies twice in its regular action and has
+    # no real form: the copy must still come out, pass the invariance gate
+    # and carry its character
+    g, i = _q8_two()
+    carrier = find_carrier(g, i)
+    assert (carrier.k, _multiplicity(carrier, i)) == (1, 2)
+    checked = []
+    check = reps._check_extracted
+    monkeypatch.setattr(reps, "_check_extracted",
+                        lambda *a: checked.append(check(*a)) or checked[-1])
+    rho = extract_irrep(carrier, i)
+    assert checked == [rho] and rho.dim == 2
+    assert rho.dtype == np.complex128
+    assert rho.provenance["invariance_residual"] <= reps.TOL.ortho
+    assert np.abs(rho.character().values - character_table(g)
+                  .irreducibles[i].values).max() < 1e-9
+
+
+def test_a_quaternionic_split_needs_a_complex_x():
+    # indicator -1: the weights are real, so the isotypic basis is, but a
+    # real symmetric commutant average there has only clusters of size 4
+    g, i = _q8_two()
+    t = character_table(g)
+    assert t.indicator(i) == -1
+    carrier = find_carrier(g, i)
+    assert extract_irrep(carrier, i).provenance["indicator"] == -1
+    full = reps._isotypic_basis(carrier, reps.isotypic_weights(t, [i]).real,
+                                4)
+    assert full.dtype == np.float64
+    with pytest.raises(ExtractionError,
+                       match="no eigenvalue cluster of size 2"):
+        reps._commutant_copy(carrier, full, 2, np.random.default_rng(1),
+                             real=True)
+    assert reps._commutant_copy(carrier, full, 2, np.random.default_rng(1),
+                                real=False).dtype == np.complex128
+
+
+def test_a_kept_carrier_finds_its_orbit_points_once(monkeypatch):
+    # extraction seeds from the carrier's orbit points; they are found when
+    # the carrier is built and kept on it, so every copy find_carrier hands
+    # out has them, including one made after the last was dropped
+    found = []
+    orbits = reps.orbits
+    monkeypatch.setattr(reps, "orbits", lambda *a: found.append(a[1])
+                        or orbits(*a))
+    g = make_psl2(7)
+    i = next(i for i, d in enumerate(character_table(g).degrees()) if d == 6)
+    carrier = find_carrier(g, i)
+    assert found == [8, 64]                   # the two powers built
+    extract_irrep(carrier, i)
+    extract_irrep(carrier, i, seed=5)
+    del carrier
+    assert not g._held_carriers
+    extract_irrep(find_carrier(g, i), i)
+    assert found == [8, 64]
 
 
 def _young_s5():
