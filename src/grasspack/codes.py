@@ -641,75 +641,52 @@ def kron_product(code1: GrassmannCode, code2: GrassmannCode) -> GrassmannCode:
 # ------------------------------------------------------- Clifford orthoplex
 
 
-class CliffordGroupData:
-    """The real extraspecial-type group E = <X(a), Y(b)> in dimension 2^i,
-    its involutions, and the abelian subgroup family S_r.  An element is
-    the label (sign, a, b) of sign X(a)Y(b), where X(a) maps basis vector
-    u to u + a and Y(b) is the diagonal (-1)^{b.u}."""
+def clifford_count(i: int, r: int) -> int:
+    """|S_r|, the number of totally singular r-spaces of O+(2i, 2):
+    prod_{j<r} (2^(i-j) - 1)(2^(i-j-1) + 1) / (2^(j+1) - 1), counted
+    without forming S_r."""
+    num = den = 1
+    for j in range(r):
+        num *= ((1 << i - j) - 1) * ((1 << i - j - 1) + 1)
+        den *= (1 << j + 1) - 1
+    return num // den
 
-    def __init__(self, i: int):
-        if not 1 <= i <= 5:
-            raise CodeError("i must be between 1 and 5")
-        self.i = i
-        self.n = 1 << i
 
-    @staticmethod
-    def _mul(p, q):
-        # (s, a, b) -> product labels: X(a)Y(b) X(c)Y(d) = (-1)^{b.c} X(a+c)Y(b+d)
-        s1, a, b = p
-        s2, c, d = q
-        sign = s1 * s2 * (-1) ** (bin(b & c).count("1") & 1)
-        return (sign, a ^ c, b ^ d)
+def clifford_family(i: int, r: int) -> tuple[np.ndarray, np.ndarray,
+                                             np.ndarray]:
+    """S_r: the abelian subgroups <-I, g_1..g_r> of commuting involutions
+    of the real extraspecial-type group E = <X(a), Y(b)> in dimension 2^i,
+    where X(a) maps basis vector u to u + a and Y(b) is the diagonal
+    (-1)^{b.u}.  An element is the label (sign, a, b) of sign X(a)Y(b), and
+    X(a)Y(b) X(c)Y(d) = (-1)^{b.c} X(a+c)Y(b+d); the involutions up to sign
+    are the labels (a, b) != 0 with a.b even.  S_r is returned as (sign, a,
+    b) int64 arrays of shape (|S_r|, 2^r), the labels of the products of
+    the g_t over the bits of each exponent mask.
 
-    def involution_labels(self) -> list[tuple[int, int]]:
-        """(a, b) != 0 with a.b even: the order-2 elements up to sign."""
-        out = []
-        for a in range(self.n):
-            for b in range(self.n):
-                if (a, b) != (0, 0) and bin(a & b).count("1") % 2 == 0:
-                    out.append((a, b))
-        return out
-
-    def subgroup_count(self, r: int) -> int:
-        """|S_r|, the number of totally singular r-spaces of O+(2i, 2):
-        prod_{j<r} (2^(i-j) - 1)(2^(i-j-1) + 1) / (2^(j+1) - 1), counted
-        without forming S_r."""
-        num = den = 1
-        for j in range(r):
-            num *= ((1 << self.i - j) - 1) * ((1 << self.i - j - 1) + 1)
-            den *= (1 << j + 1) - 1
-        return num // den
-
-    def subgroup_family(self, r: int) -> list[tuple[tuple[int, int], ...]]:
-        """S_r: abelian subgroups <-I, g_1..g_r>, returned as the canonical
-        labels of the 2^r products indexed by exponent masks."""
-        invs = self.involution_labels()
-        seen = set()
-        family = []
-        for combo in itertools.combinations(invs, r):
-            ok = True
-            for (a, b), (c, d) in itertools.combinations(combo, 2):
-                if (bin(a & d).count("1") + bin(b & c).count("1")) % 2:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            canon = []
-            for eps in range(1 << r):
-                acc = (1, 0, 0)
-                for t in range(r):
-                    if eps >> t & 1:
-                        acc = self._mul(acc, (1, *combo[t]))
-                canon.append(acc)
-            labels = {(a, b) for _, a, b in canon}
-            if len(labels) != 1 << r:       # generators not independent
-                continue
-            key = frozenset(labels)
-            if key in seen:
-                continue
-            seen.add(key)
-            family.append(tuple(canon))
-        return family
+    Each subgroup comes once, from its least basis: g_1 is its least
+    involution in (a, b) order and g_(k+1) the least outside <g_1..g_k>.
+    So S_(k+1) extends each L in S_k by every involution v after g_k that
+    commutes with L (a.d + b.c even) and is the least label of v + L; the
+    new half of the labels is L's XOR v, with signs times (-1)^{b.a_v}.
+    The subgroups come in the order of their least bases."""
+    n = 1 << i
+    odd = np.array([bin(v).count("1") & 1 for v in range(n * n)])
+    w = np.arange(1, n * n)                     # a 2^i + b
+    invs = w[odd[(w >> i) & w] == 0]
+    swapped = (invs & n - 1) << i | invs >> i   # <l, v> = parity(l & v')
+    sign = np.ones((1, 1), dtype=np.int64)
+    label = np.zeros((1, 1), dtype=np.int64)
+    last = np.full(1, -1)
+    for _ in range(r):
+        ok = invs > last[:, None]
+        ok &= ~odd[label[:, :, None] & swapped].any(axis=1)
+        ok &= ((label[:, :, None] ^ invs) >= invs).all(axis=1)
+        s, at = np.nonzero(ok)
+        last = invs[at]
+        flip = 1 - 2 * odd[label[s] & n - 1 & (last >> i)[:, None]]
+        sign = np.concatenate([sign[s], sign[s] * flip], axis=1)
+        label = np.concatenate([label[s], label[s] ^ last[:, None]], axis=1)
+    return sign, label >> i, label & n - 1
 
 
 def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
@@ -728,15 +705,15 @@ def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
     from the labels and signs (`_stabilizer_keys`), so every principal-angle
     set is listed, at any N; the keys are tabulated per pair of subgroups,
     not per pair of codewords.  N = 2^r |S_r| is counted first
-    (`CliffordGroupData.subgroup_count`): more than `config.PAIR_BUDGET`
-    pairs is a CodeError, raised before S_r is formed."""
-    data = CliffordGroupData(i)
+    (`clifford_count`): more than `config.PAIR_BUDGET` pairs is a
+    CodeError, raised before S_r is formed (`clifford_family`)."""
+    if not 1 <= i <= 5:
+        raise CodeError("i must be between 1 and 5")
     if not 1 <= r <= i:
         raise CodeError(f"r must be between 1 and i = {i}")
-    _within_pair_budget(f"clifford ({i}, {r})", data.subgroup_count(r) << r)
-    family = np.array(data.subgroup_family(r), dtype=np.int64)
-    sign, a, b = family.transpose(2, 0, 1)      # (subgroup, element e)
-    n_sub, size, n = len(family), 1 << r, data.n
+    _within_pair_budget(f"clifford ({i}, {r})", clifford_count(i, r) << r)
+    sign, a, b = clifford_family(i, r)          # (subgroup, element e)
+    n_sub, size, n = len(sign), 1 << r, 1 << i
     # chi(g_e) = prod signs[t]^eps_t over the bits eps_t of e, for each
     # sign choice; the canonical sign of g_e is in `sign`, matching chi's
     # multiplicativity
@@ -754,8 +731,7 @@ def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
         pis[at_s, at_k, rows, u] += coef[:, :, e, None] * y[:, None, :]
     projectors = SubspaceProjector.stack(pis.reshape(-1, n, n))
     labels = a | b << i
-    prov = {"clifford_i": i, "r": r, "n_subgroups": n_sub,
-            "same_subgroup": np.repeat(np.arange(n_sub), size).tolist()}
+    prov = {"clifford_i": i, "r": r, "n_subgroups": n_sub}
     keys = _stabilizer_keys(labels, coef.reshape(-1, size).astype(np.int8),
                             i, r)
     return _assemble(projectors, prov, keys, 1 << (r + 1))

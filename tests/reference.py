@@ -3,15 +3,17 @@ permutation matrices and their Kronecker powers, the isotypic projector by
 the full class-sum formula, the quaternion group Q8 in its regular action,
 the two class-sum identities the equidistance proof rests on, checked over
 whole groups, and the principal-angle census
-of a code resolved pair by pair, the Clifford codewords formed one label
+of a code resolved pair by pair, the Clifford family S_r by a search over
+combinations of involutions, the Clifford codewords formed one label
 at a time from dense shift and sign matrices, and the Clifford pair keys
 with the signs compared pair by pair.  The package itself applies
 permutation carriers as index gathers, splits isotypic components from a
 few class sums, checks the identity only in the form
 `IsotypicContext.fonda2_residual`, takes its census from pair keys
-(`codes.spa_census`), forms the Clifford codewords as one stack from label
-arrays (`codes.build_clifford_orthoplex`) and reads the Clifford keys from
-tables per subgroup pair (`codes._stabilizer_keys`)."""
+(`codes.spa_census`), extends S_r level by level from least bases
+(`codes.clifford_family`), forms the Clifford codewords as one stack from
+label arrays (`codes.build_clifford_orthoplex`) and reads the Clifford
+keys from tables per subgroup pair (`codes._stabilizer_keys`)."""
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from grasspack import config
-from grasspack.codes import CliffordGroupData
 from grasspack.characters import class_multiplication
 from grasspack.grassmann import principal_angles
 from grasspack.permgroup import PermGroup
@@ -194,17 +195,54 @@ def y_matrix(n, b):
     return np.diag([(-1.0) ** bin(b & u).count("1") for u in range(n)])
 
 
+def _clifford_mul(p, q):
+    """The labels (sign, a, b) of a product in the group of
+    `codes.clifford_family`: X(a)Y(b) X(c)Y(d) = (-1)^{b.c} X(a+c)Y(b+d)."""
+    s1, a, b = p
+    s2, c, d = q
+    return (s1 * s2 * (-1) ** (bin(b & c).count("1") & 1), a ^ c, b ^ d)
+
+
+def clifford_family_by_search(i, r):
+    """S_r as `codes.clifford_family(i, r)` returns it, by search: every
+    r-combination of the involutions (a, b) != 0 with a.b even, in (a, b)
+    order, whose members commute and are independent, the first of each
+    subgroup kept; a subgroup's labels are the products of its combination
+    over the bits of each exponent mask."""
+    n = 1 << i
+    invs = [(a, b) for a in range(n) for b in range(n)
+            if (a, b) != (0, 0) and bin(a & b).count("1") % 2 == 0]
+    seen = set()
+    family = []
+    for combo in itertools.combinations(invs, r):
+        if any((bin(a & d).count("1") + bin(b & c).count("1")) % 2
+               for (a, b), (c, d) in itertools.combinations(combo, 2)):
+            continue
+        canon = []
+        for eps in range(1 << r):
+            acc = (1, 0, 0)
+            for t in range(r):
+                if eps >> t & 1:
+                    acc = _clifford_mul(acc, (1, *combo[t]))
+            canon.append(acc)
+        key = frozenset((a, b) for _, a, b in canon)
+        if len(key) == 1 << r and key not in seen:
+            seen.add(key)
+            family.append(canon)
+    return np.array(family, dtype=np.int64).transpose(2, 0, 1)
+
+
 def clifford_projectors(i, r):
     """The projectors of `build_clifford_orthoplex(i, r)` in its order, one
-    per subgroup S of `subgroup_family(r)` and sign choice in
+    per subgroup S of `clifford_family_by_search(i, r)` and sign choice in
     `itertools.product((1, -1), repeat=r)` order: (1/2^r) sum over the
     labels (sign, a, b) of S of chi(g_eps) sign X(a) Y(b), with
     chi(g_eps) = prod signs[t]^eps_t, each element a dense product."""
-    data = CliffordGroupData(i)
+    n = 1 << i
     out = []
-    for canon in data.subgroup_family(r):
-        mats = [sign * x_matrix(data.n, a) @ y_matrix(data.n, b)
-                for sign, a, b in canon]
+    for canon in zip(*clifford_family_by_search(i, r)):
+        mats = [sign * x_matrix(n, a) @ y_matrix(n, b)
+                for sign, a, b in zip(*canon)]
         for signs in itertools.product((1, -1), repeat=r):
             chis = [math.prod(signs[t] for t in range(r) if eps >> t & 1)
                     for eps in range(1 << r)]
@@ -216,17 +254,17 @@ def clifford_projectors(i, r):
 def clifford_labels_and_signs(i, r):
     """The arguments `build_clifford_orthoplex(i, r)` keys its pairs from:
     labels[s, e] = a + 2^i b over the labels (sign, a, b) of subgroup s of
-    `subgroup_family(r)`, and signs[2^r s + k, e] = chi(g_e) sign, with
-    chi(g_e) = prod signs[t]^e_t for the k-th sign choice in
-    `itertools.product((1, -1), repeat=r)` order."""
-    family = CliffordGroupData(i).subgroup_family(r)
-    labels = np.array([[a | b << i for _, a, b in canon] for canon in family])
+    `clifford_family_by_search(i, r)`, and signs[2^r s + k, e] =
+    chi(g_e) sign, with chi(g_e) = prod signs[t]^e_t for the k-th sign
+    choice in `itertools.product((1, -1), repeat=r)` order."""
+    sign, a, b = clifford_family_by_search(i, r)
+    labels = a | b << i
     signs = []
-    for canon in family:
+    for row in sign:
         for choice in itertools.product((1, -1), repeat=r):
-            signs.append([sign * math.prod(choice[t] for t in range(r)
-                                           if e >> t & 1)
-                          for e, (sign, _, _) in enumerate(canon)])
+            signs.append([s * math.prod(choice[t] for t in range(r)
+                                        if e >> t & 1)
+                          for e, s in enumerate(row)])
     return labels, np.array(signs, dtype=np.int8)
 
 

@@ -9,12 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from grasspack import cli, config, permgroup
+from grasspack import cli, codes, config, permgroup
 from grasspack.catalog import CatalogError, projective_entries
 from grasspack.characters import CharacterError, character_table
 from grasspack.cli import CliError, main
-from grasspack.codes import (CliffordGroupData, CodeError, IdentityError,
-                             IsotypicContext)
+from grasspack.codes import CodeError, IdentityError, IsotypicContext
 from grasspack.config import GrasspackError
 from grasspack.grassmann import GrassmannError
 from grasspack.permgroup import PermError, PermGroup, make_pgl2
@@ -352,7 +351,7 @@ def test_clifford_over_the_pair_budget_is_one_error_line(capsys, monkeypatch,
                                                          r):
     # clifford 5 --r 2 ran out of memory and --r 3 ran for minutes; both
     # are refused from the subgroup count, before S_r is formed
-    monkeypatch.setattr(CliffordGroupData, "subgroup_family",
+    monkeypatch.setattr(codes, "clifford_family",
                         lambda *a: pytest.fail("S_r formed"))
     code, out, err = run(capsys, "clifford", "5", "--r", str(r))
     assert code == 2 and out == ""

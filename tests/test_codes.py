@@ -9,10 +9,10 @@ import pytest
 from grasspack import catalog, characters, codes, config
 from grasspack.catalog import canonical_shapes, data_path
 from grasspack.characters import character_table
-from grasspack.codes import (CliffordGroupData, CodeError, IsotypicContext,
-                             StabilizerError, build_clifford_orthoplex,
-                             build_union_code, kron_extend, kron_product,
-                             predict_from_dimensions, spa_census,
+from grasspack.codes import (CodeError, IsotypicContext, StabilizerError,
+                             build_clifford_orthoplex, build_union_code,
+                             clifford_count, clifford_family, kron_extend,
+                             kron_product, predict_from_dimensions, spa_census,
                              union_min_distance_formula, verify_simplex)
 from grasspack.config import TOL
 from grasspack.grassmann import (GrassmannError, SubspaceProjector,
@@ -21,9 +21,10 @@ from grasspack.permgroup import (PermGroup, Permutation, load_group, make_pgl2,
                                  make_psl2)
 from grasspack.reps import (Partition, UnitaryRep, extract_irrep, find_carrier,
                             restrict_rep, young_orthogonal_rep)
-from reference import (clifford_labels_and_signs, clifford_projectors,
-                       full_class_sums, isotypic_projector, pairwise_census,
-                       perm_rep, stabilizer_pair_keys, x_matrix, y_matrix)
+from reference import (clifford_family_by_search, clifford_labels_and_signs,
+                       clifford_projectors, full_class_sums,
+                       isotypic_projector, pairwise_census, perm_rep,
+                       stabilizer_pair_keys, x_matrix, y_matrix)
 
 
 def trivial_index(table):
@@ -421,11 +422,14 @@ def test_clifford_matches_direct_enumeration():
 
 
 def test_clifford_group_order_and_family():
-    data = CliffordGroupData(3)
-    fam1 = data.subgroup_family(1)
-    assert len(fam1) == len(data.involution_labels())
-    fam2 = data.subgroup_family(2)
-    assert all(len(s) == 4 for s in fam2)
+    # S_1 is one subgroup per involution (a, b) != 0 with a.b even: 35 at
+    # i = 3, and each of S_r has 2^r labels
+    n_invs = sum(bin(a & b).count("1") % 2 == 0
+                 for a in range(8) for b in range(8)) - 1
+    for r, n_sub in ((1, n_invs), (2, clifford_count(3, 2))):
+        for part in clifford_family(3, r):
+            assert part.shape == (n_sub, 2 ** r) and part.dtype == np.int64
+    assert n_invs == 35
 
 
 def test_clifford_r2_build():
@@ -439,8 +443,8 @@ def test_clifford_r2_build():
 def test_clifford_bad_arguments():
     with pytest.raises(CodeError):
         build_clifford_orthoplex(0)
-    with pytest.raises(CodeError):
-        CliffordGroupData(6)
+    with pytest.raises(CodeError, match="i must be between 1 and 5"):
+        build_clifford_orthoplex(6)
 
 
 @pytest.mark.parametrize("i, r", [(i, r) for i in (1, 2, 3)
@@ -454,9 +458,19 @@ def test_clifford_stack_equals_per_label_projectors(i, r):
     for p, q in zip(code.projectors, want):
         assert np.array_equal(p.projector, q)
         assert (p.n, p.m) == (2 ** i, 2 ** (i - r))
-    size = 2 ** r
-    assert code.provenance["same_subgroup"] == [
-        k // size for k in range(len(want))]
+    assert code.provenance["n_subgroups"] == len(want) >> r
+
+
+@pytest.mark.parametrize("i, r", [(i, r) for i in (1, 2, 3)
+                                  for r in range(1, i + 1)]
+                         + [(4, 1), (4, 2)])
+def test_clifford_family_equals_the_search(i, r):
+    # labels, signs and order: the least-basis extension forms each
+    # subgroup from the combination the search keeps, in its order
+    for got, want in zip(clifford_family(i, r),
+                         clifford_family_by_search(i, r), strict=True):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
 
 
 def test_clifford_4_2_keeps_its_census():
@@ -711,7 +725,8 @@ def test_clifford_keys_need_the_sign_agreement(monkeypatch):
         build_clifford_orthoplex(3, r=2)
 
 
-@pytest.mark.parametrize("i, r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2)])
+@pytest.mark.parametrize("i, r", [(2, 1), (3, 1), (3, 2), (4, 1), (4, 2),
+                                  (4, 3), (4, 4), (5, 1), (5, 2)])
 def test_subgroup_family_is_every_totally_singular_space(i, r):
     # the premise of the Clifford pair keys: S_r is the set of totally
     # singular r-spaces of O+(2i, 2), prod_{j<r} (2^(i-j) - 1)
@@ -720,17 +735,17 @@ def test_subgroup_family_is_every_totally_singular_space(i, r):
     for j in range(r):
         want *= Fraction((2 ** (i - j) - 1) * (2 ** (i - j - 1) + 1),
                          2 ** (j + 1) - 1)
-    family = CliffordGroupData(i).subgroup_family(r)
-    assert len(family) == want
+    _, a_s, b_s = clifford_family(i, r)
+    assert len(a_s) == want
     spaces = set()
-    for canon in family:
-        space = {(a, b) for _, a, b in canon}
+    for a_row, b_row in zip(a_s.tolist(), b_s.tolist()):
+        space = set(zip(a_row, b_row))
         assert len(space) == 2 ** r
         assert all((a ^ c, b ^ d) in space
                    for a, b in space for c, d in space)
         assert all(bin(a & b).count("1") % 2 == 0 for a, b in space)
         spaces.add(frozenset(space))
-    assert len(spaces) == len(family)
+    assert len(spaces) == len(a_s)
 
 
 def _keys_before_the_census(monkeypatch, i, r):
@@ -763,10 +778,12 @@ def test_clifford_keys_match_the_pairwise_sign_comparison(monkeypatch, i, r):
 
 
 @pytest.mark.parametrize("i, r", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2),
-                                  (3, 3), (4, 1), (4, 2)])
+                                  (3, 3), (4, 1), (4, 2), (4, 3), (4, 4),
+                                  (5, 1), (5, 2)])
 def test_subgroup_count_is_the_size_of_the_family(i, r):
-    data = CliffordGroupData(i)
-    assert data.subgroup_count(r) == len(data.subgroup_family(r))
+    # the family's candidate mask has |S_(r-1)| 2^(r-1) |involutions|
+    # entries, so i = 5 stops at r = 2
+    assert clifford_count(i, r) == len(clifford_family(i, r)[0])
 
 
 def test_clifford_over_the_pair_budget_is_refused_before_its_family(
@@ -774,7 +791,7 @@ def test_clifford_over_the_pair_budget_is_refused_before_its_family(
     def formed(*args):
         raise AssertionError("S_r formed")
 
-    monkeypatch.setattr(CliffordGroupData, "subgroup_family", formed)
+    monkeypatch.setattr(codes, "clifford_family", formed)
     # (4, 3): 16,200 codewords; (5, 2) and (5, 3): 94,860 and 948,600
     for i, r in ((4, 3), (5, 2), (5, 3)):
         with pytest.raises(CodeError, match="over the pair budget"):
