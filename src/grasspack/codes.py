@@ -30,11 +30,19 @@ TOL = config.TOL
 #: element rows per batched lookup in the character-identity check
 _LOOKUP_ROWS = 1 << 16
 
-#: codeword rows per block of the streamed chordal Gram
-_GRAM_ROWS = 128
+#: bytes per block of a streamed pass: a row block of the chordal Gram, a
+#: chunk of its packed coordinates, a row chunk of the subgroup-pair tables
+_BLOCK_BYTES = 1 << 21
 
-#: codewords per chunk of the Gram's packed coordinates
-_PACK_ROWS = 512
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows of `row_bytes` bytes each that fit `_BLOCK_BYTES`, at least one."""
+    return max(1, _BLOCK_BYTES // max(row_bytes, 1))
+
+
+def _narrow(a: np.ndarray, top: int) -> np.ndarray:
+    """a in the narrowest signed integer dtype that holds -top..top."""
+    return a.astype(np.min_scalar_type(-1 - top), copy=False)
 
 
 class CodeError(config.GrasspackError):
@@ -103,32 +111,37 @@ def _packed_rows(projectors) -> np.ndarray:
     The layout follows the code's dtype: a code of real projectors has no
     imaginary parts and takes n(n+1)/2 columns, one with any complex
     projector n^2, against the 2n^2 of the interleaved vec P.  The rows are
-    packed from stacks of `_PACK_ROWS` projectors."""
+    packed into one array from stacks of about `_BLOCK_BYTES` of
+    projectors."""
     n = projectors[0].n
     real = not any(np.iscomplexobj(q.projector) for q in projectors)
     dtype, width = (float, 1) if real else (complex, 2)
     cols = _packed_columns(n, width)
-    chunks = []
-    # np.take gathers columns in C order; an x[:, cols] gather comes back
-    # in F order and slows every pass after it
-    for lo in range(0, len(projectors), _PACK_ROWS):
-        p = np.stack([q.projector for q in projectors[lo:lo + _PACK_ROWS]],
+    # in F order, so that x[lo:].T, the right factor of every Gram block,
+    # is a row-major view: faster than C order at blocks of a few dozen rows
+    rows = np.empty((len(cols), len(projectors))).T
+    step = _block_rows(n * n * np.dtype(dtype).itemsize)
+    for lo in range(0, len(projectors), step):
+        p = np.stack([q.projector for q in projectors[lo:lo + step]],
                      dtype=dtype)
-        rows = np.take(p.reshape(len(p), -1).view(np.float64), cols, axis=1)
-        rows[:, n:] *= math.sqrt(2)
-        chunks.append(rows)
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        rows[lo:lo + step] = np.take(p.reshape(len(p), -1).view(np.float64),
+                                     cols, axis=1)
+    rows[:, n:] *= math.sqrt(2)
+    return rows
 
 
 def _chordal_blocks(projectors):
-    """d_c^2 = m - tr(P_i P_j) streamed in blocks of `_GRAM_ROWS` codeword
-    rows: yields (lo, block) with block[a, b] = d_c^2 of codewords lo + a
-    and lo + b, so only entries above the diagonal are pairs.  The
-    overlaps are one real product over the packed rows (`_packed_rows`)."""
+    """d_c^2 = m - tr(P_i P_j) streamed in blocks of codeword rows: yields
+    (lo, block) with block[a, b] = d_c^2 of codewords lo + a and lo + b, so
+    only entries above the diagonal are pairs.  A block spans the columns
+    lo..N-1 and takes as many rows as fit `_BLOCK_BYTES` at the full width
+    N, so its bytes do not grow with N (past one row).  The overlaps are
+    one real product over the packed rows (`_packed_rows`)."""
     m = projectors[0].m
     x = _packed_rows(projectors)
-    for lo in range(0, len(x), _GRAM_ROWS):
-        block = x[lo:lo + _GRAM_ROWS] @ x[lo:].T
+    step = _block_rows(x.itemsize * len(x))
+    for lo in range(0, len(x), step):
+        block = x[lo:lo + step] @ x[lo:].T
         yield lo, np.subtract(m, block, out=block)
 
 
@@ -139,18 +152,26 @@ def spa_census(projectors, keys):
     (d_c^2 at most TOL.integer).
 
     `keys(rows, cols)` gives the keys of the pairs rows x cols as small
-    non-negative integers, equal for (a, b) and (b, a), such that two pairs
-    with one key have the same principal angles; a codeword paired with
-    itself is a pair like any other.  The pairs are counted per key, one
-    `principal_angles` is taken per key on its first pair in row-major
-    order, and keys whose sets match to within TOL.integer are merged in
-    that order.  The Gram streamed from `_chordal_blocks` is the
-    cross-check: every pair's d_c^2 must equal its key's set's within
-    TOL.rel_distance max(value, 1), else CodeError naming the worst pair;
-    `residual` is the worst relative residual.  The cross-check reads d_c^2
-    only, so a key coarser than the angle sets whose sets share d_c^2 would
-    pass it: each builder's keys are held against a pairwise reference in
-    the tests.  Distinctness is read from the Gram."""
+    non-negative integers of any integer dtype, equal for (a, b) and
+    (b, a), such that two pairs with one key have the same principal
+    angles; a codeword paired with itself is a pair like any other.  The
+    keys are read at their own width, and copied only to put them in C
+    order.  The pairs are counted per key, one `principal_angles` is taken
+    per key on its first pair in row-major order, and keys whose sets match
+    to within TOL.integer are merged in that order.  The Gram streamed from
+    `_chordal_blocks` is the cross-check: every pair's d_c^2 must equal its
+    key's set's within TOL.rel_distance max(value, 1), else CodeError
+    naming the worst pair; `residual` is the worst relative residual.  The
+    cross-check reads d_c^2 only, so a key coarser than the angle sets
+    whose sets share d_c^2 would pass it: each builder's keys are held
+    against a pairwise reference in the tests.  Distinctness is read from
+    the Gram.
+
+    The Gram's row blocks are about `_BLOCK_BYTES` (`_chordal_blocks`), and
+    a block's keys and residuals are arrays of its shape, so the working
+    memory beside the packed rows does not grow with N.  The census and its
+    order of first pairs do not depend on the block size, nor does the
+    residual beyond the Gram's rounding."""
     n_words = len(projectors)
     if n_words < 2:
         return [], n_words, 0.0
@@ -169,10 +190,11 @@ def spa_census(projectors, keys):
         # in C order: every pass below would stride across an F-order block;
         # the keys are only read, so keys already in that form are not copied
         key = np.require(keys(np.arange(lo, lo + len(block)),
-                              np.arange(lo, n_words)), np.intp, "C")
-        if key.shape != block.shape:
-            raise CodeError(f"pair keys of shape {key.shape} for a Gram "
-                            f"block of shape {block.shape}")
+                              np.arange(lo, n_words)), requirements="C")
+        if key.shape != block.shape or key.dtype.kind not in "iu":
+            raise CodeError(f"pair keys of shape {key.shape} and dtype "
+                            f"{key.dtype} for a Gram block of shape "
+                            f"{block.shape}")
         below = np.tril_indices(len(block))     # (a, b) with b <= a: no pair
         per_key = np.bincount(key.ravel(), minlength=len(counts))
         per_key -= np.bincount(key[below], minlength=len(per_key))
@@ -332,8 +354,11 @@ class IsotypicContext:
         return pi, m
 
     def orbit(self, pi_w: SubspaceProjector) -> list[SubspaceProjector]:
-        """u W for each coset rep u, in transversal order."""
-        return [_moved(u, pi_w) for u in self.t_images]
+        """u W for each coset rep u, in transversal order: u P u^H for every
+        rep as one batched product, checked as one stack."""
+        u = self.t_images
+        return SubspaceProjector.stack(
+            u @ pi_w.projector @ u.conj().transpose(0, 2, 1))
 
     def build(self, chars) -> GrassmannCode:
         _within_pair_budget(f"orbit of {self.h.name} in {self.g.name}",
@@ -352,7 +377,9 @@ class IsotypicContext:
         TOL.integer."""
         g, h, rho = self.g, self.h, self.rho
         pi_w, m = self.subspace(chars)
-        lhs = chordal_sq_trace(pi_w, _moved(rho.image(elem), pi_w))
+        u = rho.image(elem)
+        lhs = chordal_sq_trace(
+            pi_w, SubspaceProjector(u @ pi_w.projector @ u.conj().T))
 
         e_by_class = h.order * isotypic_weights(character_table(h), chars)
         e_vals = e_by_class[h.conjugacy_classes().class_of]   # per H element
@@ -388,11 +415,6 @@ class IsotypicContext:
             raise CodeError(f"repeated character index in {chars}")
         degs = character_table(self.h).degrees()
         return int(sum(int(lam[i]) * int(degs[i]) for i in chars))
-
-
-def _moved(u: np.ndarray, pi: SubspaceProjector) -> SubspaceProjector:
-    """The image u W of the subspace W under the unitary u."""
-    return SubspaceProjector(u @ pi.projector @ u.conj().T)
 
 
 #: the split's predicted eigenvalues must lie at least this fraction of
@@ -631,8 +653,9 @@ def kron_product(code1: GrassmannCode, code2: GrassmannCode) -> GrassmannCode:
     n2 = len(code2.projectors)
 
     def keys(rows, cols):
-        a = code1.keys(rows // n2, cols // n2)
-        b = code2.keys(rows % n2, cols % n2)
+        # the factor keys may be narrow; their pairing is not
+        a = code1.keys(rows // n2, cols // n2).astype(np.intp)
+        b = code2.keys(rows % n2, cols % n2).astype(np.intp)
         return (a + b) * (a + b + 1) // 2 + b
 
     return _assemble(projectors, prov, keys)
@@ -679,8 +702,9 @@ def clifford_family(i: int, r: int) -> tuple[np.ndarray, np.ndarray,
     last = np.full(1, -1)
     for _ in range(r):
         ok = invs > last[:, None]
-        ok &= ~odd[label[:, :, None] & swapped].any(axis=1)
-        ok &= ((label[:, :, None] ^ invs) >= invs).all(axis=1)
+        for col in label.T:     # one label of L at a time keeps the peak down
+            ok &= odd[col[:, None] & swapped] == 0
+            ok &= (col[:, None] ^ invs) >= invs
         s, at = np.nonzero(ok)
         last = invs[at]
         flip = 1 - 2 * odd[label[s] & n - 1 & (last >> i)[:, None]]
@@ -758,7 +782,13 @@ def _stabilizer_keys(labels: np.ndarray, signs: np.ndarray, i: int, r: int):
     fall into few such kinds with their key (29 for i = 4, r = 2), and each
     kind's pattern is read off its first pair.  The codes below (r + 1)^2
     are the subgroup pairs with |K| = 1, whose key is the same for every
-    (k, l)."""
+    (k, l).
+
+    The n_sub x n_sub tables are one byte an entry: |K| and |M| are float32
+    products formed a chunk of about `_BLOCK_BYTES` of subgroup rows at a
+    time, each chunk's key written straight to the int8 table, and the
+    shared pairs' indices, kinds and positions are held at the width their
+    range needs.  So are `code` and `lut`, and a pair's key is one byte."""
     n_sub, size = labels.shape
     n_labels = 1 << 2 * i
     member = np.zeros((n_sub, n_labels), dtype=np.float32)
@@ -767,16 +797,21 @@ def _stabilizer_keys(labels: np.ndarray, signs: np.ndarray, i: int, r: int):
     v = np.arange(n_labels)
     swapped = v >> i | (v & ((1 << i) - 1)) << i
     odd = np.array([bin(x).count("1") & 1 for x in range(n_labels)], bool)
-    perp = np.ones((n_sub, n_labels), dtype=bool)
-    for e in range(size):       # one label at a time keeps the peak down
-        perp &= ~odd[labels[:, e, None] & swapped]
-    table = member @ member.T                   # |K|, then the key
-    np.log2(table, out=table)
-    table *= r + 1
-    size_m = perp.astype(np.float32) @ member.T        # |M|
-    table += np.log2(size_m, out=size_m)
-    del size_m                  # not held while the kinds are formed
-    table = table.astype(np.int8)
+    # each chunk's (r + 1) log2|K| + log2|M|, written to the table
+    table = np.empty((n_sub, n_sub), dtype=np.int8)
+    step = _block_rows(member.itemsize * n_sub)
+    for lo in range(0, n_sub, step):
+        rows = labels[lo:lo + step]
+        perp = np.ones((len(rows), n_labels), dtype=bool)
+        for e in range(size):   # one label at a time keeps the peak down
+            perp &= ~odd[rows[:, e, None] & swapped]
+        size_k = member[lo:lo + step] @ member.T        # |K|, then the key
+        np.log2(size_k, out=size_k)
+        size_k *= r + 1
+        size_m = perp.astype(np.float32) @ member.T     # |M|
+        size_k += np.log2(size_m, out=size_m)
+        table[lo:lo + step] = size_k
+    del member, perp, size_k, size_m   # not held while the kinds are formed
     # the pairs with |K| > 1, each of one kind: its key, the signs of both
     # subgroups relative to their sign choice 0, numbered, and for each
     # label of s, +-(2p + 1) if it sits at position p of t, + where choice
@@ -788,12 +823,13 @@ def _stabilizer_keys(labels: np.ndarray, signs: np.ndarray, i: int, r: int):
     _, ratio_of = np.unique(ratio.view(row), return_inverse=True)
     ratio_of = ratio_of.ravel()
     n_ratios = ratio_of.max() + 1
-    place = np.zeros((n_sub, n_labels), dtype=np.intp)
+    place = np.zeros((n_sub, n_labels), dtype=np.min_scalar_type(-2 * size))
     place[np.arange(n_sub)[:, None], labels] = \
         (2 * np.arange(size) + 1) * blocks[:, 0]
-    shared = np.flatnonzero(table > r)
+    shared = _narrow(np.flatnonzero(table > r), n_sub * n_sub)
     s, t = np.divmod(shared, n_sub)
-    at_t = t * n_labels
+    at_t = _narrow(t.astype(np.intp) * n_labels, n_sub * n_labels)
+    s, t = _narrow(s, n_sub), _narrow(t, n_sub)
     kind = table.flat[shared].astype(np.int64)
     kind = (kind * n_ratios + ratio_of[s]) * n_ratios + ratio_of[t]
     for e in range(size):
@@ -802,22 +838,27 @@ def _stabilizer_keys(labels: np.ndarray, signs: np.ndarray, i: int, r: int):
         kind = kind * (4 * size) + 2 * size + (
             np.take(place, labels[s, e] + at_t) * blocks[s, 0, e])
     _, first, kind = np.unique(kind, return_index=True, return_inverse=True)
+    clash = (r + 1) ** 2
+    # each pair's code: its kind, numbered after the codes of |K| = 1
+    kind = _narrow(kind.ravel() + clash, len(first) + clash)
     # each kind's (k, l) tables, from its first pair: where the signs
-    # agree on K, its key, else the key of a clash
+    # agree on K, its key, else the key of a clash; the agreement is taken
+    # one label e of s at a time
     s, t = s[first], t[first]
-    p = (np.abs(np.take(place, labels[s] + (t * n_labels)[:, None])) - 1) // 2
+    p = (np.abs(np.take(place, labels[s] + at_t[first, None])) - 1) // 2
     theirs = np.take_along_axis(blocks[t], np.maximum(p, 0)[:, None],
                                 axis=2)                 # (kind, l, e)
-    agree = ((blocks[s, :, None] == theirs[:, None])
-             | (p < 0)[:, None, None]).all(axis=3)     # (kind, k, l)
-    clash = (r + 1) ** 2
-    lut = np.concatenate([
+    agree = np.ones((len(first), size, size), dtype=bool)   # (kind, k, l)
+    for e in range(size):
+        agree &= ((blocks[s, :, None, e] == theirs[:, None, :, e])
+                  | (p[:, e] < 0)[:, None, None])
+    lut = _narrow(np.concatenate([
         np.broadcast_to(np.arange(clash)[:, None, None], (clash, size, size)),
-        np.where(agree, table[s, t][:, None, None], clash)])
+        np.where(agree, table[s, t][:, None, None], clash)]), clash)
     # code b < clash is key b throughout, for the pairs with |K| = 1
     code = table.astype(np.min_scalar_type(len(lut)))
-    code.flat[shared] = kind.ravel() + clash
-    lut = lut.ravel().astype(np.intp)
+    code.flat[shared] = kind
+    lut = lut.ravel()
     low = size - 1
 
     def keys(rows, cols):

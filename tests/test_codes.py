@@ -1,6 +1,7 @@
 """Orbit codes: construction, bounds, unions, products, Clifford family."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -18,9 +19,10 @@ from grasspack.config import TOL
 from grasspack.grassmann import (GrassmannError, SubspaceProjector,
                                  chordal_sq_trace, principal_angles)
 from grasspack.permgroup import (PermGroup, Permutation, load_group, make_pgl2,
-                                 make_psl2)
+                                 make_psl2, parse_group)
 from grasspack.reps import (Partition, UnitaryRep, extract_irrep, find_carrier,
-                            restrict_rep, young_orthogonal_rep)
+                            restrict_rep, symplectic_rotation_rep,
+                            young_orthogonal_rep)
 from reference import (clifford_family_by_search, clifford_labels_and_signs,
                        clifford_projectors, full_class_sums,
                        isotypic_projector, pairwise_census, perm_rep,
@@ -185,6 +187,40 @@ def test_stabilizer_collapse_is_loud():
     with pytest.raises(StabilizerError) as err:
         IsotypicContext(g, h, rho).build([trivial_index(character_table(h))])
     assert err.value.actual_stabilizer_order == 4
+
+
+def pgl2_7_contexts():
+    g = make_pgl2(7)
+    for i, deg in enumerate(character_table(g).degrees()):
+        carrier = find_carrier(g, i) if deg >= 2 else None
+        if carrier is not None:
+            yield IsotypicContext(g, g.stabilizer(0),
+                                  extract_irrep(carrier, i))
+
+
+def rotation_context():
+    degree, gens = parse_group(data_path("sp6_2_deg28").read_text())
+    g = PermGroup.deferred(gens, name="sp6_2_deg28", degree=degree)
+    return IsotypicContext(g, g.stabilizer(0), symplectic_rotation_rep(g))
+
+
+def test_orbit_equals_the_product_per_codeword(s5_ctx):
+    # the orbit is one batched product; each codeword is exactly the
+    # u P u^H of its own coset rep, as one product per codeword would give
+    seen = {}
+    for ctx in (s5_ctx, *pgl2_7_contexts(), rotation_context()):
+        for c in np.flatnonzero(ctx.decomposition.multiplicities):
+            if ctx.dimension([c]) == ctx.rho.dim:
+                continue
+            pi_w, m = ctx.subspace([c])
+            words = ctx.orbit(pi_w)
+            assert len(words) == len(ctx.t_images) == ctx.n_cosets
+            for u, word in zip(ctx.t_images, words):
+                want = u @ pi_w.projector @ u.conj().T
+                assert word.projector.dtype == want.dtype
+                assert np.array_equal(word.projector, want) and word.m == m
+                seen[ctx.g.name] = seen.get(ctx.g.name, 0) + 1
+    assert seen == {"S5": 2 * 5, "PGL2_7": 10 * 8, "sp6_2_deg28": 2 * 28}
 
 
 # ------------------------------------------------------------ predictions
@@ -482,6 +518,26 @@ def test_clifford_4_2_keeps_its_census():
     assert code.provenance["census_residual"] <= TOL.rel_distance
 
 
+#: MiB a Clifford build may trace, its codeword stack included; the CI step
+#: "Clifford census stays within its working memory" holds the same bounds
+CLIFFORD_TRACED_MIB = {(4, 2): 38, (4, 4): 26}
+
+
+@pytest.mark.parametrize("i, r", sorted(CLIFFORD_TRACED_MIB))
+def test_clifford_census_in_bounded_memory(i, r):
+    # the Gram blocks and the subgroup-pair tables are sized in bytes, so
+    # the census adds a bounded amount to the stack and the packed rows
+    tracemalloc.start()
+    try:
+        code = build_clifford_orthoplex(i, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(c for _, c in code.census) == code.params.N * (
+        code.params.N - 1) // 2
+    assert peak <= CLIFFORD_TRACED_MIB[i, r] << 20
+
+
 # ------------------------------------------------------------ the distance
 # identity and the double coset law
 
@@ -655,12 +711,20 @@ def clifford_3_2():
     return build_clifford_orthoplex(3, r=2)
 
 
+def gram_rows(monkeypatch, rows, big_n):
+    """Set the block budget to Gram blocks of `rows` rows of `big_n`
+    codewords; it sizes the packed chunks and key tables alike."""
+    monkeypatch.setattr(codes, "_BLOCK_BYTES", rows * 8 * big_n)
+    assert codes._block_rows(8 * big_n) == rows
+    return rows
+
+
 @pytest.mark.parametrize("odd", [dict(m=1), dict(n=5)],
                          ids=["line", "ambient"])
-def test_census_rejects_an_odd_word_past_the_first_block(odd):
+def test_census_rejects_an_odd_word_past_the_first_block(odd, monkeypatch):
     rng = np.random.default_rng(29)
     planes = random_subspaces(rng, 201)
-    assert len(planes) > codes._GRAM_ROWS
+    assert len(planes) > gram_rows(monkeypatch, 128, 202)
     with pytest.raises(GrassmannError):
         spa_census(planes + random_subspaces(rng, 1, **odd),
                    per_pair_keys(202))
@@ -669,7 +733,7 @@ def test_census_rejects_an_odd_word_past_the_first_block(odd):
 def test_census_takes_each_key_on_its_first_pair(clifford_3_2, monkeypatch):
     projectors, keys = clifford_3_2.projectors, clifford_3_2.keys
     big_n = len(projectors)
-    assert big_n % codes._GRAM_ROWS             # a short last block
+    assert big_n % gram_rows(monkeypatch, 128, big_n)     # a short last block
     at = np.arange(big_n)
     dense = keys(at, at)
     assert np.array_equal(dense, dense.T)
@@ -769,11 +833,12 @@ def test_clifford_keys_match_the_pairwise_sign_comparison(monkeypatch, i, r):
     if big_n <= 420:
         assert np.array_equal(keys(at, at), want(at, at))
     if i == 4:
-        for lo in range(0, big_n, codes._GRAM_ROWS):
-            rows, cols = at[lo:lo + codes._GRAM_ROWS], at[lo:]
+        step = codes._block_rows(8 * big_n)
+        for lo in range(0, big_n, step):
+            rows, cols = at[lo:lo + step], at[lo:]
             got = keys(rows, cols)
-            # read by the census as they are, without a copy
-            assert got.dtype == np.intp and got.flags.c_contiguous
+            # read by the census as they are, one byte a key, without a copy
+            assert got.itemsize == 1 and got.flags.c_contiguous
             assert np.array_equal(got, want(rows, cols))
 
 
@@ -799,11 +864,12 @@ def test_clifford_over_the_pair_budget_is_refused_before_its_family(
     assert 6300 * 6299 // 2 <= config.PAIR_BUDGET       # (4, 2) is built
 
 
-def test_duplicate_across_gram_blocks_is_caught(clifford_3_2):
+def test_duplicate_across_gram_blocks_is_caught(clifford_3_2, monkeypatch):
     # codeword 290 replaced by codeword 5, its pair keys following it
     at = np.arange(clifford_3_2.params.N)
     at[290] = 5
-    assert 290 // codes._GRAM_ROWS != 5 // codes._GRAM_ROWS
+    step = gram_rows(monkeypatch, 128, len(at))
+    assert 290 // step != 5 // step
     projectors = [clifford_3_2.projectors[k] for k in at]
 
     def keys(rows, cols):
@@ -863,18 +929,18 @@ def assert_gram_matches_trace(projectors):
     assert seen == big_n * (big_n - 1) // 2
 
 
-def test_packed_gram_matches_the_trace_across_blocks():
+def test_packed_gram_matches_the_trace_across_blocks(monkeypatch):
     rng = np.random.default_rng(31)
     planes = random_subspaces(rng, 201)
-    assert len(planes) > codes._GRAM_ROWS
+    assert len(planes) > gram_rows(monkeypatch, 128, 201)
     # complex words: n^2 packed columns
     assert codes._packed_rows(planes).shape == (201, 36)
     assert_gram_matches_trace(planes)
 
 
-def test_packed_gram_of_a_real_code(clifford_3_2):
+def test_packed_gram_of_a_real_code(clifford_3_2, monkeypatch):
     projectors = list(clifford_3_2.projectors)
-    assert len(projectors) > codes._GRAM_ROWS
+    assert len(projectors) > gram_rows(monkeypatch, 128, 420)
     # a real code with n = 8: the diagonal and the real upper triangle
     assert codes._packed_rows(projectors).shape == (420, 36)
     assert_gram_matches_trace(projectors)
@@ -887,10 +953,31 @@ def test_packed_rows_across_pack_chunks(monkeypatch):
     real = [SubspaceProjector.from_basis(rng.standard_normal((4, 2)))
             for _ in range(7)]
     words = real + random_subspaces(rng, 1, n=4)
-    monkeypatch.setattr(codes, "_PACK_ROWS", 3)
+    # three complex 4 x 4 projectors a chunk, six real ones
+    monkeypatch.setattr(codes, "_BLOCK_BYTES", 3 * 4 * 4 * 16)
     assert codes._packed_rows(real).shape == (7, 10)
     assert codes._packed_rows(words).shape == (8, 16)
     assert_gram_matches_trace(words)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 40], ids=["row", "whole"])
+def test_census_does_not_depend_on_the_block_size(s5_ctx, clifford_3_2,
+                                                  monkeypatch, budget):
+    # one row per Gram block, packed chunk and key-table chunk, or every
+    # pass in one block: the same pairs come first, so the same sets and
+    # counts, and only the Gram's rounding may differ
+    chars = components_by_degree(s5_ctx, 3)[:1]
+    default = [clifford_3_2, build_clifford_orthoplex(4, 1),
+               s5_ctx.build(chars)]
+    monkeypatch.setattr(codes, "_BLOCK_BYTES", budget)
+    for want, code in zip(default, [build_clifford_orthoplex(3, 2),
+                                    build_clifford_orthoplex(4, 1),
+                                    s5_ctx.build(chars)]):
+        assert [(s.sin_sq, c) for s, c in code.census] \
+            == [(s.sin_sq, c) for s, c in want.census]
+        assert code.params == want.params
+        assert abs(code.provenance["census_residual"]
+                   - want.provenance["census_residual"]) <= 1e-15
 
 
 # ------------------------------------------------------- suborbit census
@@ -1077,6 +1164,13 @@ def test_cross_check_catches_merged_suborbits(context_codes):
     with pytest.raises(CodeError, match="pair keys of shape"):
         spa_census(code.projectors,
                    lambda rows, cols: ctx.keys(rows, cols)[1:])
+    # keys of any integer width are read as they are; others are refused
+    for dtype in (np.int8, np.uint16):
+        assert spa_census(code.projectors, lambda rows, cols: ctx.keys(
+            rows, cols).astype(dtype))[2] <= TOL.rel_distance
+    with pytest.raises(CodeError, match="dtype float64"):
+        spa_census(code.projectors,
+                   lambda rows, cols: ctx.keys(rows, cols).astype(float))
 
 
 def test_collapsed_orbit_through_the_labelled_census():
