@@ -9,13 +9,14 @@ gathers (`orbits`).  Tables serve the class-wide sweeps only: classes,
 class sums, lookups and tree words.
 
 Every group, with a table or without one (`PermGroup.deferred`), reaches
-its point stabilizer H = G_p through a Schreier tree: the orbit of p, each
-coset rep a word in the generators, and H closed from the Schreier
-generators u_{s(b)}^-1 s u_b, every one of which must then lie in H
-(Schreier's lemma, so H = G_p and |G| = |orbit| |H|).  The cosets G/H are
-the tree's reps, one per orbit point, and the double cosets H\\G/H are H's
-orbits on those points.  H has a table, so membership in a table-free G
-sifts through one level: b = g(p), then u_b^-1 g in H.
+its point stabilizer H = G_p through a Schreier tree: the orbit of p, one
+coset rep per orbit point, and H closed from the Schreier generators
+u_{s(b)}^-1 s u_b, every one of which must then lie in H (Schreier's lemma,
+so H = G_p and |G| = |orbit| |H|).  Both trees are stored one way, as
+`parent` and `via` arrays, and one walker spells the word of any node.  The
+cosets G/H are the tree's reps, and the double cosets H\\G/H are H's orbits
+on the orbit of p.  H has a table, so membership in a table-free G sifts
+through one level: b = g(p), then u_b^-1 g in H.
 
 File formats and command-line output stay 1-based; everything internal is
 0-based.
@@ -198,33 +199,30 @@ class ConjugacyClasses:
 
 @dataclass(frozen=True)
 class CosetTransversal:
-    """Left coset representatives u_b of H = G_p in G, one per orbit point
-    b of p, in the Schreier tree's order (u_0 = 1).  `words[k]` spells u_k
-    in generator indices, read left to right: (s, *words[parent]), so
-    u_k = s u_parent with the parent earlier in the order, and the image of
-    u_k in any representation is one product along the tree."""
+    """The Schreier tree of `point` and its stabilizer H = G_p: the left
+    coset reps u_k of H in G, one per orbit point, in the tree's order
+    (u_0 = 1).  The tree is stored as the closure stores its own:
+    u_k = s u_parent with s = via[k] and parent[k] < k, so `word(k)` spells
+    u_k and the image of u_k in any representation is one product along the
+    tree.  Generator j of H is the Schreier generator u_c^-1 s u_b of
+    schreier[j] = (c, s, b)."""
 
-    group: "PermGroup"
     subgroup: "PermGroup"
-    rep_rows: np.ndarray            # image row of each representative
-    words: tuple[tuple[int, ...], ...]
+    point: int
+    slot: np.ndarray                # orbit position of each point, -1 outside
+    parent: np.ndarray
+    via: np.ndarray
+    rep_rows: np.ndarray            # image row of each rep u_k
+    inv_rows: np.ndarray            # image row of each u_k^-1
+    schreier: list[tuple[int, int, int]]
 
     @property
     def count(self) -> int:
         return len(self.rep_rows)
 
-
-class _Level(NamedTuple):
-    """One level of a stabilizer chain: the Schreier tree of `point` and
-    its stabilizer, closed with an element table."""
-
-    point: int
-    slot: np.ndarray                # orbit position of each point, -1 outside
-    words: list[list[int]]          # words[k]: letters of rep u_k
-    reps: np.ndarray                # image rows of the reps u_k
-    inv_reps: np.ndarray            # image rows of u_k^-1
-    subgroup: "PermGroup"
-    gen_words: list[list[int]]      # letters of each generator of `subgroup`
+    def word(self, k: int) -> list[int]:
+        """Letters of u_k, read left to right: [via[k], *word(parent[k])]."""
+        return _walk(self.parent, self.via, k)
 
 
 class PermGroup:
@@ -240,7 +238,7 @@ class PermGroup:
         self._table = _table
         self._inv_rows = None
         self._inv_index = None
-        self._levels: dict[int, _Level] = {}   # point -> Schreier level
+        self._levels: dict[int, CosetTransversal] = {}   # point -> its level
         self._classes: ConjugacyClasses | None = None
         self._class_mult = None        # kept by `characters`, as is
         self._characters = None        # the character table, and by `reps`
@@ -331,7 +329,7 @@ class PermGroup:
         stabilizer proves."""
         if self._table is None and self._levels:
             level = next(iter(self._levels.values()))
-            return len(level.reps) * level.subgroup.order
+            return level.count * level.subgroup.order
         return self.rows.shape[0]
 
     def identity(self) -> Permutation:
@@ -361,11 +359,7 @@ class PermGroup:
     def tree_word(self, index: int) -> list[int]:
         """Letters of element `index` along the closure's spanning tree."""
         table = self._require_table()
-        word, i = [], index
-        while table.via_gen[i] != -1:
-            word.append(int(table.via_gen[i]))
-            i = int(table.parent[i])
-        return word[::-1]
+        return _walk(table.parent, table.via, index)[::-1]
 
     def word_of(self, perm: Permutation) -> list[int]:
         """A word for `perm`: its tree word in an element table, else the
@@ -378,11 +372,14 @@ class PermGroup:
         if found is None:
             raise PermError(f"element not in {self.name}")
         level, k, i = found
-        return level.words[k] + [x for s in level.subgroup.tree_word(i)
-                                 for x in level.gen_words[s]]
+        word = level.word(k)
+        for j in level.subgroup.tree_word(i):
+            c, s, b = level.schreier[j]         # H's generator u_c^-1 s u_b
+            word += [~x for x in reversed(level.word(c))] + [s] + level.word(b)
+        return word
 
     def _sift(self, perm: Permutation):
-        """(level, k, i) with perm = u_k h_i, h_i element i of the level's
+        """(transversal, k, i) with perm = u_k h_i, h_i element i of its
         stabilizer; None if perm is not in the group."""
         if not self._levels:
             raise NotEnumerated(f"{self.name} has no element table and no "
@@ -393,7 +390,7 @@ class PermGroup:
         k = int(level.slot[perm.images[level.point]])
         if k < 0:
             return None
-        rest = level.inv_reps[k][perm.images.astype(np.intp)]   # u_k^-1 perm
+        rest = level.inv_rows[k][perm.images.astype(np.intp)]   # u_k^-1 perm
         i = int(level.subgroup._table.index.find(rest[None])[0])
         return None if i < 0 else (level, k, i)
 
@@ -461,11 +458,11 @@ class PermGroup:
                          dtype=DTYPE).reshape(-1, self.degree)
         class_of = self.conjugacy_classes().class_of
         rows = self.rows[np.isin(class_of, class_of[self.lookup_rows(seeds)])]
-        return _regenerated(rows, self.degree, f"{self.name}'", cap=self.order)
+        return _regenerated(rows, self.degree, f"{self.name}'", cap=self.order)[0]
 
     # -- cosets ----------------------------------------------------------
 
-    def _level_of(self, h: "PermGroup") -> _Level:
+    def _level_of(self, h: "PermGroup") -> CosetTransversal:
         level = next((lv for lv in self._levels.values() if lv.subgroup is h),
                      None)
         if level is None:
@@ -474,11 +471,9 @@ class PermGroup:
         return level
 
     def coset_transversal(self, h: "PermGroup") -> CosetTransversal:
-        """The Schreier tree's reps, for H one of this group's point
+        """The Schreier level built with H, for H one of this group's point
         stabilizers; NotASubgroup for any other H."""
-        level = self._level_of(h)
-        return CosetTransversal(self, h, level.reps,
-                                tuple(tuple(w) for w in level.words))
+        return self._level_of(h)
 
     def orbitals(self, h: "PermGroup") -> np.ndarray:
         """The N x N matrix whose [a, b] entry numbers the H-orbit of
@@ -488,10 +483,10 @@ class PermGroup:
         u_{h(b)} H) are numbered by least orbit position, so row 0 numbers
         the points themselves.  Table-free."""
         level = self._level_of(h)
-        orbit = level.reps[:, level.point].astype(np.intp)
+        orbit = level.rep_rows[:, level.point].astype(np.intp)
         acts = [level.slot[s.images[orbit]] for s in h.generators]
         suborbit = orbits(acts, len(orbit))[1]
-        return suborbit[level.slot[level.inv_reps[:, orbit]]]
+        return suborbit[level.slot[level.inv_rows[:, orbit]]]
 
     def double_coset_sizes(self, h: "PermGroup") -> list[int]:
         """Sizes of the H\\G/H double cosets, |H| times each suborbit,
@@ -601,8 +596,8 @@ def orbits(maps, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _Table(NamedTuple):
     rows: np.ndarray                # element rows in breadth-first order
-    parent: np.ndarray              # rows[i] = rows[parent[i]] * gen[via_gen[i]]
-    via_gen: np.ndarray
+    parent: np.ndarray              # rows[i] = rows[parent[i]] * gen[via[i]]
+    via: np.ndarray
     right: list[np.ndarray]         # right[s][i] = index of rows[i] * gen[s]
     index: ElementIndex
 
@@ -655,83 +650,95 @@ def _closure(gen_rows: list[np.ndarray], degree: int, cap: int) -> _Table:
                   [np.concatenate(r) for r in right], ElementIndex.by_base(rows))
 
 
-def _regenerated(rows: np.ndarray, degree: int, name: str, cap: int) -> PermGroup:
-    """The group generated by `rows`, on a small generating set: each
-    generator is the first row outside the closure of those before it."""
-    gens: list[np.ndarray] = []
-    table = _closure(gens, degree, cap)
+def _walk(parent: np.ndarray, via: np.ndarray, k: int) -> list[int]:
+    """Letters via[k], via[parent[k]], ... up to the root of a tree stored
+    as `parent` and `via` arrays, the root's via being -1."""
+    word = []
+    while via[k] != -1:
+        word.append(int(via[k]))
+        k = int(parent[k])
+    return word
+
+
+def _regenerated(rows: np.ndarray, degree: int, name: str,
+                 cap: int) -> tuple[PermGroup, list[int]]:
+    """The group generated by `rows`, on a small generating set, and the
+    index in `rows` of each generator: the first row outside the closure of
+    those before it."""
+    picked: list[int] = []
+    table = _closure(rows[picked], degree, cap)
     while (missing := np.flatnonzero(table.index.find(rows) < 0)).size:
-        gens.append(rows[missing[0]])
-        table = _closure(gens, degree, cap)
-    return PermGroup(degree, [Permutation(g) for g in gens], name=name, _table=table)
+        picked.append(int(missing[0]))
+        table = _closure(rows[picked], degree, cap)
+    gens = [Permutation(rows[i]) for i in picked]
+    return PermGroup(degree, gens, name=name, _table=table), picked
 
 
-def _schreier_level(g: PermGroup, point: int, name: str) -> _Level:
+def _schreier_level(g: PermGroup, point: int, name: str) -> CosetTransversal:
     """Schreier tree of `point` under g's generators, breadth first (each
     orbit point in turn, each generator in turn; u_{s(b)} = s u_b), and
-    the stabilizer closed from the Schreier generators u_{s(b)}^-1 s u_b.
-    `_regenerated` returns only once every Schreier generator is found in
-    the closure's index, so the closure is all of G_p."""
-    gens = [s.images.astype(np.intp) for s in g.generators]
+    the stabilizer closed from the Schreier generators u_{s(b)}^-1 s u_b,
+    listed b-major.  `_regenerated` returns only once every Schreier
+    generator is found in the closure's index, so the closure is all of
+    G_p."""
+    gens = np.array([s.images for s in g.generators],
+                    dtype=np.intp).reshape(-1, g.degree)
     slot = np.full(g.degree, -1, dtype=np.int64)
     slot[point] = 0
-    words, reps = [[]], [np.arange(g.degree, dtype=DTYPE)]
-    k = 0
-    while k < len(reps):
+    reps, parent, via = [np.arange(g.degree, dtype=DTYPE)], [-1], [-1]
+    for k, rep in enumerate(reps):          # reps grows as it is walked
         for s, img in enumerate(gens):
-            c = img[reps[k][point]]
-            if slot[c] < 0:
-                slot[c] = len(reps)
-                reps.append(img[reps[k]].astype(DTYPE))
-                words.append([s, *words[k]])
-        k += 1
+            if slot[img[rep[point]]] < 0:
+                slot[img[rep[point]]] = len(reps)
+                reps.append(img[rep].astype(DTYPE))
+                parent.append(k)
+                via.append(s)
     reps = np.array(reps)
     inv_reps = np.argsort(reps, axis=1).astype(DTYPE)
-    schreier, schreier_words = [], []
-    for rep, word in zip(reps, words):
-        for s, img in enumerate(gens):
-            c = slot[img[rep[point]]]
-            schreier.append(inv_reps[c][img[rep]])
-            schreier_words.append([~x for x in reversed(words[c])] + [s, *word])
-    h = _regenerated(np.array(schreier, dtype=DTYPE).reshape(-1, g.degree),
-                     g.degree, name, cap=config.ENUM_CAP)
-    first = {}                          # row -> its first Schreier word
-    for row, word in zip(schreier, schreier_words):
-        first.setdefault(Permutation(row), word)
+    prods = gens[:, reps].swapaxes(0, 1).reshape(-1, g.degree)  # s u_b
+    schreier = np.take_along_axis(inv_reps[slot[prods[:, point]]], prods,
+                                  axis=1)
+    h, picked = _regenerated(schreier, g.degree, name, cap=config.ENUM_CAP)
     h.provenance = {"orbit_length": len(reps),
                     "schreier_generators": len(schreier)}
-    return _Level(point, slot, words, reps, inv_reps, h,
-                  [first[s] for s in h.generators])
+    return CosetTransversal(
+        h, point, slot, np.array(parent), np.array(via), reps, inv_reps,
+        [(int(slot[prods[i, point]]), i % len(gens), i // len(gens))
+         for i in picked])
 
 
 # -- finite fields and the projective families ----------------------------
 
 
 class GF:
-    """Small finite field GF(p^k) with dense add/mul tables."""
+    """Small finite field GF(p^k) with dense add/mul tables.  Element i is
+    the polynomial over F_p whose coefficients are i's base-p digits, low
+    first, and products are reduced mod x^k + f for the first f, in the
+    order of the integers its digits spell, whose product table gives every
+    nonzero element an inverse: a finite commutative ring is a field
+    exactly then, so x^k + f is the first monic irreducible."""
 
     def __init__(self, q: int):
         p, k = _prime_power(q)
         self.q, self.p, self.k = q, p, k
-        if k == 1:
-            add = (np.add.outer(np.arange(q), np.arange(q)) % p)
-            mul = (np.multiply.outer(np.arange(q), np.arange(q)) % p)
-        else:
-            poly = _find_irreducible(p, k)
-            vecs = [_int_to_vec(i, p, k) for i in range(q)]
-            add = np.empty((q, q), dtype=np.int64)
-            mul = np.empty((q, q), dtype=np.int64)
-            for a in range(q):
-                for b in range(q):
-                    add[a, b] = _vec_to_int([(x + y) % p for x, y in zip(vecs[a], vecs[b])], p)
-                    mul[a, b] = _vec_to_int(_poly_mulmod(vecs[a], vecs[b], poly, p), p)
-        self.add = add.astype(np.int64)
-        self.mul = mul.astype(np.int64)
+        weight = p ** np.arange(k)
+        digits = np.arange(q)[:, None] // weight % p
+        self.add = (digits[:, None] + digits) % p @ weight
+        for f in digits:
+            power = list(np.eye(k, dtype=np.int64))    # x^n mod x^k + f
+            while len(power) < 2 * k - 1:
+                power.append((np.r_[0, power[-1][:-1]] - power[-1][-1] * f) % p)
+            reduced = np.array(power)[np.add.outer(np.arange(k), np.arange(k))]
+            self.mul = np.einsum("ai,bj,ijt->abt", digits, digits,
+                                 reduced) % p @ weight
+            if (self.mul[1:] == 1).any(axis=1).all():
+                break
         self.neg = np.argmax(self.add == 0, axis=1)
         self.inv = np.argmax(self.mul == 1, axis=1)     # 0 for the zero element
 
     def primitive(self) -> int:
-        for c in range(2, self.q):
+        """The least element of multiplicative order q - 1."""
+        for c in range(1, self.q):
             x, n = c, 1
             while x != 1:
                 x = int(self.mul[x, c])
@@ -749,74 +756,14 @@ def _prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-def _int_to_vec(i: int, p: int, k: int) -> list[int]:
-    return [i // p ** j % p for j in range(k)]
-
-
-def _vec_to_int(v, p: int) -> int:
-    return sum(c * p ** j for j, c in enumerate(v))
-
-
-def _poly_mulmod(a, b, poly, p):
-    k = len(poly) - 1
-    prod = [0] * (2 * k - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            prod[i + j] = (prod[i + j] + x * y) % p
-    for top in range(len(prod) - 1, k - 1, -1):
-        c = prod[top]
-        if c:
-            prod[top] = 0
-            for j in range(k):
-                prod[top - k + j] = (prod[top - k + j] - c * poly[j]) % p
-    return prod[:k]
-
-
-def _find_irreducible(p: int, k: int) -> list[int]:
-    """Monic irreducible of degree k over F_p, as coefficient list (low first, monic)."""
-    for tail in range(p ** k):
-        coeffs = _int_to_vec(tail, p, k) + [1]
-        if _poly_is_irreducible(coeffs, p):
-            return coeffs
-    raise PermError("no irreducible polynomial found")
-
-
-def _poly_is_irreducible(coeffs, p) -> bool:
-    """No monic divisor of degree 1..k/2; degree 1 covers the roots."""
-    k = len(coeffs) - 1
-    return not any(_poly_divides(_int_to_vec(tail, p, d) + [1], coeffs, p)
-                   for d in range(1, k // 2 + 1) for tail in range(p ** d))
-
-
-def _poly_divides(div, poly, p) -> bool:
-    rem = list(poly)
-    dd = len(div) - 1
-    while len(rem) - 1 >= dd:
-        lead = rem[-1]
-        if lead:
-            for j in range(dd + 1):
-                rem[len(rem) - 1 - dd + j] = (rem[len(rem) - 1 - dd + j] - lead * div[j]) % p
-        rem.pop()
-    return all(c == 0 for c in rem)
-
-
 def make_pgl2(q: int) -> PermGroup:
     """PGL_2(F_q) acting on the projective line: points 0..q-1 plus q for infinity."""
-    expect = q * (q * q - 1)
-    gens = _projective_generators(q, expect, special=False)
-    g = PermGroup.generated(gens, name=f"PGL2_{q}")
-    if g.order != expect:
-        raise PermError(f"PGL2({q}) closure has order {g.order}, expected {expect}")
-    return g
+    return _projective_group(q, special=False)
 
 
 def make_psl2(q: int) -> PermGroup:
-    expect = q * (q * q - 1) // math.gcd(2, q - 1)
-    gens = _projective_generators(q, expect, special=True)
-    g = PermGroup.generated(gens, name=f"PSL2_{q}")
-    if g.order != expect:
-        raise PermError(f"PSL2({q}) closure has order {g.order}, expected {expect}")
-    return g
+    """PSL_2(F_q) acting on the projective line, as `make_pgl2`."""
+    return _projective_group(q, special=True)
 
 
 def projective_class_count(q: int, special: bool) -> int:
@@ -827,30 +774,28 @@ def projective_class_count(q: int, special: bool) -> int:
     return (q + 5) // 2 if special else q + 2
 
 
-def _projective_generators(q: int, order: int,
-                           special: bool) -> list[Permutation]:
-    """Generators of the family of `order` elements over GF(q); PermError
-    before the field's q x q tables are built when `order` is past the
-    enumeration cap."""
+def _projective_group(q: int, special: bool) -> PermGroup:
+    """PSL2(q) (`special`) or PGL2(q), generated by x -> x + 1, x -> c x
+    (c^2 x for PSL, c primitive) and x -> 1/x (-1/x for PSL, with det 1),
+    and checked for its order; PermError before the field's q x q tables
+    are built when that order is past the enumeration cap."""
+    family = "PSL2" if special else "PGL2"
+    order = q * (q * q - 1) // (math.gcd(2, q - 1) if special else 1)
     if order > config.ENUM_CAP:
-        family = "PSL2" if special else "PGL2"
         raise PermError(f"{family}({q}) has {order} elements, past the "
                         f"enumeration cap {config.ENUM_CAP}")
     f = GF(q)
-    inf = q
-    t = np.arange(q + 1, dtype=DTYPE)
-    t[:q] = f.add[:, 1]                      # x -> x + 1
     c = f.primitive()
-    scale = c if not special else int(f.mul[c, c])
-    m = np.arange(q + 1, dtype=DTYPE)
-    m[:q] = f.mul[:, scale]                  # x -> c x   (c^2 for PSL)
-    w = np.empty(q + 1, dtype=DTYPE)
-    w[inf] = 0
-    w[0] = inf
-    for x in range(1, q):
-        ix = int(f.inv[x])
-        w[x] = ix if not special else int(f.neg[ix])   # 1/x, or -1/x with det 1
-    return [Permutation(t), Permutation(m), Permutation(w)]
+    t, m, w = (np.arange(q + 1, dtype=DTYPE) for _ in range(3))
+    t[:q] = f.add[:, 1]
+    m[:q] = f.mul[:, f.mul[c, c] if special else c]
+    w[0], w[q] = q, 0                                   # 0 <-> infinity
+    w[1:q] = f.neg[f.inv[1:]] if special else f.inv[1:]
+    g = PermGroup.generated([t, m, w], name=f"{family}_{q}")
+    if g.order != order:
+        raise PermError(f"{family}({q}) closure has order {g.order}, "
+                        f"expected {order}")
+    return g
 
 
 # -- generator files -------------------------------------------------------

@@ -32,6 +32,7 @@ from `characters.decompose`.
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -211,15 +212,14 @@ def coset_images(transversal: CosetTransversal, gen_images,
                  dim: int) -> np.ndarray:
     """The images of the coset reps u_k, stacked in transversal order, for
     the generator images of any dim-dimensional representation: u_0 = 1,
-    and u_k = s u_parent along the Schreier tree (`CosetTransversal.words`),
-    so each further image is one product A_s A_parent."""
-    words = transversal.words
-    at = {w: k for k, w in enumerate(words)}
-    out = np.empty((len(words), dim, dim),
+    and u_k = s u_parent along the Schreier tree (`CosetTransversal.parent`
+    and `.via`), so each further image is one product A_s A_parent."""
+    parent, via = transversal.parent, transversal.via
+    out = np.empty((len(via), dim, dim),
                    dtype=np.result_type(float, *gen_images))
     out[0] = np.eye(dim)
-    for k, w in enumerate(words[1:], 1):
-        out[k] = gen_images[w[0]] @ out[at[w[1:]]]
+    for k in range(1, len(via)):
+        out[k] = gen_images[via[k]] @ out[parent[k]]
     return out
 
 
@@ -638,13 +638,8 @@ def young_orthogonal_rep(n_or_group, lam: Partition) -> UnitaryRep:
     if len(tabs) != dim:
         raise RepError(f"{len(tabs)} standard tableaux of {lam}, expected {dim}")
     index = {t: i for i, t in enumerate(tabs)}
-    pos = []                                   # entry -> (row, col) per tableau
-    for t in tabs:
-        where = {}
-        for i, row in enumerate(t):
-            for j, e in enumerate(row):
-                where[e] = (i, j)
-        pos.append(where)
+    pos = [{e: (i, j) for i, row in enumerate(t) for j, e in enumerate(row)}
+           for t in tabs]                      # entry -> (row, col) per tableau
 
     def adjacent_matrix(k):                    # s_k swaps k+1, k+2 (1-based)
         m = np.zeros((dim, dim))
@@ -865,14 +860,9 @@ class _E7Dictionary:
         return -self._refl[self.root_of_vec[v][0]]
 
 
-_E7: _E7Dictionary | None = None
-
-
+@functools.cache
 def _e7_dictionary() -> _E7Dictionary:
-    global _E7
-    if _E7 is None:
-        _E7 = _E7Dictionary()
-    return _E7
+    return _E7Dictionary()
 
 
 def symplectic_rotation_rep(group: PermGroup) -> UnitaryRep:

@@ -6,14 +6,16 @@ whole groups, and the principal-angle census
 of a code resolved pair by pair, the Clifford family S_r by a search over
 combinations of involutions, the Clifford codewords formed one label
 at a time from dense shift and sign matrices, and the Clifford pair keys
-with the signs compared pair by pair.  The package itself applies
+with the signs compared pair by pair, and GF(q) by polynomial trial
+division.  The package itself applies
 permutation carriers as index gathers, splits isotypic components from a
 few class sums, checks the identity only in the form
 `IsotypicContext.fonda2_residual`, takes its census from pair keys
 (`codes.spa_census`), extends S_r level by level from least bases
 (`codes.clifford_family`), forms the Clifford codewords as one stack from
 label arrays (`codes.build_clifford_orthoplex`) and reads the Clifford
-keys from tables per subgroup pair (`codes._stabilizer_keys`)."""
+keys from tables per subgroup pair (`codes._stabilizer_keys`), and builds
+GF(q) from one product table per candidate modulus (`permgroup.GF`)."""
 import itertools
 import math
 from dataclasses import dataclass
@@ -298,3 +300,58 @@ def stabilizer_pair_keys(labels, signs, i, r):
         return key
 
     return keys
+
+
+def trial_division_field(q):
+    """GF(q) = F_p[x] / (x^k + f) by hand, as (add, mul, neg, inv,
+    primitive): element i is the polynomial of its base-p digits, low first,
+    x^k + f is the first monic polynomial, f taken in the order of the
+    integers its digits spell, that no monic polynomial of degree 1..k/2
+    divides, products are reduced by long division, and the primitive
+    element is the least of multiplicative order q - 1."""
+    p = next(p for p in range(2, q + 1) if q % p == 0)
+    k = round(math.log(q, p))
+    assert p ** k == q
+
+    def poly(i, n=k):
+        return [i // p ** j % p for j in range(n)]
+
+    def number(coeffs):
+        return sum(c * p ** j for j, c in enumerate(coeffs))
+
+    def remainder(num, monic):
+        rem = list(num)
+        while len(rem) >= len(monic):
+            lead, top = rem[-1], len(rem) - len(monic)
+            for j, c in enumerate(monic):
+                rem[top + j] = (rem[top + j] - lead * c) % p
+            rem.pop()
+        return rem
+
+    def irreducible(monic):
+        return all(any(remainder(monic, poly(tail, d) + [1]))
+                   for d in range(1, k // 2 + 1) for tail in range(p ** d))
+
+    modulus = next(m for m in (poly(tail) + [1] for tail in range(p ** k))
+                   if irreducible(m))
+
+    def times(a, b):
+        prod = [0] * (2 * k - 1)
+        for i, x in enumerate(poly(a)):
+            for j, y in enumerate(poly(b)):
+                prod[i + j] = (prod[i + j] + x * y) % p
+        return number(remainder(prod, modulus))
+
+    def order(c):
+        x, n = c, 1
+        while x != 1:
+            x, n = times(x, c), n + 1
+        return n
+
+    add = [[number([(x + y) % p for x, y in zip(poly(a), poly(b))])
+            for b in range(q)] for a in range(q)]
+    mul = [[times(a, b) for b in range(q)] for a in range(q)]
+    neg = [row.index(0) for row in add]
+    inv = [0] + [row.index(1) for row in mul[1:]]
+    primitive = next(c for c in range(1, q) if order(c) == q - 1)
+    return add, mul, neg, inv, primitive

@@ -277,6 +277,17 @@ def test_verify_projective_group_spec(capsys):
     assert "n=4 m=2 N=6" in out
 
 
+def test_verify_projective_line_over_gf2(capsys):
+    # PGL2(2) is S3 on 3 points: its 2-dimensional irreducible gives three
+    # lines in R^2 at d_c^2 = 3/4, the simplex bound
+    code, out, _ = run(capsys, "--json", "verify", "--group", "PGL2:2",
+                       "--H", "stab0", "--rep", "dim:2")
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert [(r["N"], r["certified"]) for r in results] == [(3, True)]
+    assert abs(results[0]["d_c_sq_min"] - 0.75) < 1e-12
+
+
 def test_table_sn_small(capsys):
     code, out, _ = run(capsys, "table-sn", "4")
     assert code == 0

@@ -24,6 +24,7 @@ from grasspack.permgroup import (
     make_psl2,
     parse_cycles,
 )
+from reference import trial_division_field
 
 # ---------------------------------------------------------------- oracles
 
@@ -267,15 +268,17 @@ def test_transversal_words_spell_the_reps_along_the_tree(make):
     g = make()
     t = g.coset_transversal(g.stabilizer(0))
     gens = [s.images for s in g.generators]
-    assert t.words[0] == ()
-    for k, word in enumerate(t.words):
+    assert t.word(0) == [] and t.via[0] == -1
+    for k in range(t.count):
+        word = t.word(k)
         row = np.arange(g.degree)
         for x in reversed(word):             # u = s_0 s_1 ... : s_last first
             row = gens[x][row]
         assert np.array_equal(row, t.rep_rows[k]), k
         # u_k = s u_parent, the parent earlier in the tree's order
         if k:
-            assert t.words.index(word[1:]) < k
+            assert 0 <= t.parent[k] < k
+            assert word == [t.via[k]] + t.word(t.parent[k])
 
 
 def test_coset_transversal_rejects_non_subgroup():
@@ -326,6 +329,19 @@ def test_gf_field_axioms_exhaustive(q):
     for a in range(1, q):
         assert f.mul[a, f.inv[a]] == 1
         assert f.add[a, f.neg[a]] == 0
+
+
+PRIMES = [p for p in range(2, 128) if all(p % d for d in range(2, p))]
+PRIME_POWERS = sorted(p ** k for p in PRIMES for k in range(1, 7) if p ** k < 128)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_gf_matches_trial_division(q):
+    add, mul, neg, inv, primitive = trial_division_field(q)
+    f = GF(q)
+    assert f.add.tolist() == add and f.mul.tolist() == mul
+    assert f.neg.tolist() == neg and f.inv.tolist() == inv
+    assert f.primitive() == primitive
 
 
 def test_gf_primitive_element():
@@ -795,7 +811,12 @@ def test_parse_group_shares_the_loader():
     assert degree == g.degree and gens == g.generators
 
 
-@pytest.mark.parametrize("q", [5, 7, 8, 9, 25, 27])
+def test_projective_groups_over_gf2_are_s3():
+    # 1 is primitive in GF(2) alone, so q = 2 needs the search to start there
+    assert make_pgl2(2).order == make_psl2(2).order == 6
+
+
+@pytest.mark.parametrize("q", [2, 5, 7, 8, 9, 25, 27])
 def test_projective_class_count_matches_enumeration(q):
     for special, maker in ((False, permgroup.make_pgl2),
                            (True, permgroup.make_psl2)):
