@@ -127,20 +127,24 @@ class CharacterTable:
 
 def class_multiplication(g: PermGroup) -> np.ndarray:
     """Structure constants a[i,j,k]: ways a fixed z in Cl_k splits as x*y
-    with x in Cl_i, y in Cl_j; cached on g."""
+    with x in Cl_i, y in Cl_j; cached on g.  Block-major over x: each block
+    of g's row blocks forms its x^-1 rows once and looks up x^-1 z_k for
+    every class rep z_k."""
     if g._class_mult is not None:
         return g._class_mult
     cc = g.conjugacy_classes()
     r = cc.n_classes
-    einv = g.inverse_rows()
+    inv = g._inverse_index()
     cls = cc.class_of.astype(np.int64)
+    zimgs = [z.images.astype(np.intp) for z in cc.reps]
     a = np.zeros((r, r, r), dtype=np.int64)
-    for k in range(r):
-        zimg = cc.reps[k].images.astype(np.intp)
-        y = einv[:, zimg]                       # y = x^-1 z_k, row per x
-        cls_y = cls[g.lookup_rows(y)]
-        counts = np.bincount(cls * r + cls_y, minlength=r * r)
-        a[:, :, k] = counts.reshape(r, r)
+    for block in g.row_blocks():
+        xinv = g.rows[inv[block]]
+        cls_x = cls[block] * r
+        for k, zimg in enumerate(zimgs):
+            cls_y = cls[g.lookup_rows(xinv[:, zimg])]   # y = x^-1 z_k
+            a[:, :, k] += np.bincount(cls_x + cls_y,
+                                      minlength=r * r).reshape(r, r)
     g._class_mult = a
     return a
 

@@ -201,8 +201,8 @@ def _resolve_chars(ctx: IsotypicContext, spec: str) -> list[list[int]]:
         if s == "auto-min":
             plan = plan[:1]
         return [chars for _, chars in plan]
-    try:
-        return [[int(t) for t in s.replace(",", " ").split()]]
+    try:                    # every comma-separated field, empty ones too
+        return [[int(t) for t in (s.split(",") if "," in s else s.split())]]
     except ValueError:
         raise CliError(f"bad chars spec {spec!r} "
                        "(use auto-min, auto-all, or indices like 0,2)")
@@ -605,6 +605,8 @@ def main(argv=None) -> int:
     try:
         if opts.cap < 0:
             raise CliError(f"--cap must be non-negative, got {opts.cap}")
+        if opts.seed < 0:
+            raise CliError(f"--seed must be non-negative, got {opts.seed}")
         return args.fn(args, opts)
     except (INPUT_ERRORS, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -6,7 +6,12 @@ once the table exists, a wrapping row hash while the closure builds it),
 with every hit checked against the full row.  The closure also records the
 right-multiplication tables, so conjugacy classes are orbits of index
 gathers (`orbits`).  Tables serve the class-wide sweeps only: classes,
-class sums, lookups and tree words.
+class sums, lookups and tree words.  A table keeps only what those read:
+its rows, the closure tree, the right tables, the index and, once a sweep
+asks, the inverse index.  Every pass over its rows, from the closure's
+levels to class multiplication, runs in blocks of one byte budget
+(`_BLOCK_BYTES`), and inverse rows are formed a block at a time and
+dropped, so a group holds little beyond its table's own bytes.
 
 Every group, with a table or without one (`PermGroup.deferred`), reaches
 its point stabilizer H = G_p through a Schreier tree: the orbit of p, one
@@ -236,7 +241,6 @@ class PermGroup:
         self.generators = generators
         self.name = name or "G"
         self._table = _table
-        self._inv_rows = None
         self._inv_index = None
         self._levels: dict[int, CosetTransversal] = {}   # point -> its level
         self._classes: ConjugacyClasses | None = None
@@ -394,17 +398,24 @@ class PermGroup:
         i = int(level.subgroup._table.index.find(rest[None])[0])
         return None if i < 0 else (level, k, i)
 
-    def inverse_rows(self) -> np.ndarray:
-        if self._inv_rows is None:
-            rows = self.rows
-            (n, d), k = rows.shape, min(self.order, _CHUNK)
-            starts = np.arange(0, k * d, d)[:, None]        # flat offset of each row
-            cols = np.tile(np.arange(d, dtype=DTYPE), k)
-            self._inv_rows = inv = np.empty_like(rows)
-            for a in range(0, n, k):                        # inv[i, rows[i, c]] = c
-                part = rows[a:a + k]
-                inv.reshape(-1)[a * d + (starts[:len(part)] + part).ravel()] = cols[:part.size]
-        return self._inv_rows
+    def inverse_rows(self, block: slice = slice(None)) -> np.ndarray:
+        """Image rows of the inverses of the table's rows in `block` (all
+        of them by default), formed on each call and never kept:
+        inv[i, rows[i, c]] = c, set a column c at a time through flat
+        offsets, so no intp row is formed."""
+        rows = self.rows[block]
+        n, d = rows.shape
+        inv = np.empty_like(rows)
+        starts = np.arange(0, n * d, d)                 # flat offset of each row
+        for c in range(d):
+            inv.reshape(-1)[starts + rows[:, c]] = c
+        return inv
+
+    def row_blocks(self) -> list[slice]:
+        """Consecutive slices covering the element table, one block of
+        `_BLOCK_BYTES` each: the blocks of the passes that look rows up."""
+        step = _block_rows(self.degree)
+        return [slice(a, a + step) for a in range(0, self.order, step)]
 
     def lookup_rows(self, rows2d: np.ndarray) -> np.ndarray:
         """Table indices for a batch of image rows; PermError for a non-member."""
@@ -416,9 +427,13 @@ class PermGroup:
     # -- conjugacy ------------------------------------------------------
 
     def _inverse_index(self) -> np.ndarray:
-        """inv[i] = index of the inverse of element i."""
+        """inv[i] = index of the inverse of element i, looked up a block of
+        inverse rows at a time."""
         if self._inv_index is None:
-            self._inv_index = self.lookup_rows(self.inverse_rows())
+            inv = np.empty(self.order, dtype=np.int64)
+            for block in self.row_blocks():
+                inv[block] = self.lookup_rows(self.inverse_rows(block))
+            self._inv_index = inv
         return self._inv_index
 
     def conjugacy_classes(self) -> ConjugacyClasses:
@@ -503,7 +518,19 @@ class PermGroup:
 
 
 _HASH_MULT = np.int64(-0x61C8864680B583EB)    # 0x9E3779B97F4A7C15 as int64
-_CHUNK = 1 << 12                              # rows per gather step
+#: bytes one block of a pass over |G| rows may hold: a closure slice counts
+#: its product rows as stored; a lookup block (the inverse index, class
+#: multiplication, a row check) counts `_LOOKUP_POINT_BYTES` a point, an
+#: intp entry, about what a lookup forms per point with its query and
+#: gathered rows, its mask and its int64 keys and indices
+_BLOCK_BYTES = 1 << 21
+_LOOKUP_POINT_BYTES = 8
+
+
+def _block_rows(degree: int, point_bytes: int = _LOOKUP_POINT_BYTES) -> int:
+    """Rows of `degree` points at `point_bytes` each that fit `_BLOCK_BYTES`,
+    at least one."""
+    return max(1, _BLOCK_BYTES // (degree * point_bytes))
 
 
 def _row_keys(rows: np.ndarray, cols, mult) -> np.ndarray:
@@ -516,10 +543,11 @@ def _row_keys(rows: np.ndarray, cols, mult) -> np.ndarray:
 
 
 def _mismatch(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Mask of the `rows` that differ from table[idx], one chunk at a time."""
+    """Mask of the `rows` that differ from table[idx], one block at a time."""
     bad = np.empty(len(idx), dtype=bool)
-    for a in range(0, len(idx), _CHUNK):
-        part = slice(a, a + _CHUNK)
+    step = _block_rows(table.shape[1])
+    for a in range(0, len(idx), step):
+        part = slice(a, a + step)
         bad[part] = (table[idx[part]] != rows[part]).any(axis=1)
     return bad
 
@@ -533,9 +561,9 @@ class ElementIndex:
 
     def __init__(self, table: np.ndarray, cols, mult):
         self.table, self.cols, self.mult = table, cols, mult
-        keys = _row_keys(table, cols, mult)
-        self.order = np.argsort(keys)
-        self.keys = keys[self.order]
+        self.keys = _row_keys(table, cols, mult)
+        self.order = np.argsort(self.keys)
+        self.keys.sort()                # in place: keys[order], one array less
         if (self.keys[1:] == self.keys[:-1]).any():
             raise PermError("element key collision")
 
@@ -605,49 +633,74 @@ class _Table(NamedTuple):
 def _closure(gen_rows: list[np.ndarray], degree: int, cap: int) -> _Table:
     """Breadth-first element table, a level at a time.  Each level's new
     rows come in generator-major, first-occurrence order of the products
-    frontier x generators; the products also fill the right tables."""
+    frontier x generators; the products also fill the right tables.  A
+    level whose product rows pass `_BLOCK_BYTES` is formed in slices of that
+    sequence, each checked against every row before it, so the order is the
+    same.  The store and the per-element arrays grow in place (`_grow`) and
+    are cut to the group's order at the end, with no copy of the table."""
     gens = [np.asarray(g, dtype=np.intp) for g in gen_rows]
     store = np.empty((max(64, len(gens) + 1), degree), dtype=DTYPE)
     store[0] = np.arange(degree)
     cols = range(degree)
     keys = _row_keys(store[:1], cols, _HASH_MULT)   # sorted keys of the rows so far
     order = np.zeros(1, dtype=np.int64)             # row of each key
-    parent, via = [np.array([-1])], [np.array([-1], dtype=np.int32)]
-    right = [[] for _ in gens]
+    parent = np.full(len(store), -1, dtype=np.int64)
+    via = np.full(len(store), -1, dtype=np.int32)
+    right = [np.empty(len(store), dtype=np.int64) for _ in gens]
+    step = _block_rows(degree, store.itemsize)
     lo, size = 0, 1
     while gens and lo < size:
-        f = size - lo
-        prods = np.concatenate([store[lo:size].take(g, axis=1) for g in gens])
-        pkeys = _row_keys(prods, cols, _HASH_MULT)
-        srt = np.argsort(pkeys)
-        skeys = pkeys[srt]
-        run = np.r_[True, skeys[1:] != skeys[:-1]]     # a new key starts here
-        ukeys, first = skeys[run], np.minimum.reduceat(srt, np.flatnonzero(run))
-        pos = np.searchsorted(keys, ukeys)
-        val = order[np.minimum(pos, size - 1)]
-        fresh = np.flatnonzero(keys[np.minimum(pos, size - 1)] != ukeys)
-        born = np.sort(first[fresh])                    # new rows, in table order
-        if size + len(born) > cap:
-            raise CapExceeded(cap, cap + 1)
-        val[fresh[np.argsort(first[fresh])]] = np.arange(size, size + len(born))
-        idx = np.empty(len(srt), dtype=np.int64)
-        idx[srt] = val[np.cumsum(run) - 1]
-        if size + len(born) > len(store):
-            more = np.empty((size + 2 * len(born), degree), dtype=DTYPE)
-            store = np.concatenate([store[:size], more])
-        store[size:size + len(born)] = prods[born]
-        if _mismatch(store, idx, prods).any():
-            raise PermError("element key collision")
-        keys = np.insert(keys, pos[fresh], ukeys[fresh])
-        order = np.insert(order, pos[fresh], val[fresh])
-        parent.append(lo + born % f)
-        via.append((born // f).astype(np.int32))
-        for s, r in enumerate(right):
-            r.append(idx[s * f:(s + 1) * f])
-        lo, size = size, size + len(born)
-    rows = store[:size].copy()
-    return _Table(rows, np.concatenate(parent), np.concatenate(via),
-                  [np.concatenate(r) for r in right], ElementIndex.by_base(rows))
+        f, n = size - lo, size
+        for a in range(0, f * len(gens), step):
+            b = min(a + step, f * len(gens))
+            # products a..b-1 of the level: frontier rows i..j-1 times gen s
+            pieces = [(s, max(a - s * f, 0), min(b - s * f, f))
+                      for s in range(a // f, (b - 1) // f + 1)]
+            prods = np.empty((b - a, degree), dtype=DTYPE)
+            for s, i, j in pieces:
+                store[lo + i:lo + j].take(gens[s], axis=1,
+                                          out=prods[s * f + i - a:s * f + j - a])
+            pkeys = _row_keys(prods, cols, _HASH_MULT)
+            srt = np.argsort(pkeys)
+            skeys = pkeys[srt]
+            run = np.r_[True, skeys[1:] != skeys[:-1]]  # a new key starts here
+            ukeys, first = skeys[run], np.minimum.reduceat(srt, np.flatnonzero(run))
+            pos = np.searchsorted(keys, ukeys)
+            val = order[np.minimum(pos, n - 1)]
+            fresh = np.flatnonzero(keys[np.minimum(pos, n - 1)] != ukeys)
+            born = np.sort(first[fresh])                # new rows, in table order
+            if n + len(born) > cap:
+                raise CapExceeded(cap, cap + 1)
+            val[fresh[np.argsort(first[fresh])]] = np.arange(n, n + len(born))
+            idx = np.empty(len(srt), dtype=np.int64)
+            idx[srt] = val[np.cumsum(run) - 1]
+            if n + len(born) > len(store):
+                for arr in (store, parent, via, *right):
+                    _grow(arr, n + len(born), cap)
+            store[n:n + len(born)] = prods[born]
+            if _mismatch(store, idx, prods).any():
+                raise PermError("element key collision")
+            keys = np.insert(keys, pos[fresh], ukeys[fresh])
+            order = np.insert(order, pos[fresh], val[fresh])
+            parent[n:n + len(born)] = lo + (a + born) % f
+            via[n:n + len(born)] = (a + born) // f
+            for s, i, j in pieces:
+                right[s][lo + i:lo + j] = idx[s * f + i - a:s * f + j - a]
+            n += len(born)
+        lo, size = size, n
+    del keys, order                     # freed before the base index is built
+    for arr in (store, parent, via, *right):
+        arr.resize((size,) + arr.shape[1:], refcheck=False)
+    return _Table(store, parent, via, right, ElementIndex.by_base(store))
+
+
+def _grow(arr: np.ndarray, need: int, cap: int):
+    """Lengthen `arr` in place by half, to at least `need` and at most `cap`
+    rows: one reallocation, never the old and a new buffer side by side.
+    The caller holds no view of `arr` (the check is off only because its
+    own names count as references)."""
+    arr.resize((max(need, min(cap, len(arr) * 3 // 2)),) + arr.shape[1:],
+               refcheck=False)
 
 
 def _walk(parent: np.ndarray, via: np.ndarray, k: int) -> list[int]:

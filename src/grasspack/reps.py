@@ -129,14 +129,12 @@ class UnitaryRep:
         return self._char
 
     def class_sums(self, classes) -> np.ndarray:
-        """M[k] = sum of rho(h) over the k-th listed class, each distinct
+        """M[k] = sum of rho(h) over the k-th listed class, each listed
         class walked once (`_class_walk`)."""
-        classes = [int(c) for c in classes]
         acc = np.zeros((len(classes), self.dim, self.dim), dtype=self.dtype)
         for k, c in enumerate(classes):
-            first = classes.index(c)
-            acc[k] = acc[first] if first < k else sum(
-                images.sum(axis=0) for _, images in self._class_walk(c))
+            acc[k] = sum(images.sum(axis=0)
+                         for _, images in self._class_walk(int(c)))
         return acc
 
     def _class_walk(self, c: int):

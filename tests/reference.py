@@ -6,16 +6,19 @@ whole groups, and the principal-angle census
 of a code resolved pair by pair, the Clifford family S_r by a search over
 combinations of involutions, the Clifford codewords formed one label
 at a time from dense shift and sign matrices, and the Clifford pair keys
-with the signs compared pair by pair, and GF(q) by polynomial trial
-division.  The package itself applies
+with the signs compared pair by pair, GF(q) by polynomial trial
+division, and an element table with its right-multiplication tables by a
+plain breadth-first search.  The package itself applies
 permutation carriers as index gathers, splits isotypic components from a
 few class sums, checks the identity only in the form
 `IsotypicContext.fonda2_residual`, takes its census from pair keys
 (`codes.spa_census`), extends S_r level by level from least bases
 (`codes.clifford_family`), forms the Clifford codewords as one stack from
 label arrays (`codes.build_clifford_orthoplex`) and reads the Clifford
-keys from tables per subgroup pair (`codes._stabilizer_keys`), and builds
-GF(q) from one product table per candidate modulus (`permgroup.GF`)."""
+keys from tables per subgroup pair (`codes._stabilizer_keys`), builds
+GF(q) from one product table per candidate modulus (`permgroup.GF`), and
+closes an element table a level, or a slice of one, at a time
+(`permgroup._closure`)."""
 import itertools
 import math
 from dataclasses import dataclass
@@ -355,3 +358,32 @@ def trial_division_field(q):
     inv = [0] + [row.index(1) for row in mul[1:]]
     primitive = next(c for c in range(1, q) if order(c) == q - 1)
     return add, mul, neg, inv, primitive
+
+
+def reference_closure(gens, degree):
+    """Element table by a plain breadth-first search: each frontier is swept
+    generator by generator, and a product joins the table at its first
+    occurrence; parent and generator index record the spanning tree."""
+    ident = tuple(range(degree))
+    rows, index, parent, via = [ident], {ident: 0}, [-1], [-1]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for gi, gen in enumerate(gens):
+            for src in frontier:
+                row = tuple(rows[src][x] for x in gen)      # rows[src] * gen
+                if row not in index:
+                    index[row] = len(rows)
+                    rows.append(row)
+                    parent.append(src)
+                    via.append(gi)
+                    nxt.append(index[row])
+        frontier = nxt
+    return rows, parent, via
+
+
+def reference_right_tables(rows, gens):
+    """right[s][i] = index of rows[i] * gens[s], by a dict of the rows."""
+    index = {row: i for i, row in enumerate(rows)}
+    return [[index[tuple(row[x] for x in gen)] for row in rows]
+            for gen in gens]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from grasspack import characters
+from grasspack import characters, permgroup
 from grasspack.characters import (
     CharacterError,
     ClassFunction,
@@ -109,6 +109,19 @@ def test_class_multiplication_s3_brute_force():
     # two transpositions compose to the identity in exactly 3 ways
     t = int(np.where(cc.sizes == 3)[0][0])
     assert got[t, t, 0] == 3
+
+
+def test_class_multiplication_in_blocks_matches_brute_force(monkeypatch):
+    # a 256-byte budget splits the x rows, and so every lookup of
+    # x^-1 z_k, into several blocks
+    monkeypatch.setattr(permgroup, "_BLOCK_BYTES", 1 << 8)
+    for g in (PermGroup.alternating(5), make_psl2(7)):
+        assert len(g.row_blocks()) > 2
+        cc = g.conjugacy_classes()
+        elems = [tuple(int(v) for v in r) for r in g.rows]
+        cls_of = {e: int(cc.class_of[i]) for i, e in enumerate(elems)}
+        want = brute_class_products(elems, cls_of, cc.n_classes)
+        assert np.array_equal(class_multiplication(g), want)
 
 
 def test_class_multiplication_identity_row():

@@ -255,6 +255,30 @@ def test_negative_cap_is_refused_up_front(capsys):
     assert code == 0 and "dimension 3" in out
 
 
+def test_negative_seed_is_refused_up_front(capsys):
+    # before the check, -1 reached numpy's generator as a ValueError traceback
+    code, out, err = run(capsys, "--seed", "-1", "verify", "--group",
+                         "PSL2:13", "--H", "stab0", "--rep", "dim:12")
+    assert (code, out) == (2, "")
+    assert err == "error: --seed must be non-negative, got -1\n"
+    code, out, _ = run(capsys, "--seed", "0", "hook", "3,1")
+    assert code == 0 and "dimension 3" in out
+
+
+def test_empty_chars_field_is_refused(capsys):
+    # before, "1,,2" certified characters [1, 2] and exited 0
+    for spec in ("1,,2", "1,2,", ",1"):
+        code, out, err = run(capsys, "verify", "--group", "S5", "--H", "stab4",
+                             "--rep", "young:[3,2]", "--chars", spec)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: bad chars spec {spec!r}")
+        assert err.count("\n") == 1
+    for spec in ("1,2", "1 2", " 1, 2 "):
+        code, out, _ = run(capsys, "verify", "--group", "S5", "--H", "stab4",
+                           "--rep", "young:[3,2]", "--chars", spec)
+        assert code == 0 and "chars [1, 2]: n=5 m=2 N=5" in out
+
+
 @pytest.mark.parametrize("error", [PermError, CharacterError, RepError,
                                    GrassmannError, CodeError, CatalogError,
                                    CliError, SymplecticError])

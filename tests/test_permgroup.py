@@ -1,6 +1,7 @@
 """Element-table groups checked against brute-force oracles."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from grasspack.permgroup import (
     make_psl2,
     parse_cycles,
 )
-from reference import trial_division_field
+from reference import (reference_closure, reference_right_tables,
+                       trial_division_field)
 
 # ---------------------------------------------------------------- oracles
 
@@ -508,28 +510,6 @@ def test_forced_key_collision_in_closure_raises(monkeypatch):
 # ------------------------------------- closure order and orbit sweeps
 
 
-def reference_closure(gens, degree):
-    """Element table by a plain breadth-first search: each frontier is swept
-    generator by generator, and a product joins the table at its first
-    occurrence; parent and generator index record the spanning tree."""
-    ident = tuple(range(degree))
-    rows, index, parent, via = [ident], {ident: 0}, [-1], [-1]
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for gi, gen in enumerate(gens):
-            for src in frontier:
-                row = tuple(rows[src][x] for x in gen)      # rows[src] * gen
-                if row not in index:
-                    index[row] = len(rows)
-                    rows.append(row)
-                    parent.append(src)
-                    via.append(gi)
-                    nxt.append(index[row])
-        frontier = nxt
-    return rows, parent, via
-
-
 ORDER_PINNED = {
     "S5": lambda: PermGroup.symmetric(5),
     "A6": lambda: PermGroup.alternating(6),
@@ -550,6 +530,49 @@ def test_closure_order_matches_reference_bfs(name):
     for i in range(1, len(rows)):
         words.append(words[parent[i]] + [via[i]])
     assert [g.tree_word(i) for i in range(g.order)] == words
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_PINNED))
+def test_closure_and_inverses_in_blocks_match_reference_bfs(name, monkeypatch):
+    # a 256-byte budget cuts the larger levels into slices, some across a
+    # generator boundary, and the inverse pass and its lookups into blocks
+    monkeypatch.setattr(permgroup, "_BLOCK_BYTES", 1 << 8)
+    g = ORDER_PINNED[name]()
+    gens = [tuple(int(x) for x in s.images) for s in g.generators]
+    rows, parent, via = reference_closure(gens, g.degree)
+    depth = [0] * len(rows)
+    for i in range(1, len(rows)):
+        depth[i] = depth[parent[i]] + 1
+    widest = max(np.bincount(depth)) * len(gens)       # products of a level
+    assert widest > permgroup._block_rows(g.degree, g.rows.itemsize)
+    table = g._table
+    assert [tuple(r) for r in table.rows.tolist()] == rows
+    assert table.parent.tolist() == parent and table.via.tolist() == via
+    assert [r.tolist() for r in table.right] == reference_right_tables(rows, gens)
+    assert np.array_equal(g.lookup_rows(g.rows), np.arange(g.order))
+    assert len(g.row_blocks()) > 2
+    index = {row: i for i, row in enumerate(rows)}
+    inverse = np.argsort(g.rows, axis=1)
+    assert np.array_equal(g.inverse_rows(), inverse)
+    assert g._inverse_index().tolist() == [index[tuple(r)] for r in inverse.tolist()]
+
+
+#: MiB the closure of PGL2(37) (50,616 elements on 38 points) may trace;
+#: the CI step "Group layer stays within its working memory" holds M22's
+#: closure and character table to 100 MiB the same way
+CLOSURE_TRACED_MIB = 15
+
+
+def test_closure_in_bounded_memory():
+    # the store grows in place and the table is not copied at the end
+    tracemalloc.start()
+    try:
+        g = make_pgl2(37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.order == 50616
+    assert peak <= CLOSURE_TRACED_MIB << 20
 
 
 def brute_index_sets(g, sets_of):
