@@ -3,7 +3,11 @@ unions, and the Clifford-group orthoplex construction.
 
 Dtypes follow the data, as in `reps` and `grassmann`: a real split and every
 Clifford code give float64 bases, codewords and packed Gram rows; complex
-arithmetic enters only with complex data or to part a conjugate pair."""
+arithmetic enters only with complex data or to part a conjugate pair.
+
+The passes over a code's pairs and codewords, the character identity's
+lookups and the Clifford key tables run in blocks of the package's one
+working-memory budget, `config.BLOCK_BYTES`."""
 from __future__ import annotations
 
 import functools
@@ -26,18 +30,6 @@ from .reps import (UnitaryRep, commutant_singular_values, coset_images,
                    isotypic_weights, restrict_rep)
 
 TOL = config.TOL
-
-#: element rows per batched lookup in the character-identity check
-_LOOKUP_ROWS = 1 << 16
-
-#: bytes per block of a streamed pass: a row block of the chordal Gram, a
-#: chunk of its packed coordinates, a row chunk of the subgroup-pair tables
-_BLOCK_BYTES = 1 << 21
-
-
-def _block_rows(row_bytes: int) -> int:
-    """Rows of `row_bytes` bytes each that fit `_BLOCK_BYTES`, at least one."""
-    return max(1, _BLOCK_BYTES // max(row_bytes, 1))
 
 
 def _narrow(a: np.ndarray, top: int) -> np.ndarray:
@@ -111,8 +103,8 @@ def _packed_rows(projectors) -> np.ndarray:
     The layout follows the code's dtype: a code of real projectors has no
     imaginary parts and takes n(n+1)/2 columns, one with any complex
     projector n^2, against the 2n^2 of the interleaved vec P.  The rows are
-    packed into one array from stacks of about `_BLOCK_BYTES` of
-    projectors."""
+    packed into one array from stacks of projectors of about the byte
+    budget (`config.blocks`)."""
     n = projectors[0].n
     real = not any(np.iscomplexobj(q.projector) for q in projectors)
     dtype, width = (float, 1) if real else (complex, 2)
@@ -120,12 +112,11 @@ def _packed_rows(projectors) -> np.ndarray:
     # in F order, so that x[lo:].T, the right factor of every Gram block,
     # is a row-major view: faster than C order at blocks of a few dozen rows
     rows = np.empty((len(cols), len(projectors))).T
-    step = _block_rows(n * n * np.dtype(dtype).itemsize)
-    for lo in range(0, len(projectors), step):
-        p = np.stack([q.projector for q in projectors[lo:lo + step]],
-                     dtype=dtype)
-        rows[lo:lo + step] = np.take(p.reshape(len(p), -1).view(np.float64),
-                                     cols, axis=1)
+    stacked = n * n * np.dtype(dtype).itemsize   # bytes of one projector
+    for part in config.blocks(len(projectors), stacked):
+        p = np.stack([q.projector for q in projectors[part]], dtype=dtype)
+        rows[part] = np.take(p.reshape(len(p), -1).view(np.float64), cols,
+                             axis=1)
     rows[:, n:] *= math.sqrt(2)
     return rows
 
@@ -134,15 +125,14 @@ def _chordal_blocks(projectors):
     """d_c^2 = m - tr(P_i P_j) streamed in blocks of codeword rows: yields
     (lo, block) with block[a, b] = d_c^2 of codewords lo + a and lo + b, so
     only entries above the diagonal are pairs.  A block spans the columns
-    lo..N-1 and takes as many rows as fit `_BLOCK_BYTES` at the full width
-    N, so its bytes do not grow with N (past one row).  The overlaps are
-    one real product over the packed rows (`_packed_rows`)."""
+    lo..N-1 and takes as many rows as fit the byte budget (`config.blocks`)
+    at the full width N, so its bytes do not grow with N (past one row).
+    The overlaps are one real product over the packed rows (`_packed_rows`)."""
     m = projectors[0].m
     x = _packed_rows(projectors)
-    step = _block_rows(x.itemsize * len(x))
-    for lo in range(0, len(x), step):
-        block = x[lo:lo + step] @ x[lo:].T
-        yield lo, np.subtract(m, block, out=block)
+    for part in config.blocks(len(x), x.itemsize * len(x)):
+        block = x[part] @ x[part.start:].T
+        yield part.start, np.subtract(m, block, out=block)
 
 
 def spa_census(projectors, keys):
@@ -167,8 +157,8 @@ def spa_census(projectors, keys):
     against a pairwise reference in the tests.  Distinctness is read from
     the Gram.
 
-    The Gram's row blocks are about `_BLOCK_BYTES` (`_chordal_blocks`), and
-    a block's keys and residuals are arrays of its shape, so the working
+    The Gram's row blocks are about `config.BLOCK_BYTES` (`_chordal_blocks`),
+    and a block's keys and residuals are arrays of its shape, so the working
     memory beside the packed rows does not grow with N.  The census and its
     order of first pairs do not depend on the block size, nor does the
     residual beyond the Gram's rounding."""
@@ -390,12 +380,12 @@ class IsotypicContext:
         # rows of g h2 g^-1 for every h2 in H
         conj_rows = elem.images[h.rows[:, ginv.images.astype(np.intp)]]
         total = 0.0 + 0.0j
-        step = max(1, _LOOKUP_ROWS // h.order)
-        for lo in range(0, h.order, step):
-            # products h1 (g h2 g^-1) for a block of h1 and every h2
-            prods = h.rows[lo:lo + step][:, conj_rows].reshape(-1, g.degree)
+        # products h1 (g h2 g^-1) for a block of h1 and every h2, looked up
+        # at an intp a point, as `PermGroup.row_blocks` counts a lookup
+        for part in config.blocks(h.order, 8 * g.degree * h.order):
+            prods = h.rows[part][:, conj_rows].reshape(-1, g.degree)
             cls = g_class_of[g.lookup_rows(prods)].reshape(-1, h.order)
-            total += e_vals[lo:lo + step] @ (chi_rho[cls] @ e_vals)
+            total += e_vals[part] @ (chi_rho[cls] @ e_vals)
         rhs = m - (total / h.order ** 2).real
         residual = abs(lhs - rhs) / max(1.0, abs(lhs))
         if residual > TOL.integer:
@@ -785,10 +775,11 @@ def _stabilizer_keys(labels: np.ndarray, signs: np.ndarray, i: int, r: int):
     (k, l).
 
     The n_sub x n_sub tables are one byte an entry: |K| and |M| are float32
-    products formed a chunk of about `_BLOCK_BYTES` of subgroup rows at a
-    time, each chunk's key written straight to the int8 table, and the
-    shared pairs' indices, kinds and positions are held at the width their
-    range needs.  So are `code` and `lut`, and a pair's key is one byte."""
+    products formed a chunk of subgroup rows of about the byte budget
+    (`config.blocks`) at a time, each chunk's key written straight to the
+    int8 table, and the shared pairs' indices, kinds and positions are held
+    at the width their range needs.  So are `code` and `lut`, and a pair's
+    key is one byte."""
     n_sub, size = labels.shape
     n_labels = 1 << 2 * i
     member = np.zeros((n_sub, n_labels), dtype=np.float32)
@@ -799,18 +790,17 @@ def _stabilizer_keys(labels: np.ndarray, signs: np.ndarray, i: int, r: int):
     odd = np.array([bin(x).count("1") & 1 for x in range(n_labels)], bool)
     # each chunk's (r + 1) log2|K| + log2|M|, written to the table
     table = np.empty((n_sub, n_sub), dtype=np.int8)
-    step = _block_rows(member.itemsize * n_sub)
-    for lo in range(0, n_sub, step):
-        rows = labels[lo:lo + step]
+    for part in config.blocks(n_sub, member.itemsize * n_sub):
+        rows = labels[part]
         perp = np.ones((len(rows), n_labels), dtype=bool)
         for e in range(size):   # one label at a time keeps the peak down
             perp &= ~odd[rows[:, e, None] & swapped]
-        size_k = member[lo:lo + step] @ member.T        # |K|, then the key
+        size_k = member[part] @ member.T                # |K|, then the key
         np.log2(size_k, out=size_k)
         size_k *= r + 1
         size_m = perp.astype(np.float32) @ member.T     # |M|
         size_k += np.log2(size_m, out=size_m)
-        table[lo:lo + step] = size_k
+        table[part] = size_k
     del member, perp, size_k, size_m   # not held while the kinds are formed
     # the pairs with |K| > 1, each of one kind: its key, the signs of both
     # subgroups relative to their sign choice 0, numbered, and for each

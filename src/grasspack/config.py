@@ -1,5 +1,5 @@
-"""Global numeric tolerances, enumeration caps, the data-directory variable
-and the base class of every grasspack exception.
+"""Global numeric tolerances, enumeration caps, the working-memory budget,
+the data-directory variable and the base class of every grasspack exception.
 
 The tolerance ladder is fixed package-wide so that every certification step
 quotes the same thresholds.  Command-line entry points may override the cap
@@ -7,6 +7,7 @@ and the master seed but not the ladder itself.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 
@@ -29,6 +30,11 @@ VECTOR_CARRIER_BUDGET = 32768
 #: 19,841,850 pairs, is the largest it certifies; (4, 3) has 131 million
 PAIR_BUDGET = 1 << 25
 
+#: bytes one block of a streamed pass may hold: every pass over rows that
+#: would not fit at once takes its slices from `blocks`, which reads this at
+#: call time, so one setting sizes them all
+BLOCK_BYTES = 1 << 21
+
 #: character table computation refuses groups with more classes than this
 MAX_CLASSES = 60
 
@@ -40,6 +46,13 @@ SEED_TRIES = 5
 
 #: environment variable naming a directory of generator files
 DATA_ENV = "GRASSPACK_DATA"
+
+
+def blocks(n: int, row_bytes: int) -> Iterator[slice]:
+    """Consecutive slices covering range(n), each as many rows of
+    `row_bytes` bytes as fit `BLOCK_BYTES`, at least one row."""
+    step = max(1, BLOCK_BYTES // max(row_bytes, 1))
+    return (slice(lo, min(lo + step, n)) for lo in range(0, n, step))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,8 @@ conditioned near zero angles.
 
 A projector's dtype follows its data: float64 for real input, integers
 included, and complex128 for complex input; nothing here casts to complex.
+A stack of projectors is checked in chunks of the package's one
+working-memory budget, `config.BLOCK_BYTES`.
 """
 from __future__ import annotations
 
@@ -25,10 +27,6 @@ class GrassmannError(config.GrasspackError):
     pass
 
 
-#: bytes of projector stack per chunk of a stacked check
-_CHECK_BYTES = 1 << 20
-
-
 def _in_field(a) -> np.ndarray:
     """a as float64 when it is real, integers included, else as complex128."""
     a = np.asarray(a)
@@ -37,15 +35,14 @@ def _in_field(a) -> np.ndarray:
 
 def _checked_ranks(stack: np.ndarray) -> np.ndarray:
     """The rank of every matrix of an (N, n, n) stack of projectors, checked
-    in chunks of about `_CHECK_BYTES`: each must be Hermitian and
-    idempotent within TOL.ortho and have a trace within TOL.integer of an
-    integer.  The first matrix that fails raises the GrassmannError of the
-    first gate it fails, as when the matrices are checked one at a time;
-    a NaN fails its gate."""
+    in chunks of about the byte budget of stack (`config.blocks`): each must
+    be Hermitian and idempotent within TOL.ortho and have a trace within
+    TOL.integer of an integer.  The first matrix that fails raises the
+    GrassmannError of the first gate it fails, as when the matrices are
+    checked one at a time; a NaN fails its gate."""
     ranks = np.empty(len(stack), dtype=np.int64)
-    step = max(1, _CHECK_BYTES // max(stack[:1].nbytes, 1))
-    for lo in range(0, len(stack), step):
-        p = stack[lo:lo + step]
+    for part in config.blocks(len(stack), stack[:1].nbytes):
+        p = stack[part]
         herm = np.abs(p - p.conj().transpose(0, 2, 1))
         idem = np.abs(p @ p - p)
         tr = np.trace(p, axis1=1, axis2=2).real
@@ -62,7 +59,7 @@ def _checked_ranks(stack: np.ndarray) -> np.ndarray:
             if not idem[k] <= TOL.ortho:
                 raise GrassmannError("projector is not idempotent")
             raise GrassmannError(f"projector trace {tr[k]} is not an integer")
-        ranks[lo:lo + step] = m
+        ranks[part] = m
     return ranks
 
 

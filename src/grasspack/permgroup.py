@@ -9,9 +9,10 @@ gathers (`orbits`).  Tables serve the class-wide sweeps only: classes,
 class sums, lookups and tree words.  A table keeps only what those read:
 its rows, the closure tree, the right tables, the index and, once a sweep
 asks, the inverse index.  Every pass over its rows, from the closure's
-levels to class multiplication, runs in blocks of one byte budget
-(`_BLOCK_BYTES`), and inverse rows are formed a block at a time and
-dropped, so a group holds little beyond its table's own bytes.
+levels to class multiplication, runs in blocks of the package's one
+working-memory budget (`config.BLOCK_BYTES`), and inverse rows are formed
+a block at a time and dropped, so a group holds little beyond its table's
+own bytes.
 
 Every group, with a table or without one (`PermGroup.deferred`), reaches
 its point stabilizer H = G_p through a Schreier tree: the orbit of p, one
@@ -283,8 +284,10 @@ class PermGroup:
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
+        """S_n, refused before its closure when n! is past the cap."""
         if n < 1:
             raise PermError("need n >= 1")
+        _within_cap(f"S{n}", math.factorial(n))
         if n == 1:
             return cls.trivial(1)
         gens = [Permutation.from_cycles(n, [[0, 1]])]
@@ -297,8 +300,10 @@ class PermGroup:
 
     @classmethod
     def alternating(cls, n: int) -> "PermGroup":
+        """A_n, refused before its closure when n!/2 is past the cap."""
         if n < 3:
             raise PermError("need n >= 3")
+        _within_cap(f"A{n}", math.factorial(n) // 2)
         gens = [Permutation.from_cycles(n, [[0, 1, 2]])]
         if n > 3:
             cyc = list(range(n)) if n % 2 == 1 else list(range(1, n))
@@ -412,10 +417,10 @@ class PermGroup:
         return inv
 
     def row_blocks(self) -> list[slice]:
-        """Consecutive slices covering the element table, one block of
-        `_BLOCK_BYTES` each: the blocks of the passes that look rows up."""
-        step = _block_rows(self.degree)
-        return [slice(a, a + step) for a in range(0, self.order, step)]
+        """Consecutive slices covering the element table: the blocks of the
+        passes that look rows up, at an intp a point (a lookup's query and
+        gathered rows, its mask and its int64 keys and indices)."""
+        return list(config.blocks(self.order, 8 * self.degree))
 
     def lookup_rows(self, rows2d: np.ndarray) -> np.ndarray:
         """Table indices for a batch of image rows; PermError for a non-member."""
@@ -518,19 +523,6 @@ class PermGroup:
 
 
 _HASH_MULT = np.int64(-0x61C8864680B583EB)    # 0x9E3779B97F4A7C15 as int64
-#: bytes one block of a pass over |G| rows may hold: a closure slice counts
-#: its product rows as stored; a lookup block (the inverse index, class
-#: multiplication, a row check) counts `_LOOKUP_POINT_BYTES` a point, an
-#: intp entry, about what a lookup forms per point with its query and
-#: gathered rows, its mask and its int64 keys and indices
-_BLOCK_BYTES = 1 << 21
-_LOOKUP_POINT_BYTES = 8
-
-
-def _block_rows(degree: int, point_bytes: int = _LOOKUP_POINT_BYTES) -> int:
-    """Rows of `degree` points at `point_bytes` each that fit `_BLOCK_BYTES`,
-    at least one."""
-    return max(1, _BLOCK_BYTES // (degree * point_bytes))
 
 
 def _row_keys(rows: np.ndarray, cols, mult) -> np.ndarray:
@@ -543,11 +535,10 @@ def _row_keys(rows: np.ndarray, cols, mult) -> np.ndarray:
 
 
 def _mismatch(table: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Mask of the `rows` that differ from table[idx], one block at a time."""
+    """Mask of the `rows` that differ from table[idx], a block at a time at
+    an intp a point, as the lookups count it."""
     bad = np.empty(len(idx), dtype=bool)
-    step = _block_rows(table.shape[1])
-    for a in range(0, len(idx), step):
-        part = slice(a, a + step)
+    for part in config.blocks(len(idx), 8 * table.shape[1]):
         bad[part] = (table[idx[part]] != rows[part]).any(axis=1)
     return bad
 
@@ -634,10 +625,11 @@ def _closure(gen_rows: list[np.ndarray], degree: int, cap: int) -> _Table:
     """Breadth-first element table, a level at a time.  Each level's new
     rows come in generator-major, first-occurrence order of the products
     frontier x generators; the products also fill the right tables.  A
-    level whose product rows pass `_BLOCK_BYTES` is formed in slices of that
-    sequence, each checked against every row before it, so the order is the
-    same.  The store and the per-element arrays grow in place (`_grow`) and
-    are cut to the group's order at the end, with no copy of the table."""
+    level whose product rows, counted as stored, pass the byte budget is
+    formed in slices of that sequence (`config.blocks`), each checked
+    against every row before it, so the order is the same.  The store and
+    the per-element arrays grow in place (`_grow`) and are cut to the
+    group's order at the end, with no copy of the table."""
     gens = [np.asarray(g, dtype=np.intp) for g in gen_rows]
     store = np.empty((max(64, len(gens) + 1), degree), dtype=DTYPE)
     store[0] = np.arange(degree)
@@ -647,12 +639,11 @@ def _closure(gen_rows: list[np.ndarray], degree: int, cap: int) -> _Table:
     parent = np.full(len(store), -1, dtype=np.int64)
     via = np.full(len(store), -1, dtype=np.int32)
     right = [np.empty(len(store), dtype=np.int64) for _ in gens]
-    step = _block_rows(degree, store.itemsize)
     lo, size = 0, 1
     while gens and lo < size:
         f, n = size - lo, size
-        for a in range(0, f * len(gens), step):
-            b = min(a + step, f * len(gens))
+        for part in config.blocks(f * len(gens), degree * store.itemsize):
+            a, b = part.start, part.stop
             # products a..b-1 of the level: frontier rows i..j-1 times gen s
             pieces = [(s, max(a - s * f, 0), min(b - s * f, f))
                       for s in range(a // f, (b - 1) // f + 1)]
@@ -827,6 +818,14 @@ def projective_class_count(q: int, special: bool) -> int:
     return (q + 5) // 2 if special else q + 2
 
 
+def _within_cap(name: str, order: int):
+    """PermError, before any closure, for a named group whose known order
+    is past the enumeration cap."""
+    if order > config.ENUM_CAP:
+        raise PermError(f"{name} has {order} elements, past the "
+                        f"enumeration cap {config.ENUM_CAP}")
+
+
 def _projective_group(q: int, special: bool) -> PermGroup:
     """PSL2(q) (`special`) or PGL2(q), generated by x -> x + 1, x -> c x
     (c^2 x for PSL, c primitive) and x -> 1/x (-1/x for PSL, with det 1),
@@ -834,9 +833,7 @@ def _projective_group(q: int, special: bool) -> PermGroup:
     are built when that order is past the enumeration cap."""
     family = "PSL2" if special else "PGL2"
     order = q * (q * q - 1) // (math.gcd(2, q - 1) if special else 1)
-    if order > config.ENUM_CAP:
-        raise PermError(f"{family}({q}) has {order} elements, past the "
-                        f"enumeration cap {config.ENUM_CAP}")
+    _within_cap(f"{family}({q})", order)
     f = GF(q)
     c = f.primitive()
     t, m, w = (np.arange(q + 1, dtype=DTYPE) for _ in range(3))

@@ -22,7 +22,8 @@ its field from the Frobenius-Schur indicator nu: real weights iff nu != 0,
 and a real commutant split iff nu = +1, so a copy of real type is real and
 only a quaternionic copy (nu = -1) or a complex character is complex.
 Coset reps' images come along the Schreier tree (`coset_images`), one product
-per coset rep.
+per coset rep.  The class walk's slabs and the commutant average's gathers
+are blocks of the package's one working-memory budget, `config.BLOCK_BYTES`.
 
 Isotypic projector matrices are formed only by `codes.IsotypicContext`,
 from the class sums of a few classes; here `isotypic_weights` drives the
@@ -45,10 +46,6 @@ from .characters import (CharacterTable, ClassFunction, character_table,
 from .permgroup import CosetTransversal, PermGroup, Permutation, orbits
 
 TOL = config.TOL
-
-#: bytes of images in one stacked product (a slab of a class walk), or of
-#: `commutant_average`'s gathered vectors, held at once
-_IMAGE_CHUNK_BYTES = 1 << 18
 
 
 class RepError(config.GrasspackError):
@@ -138,18 +135,17 @@ class UnitaryRep:
         return acc
 
     def _class_walk(self, c: int):
-        """(indices, images) of class c's members in slabs of at most
-        `_IMAGE_CHUNK_BYTES`: the rep (`ConjugacyClasses.rep_index`) from its
-        tree word, then breadth first under x -> s^-1 x s, each new image
-        rho(s)^H rho(x) rho(s).  The queue holds about one level."""
+        """(indices, images) of class c's members in slabs of at most the
+        byte budget of images (`config.blocks`): the rep
+        (`ConjugacyClasses.rep_index`) from its tree word, then breadth first
+        under x -> s^-1 x s, each new image rho(s)^H rho(x) rho(s).  The
+        queue holds about one level."""
         cc = self.group.conjugacy_classes()
         start = int(cc.rep_index[c])
         seen = np.zeros(self.group.order, dtype=bool)
         seen[start] = True
         word = self.group.tree_word(start)
         queue = deque([(np.array([start]), self.image_of_word(word)[None])])
-        chunk = max(1, _IMAGE_CHUNK_BYTES
-                    // (self.dtype.itemsize * self.dim ** 2))
         while queue:
             idx, images = queue.popleft()
             yield idx, images
@@ -160,8 +156,8 @@ class UnitaryRep:
                 seen[to[fresh]] = True
                 kids.append((to[fresh], a.conj().T @ images[fresh] @ a))
             to, x = (np.concatenate(v) for v in zip(*kids))
-            queue.extend((to[lo:lo + chunk], x[lo:lo + chunk])
-                         for lo in range(0, len(to), chunk))
+            queue.extend((to[part], x[part]) for part in config.blocks(
+                len(to), self.dtype.itemsize * self.dim ** 2))
 
     # -- checks -----------------------------------------------------------
 
@@ -320,10 +316,11 @@ class PermTensorCarrier:
         conj = basis.conj()
         vec = basis @ x
         y = np.zeros((basis.shape[1],) * 2, dtype=vec.dtype)
-        step = max(1, _IMAGE_CHUNK_BYTES // (vec.itemsize * self.dim))
-        for lo in range(0, h.order, step):
+        # a point of a row of h holds its int64 flat index and the index's
+        # temporary, 8 bytes each, and the gathered value
+        for part in config.blocks(h.order, (16 + vec.itemsize) * self.dim):
             # gathered by h's own row: row i is (B^H rho(h_i^-1) B x)^T
-            z = vec[self._flat_index(h.rows[lo:lo + step])] @ conj
+            z = vec[self._flat_index(h.rows[part])] @ conj
             y += z.T @ z.conj()
         a = coset_images(g.coset_transversal(h),
                          [conj.T @ self.apply_gen(s, basis)

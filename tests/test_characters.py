@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from grasspack import characters, permgroup
+from grasspack import characters, config
 from grasspack.characters import (
     CharacterError,
     ClassFunction,
@@ -114,7 +114,7 @@ def test_class_multiplication_s3_brute_force():
 def test_class_multiplication_in_blocks_matches_brute_force(monkeypatch):
     # a 256-byte budget splits the x rows, and so every lookup of
     # x^-1 z_k, into several blocks
-    monkeypatch.setattr(permgroup, "_BLOCK_BYTES", 1 << 8)
+    monkeypatch.setattr(config, "BLOCK_BYTES", 1 << 8)
     for g in (PermGroup.alternating(5), make_psl2(7)):
         assert len(g.row_blocks()) > 2
         cc = g.conjugacy_classes()

@@ -230,6 +230,32 @@ def test_over_cap_projective_q_is_refused_before_any_field(monkeypatch,
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_over_cap_symmetric_and_alternating_are_refused_before_closure(
+        monkeypatch, capsys):
+    # S12 closed up to the cap before it failed, and S40 ran out of memory
+    # under a 300 MB address-space cap
+    class Closed(Exception):
+        pass
+
+    def no_closure(*args):
+        raise Closed
+    monkeypatch.setattr(permgroup, "_closure", no_closure)
+    for within in (lambda: PermGroup.symmetric(9),       # 362,880 elements
+                   lambda: PermGroup.alternating(10)):   # 1,814,400
+        with pytest.raises(Closed):
+            within()
+    for past, order in ((lambda: PermGroup.symmetric(10), 3628800),
+                        (lambda: PermGroup.alternating(11), 19958400)):
+        with pytest.raises(PermError, match=f"has {order} elements, past "
+                           f"the enumeration cap {config.ENUM_CAP}"):
+            past()
+    for spec in ("S12", "A13"):
+        code, out, err = run(capsys, "verify", "--group", spec, "--H",
+                             "stab0", "--rep", "dim:2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_over_table_limit_projective_q_is_refused_before_enumerating(
         monkeypatch, capsys):
     # PGL2(59) has 61 classes and PGL2(83) 85, past the table limit 60;

@@ -574,7 +574,9 @@ def test_fonda2_blocks_agree(s5_ctx, monkeypatch):
     chars = components_by_degree(s5_ctx, 3)[:1]
     elems = [Permutation(s5_ctx.g.rows[i]) for i in (1, 17, 119)]
     whole = [s5_ctx.fonda2_residual(chars, e) for e in elems]
-    monkeypatch.setattr(codes, "_LOOKUP_ROWS", 2 * s5_ctx.h.order)
+    # two rows of H a lookup block, each |H| products at an intp a point
+    monkeypatch.setattr(config, "BLOCK_BYTES",
+                        2 * 8 * s5_ctx.g.degree * s5_ctx.h.order)
     blocked = [s5_ctx.fonda2_residual(chars, e) for e in elems]
     fresh = IsotypicContext(s5_ctx.g, s5_ctx.h, s5_ctx.rho)
     refreshed = [fresh.fonda2_residual(chars, e) for e in elems]
@@ -713,9 +715,10 @@ def clifford_3_2():
 
 def gram_rows(monkeypatch, rows, big_n):
     """Set the block budget to Gram blocks of `rows` rows of `big_n`
-    codewords; it sizes the packed chunks and key tables alike."""
-    monkeypatch.setattr(codes, "_BLOCK_BYTES", rows * 8 * big_n)
-    assert codes._block_rows(8 * big_n) == rows
+    codewords; it sizes the packed chunks, the key tables and every other
+    pass alike."""
+    monkeypatch.setattr(config, "BLOCK_BYTES", rows * 8 * big_n)
+    assert next(config.blocks(big_n, 8 * big_n)) == slice(0, rows)
     return rows
 
 
@@ -833,9 +836,8 @@ def test_clifford_keys_match_the_pairwise_sign_comparison(monkeypatch, i, r):
     if big_n <= 420:
         assert np.array_equal(keys(at, at), want(at, at))
     if i == 4:
-        step = codes._block_rows(8 * big_n)
-        for lo in range(0, big_n, step):
-            rows, cols = at[lo:lo + step], at[lo:]
+        for part in config.blocks(big_n, 8 * big_n):
+            rows, cols = at[part], at[part.start:]
             got = keys(rows, cols)
             # read by the census as they are, one byte a key, without a copy
             assert got.itemsize == 1 and got.flags.c_contiguous
@@ -954,7 +956,7 @@ def test_packed_rows_across_pack_chunks(monkeypatch):
             for _ in range(7)]
     words = real + random_subspaces(rng, 1, n=4)
     # three complex 4 x 4 projectors a chunk, six real ones
-    monkeypatch.setattr(codes, "_BLOCK_BYTES", 3 * 4 * 4 * 16)
+    monkeypatch.setattr(config, "BLOCK_BYTES", 3 * 4 * 4 * 16)
     assert codes._packed_rows(real).shape == (7, 10)
     assert codes._packed_rows(words).shape == (8, 16)
     assert_gram_matches_trace(words)
@@ -969,7 +971,7 @@ def test_census_does_not_depend_on_the_block_size(s5_ctx, clifford_3_2,
     chars = components_by_degree(s5_ctx, 3)[:1]
     default = [clifford_3_2, build_clifford_orthoplex(4, 1),
                s5_ctx.build(chars)]
-    monkeypatch.setattr(codes, "_BLOCK_BYTES", budget)
+    monkeypatch.setattr(config, "BLOCK_BYTES", budget)
     for want, code in zip(default, [build_clifford_orthoplex(3, 2),
                                     build_clifford_orthoplex(4, 1),
                                     s5_ctx.build(chars)]):

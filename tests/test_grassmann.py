@@ -45,7 +45,7 @@ def mixed_words(rng, count, n=5):
 @pytest.fixture
 def chunks_of_three(monkeypatch):
     # three 5 x 5 complex matrices per chunk of the stacked check
-    monkeypatch.setattr(grassmann, "_CHECK_BYTES", 3 * 5 * 5 * 16)
+    monkeypatch.setattr(config, "BLOCK_BYTES", 3 * 5 * 5 * 16)
 
 
 def test_stack_equals_one_at_a_time(chunks_of_three):

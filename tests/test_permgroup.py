@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grasspack import permgroup
+from grasspack import config, permgroup
 from grasspack.catalog import load_packaged_group
 from grasspack.permgroup import (
     GF,
@@ -536,7 +536,7 @@ def test_closure_order_matches_reference_bfs(name):
 def test_closure_and_inverses_in_blocks_match_reference_bfs(name, monkeypatch):
     # a 256-byte budget cuts the larger levels into slices, some across a
     # generator boundary, and the inverse pass and its lookups into blocks
-    monkeypatch.setattr(permgroup, "_BLOCK_BYTES", 1 << 8)
+    monkeypatch.setattr(config, "BLOCK_BYTES", 1 << 8)
     g = ORDER_PINNED[name]()
     gens = [tuple(int(x) for x in s.images) for s in g.generators]
     rows, parent, via = reference_closure(gens, g.degree)
@@ -544,7 +544,7 @@ def test_closure_and_inverses_in_blocks_match_reference_bfs(name, monkeypatch):
     for i in range(1, len(rows)):
         depth[i] = depth[parent[i]] + 1
     widest = max(np.bincount(depth)) * len(gens)       # products of a level
-    assert widest > permgroup._block_rows(g.degree, g.rows.itemsize)
+    assert len(list(config.blocks(widest, g.degree * g.rows.itemsize))) > 1
     table = g._table
     assert [tuple(r) for r in table.rows.tolist()] == rows
     assert table.parent.tolist() == parent and table.via.tolist() == via

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasspack import reps
+from grasspack import config, reps
 from grasspack.characters import character_table, decompose, inner_product
 from grasspack.codes import CodeError, IsotypicContext
 from grasspack.catalog import data_path
@@ -366,14 +366,16 @@ def test_commutant_average_on_a_real_basis_matches_the_dense_sum(make):
             assert np.abs(got - want_t).max() < 1e-10
 
 
-def test_class_sums_across_chunks_match_brute_force():
+def test_class_sums_across_chunks_match_brute_force(monkeypatch):
     # the 16-dimensional Young form of S6 stacks 64 images per chunk, so its
     # classes of 90, 120 and 144 elements are summed over several chunks;
     # classes come back in the order listed, repeats included
     g = PermGroup.symmetric(6)
     rep = young_orthogonal_rep(g, Partition((3, 2, 1)))
     cc = g.conjugacy_classes()
-    chunk = reps._IMAGE_CHUNK_BYTES // (16 * rep.dim ** 2)
+    monkeypatch.setattr(config, "BLOCK_BYTES",
+                        64 * rep.dtype.itemsize * rep.dim ** 2)
+    chunk = config.BLOCK_BYTES // (rep.dtype.itemsize * rep.dim ** 2)
     big = int(np.argmax(cc.sizes))
     assert cc.sizes[big] > 2 * chunk
     listed = [big, 0, int(np.argmin(cc.sizes[1:])) + 1, big]
