@@ -9,12 +9,15 @@ along the closure tree, one product per tree node on the way to them.
 
 Young's orthogonal form gives the irreducibles of S_n and, restricted, of
 A_n; a self-conjugate shape splits on A_n into the two eigenspaces of its
-associator (`alternating_halves`).  All others are cut out of a permutation
-tensor-power carrier (`PermTensorCarrier`): the isotypic component is spanned
-by the projections of one point per G-orbit on k-tuples and their images,
-and each projection is a weighted bincount of the point's |G| images.  Every
-derived representation passes one exact gate (`_check_extracted`): its basis
-is orthonormal and invariant under the generators it came from.
+associator (`alternating_halves`).  Sp(6, 2)'s 7 is its action on the 28
+equiangular lines of R^7 (`symplectic_rotation_rep`), read off from the
+symplectic form and gated by an exact check that each generator preserves
+the lines' Gram signs.  All others are cut out of a permutation tensor-power
+carrier (`PermTensorCarrier`): the isotypic component is spanned by the
+projections of one point per G-orbit on k-tuples and their images, and each
+projection is a weighted bincount of the point's |G| images.  Every derived
+representation passes one exact gate (`_check_extracted`): its basis is
+orthonormal and invariant under the generators it came from.
 
 Arithmetic stays in the field of the data: a representation whose generator
 images are real is held, multiplied and summed in float64.  Extraction takes
@@ -33,7 +36,6 @@ from `characters.decompose`.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -612,23 +614,21 @@ def standard_tableaux(lam: Partition) -> list[tuple[tuple[int, ...], ...]]:
     return results
 
 
-def young_orthogonal_rep(n_or_group, lam: Partition) -> UnitaryRep:
-    """Young's orthogonal form on standard tableaux.
+def young_orthogonal_rep(group: PermGroup, lam: Partition) -> UnitaryRep:
+    """Young's orthogonal form on standard tableaux, for the generators of
+    `group` on lam.n points.
 
     For the adjacent transposition s_k = (k, k+1), acting on tableau T with
     axial distance d = content(k+1) - content(k):
         s_k T_vec = (1/d) T_vec + sqrt(1 - 1/d^2) (swapped T)_vec
     """
-    group = n_or_group if isinstance(n_or_group, PermGroup) else None
-    n = int(n_or_group) if group is None else group.degree
+    n = group.degree
     if lam.n != n:
         raise RepError(f"partition of {lam.n} against degree {n}")
     dim = hook_dimension(lam)
     if dim > config.TENSOR_BUDGET:
         raise CarrierBudgetError(f"dimension {dim} exceeds budget "
                                  f"{config.TENSOR_BUDGET}")
-    if group is None:
-        group = PermGroup.symmetric(n)
     tabs = standard_tableaux(lam)
     if len(tabs) != dim:
         raise RepError(f"{len(tabs)} standard tableaux of {lam}, expected {dim}")
@@ -730,142 +730,23 @@ def alternating_halves(rho: UnitaryRep, lam: Partition) -> list[UnitaryRep]:
 #
 # The seven-dimensional irreducible of Sp(6, 2) is not a constituent of any
 # small tensor power of its doubly transitive permutation actions, so it is
-# built directly: Sp(6, 2) is the rotation subgroup of the reflection group
-# of the E7 root system, root pairs biject with nonzero vectors of F_2^6,
-# and a transvection t_v maps to minus the reflection in the matching root.
-
-
-def _e7_roots() -> np.ndarray:
-    """The 126 roots: E8 roots orthogonal to e7 + e8."""
-    roots = []
-    for i in range(6):
-        for j in range(i + 1, 6):
-            for si in (1.0, -1.0):
-                for sj in (1.0, -1.0):
-                    v = np.zeros(8)
-                    v[i], v[j] = si, sj
-                    roots.append(v)
-    v = np.zeros(8)
-    v[6], v[7] = 1.0, -1.0
-    roots.extend([v, -v])
-    for mask in range(256):
-        if bin(mask).count("1") % 2:
-            continue
-        s = np.array([-0.5 if (mask >> t) & 1 else 0.5 for t in range(8)])
-        if s[6] + s[7] == 0.0:
-            roots.append(s)
-    out = np.array(roots)
-    if out.shape != (126, 8):
-        raise RepError(f"E7 root system has shape {out.shape}")
-    return out
-
-
-def _e7_simple_roots(roots: np.ndarray) -> np.ndarray:
-    f = roots @ (3.0 ** np.arange(8)[::-1])
-    pos = roots[f > 0]
-    if np.abs(f).min() <= 0.4 or len(pos) != 63:
-        raise RepError("E7 height functional does not split the roots")
-    keys = {tuple(np.round(2 * r).astype(int)) for r in pos}
-    simple = []
-    for r in pos:
-        sums = r[None, :] - pos
-        if not any(tuple(np.round(2 * s).astype(int)) in keys
-                   for s in sums if np.abs(s).sum() > 1e-9):
-            simple.append(r)
-    out = np.array(simple)
-    if out.shape != (7, 8):
-        raise RepError(f"{len(simple)} E7 simple roots, expected 7")
-    return out
-
-
-class _E7Dictionary:
-    """Root pair <-> nonzero symplectic vector correspondence for m = 3."""
-
-    def __init__(self):
-        from . import symplectic as sp
-        roots = _e7_roots()
-        simple = _e7_simple_roots(roots)
-        coords, _, _, _ = np.linalg.lstsq(simple.T, roots.T, rcond=None)
-        coords = coords.T
-        icoords = np.round(coords).astype(int)
-        if (np.abs(simple.T @ coords.T - roots.T).max() >= 1e-9
-                or np.abs(coords - icoords).max() >= 1e-9):
-            raise RepError("E7 roots are not integral in the simple roots")
-        gram = np.round(simple @ simple.T).astype(int)
-        g2_rows = [int(sum((gram[i, j] & 1) << j for j in range(7)))
-                   for i in range(7)]
-
-        def bq(u: int, w: int) -> int:
-            acc = 0
-            for i in range(7):
-                if u >> i & 1:
-                    acc ^= bin(g2_rows[i] & w).count("1") & 1
-            return acc
-
-        rad = [v for v in range(1, 128) if all(bq(v, 1 << j) == 0
-                                               for j in range(7))]
-        if len(rad) != 1:
-            raise RepError(f"E7 mod-2 radical has {len(rad)} nonzero vectors")
-        pairs = []
-
-        def perp_ok(v):
-            return all(bq(v, u) == 0 and bq(v, w) == 0 for u, w in pairs)
-
-        span = {0, rad[0]}
-        for _ in range(3):
-            u = next(v for v in range(1, 128) if v not in span and perp_ok(v))
-            w = next(v for v in range(1, 128)
-                     if perp_ok(v) and bq(u, v) == 1)
-            pairs.append((u, w))
-            span = {a ^ bu ^ cw for a in span for bu in (0, u) for cw in (0, w)}
-        self._pairs = pairs
-        self._bq = bq
-
-        masks = [int(sum((int(icoords[r, i]) & 1) << i for i in range(7)))
-                 for r in range(126)]
-        vecs = [self._to_symplectic(c) for c in masks]
-        self.root_of_vec = {}
-        for r, v in enumerate(vecs):
-            self.root_of_vec.setdefault(v, []).append(r)
-        if (sorted(self.root_of_vec) != list(range(1, 64))
-                or any(len(rs) != 2 for rs in self.root_of_vec.values())):
-            raise RepError("E7 roots do not pair off over the 63 vectors")
-        # form compatibility: B(v(a), v(b)) = <a, b> mod 2
-        ip = np.round(roots @ roots.T).astype(int)
-        for a in range(126):
-            for b in range(a, 126):
-                if sp.bform(vecs[a], vecs[b], 3) != (ip[a, b] & 1):
-                    raise RepError("mod-2 quotient is not form compatible")
-        basis = np.zeros((7, 8))
-        basis[:6, :6] = np.eye(6)
-        basis[6, 6], basis[6, 7] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-        self._refl = []
-        for r in range(126):
-            a7 = basis @ roots[r]
-            self._refl.append(np.eye(7) - np.outer(a7, a7))
-
-    def _to_symplectic(self, mask: int) -> int:
-        v = 0
-        for i, (u, w) in enumerate(self._pairs):
-            v |= self._bq(mask, w) << i
-            v |= self._bq(mask, u) << (3 + i)
-        return v
-
-    def transvection_image(self, v: int) -> np.ndarray:
-        return -self._refl[self.root_of_vec[v][0]]
-
-
-@functools.cache
-def _e7_dictionary() -> _E7Dictionary:
-    return _E7Dictionary()
+# built directly, as the group's action on the 28 equiangular lines of R^7,
+# one line per minus-type form, read off from the symplectic form alone.
 
 
 def symplectic_rotation_rep(group: PermGroup) -> UnitaryRep:
     """The 7-dimensional representation of a form-orbit action of Sp(6, 2).
 
-    Each generator's linear part is decoded from its label permutation,
-    factored into transvections, and mapped to a product of negated root
-    reflections (an element of the rotation subgroup of W(E7))."""
+    Over the 28 minus-type labels, S[a, b] = -(-1)^B(a, b) off the diagonal
+    (0 on it) has eigenvalues -3 (21 times) and 9 (7 times).  With U the
+    orthonormal columns of the 9-eigenspace, the rows of 2U are unit line
+    vectors with Gram I + S/3.  Each generator's linear part is decoded from
+    its label permutation and moved to the minus-type labels, where it
+    permutes the lines as pi; the signs eps_0 = 1, eps_a = S[pi 0, pi a]
+    S[0, a] make the signed permutation P[pi a, a] = eps_a, which must
+    preserve S exactly (else RepError).  The image is U^T P U, negated if
+    its determinant is -1: -I has determinant -1 in R^7, so each line
+    permutation has one lift of determinant 1 and the lifts compose."""
     from . import symplectic as sp
     m = 3
     plus, minus = sp.form_orbits(m)
@@ -873,15 +754,19 @@ def symplectic_rotation_rep(group: PermGroup) -> UnitaryRep:
     if group.degree not in by_degree:
         raise RepError(f"degree {group.degree} is not a form orbit of Sp(6,2)")
     orbit = by_degree[group.degree]
-    dic = _e7_dictionary()
+    maps = [sp.cols_from_orbit_perm(p.images, orbit, m)[0]
+            for p in group.generators]
+    s = 2.0 * sp.bform(minus[:, None], minus[None, :], m) - 1 + np.eye(28)
+    u = np.linalg.eigh(s)[1][:, -7:]                  # the 9-eigenspace
     images = []
-    for p in group.generators:
-        cols, _ = sp.cols_from_orbit_perm(p.images, orbit, m)
-        mat = np.eye(7)
-        for v in sp.transvection_factor(cols, m):
-            mat = mat @ dic.transvection_image(v)
-        if abs(np.linalg.det(mat) - 1.0) > TOL.integer:
-            raise RepError("rotation image has determinant != 1")
-        images.append(mat)
+    for pi in sp.induced_generators(maps, m, minus):
+        eps = s[pi[0], pi] * s[0]
+        eps[0] = 1.0
+        p = np.zeros((28, 28))
+        p[pi, np.arange(28)] = eps
+        if not np.array_equal(p @ s @ p.T, s):
+            raise RepError("label permutation does not preserve the lines")
+        img = u.T @ p @ u
+        images.append(img if np.linalg.det(img) > 0 else -img)
     return UnitaryRep(group, images, name="rotation7",
-                      provenance={"carrier": "weyl-e7"})
+                      provenance={"carrier": "equiangular-lines-28"})

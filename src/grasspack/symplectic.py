@@ -155,47 +155,3 @@ def cols_from_orbit_perm(perm: np.ndarray, orbit: np.ndarray,
         raise SymplecticError("decoded linear part is not symplectic")
     return cols, d
 
-
-def transvection_factor(cols: list[int], m: int) -> list[int]:
-    """Vectors v_1..v_k with the map equal to t_{v_1} o t_{v_2} o ... o t_{v_k}
-    (t_{v_k} applied first).  Reduces one hyperbolic basis pair at a time,
-    never disturbing pairs already fixed."""
-    n = 2 * m
-    work = list(cols)
-    used: list[int] = []
-    done: list[int] = []        # basis vectors that must stay fixed
-
-    def allowed(v):
-        return v != 0 and all(bform(v, f, m) == 0 for f in done)
-
-    def push(v):
-        nonlocal work
-        if not allowed(v):
-            raise SymplecticError(f"transvection {v} moves a fixed vector")
-        work = [apply_cols(transvection(v, m), c) for c in work]
-        used.append(v)
-
-    def move(x, y):
-        # map x to y by transvections fixing everything in `done`
-        if x == y:
-            return
-        if bform(x, y, m) == 1:
-            push(x ^ y)
-            return
-        for z in range(1, 1 << n):
-            if (bform(x, z, m) == 1 and bform(y, z, m) == 1
-                    and allowed(x ^ z) and allowed(z ^ y)):
-                push(x ^ z)
-                push(z ^ y)
-                return
-        raise SymplecticError("no connecting vector found")
-
-    for i in range(m):
-        a, b = 1 << i, 1 << (m + i)
-        move(apply_cols(work, a), a)
-        done.append(a)
-        move(apply_cols(work, b), b)
-        done.append(b)
-    if any(work[i] != 1 << i for i in range(n)):
-        raise SymplecticError("transvections do not reduce the map to 1")
-    return used

@@ -1,11 +1,12 @@
-"""Representation construction: Young forms, carriers, extraction, E7 route."""
+"""Representation construction: Young forms, carriers, extraction, Sp(6, 2)'s
+equiangular lines."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grasspack import config, reps
+from grasspack import config, reps, symplectic as sp
 from grasspack.characters import character_table, decompose, inner_product
 from grasspack.codes import CodeError, IsotypicContext
 from grasspack.catalog import data_path
@@ -126,7 +127,7 @@ def test_partition_parse():
 
 def test_young_orthogonal_s3_explicit():
     # the two tableaux of [2,1] give the textbook 2x2 matrices
-    rep = young_orthogonal_rep(3, Partition((2, 1)))
+    rep = young_orthogonal_rep(PermGroup.symmetric(3), Partition((2, 1)))
     s0 = rep.image(Permutation.from_cycles(3, [(0, 1)]))
     s1 = rep.image(Permutation.from_cycles(3, [(1, 2)]))
     assert np.allclose(s0, np.diag([1.0, -1.0]))
@@ -155,13 +156,18 @@ def test_young_rep_unitary_and_irreducible():
 
 
 def test_young_rep_budget():
+    # S12 from its generators only: the budget refuses before any closure
+    s12 = PermGroup.deferred([Permutation.from_cycles(12, [[0, 1]]),
+                              Permutation.from_cycles(12, [list(range(12))])],
+                             name="S12")
     with pytest.raises(CarrierBudgetError):
-        young_orthogonal_rep(12, Partition((6, 3, 2, 1)))     # dim 5632
+        young_orthogonal_rep(s12, Partition((6, 3, 2, 1)))    # dim 5632
+    assert not s12.is_enumerated
 
 
 def test_young_rep_wrong_size():
     with pytest.raises(Exception):
-        young_orthogonal_rep(5, Partition((3, 1)))
+        young_orthogonal_rep(PermGroup.symmetric(5), Partition((3, 1)))
 
 
 # ------------------------------------------------------ carriers, tensors
@@ -795,7 +801,8 @@ def test_associator_splits_self_conjugate_shapes(parts):
     lam = Partition(parts)
     j = reps.young_associator(lam)
     # S_n's first generator is the transposition (0 1): an odd element
-    transposition = young_orthogonal_rep(lam.n, lam).gen_images[0]
+    transposition = young_orthogonal_rep(PermGroup.symmetric(lam.n),
+                                         lam).gen_images[0]
     assert np.abs(j @ transposition + transposition @ j).max() <= 1e-15
     square = j @ j
     assert abs(square[0, 0]) == 1
@@ -1017,8 +1024,8 @@ def test_a_kept_carrier_finds_its_orbit_points_once(monkeypatch):
 
 
 def _young_s5():
-    rho = young_orthogonal_rep(5, Partition((3, 1, 1)))
-    return rho.group, rho
+    g = PermGroup.symmetric(5)
+    return g, young_orthogonal_rep(g, Partition((3, 1, 1)))
 
 
 def _extracted_pgl2_7():
@@ -1051,25 +1058,76 @@ def test_transversal_images_are_the_coset_reps_images(make):
                       - rho.image(Permutation(row))).max() < 1e-12, k
 
 
-# ----------------------------------------------------------- E7 dictionary
+# ------------------------------------------------- Sp(6, 2) on 28 lines
 
 
-def test_rotation_rep_of_minus_orbit_action():
-    g = load_group(data_path("sp6_2_deg28.grp"))
+def _line_vectors():
+    """S over the 28 minus-type labels, S[a, b] = -(-1)^B(a, b) and
+    S[a, a] = 0, its eigenvalues, and the 28 line vectors: the rows of 2U,
+    U the orthonormal columns of S's 9-eigenspace."""
+    _, minus = sp.form_orbits(3)
+    s = np.array([[0.0 if a == b else -(-1.0) ** sp.bform(int(a), int(b), 3)
+                   for b in minus] for a in minus])
+    evals, evecs = np.linalg.eigh(s)
+    return s, evals, 2 * evecs[:, -7:]
+
+
+def _assert_rotation_permutes_the_lines(g, line_perms):
+    """Each generator image is a rotation of order the generator's and sends
+    line a to +- line pi(a), pi the generator's permutation of the
+    minus-type forms.  The lines span R^7 and only +-I fixes them all, so
+    the rotation lifting each line permutation is unique: this proves the
+    homomorphism on all of G without enumerating it."""
     rep = reps.symplectic_rotation_rep(g)
+    assert not g.is_enumerated
     assert rep.dim == 7
-    for p, img in zip(g.generators, rep.gen_images):
+    lines = _line_vectors()[2]
+    for p, img, pi in zip(g.generators, rep.gen_images, line_perms):
         assert abs(np.linalg.det(img) - 1) < 1e-9
         assert np.abs(img @ img.conj().T - np.eye(7)).max() < 1e-12
         k = p.order()
         assert np.abs(np.linalg.matrix_power(img, k) - np.eye(7)).max() < 1e-9
-    assert rep.check_unitary_homomorphism(n_pairs=25) < 1e-9
+        moved = lines @ img.T                          # row a: img line_a
+        signs = np.einsum("ij,ij->i", moved, lines[pi])
+        assert np.abs(np.abs(signs) - 1).max() < 1e-12
+        assert np.abs(moved - signs[:, None] * lines[pi]).max() < 1e-12
+
+
+def test_rotation_rep_of_minus_orbit_action():
+    g = load_group(data_path("sp6_2_deg28.grp"), cap=1)
+    _assert_rotation_permutes_the_lines(g, [p.images for p in g.generators])
 
 
 def test_rotation_rep_of_plus_orbit_action():
-    g = load_group(data_path("sp6_2_deg36.grp"))
-    rep = reps.symplectic_rotation_rep(g)
-    assert rep.check_unitary_homomorphism(n_pairs=25) < 1e-9
+    g = load_group(data_path("sp6_2_deg36.grp"), cap=1)
+    plus, minus = sp.form_orbits(3)
+    maps = [sp.cols_from_orbit_perm(p.images, plus, 3)[0]
+            for p in g.generators]
+    _assert_rotation_permutes_the_lines(
+        g, sp.induced_generators(maps, 3, minus))
+
+
+def test_rotation_lines_are_equiangular():
+    s, evals, lines = _line_vectors()
+    assert lines.shape == (28, 7)
+    assert np.abs(np.linalg.norm(lines, axis=1) - 1).max() < 1e-12
+    cos = lines @ lines.T
+    assert np.abs(cos - (np.eye(28) + s / 3)).max() < 1e-12
+    off = ~np.eye(28, dtype=bool)
+    assert np.abs(np.abs(cos[off]) - 1 / 3).max() < 1e-12
+    assert np.linalg.matrix_rank(lines) == 7
+    assert np.abs(evals - np.repeat([-3.0, 9.0], [21, 7])).max() < 1e-12
+
+
+def test_rotation_gate_refuses_a_non_automorphism(monkeypatch):
+    # swapping two lines and fixing the rest preserves no sign pattern of S
+    swap = np.arange(28, dtype=np.int16)
+    swap[[0, 1]] = [1, 0]
+    monkeypatch.setattr(sp, "induced_generators",
+                        lambda maps, m, orbit: [swap for _ in maps])
+    g = load_group(data_path("sp6_2_deg28.grp"), cap=1)
+    with pytest.raises(RepError, match="does not preserve the lines"):
+        reps.symplectic_rotation_rep(g)
 
 
 def test_rotation_rep_rejects_other_degrees():
@@ -1081,21 +1139,6 @@ def test_rotation_rep_rejects_a_non_symplectic_action():
     # right degree, but a 28-cycle moves the form labels non-affinely
     with pytest.raises(SymplecticError, match="not affine"):
         reps.symplectic_rotation_rep(PermGroup.cyclic(28))
-
-
-def test_e7_dictionary_geometry():
-    dic = reps._e7_dictionary()
-    roots = reps._e7_roots()
-    norms = np.einsum("ij,ij->i", roots, roots)
-    assert np.allclose(norms, 2.0)
-    assert np.allclose(roots @ np.array([0, 0, 0, 0, 0, 0, 1.0, 1.0]), 0.0)
-    # transvection images: involutive rotations, one per nonzero vector
-    assert set(dic.root_of_vec) == set(range(1, 64))
-    for v in (1, 9, 42, 63):
-        r = dic.transvection_image(v)
-        assert np.abs(r @ r - np.eye(7)).max() < 1e-12
-        assert abs(np.linalg.det(r) - 1) < 1e-12
-        assert abs(np.trace(r) + 5) < 1e-12   # reflection trace 5, negated
 
 
 # ----------------------------------------------------------- words

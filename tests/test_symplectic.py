@@ -89,26 +89,6 @@ def test_form_orbit_sizes():
     assert 0 in plus  # Q_0 itself is plus type
 
 
-def test_transvection_factor_roundtrip():
-    rng = np.random.default_rng(7)
-    for m in (1, 2, 3):
-        n = 2 * m
-        for _ in range(25):
-            cols = [1 << i for i in range(n)]
-            for _ in range(int(rng.integers(1, 9))):
-                cols = sp.transvection(int(rng.integers(1, 1 << n)), m,
-                                       compose_with=cols)
-            fac = sp.transvection_factor(cols, m)
-            rebuilt = [1 << i for i in range(n)]
-            for v in reversed(fac):
-                rebuilt = sp.transvection(v, m, compose_with=rebuilt)
-            assert rebuilt == cols
-
-
-def test_transvection_factor_identity_is_empty():
-    assert sp.transvection_factor([1, 2, 4, 8], 2) == []
-
-
 def test_cols_from_orbit_perm_roundtrip():
     rng = np.random.default_rng(23)
     for m in (2, 3):
