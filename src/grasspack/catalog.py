@@ -392,16 +392,10 @@ def canonical_shapes(points: int) -> list[Partition]:
 def symmetric_tower_entries(points: int,
                             include_alternating: bool = True
                             ) -> list[CatalogEntry]:
-    """All cells on `points` points, built and certified."""
+    """All cells on `points` points, built and certified.  S_n is built and
+    dropped in its own call, so it is freed before A_n is built."""
     refs = _tower_references(points)
-    g = PermGroup.symmetric(points)
-    h = g.stabilizer(points - 1)
-    entries = []
-    for lam in canonical_shapes(points):
-        ctx = IsotypicContext(g, h, young_orthogonal_rep(g, lam))
-        entries.extend(_context_entries(
-            "symmetric", {"points": points, "partition": list(lam.parts)},
-            ctx, refs))
+    entries = _symmetric_entries(points, refs)
     if include_alternating:
         entries.extend(_alternating_entries(points, refs))
         entries = _flag_cross_family(entries)
@@ -423,6 +417,18 @@ def predicted_tower_entries(points: int) -> list[CatalogEntry]:
                 "symmetric", {"points": points, "partition": list(lam.parts)},
                 n, mc, points, None, None))
     return sorted(entries, key=lambda e: (e.n, e.m))
+
+
+def _symmetric_entries(points, refs):
+    g = PermGroup.symmetric(points)
+    h = g.stabilizer(points - 1)
+    entries = []
+    for lam in canonical_shapes(points):
+        ctx = IsotypicContext(g, h, young_orthogonal_rep(g, lam))
+        entries.extend(_context_entries(
+            "symmetric", {"points": points, "partition": list(lam.parts)},
+            ctx, refs))
+    return entries
 
 
 def _alternating_entries(points, refs):

@@ -2,18 +2,18 @@
 unions, and the Clifford-group orthoplex construction.
 
 Dtypes follow the data, as in `reps` and `grassmann`: a real split and every
-Clifford code give float64 bases, codewords and packed Gram rows; complex
+Clifford code give float64 bases and packed codeword rows; complex
 arithmetic enters only with complex data or to part a conjugate pair.
+Every builder holds its codewords as one `ProjectorStack` of packed rows,
+which the census reads without copying.
 
 The passes over a code's pairs and codewords, the character identity's
 lookups and the Clifford key tables run in blocks of the package's one
 working-memory budget, `config.BLOCK_BYTES`."""
 from __future__ import annotations
 
-import functools
 import itertools
-import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +22,9 @@ from . import config
 # compute_table is uncalled here; perfbench/test_bench.py checks its binding
 from .characters import (character_table, compute_table, decompose,
                          inner_product)
-from .grassmann import (GrassmannError, PrincipalAngleSet, SubspaceProjector,
-                        chordal_sq_trace, orthoplex_bound, principal_angles,
+from .grassmann import (GrassmannError, PrincipalAngleSet, ProjectorStack,
+                        SubspaceProjector, chordal_sq_trace, completed,
+                        lower_triangle, orthoplex_bound, principal_angles,
                         product_distance, simplex_bound)
 from .permgroup import NotASubgroup, PermGroup, Permutation
 from .reps import (UnitaryRep, commutant_singular_values, coset_images,
@@ -73,7 +74,11 @@ class CodeParams:
 
 @dataclass(frozen=True)
 class GrassmannCode:
-    projectors: tuple[SubspaceProjector, ...]
+    """A certified code.  Every builder's `projectors` is a `ProjectorStack`:
+    one packed row per codeword, its diagonal and lower triangle, with each
+    codeword formed on access; `_assemble` keeps whatever sequence it is
+    given."""
+    projectors: Sequence[SubspaceProjector]
     params: CodeParams
     provenance: dict
     census: tuple[tuple[PrincipalAngleSet, int], ...] = ()
@@ -83,41 +88,21 @@ class GrassmannCode:
 # ------------------------------------------------------------ census/params
 
 
-@functools.lru_cache
-def _packed_columns(n: int, width: int) -> np.ndarray:
-    """Read-only indices into the float view of vec P, for an n x n P of
-    `width` floats per entry (1 real, 2 complex), of the diagonal, then the
-    real parts above it and, for a complex P, the imaginary parts."""
-    iu, ju = np.triu_indices(n, k=1)
-    upper = width * (iu * n + ju)
-    parts = [width * (n + 1) * np.arange(n), upper, upper + 1]
-    cols = np.concatenate(parts[:width + 1])
-    cols.flags.writeable = False
-    return cols
-
-
 def _packed_rows(projectors) -> np.ndarray:
-    """One row per Hermitian projector P, [diag P, sqrt2 Re P_ij, sqrt2 Im
-    P_ij] (i < j), so that tr(PQ) = sum_i P_ii Q_ii + 2 sum_{i<j} (Re P_ij
-    Re Q_ij + Im P_ij Im Q_ij) is the dot product of the rows of P and Q.
-    The layout follows the code's dtype: a code of real projectors has no
-    imaginary parts and takes n(n+1)/2 columns, one with any complex
-    projector n^2, against the 2n^2 of the interleaved vec P.  The rows are
-    packed into one array from stacks of projectors of about the byte
-    budget (`config.blocks`)."""
-    n = projectors[0].n
-    real = not any(np.iscomplexobj(q.projector) for q in projectors)
-    dtype, width = (float, 1) if real else (complex, 2)
-    cols = _packed_columns(n, width)
-    # in F order, so that x[lo:].T, the right factor of every Gram block,
-    # is a row-major view: faster than C order at blocks of a few dozen rows
-    rows = np.empty((len(cols), len(projectors))).T
-    stacked = n * n * np.dtype(dtype).itemsize   # bytes of one projector
-    for part in config.blocks(len(projectors), stacked):
-        p = np.stack([q.projector for q in projectors[part]], dtype=dtype)
-        rows[part] = np.take(p.reshape(len(p), -1).view(np.float64), cols,
-                             axis=1)
-    rows[:, n:] *= math.sqrt(2)
+    """One row per projector P: its diagonal and lower triangle, row by row
+    (`grassmann.lower_triangle`), as stored, so that tr(PQ) = sum_i P_ii
+    Q_ii + 2 Re sum_{i>j} P_ij conj(Q_ij) is a weighted product of the rows
+    of P and Q.  The rows are n(n+1)/2 wide, complex for a code with any
+    complex projector.  A `ProjectorStack` is returned as its own rows,
+    without a copy; only a plain list is packed, into rows in F order like a
+    stack's."""
+    if isinstance(projectors, ProjectorStack):
+        return projectors.rows
+    il, jl = lower_triangle(projectors[0].n)
+    dtype = np.result_type(*{q.projector.dtype for q in projectors})
+    rows = np.empty((len(il), len(projectors)), dtype=dtype).T
+    for row, q in zip(rows, projectors):
+        row[:] = q.projector[il, jl]
     return rows
 
 
@@ -127,12 +112,16 @@ def _chordal_blocks(projectors):
     only entries above the diagonal are pairs.  A block spans the columns
     lo..N-1 and takes as many rows as fit the byte budget (`config.blocks`)
     at the full width N, so its bytes do not grow with N (past one row).
-    The overlaps are one real product over the packed rows (`_packed_rows`)."""
-    m = projectors[0].m
+    The overlaps are the real part of one product over the packed rows
+    (`_packed_rows`), whose small left block is conjugated and weighted 1 on
+    the diagonal and 2 below it."""
+    first = projectors[0]
     x = _packed_rows(projectors)
+    il, jl = lower_triangle(first.n)
+    weight = np.where(il == jl, 1.0, 2.0)
     for part in config.blocks(len(x), x.itemsize * len(x)):
-        block = x[part] @ x[part.start:].T
-        yield part.start, np.subtract(m, block, out=block)
+        block = ((x[part].conj() * weight) @ x[part.start:].T).real
+        yield part.start, np.subtract(first.m, block, out=block)
 
 
 def spa_census(projectors, keys):
@@ -157,7 +146,10 @@ def spa_census(projectors, keys):
     against a pairwise reference in the tests.  Distinctness is read from
     the Gram.
 
-    The Gram's row blocks are about `config.BLOCK_BYTES` (`_chordal_blocks`),
+    `projectors` is a `ProjectorStack`, whose packed rows the Gram reads as
+    they are and whose items are formed only for the first pair of each
+    key, or a plain list, which is packed once (`_packed_rows`).  The
+    Gram's row blocks are about `config.BLOCK_BYTES` (`_chordal_blocks`),
     and a block's keys and residuals are arrays of its shape, so the working
     memory beside the packed rows does not grow with N.  The census and its
     order of first pairs do not depend on the block size, nor does the
@@ -166,11 +158,15 @@ def spa_census(projectors, keys):
     if n_words < 2:
         return [], n_words, 0.0
     first = projectors[0]
-    for p in projectors[1:]:
-        if p.n != first.n:
-            raise GrassmannError(f"ambient mismatch {first.n} != {p.n}")
-        if p.m != first.m:
-            raise GrassmannError(f"dimension mismatch {first.m} != {p.m}")
+    if isinstance(projectors, ProjectorStack):     # one ambient C^n
+        dims = ((first.n, m) for m in projectors.ranks.tolist())
+    else:
+        dims = ((p.n, p.m) for p in projectors)
+    for n, m in dims:
+        if n != first.n:
+            raise GrassmannError(f"ambient mismatch {first.n} != {n}")
+        if m != first.m:
+            raise GrassmannError(f"dimension mismatch {first.m} != {m}")
     dup = np.zeros(n_words, dtype=bool)         # equal to an earlier word
     counts = np.zeros(0, dtype=np.int64)        # pairs per key
     want = np.zeros(0)                          # d_c^2 per key
@@ -254,7 +250,7 @@ def _assemble(projectors, provenance, keys,
                         d_tilde_min=dt_min,
                         spa_sets=tuple(s for s, _ in census),
                         meets_simplex=meets_s, meets_orthoplex=meets_o)
-    return GrassmannCode(projectors=tuple(projectors), params=params,
+    return GrassmannCode(projectors=projectors, params=params,
                          provenance=provenance, census=tuple(census),
                          keys=keys)
 
@@ -343,12 +339,19 @@ class IsotypicContext:
             raise CodeError(f"projector trace {tr.real:.6f} != dimension {m}")
         return pi, m
 
-    def orbit(self, pi_w: SubspaceProjector) -> list[SubspaceProjector]:
-        """u W for each coset rep u, in transversal order: u P u^H for every
-        rep as one batched product, checked as one stack."""
+    def orbit(self, *pis: SubspaceProjector) -> ProjectorStack:
+        """u W for each coset rep u, in transversal order, for each W of
+        `pis` in turn, as one stack: u P u^H is one batched product over a
+        chunk of reps of about the byte budget (`config.blocks`), checked
+        and packed as it is formed, so no dense stack of the orbit is
+        held."""
         u = self.t_images
-        return SubspaceProjector.stack(
-            u @ pi_w.projector @ u.conj().transpose(0, 2, 1))
+        dtype = np.result_type(u, *(w.projector for w in pis))
+        chunks = (u[part] @ w.projector @ u[part].conj().transpose(0, 2, 1)
+                  for w in pis
+                  for part in config.blocks(len(u), u[:1].nbytes))
+        return ProjectorStack.pack(chunks, len(pis) * len(u), self.rho.dim,
+                                   dtype)
 
     def build(self, chars) -> GrassmannCode:
         _within_pair_budget(f"orbit of {self.h.name} in {self.g.name}",
@@ -583,7 +586,7 @@ def build_union_code(g: PermGroup, h: PermGroup, rho: UnitaryRep,
     for (wa, _), (wb, _) in itertools.combinations(ws, 2):
         if np.abs(wa.projector @ wb.projector).max() > TOL.ortho:
             raise CodeError("component subspaces are not orthogonal")
-    projectors = [p for w, _ in ws for p in ctx.orbit(w)]
+    projectors = ctx.orbit(*(w for w, _ in ws))
     big_n = len(projectors)
     n = rho.dim
     cross_min = union_min_distance_formula(n, m, ctx.n_cosets)
@@ -614,14 +617,18 @@ def union_min_distance_formula(n: int, m: int, big_n: int) -> float:
 
 
 def kron_extend(code: GrassmannCode, k: int) -> GrassmannCode:
-    """Pad each projector to I_k tensor Pi: scales n, m, d_c^2 by k."""
+    """Pad each projector to I_k tensor Pi: scales n, m, d_c^2 by k.  The
+    padded codewords are formed from the code's packed rows a chunk of
+    about the byte budget (`config.blocks`) at a time, and packed."""
     if k < 1:
         raise CodeError("k must be >= 1")
     if k == 1:
         return code
-    eye = np.eye(k)
-    projectors = [SubspaceProjector(np.kron(eye, p.projector))
-                  for p in code.projectors]
+    x, n = _packed_rows(code.projectors), code.params.n
+    eye = np.eye(k)[None]
+    chunks = (np.kron(eye, completed(x[part], n))
+              for part in config.blocks(len(x), (k * n) ** 2 * x.itemsize))
+    projectors = ProjectorStack.pack(chunks, len(x), k * n, x.dtype)
     prov = dict(code.provenance)
     prov["kron_extend"] = k
     return _assemble(projectors, prov, code.keys)
@@ -635,17 +642,30 @@ def kron_product(code1: GrassmannCode, code2: GrassmannCode) -> GrassmannCode:
     if not code1.projectors or not code2.projectors:
         raise CodeError("empty factor code")
     _within_pair_budget("Kronecker product", code1.params.N * code2.params.N)
-    projectors = [SubspaceProjector(np.kron(p.projector, q.projector))
-                  for p in code1.projectors for q in code2.projectors]
+    x1, x2 = _packed_rows(code1.projectors), _packed_rows(code2.projectors)
+    n1, n2, n_words = code1.params.n, code2.params.n, len(x2)
+    dtype = np.result_type(x1, x2)
+
+    def chunks():
+        # codeword a N2 + b is P_a tensor Q_b, with P_ij Q_kl at
+        # (i n2 + k, j n2 + l)
+        for part in config.blocks(len(x1) * n_words,
+                                  (n1 * n2) ** 2 * dtype.itemsize):
+            a, b = np.divmod(np.arange(part.start, part.stop), n_words)
+            pq = np.einsum("cij,ckl->cikjl", completed(x1[a], n1),
+                           completed(x2[b], n2))
+            yield pq.reshape(len(pq), n1 * n2, n1 * n2)
+
+    projectors = ProjectorStack.pack(chunks(), len(x1) * n_words, n1 * n2,
+                                     dtype)
     prov = {"kron_product": [code1.provenance, code2.provenance],
             "expected_min": min(code1.params.m * code2.params.d_c_sq_min,
                                 code2.params.m * code1.params.d_c_sq_min)}
-    n2 = len(code2.projectors)
 
     def keys(rows, cols):
         # the factor keys may be narrow; their pairing is not
-        a = code1.keys(rows // n2, cols // n2).astype(np.intp)
-        b = code2.keys(rows % n2, cols % n2).astype(np.intp)
+        a = code1.keys(rows // n_words, cols // n_words).astype(np.intp)
+        b = code2.keys(rows % n_words, cols % n_words).astype(np.intp)
         return (a + b) * (a + b + 1) // 2 + b
 
     return _assemble(projectors, prov, keys)
@@ -710,17 +730,21 @@ def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
 
     Each codeword is a stabilizer code: the joint +1 eigenspace of the
     signed elements of one S, whose 2^r codewords are consecutive, one per
-    sign choice in `itertools.product((1, -1), repeat=r)` order.  All are
-    formed as one stack from the label arrays: (sign X(a)Y(b))[u + a, u] =
-    sign (-1)^{b.u}, so one vectorised step per element e of S adds
-    chi(g_e) sign_e (-1)^{b_e.u} / 2^r at [u + a_e, u] of every codeword.
-    The entries are multiples of 2^-r, so the sums are exact, and
-    `SubspaceProjector.stack` checks the stack.  The census keys its pairs
-    from the labels and signs (`_stabilizer_keys`), so every principal-angle
-    set is listed, at any N; the keys are tabulated per pair of subgroups,
-    not per pair of codewords.  N = 2^r |S_r| is counted first
-    (`clifford_count`): more than `config.PAIR_BUDGET` pairs is a
-    CodeError, raised before S_r is formed (`clifford_family`)."""
+    sign choice in `itertools.product((1, -1), repeat=r)` order.  They are
+    formed from the label arrays a chunk of subgroups of about the byte
+    budget (`config.blocks`) at a time: (sign X(a)Y(b))[u + a, u] = sign
+    (-1)^{b.u}, so one vectorised step per element e of S adds chi(g_e)
+    sign_e (-1)^{b_e.u} / 2^r at [u + a_e, u] of every codeword of the
+    chunk.  The entries are multiples of 2^-r, so the sums are exact, and
+    each chunk is checked and written straight into the code's packed rows
+    (`ProjectorStack.pack`), so the N x n x n stack is never held.  The
+    census keys its pairs from the labels and signs (`_stabilizer_keys`),
+    so every principal-angle set is listed, at any N; the keys are
+    tabulated per pair of subgroups, not per pair of codewords, and are
+    formed before the rows, so that the peaks of the two do not add.
+    N = 2^r |S_r| is counted first (`clifford_count`): more than
+    `config.PAIR_BUDGET` pairs is a CodeError, raised before S_r is formed
+    (`clifford_family`)."""
     if not 1 <= i <= 5:
         raise CodeError("i must be between 1 and 5")
     if not 1 <= r <= i:
@@ -735,19 +759,26 @@ def build_clifford_orthoplex(i: int, r: int = 1) -> GrassmannCode:
     eps = np.arange(size)[:, None] >> np.arange(r) & 1
     chis = np.where(eps, choices[:, None, :], 1).prod(axis=2)
     coef = chis[None] * sign[:, None, :]        # (subgroup, choice, e)
+    keys = _stabilizer_keys(a | b << i,
+                            coef.reshape(-1, size).astype(np.int8), i, r)
     u = np.arange(n)
     odd = np.array([bin(v).count("1") & 1 for v in range(n)])
-    pis = np.zeros((n_sub, size, n, n))
-    at_s, at_k = np.arange(n_sub)[:, None, None], np.arange(size)[:, None]
-    for e in range(size):
-        y = (1 - 2 * odd[b[:, e, None] & u]) / size    # (subgroup, u)
-        rows = (a[:, e, None] ^ u)[:, None, :]
-        pis[at_s, at_k, rows, u] += coef[:, :, e, None] * y[:, None, :]
-    projectors = SubspaceProjector.stack(pis.reshape(-1, n, n))
-    labels = a | b << i
+    at_k = np.arange(size)[:, None]
+
+    def chunks():
+        # a subgroup's 2^r codewords are size n x n float64 matrices
+        for part in config.blocks(n_sub, size * n * n * 8):
+            pis = np.zeros((part.stop - part.start, size, n, n))
+            at_s = np.arange(len(pis))[:, None, None]
+            for e in range(size):
+                y = (1 - 2 * odd[b[part, e, None] & u]) / size  # (subgroup, u)
+                rows = (a[part, e, None] ^ u)[:, None, :]
+                pis[at_s, at_k, rows, u] += (coef[part, :, e, None]
+                                             * y[:, None, :])
+            yield pis.reshape(-1, n, n)
+
+    projectors = ProjectorStack.pack(chunks(), n_sub * size, n, float)
     prov = {"clifford_i": i, "r": r, "n_subgroups": n_sub}
-    keys = _stabilizer_keys(labels, coef.reshape(-1, size).astype(np.int8),
-                            i, r)
     return _assemble(projectors, prov, keys, 1 << (r + 1))
 
 

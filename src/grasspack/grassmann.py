@@ -7,11 +7,15 @@ conditioned near zero angles.
 A projector's dtype follows its data: float64 for real input, integers
 included, and complex128 for complex input; nothing here casts to complex.
 A stack of projectors is checked in chunks of the package's one
-working-memory budget, `config.BLOCK_BYTES`.
+working-memory budget, `config.BLOCK_BYTES`, and held as packed rows
+(`ProjectorStack`): the diagonal and lower triangle of each projector, the
+triangle `eigh` reads.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -86,21 +90,19 @@ class SubspaceProjector:
         self._basis = None
 
     @classmethod
-    def stack(cls, matrices: np.ndarray) -> list["SubspaceProjector"]:
-        """One projector per matrix of an (N, n, n) stack, in order, each the
-        projector the constructor would give.  The stack is checked in
-        chunks, and each projector is a view into the stack (the caller's
-        array when it is float64 or complex128 already)."""
+    def stack(cls, matrices: np.ndarray) -> "ProjectorStack":
+        """The projectors of an (N, n, n) stack, in order, each of the rank
+        the constructor would give, held as packed rows (`ProjectorStack`):
+        an item is the Hermitian completion of its matrix's lower triangle.
+        The stack is checked and packed in chunks of about the byte budget
+        (`config.blocks`), and the first matrix that fails raises the
+        constructor's error."""
         p = _in_field(matrices)
         if p.ndim != 3 or p.shape[1] != p.shape[2]:
             raise GrassmannError(f"projector stack of shape {p.shape} is "
                                  f"not (N, n, n)")
-        out = []
-        for mat, m in zip(p, _checked_ranks(p).tolist()):
-            proj = cls.__new__(cls)
-            proj._adopt(mat, m)
-            out.append(proj)
-        return out
+        chunks = (p[part] for part in config.blocks(len(p), p[:1].nbytes))
+        return ProjectorStack.pack(chunks, len(p), p.shape[1], p.dtype)
 
     @classmethod
     def from_basis(cls, columns: np.ndarray) -> "SubspaceProjector":
@@ -122,6 +124,87 @@ class SubspaceProjector:
 
     def __repr__(self):
         return f"SubspaceProjector(n={self.n}, m={self.m})"
+
+
+@functools.lru_cache
+def lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the diagonal and lower triangle
+    of an n x n matrix, row by row: the columns of a packed row."""
+    il, jl = np.tril_indices(n)
+    il.flags.writeable = jl.flags.writeable = False
+    return il, jl
+
+
+def completed(rows: np.ndarray, n: int) -> np.ndarray:
+    """The Hermitian n x n matrices of packed rows (..., n(n+1)/2): each
+    row's lower triangle, its conjugate above the diagonal and the real part
+    of its diagonal, which is all of a matrix that `eigh` reads."""
+    il, jl = lower_triangle(n)
+    p = np.empty(rows.shape[:-1] + (n, n), dtype=rows.dtype)
+    p[..., jl, il] = rows.conj()
+    p[..., il, jl] = rows
+    if np.iscomplexobj(p):
+        d = np.arange(n)
+        p[..., d, d] = p[..., d, d].real
+    return p
+
+
+class ProjectorStack(Sequence):
+    """Projectors onto subspaces of one C^n held as packed rows: row k of
+    `rows` is the diagonal and lower triangle of projector k as it was
+    given (`lower_triangle`), in its dtype, and `ranks[k]` is its rank.
+    Item k is formed on access, as the projector of `completed(rows[k])`;
+    `eigh` reads that triangle alone, so the item's basis and principal
+    angles are those of the matrix that was packed.  The rows are in F
+    order and read-only, and a slice is a stack of the same rows."""
+
+    def __init__(self, rows: np.ndarray, ranks: np.ndarray, n: int):
+        rows.flags.writeable = ranks.flags.writeable = False
+        self.rows, self.ranks, self.n = rows, ranks, n
+
+    @classmethod
+    def pack(cls, chunks: Iterable[np.ndarray], count: int, n: int,
+             dtype) -> "ProjectorStack":
+        """The stack of `count` projectors of C^n given in order as (k, n, n)
+        chunks, each checked (`_checked_ranks`) and packed into rows of
+        `dtype` allocated once.  A chunk of another shape or dtype, or
+        chunks of other than `count` matrices in all, is a GrassmannError."""
+        il, jl = lower_triangle(n)
+        # in F order, so that rows[lo:].T, the right factor of every Gram
+        # block, is a row-major view: faster at blocks of a few dozen rows
+        rows = np.empty((len(il), count), dtype=dtype).T
+        ranks = np.empty(count, dtype=np.int64)
+        at = 0
+        for chunk in chunks:
+            p = _in_field(chunk)
+            if p.ndim != 3 or p.shape[1:] != (n, n):
+                raise GrassmannError(f"projector chunk of shape {p.shape} "
+                                     f"is not (k, {n}, {n})")
+            if not np.can_cast(p.dtype, rows.dtype):
+                raise GrassmannError(f"projector chunk of dtype {p.dtype} "
+                                     f"in a stack of {rows.dtype}")
+            part = slice(at, at + len(p))
+            if part.stop > count:
+                raise GrassmannError(f"more than {count} projectors")
+            ranks[part] = _checked_ranks(p)
+            rows[part] = p[:, il, jl]
+            at = part.stop
+        if at != count:
+            raise GrassmannError(f"{at} projectors, expected {count}")
+        return cls(rows, ranks, n)
+
+    def __len__(self) -> int:
+        return len(self.ranks)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return ProjectorStack(self.rows[k], self.ranks[k], self.n)
+        proj = SubspaceProjector.__new__(SubspaceProjector)
+        proj._adopt(completed(self.rows[k], self.n), int(self.ranks[k]))
+        return proj
+
+    def __repr__(self):
+        return f"ProjectorStack(N={len(self)}, n={self.n})"
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,8 @@
 permutation matrices and their Kronecker powers, the isotypic projector by
 the full class-sum formula, the quaternion group Q8 in its regular action,
 the two class-sum identities the equidistance proof rests on, checked over
-whole groups, and the principal-angle census
+whole groups, the Hermitian completion of a matrix's lower triangle by
+dense triangles, and the principal-angle census
 of a code resolved pair by pair, the Clifford family S_r by a search over
 combinations of involutions, the Clifford codewords formed one label
 at a time from dense shift and sign matrices, and the Clifford pair keys
@@ -13,8 +14,10 @@ permutation carriers as index gathers, splits isotypic components from a
 few class sums, checks the identity only in the form
 `IsotypicContext.fonda2_residual`, takes its census from pair keys
 (`codes.spa_census`), extends S_r level by level from least bases
-(`codes.clifford_family`), forms the Clifford codewords as one stack from
-label arrays (`codes.build_clifford_orthoplex`) and reads the Clifford
+(`codes.clifford_family`), packs every code's codewords into rows of
+their lower triangles (`grassmann.ProjectorStack`), forms the Clifford
+codewords a chunk of subgroups at a time from label arrays
+(`codes.build_clifford_orthoplex`) and reads the Clifford
 keys from tables per subgroup pair (`codes._stabilizer_keys`), builds
 GF(q) from one product table per candidate modulus (`permgroup.GF`), and
 closes an element table a level, or a slice of one, at a time
@@ -148,6 +151,13 @@ def character_identities(table, g, n_pairs=None, seed=config.DEFAULT_SEED):
         twist = max(twist, float((np.abs(got - want)
                                   / np.maximum(1.0, np.abs(want))).max()))
     return IdentityReport(product, twist, len(pairs))
+
+
+def hermitian_completion(p):
+    """The Hermitian matrix that agrees with p below its diagonal and whose
+    diagonal is the real part of p's."""
+    low = np.tril(p, -1)
+    return low + low.conj().T + np.diag(np.diag(p).real)
 
 
 def pairwise_census(projectors):

@@ -16,8 +16,9 @@ from grasspack.codes import (CodeError, IsotypicContext, StabilizerError,
                              kron_product, predict_from_dimensions, spa_census,
                              union_min_distance_formula, verify_simplex)
 from grasspack.config import TOL
-from grasspack.grassmann import (GrassmannError, SubspaceProjector,
-                                 chordal_sq_trace, principal_angles)
+from grasspack.grassmann import (GrassmannError, ProjectorStack,
+                                 SubspaceProjector, chordal_sq_trace,
+                                 principal_angles)
 from grasspack.permgroup import (PermGroup, Permutation, load_group, make_pgl2,
                                  make_psl2, parse_group)
 from grasspack.reps import (Partition, UnitaryRep, extract_irrep, find_carrier,
@@ -25,8 +26,9 @@ from grasspack.reps import (Partition, UnitaryRep, extract_irrep, find_carrier,
                             young_orthogonal_rep)
 from reference import (clifford_family_by_search, clifford_labels_and_signs,
                        clifford_projectors, full_class_sums,
-                       isotypic_projector, pairwise_census, perm_rep,
-                       stabilizer_pair_keys, x_matrix, y_matrix)
+                       hermitian_completion, isotypic_projector,
+                       pairwise_census, perm_rep, stabilizer_pair_keys,
+                       x_matrix, y_matrix)
 
 
 def trivial_index(table):
@@ -205,8 +207,9 @@ def rotation_context():
 
 
 def test_orbit_equals_the_product_per_codeword(s5_ctx):
-    # the orbit is one batched product; each codeword is exactly the
-    # u P u^H of its own coset rep, as one product per codeword would give
+    # the orbit is batched products packed into rows; each codeword is
+    # exactly the Hermitian completion of the lower triangle of the u P u^H
+    # of its own coset rep, as one product per codeword would give
     seen = {}
     for ctx in (s5_ctx, *pgl2_7_contexts(), rotation_context()):
         for c in np.flatnonzero(ctx.decomposition.multiplicities):
@@ -218,7 +221,9 @@ def test_orbit_equals_the_product_per_codeword(s5_ctx):
             for u, word in zip(ctx.t_images, words):
                 want = u @ pi_w.projector @ u.conj().T
                 assert word.projector.dtype == want.dtype
-                assert np.array_equal(word.projector, want) and word.m == m
+                assert np.array_equal(word.projector,
+                                      hermitian_completion(want))
+                assert word.m == m
                 seen[ctx.g.name] = seen.get(ctx.g.name, 0) + 1
     assert seen == {"S5": 2 * 5, "PGL2_7": 10 * 8, "sp6_2_deg28": 2 * 28}
 
@@ -518,15 +523,15 @@ def test_clifford_4_2_keeps_its_census():
     assert code.provenance["census_residual"] <= TOL.rel_distance
 
 
-#: MiB a Clifford build may trace, its codeword stack included; the CI step
+#: MiB a Clifford build may trace, its packed rows included; the CI step
 #: "Clifford census stays within its working memory" holds the same bounds
-CLIFFORD_TRACED_MIB = {(4, 2): 38, (4, 4): 26}
+CLIFFORD_TRACED_MIB = {(4, 2): 21, (4, 4): 17}
 
 
 @pytest.mark.parametrize("i, r", sorted(CLIFFORD_TRACED_MIB))
 def test_clifford_census_in_bounded_memory(i, r):
-    # the Gram blocks and the subgroup-pair tables are sized in bytes, so
-    # the census adds a bounded amount to the stack and the packed rows
+    # the codeword chunks, the Gram blocks and the subgroup-pair tables are
+    # sized in bytes, so the build adds a bounded amount to the packed rows
     tracemalloc.start()
     try:
         code = build_clifford_orthoplex(i, r)
@@ -744,11 +749,13 @@ def test_census_takes_each_key_on_its_first_pair(clifford_3_2, monkeypatch):
     _, first, counts = np.unique(dense[iu, ju], return_index=True,
                                  return_counts=True)
     order = np.argsort(first)
-    index = {id(p): k for k, p in enumerate(projectors)}
+    # a stack forms its items on access: they are told apart by their bytes
+    index = {p.projector.tobytes(): k for k, p in enumerate(projectors)}
     pairs = []
 
     def spy(a, b):
-        pairs.append((index[id(a)], index[id(b)]))
+        pairs.append((index[a.projector.tobytes()],
+                      index[b.projector.tobytes()]))
         return principal_angles(a, b)
 
     monkeypatch.setattr(codes, "principal_angles", spy)
@@ -935,8 +942,9 @@ def test_packed_gram_matches_the_trace_across_blocks(monkeypatch):
     rng = np.random.default_rng(31)
     planes = random_subspaces(rng, 201)
     assert len(planes) > gram_rows(monkeypatch, 128, 201)
-    # complex words: n^2 packed columns
-    assert codes._packed_rows(planes).shape == (201, 36)
+    # complex words: n(n+1)/2 complex packed columns
+    rows = codes._packed_rows(planes)
+    assert rows.shape == (201, 21) and rows.dtype == complex
     assert_gram_matches_trace(planes)
 
 
@@ -949,17 +957,37 @@ def test_packed_gram_of_a_real_code(clifford_3_2, monkeypatch):
 
 
 def test_packed_rows_across_pack_chunks(monkeypatch):
-    # the layout is chosen for the whole code: the one complex word past
-    # the first chunk gives every row the imaginary columns
+    # the dtype is chosen for the whole code: the one complex word past
+    # the first chunk makes every row complex, n(n+1)/2 wide either way
     rng = np.random.default_rng(37)
     real = [SubspaceProjector.from_basis(rng.standard_normal((4, 2)))
             for _ in range(7)]
     words = real + random_subspaces(rng, 1, n=4)
     # three complex 4 x 4 projectors a chunk, six real ones
     monkeypatch.setattr(config, "BLOCK_BYTES", 3 * 4 * 4 * 16)
-    assert codes._packed_rows(real).shape == (7, 10)
-    assert codes._packed_rows(words).shape == (8, 16)
-    assert_gram_matches_trace(words)
+    for group, dtype in ((real, float), (words, complex)):
+        rows = codes._packed_rows(group)
+        stack = SubspaceProjector.stack(
+            np.stack([p.projector for p in group]).astype(dtype))
+        assert rows.shape == (len(group), 10) and rows.dtype == dtype
+        assert np.array_equal(stack.rows, rows)
+        assert_gram_matches_trace(group)
+        assert_gram_matches_trace(stack)
+
+
+def test_packed_rows_of_a_stack_are_its_own(clifford_3_2, s5_ctx):
+    # the census reads a stack's rows in place, and a stack and the list of
+    # its items give one census and one distinct count
+    words = s5_ctx.build(components_by_degree(s5_ctx, 3)[:1]).projectors
+    for stack, keys in ((clifford_3_2.projectors, clifford_3_2.keys),
+                        (words, s5_ctx.keys)):
+        assert isinstance(stack, ProjectorStack)
+        rows = codes._packed_rows(stack)
+        assert np.shares_memory(rows, stack.rows)
+        census, distinct, _ = spa_census(stack, keys)
+        listed, distinct_listed, _ = spa_census(list(stack), keys)
+        assert distinct == distinct_listed == len(stack)
+        assert census == listed
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 40], ids=["row", "whole"])

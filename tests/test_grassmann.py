@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from grasspack import config, grassmann
 from grasspack.grassmann import (BoundReport, GrassmannError,
-                                 PrincipalAngleSet, SubspaceProjector,
-                                 as_fraction, chordal_sq_trace, format_value,
+                                 PrincipalAngleSet, ProjectorStack,
+                                 SubspaceProjector, as_fraction,
+                                 chordal_sq_trace, format_value,
                                  orthoplex_bound, principal_angles,
                                  product_distance, simplex_bound)
+from reference import hermitian_completion
 
 
 def random_subspace(rng, n, m):
@@ -49,14 +51,44 @@ def chunks_of_three(monkeypatch):
 
 
 def test_stack_equals_one_at_a_time(chunks_of_three):
+    # each item is the Hermitian completion of its matrix's lower triangle,
+    # of the rank the constructor gives it
     words = mixed_words(np.random.default_rng(41), 10)
     got = SubspaceProjector.stack(np.stack([w.projector for w in words]))
     assert len(got) == len(words)
     for p, w in zip(got, words):
         one = SubspaceProjector(w.projector)
         assert (p.n, p.m) == (one.n, one.m)
-        assert np.array_equal(p.projector, one.projector)
+        assert np.array_equal(p.projector, hermitian_completion(one.projector))
         assert np.abs(p.basis @ p.basis.conj().T - w.projector).max() < 1e-9
+
+
+@pytest.mark.parametrize("field", [float, complex])
+def test_stack_items_complete_the_packed_triangle(chunks_of_three, field):
+    # matrices Hermitian only within TOL.ortho, with imaginary parts on the
+    # diagonal of a complex one: the packed rows keep the lower triangle as
+    # given, and eigh, which reads that triangle alone, gives each item the
+    # eigenpairs of its matrix bit for bit
+    rng = np.random.default_rng(53)
+    words = np.stack([SubspaceProjector.from_basis(
+        rng.standard_normal((5, m)).astype(field)).projector
+        for m in rng.integers(1, 5, size=10)])
+    words = words + 1e-12 * rng.standard_normal(words.shape)
+    if field is complex:
+        words = words + 1e-12j * rng.standard_normal(words.shape)
+    stack = SubspaceProjector.stack(words)
+    assert stack.rows.shape == (10, 15) and stack.rows.dtype == field
+    assert not stack.rows.flags.writeable
+    for p, q in zip(stack, words):
+        assert not np.array_equal(q, q.conj().T)
+        assert np.array_equal(p.projector, hermitian_completion(q))
+        assert p.m == SubspaceProjector(q).m
+        for got, want in zip(np.linalg.eigh(p.projector), np.linalg.eigh(q)):
+            assert np.array_equal(got, want)
+    part = stack[3:7]
+    assert isinstance(part, ProjectorStack) and len(part) == 4
+    assert np.array_equal(part[1].projector, stack[4].projector)
+    assert part.ranks.tolist() == stack.ranks[3:7].tolist()
 
 
 def not_hermitian(p):
@@ -104,7 +136,8 @@ def test_stack_raises_the_trace_message(chunks_of_three, monkeypatch):
 
 
 def test_stack_of_nothing_and_of_non_squares():
-    assert SubspaceProjector.stack(np.zeros((0, 4, 4))) == []
+    empty = SubspaceProjector.stack(np.zeros((0, 4, 4)))
+    assert len(empty) == 0 and list(empty) == []
     for bad in (np.zeros((2, 4, 3)), np.eye(4)):
         with pytest.raises(GrassmannError, match=re.escape(
                 f"shape {bad.shape} is not (N, n, n)")):
